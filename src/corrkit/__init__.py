@@ -26,7 +26,6 @@ from .core import (
     StirlingTables,
     circle_distance,
     falling_factorial,
-    frac,
     order_comparison_threshold,
     positive_part,
     signed_distance,
@@ -52,7 +51,7 @@ from .distribution import (
     ecdf,
     star_discrepancy,
 )
-from .errors import BudgetError, CorrkitError, FormatError, ParameterError
+from .errors import BudgetError, ConsistencyError, CorrkitError, FormatError, ParameterError
 from .intervalstats import (
     MCIntegral,
     MomentReport,

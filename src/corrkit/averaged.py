@@ -17,7 +17,7 @@ and equal the integral of R_k* over the scale box [0,s_1] x ... x [0,s_{k-1}].
 L_i is accumulated from explicitly expanded window pairs (each term
 exact to one rounding) and the anchor products are reduced with
 math.fsum, which is exactly rounded and therefore deterministic
-independent of evaluation order or thread count.
+independent of evaluation order.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ environment variable CORRKIT_ORACLE_BUDGET overrides the brute-force
 tuple-visit cap.
 
 Exit codes: 0 success, 1 failed verify checks, 2 bad parameters,
-3 malformed input file, 4 work budget exceeded.
+3 malformed input file, 4 work budget exceeded, 5 internal consistency
+check failed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from dataclasses import asdict
 
 from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
-from .errors import BudgetError, FormatError, ParameterError
+from .errors import BudgetError, ConsistencyError, FormatError, ParameterError
 from .io import read_integers, read_points, write_points
 from .verify import DEFAULT_SEED, run_verify
 
@@ -130,7 +131,7 @@ def _cmd_corr(args) -> int:
         boxes = _parse_boxes(args.box)
         if len(boxes) != args.k - 1:
             raise ParameterError(f"need {args.k - 1} boxes for k = {args.k}")
-        rep = correlations.r_k_box(seq, boxes, threads=args.threads)
+        rep = correlations.r_k_box(seq, boxes)
     else:
         scales = _scales_for(args)
         rep = (correlations.r_k_star if args.star else correlations.r_k_distinct)(seq, scales)
@@ -314,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="corrkit",
         description="Correlation statistics of sequences modulo one.",
     )
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on worker parallelism; results do not depend on it")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a point sequence file")
@@ -414,6 +413,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

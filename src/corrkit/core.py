@@ -1,9 +1,8 @@
 """Circle arithmetic, the point container, and Stirling-number tables.
 
 Everything downstream works on points of the unit circle R/Z represented
-as floats in [0,1).  The three elementary functionals are
+as floats in [0,1).  The two elementary functionals are
 
-    frac(x)             {x}, the fractional part in [0,1)
     signed_distance(x)  ((x)), the representative of x mod 1 in (-1/2, 1/2]
     circle_distance(x,y)  ||x-y|| = |((x-y))|, in [0, 1/2]
 
@@ -20,11 +19,6 @@ import numpy as np
 from .errors import ParameterError
 
 DEFAULT_STIRLING_ORDER = 16
-
-
-def frac(x):
-    """Fractional part {x} in [0,1); works on scalars and arrays."""
-    return np.asarray(x, dtype=np.float64) % 1.0 if np.ndim(x) else float(x) % 1.0
 
 
 def signed_distance(x):
@@ -54,14 +48,6 @@ def positive_part(x):
     if np.ndim(x) == 0:
         return x if x > 0 else 0.0
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def as_unit_point(x) -> float:
-    """Validate a single point of [0,1)."""
-    v = float(x)
-    if not (0.0 <= v < 1.0) or not np.isfinite(v):
-        raise ParameterError(f"point {v!r} is outside [0,1)")
-    return v
 
 
 class PointSequence:

@@ -19,6 +19,15 @@ agreement against brute_force_r_k.  Window location uses two searches on
 a tripled sorted array covering [-1, 2), so circular windows never
 branch.  Ties at an exact window boundary are included (closed
 inequality) on both the fast and brute-force paths.
+
+The three tuple forms are numpy passes over the sorted (anchor,
+occupant) pair list of one window, with no per-anchor Python loop.
+r_k_box counts injective slot fillings by Moebius inversion over the set
+partitions of the k-1 slots, one bincount per block.  r_k_testfn and
+r_k_consecutive build their tuples by chained joins on the pair list, in
+chunks of whole anchors capped at _CHUNK_ROWS rows, and call the test
+function once per chunk on an (m, k-1) float64 array of scaled
+differences; its weights are summed with one math.fsum.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +48,6 @@ DEFAULT_ORACLE_BUDGET = 10**8
 # candidate windows are padded by this much before the exact per-pair
 # predicate is applied, so float rounding can only add candidates
 _WINDOW_PAD = 1e-12
-
-# bitmask-memoized injective counting up to this many window occupants
-_MEMO_OCCUPANCY = 20
 
 
 def oracle_budget() -> int:
@@ -203,118 +208,70 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
 
 
 # ---------------------------------------------------------------------------
-# window occupants: per-anchor candidate lists with exact signed distances
+# tuple enumeration over the sorted (anchor, occupant) window pairs
 
 
-def _window_pairs(sorted_pts: np.ndarray, radius: float):
-    """(anchor, occupant) index pairs with ||x_a - x_o|| <= radius + pad.
+def _occupant_pairs(sp: np.ndarray, radius: float):
+    """(anchor, occupant, ((x_anchor - x_occupant))) for every index pair
+    with ||x_a - x_o|| <= radius + pad, the anchor itself excluded.
 
-    Anchors and occupants are positions in the sorted array; the anchor
-    itself is kept (callers drop it).  Returns (pair_anchor, pair_pos,
-    counts) where pair_pos is already reduced mod n.  The pad makes the
-    candidate set a superset under rounding; exact predicates decide.
+    Anchors and occupants are positions in the sorted array, and the
+    pairs come sorted by anchor.  The pad makes the candidate set a
+    superset under rounding; exact predicates decide.  Signed distances
+    use the core definition, so they match the brute-force predicate bit
+    for bit.  Duplicate values at other indices stay.
     """
-    n = sorted_pts.size
+    n = sp.size
     w = radius + _WINDOW_PAD
     if w >= 0.5:
         # whole circle: every point once per anchor
-        pair_anchor = np.repeat(np.arange(n), n)
-        pair_pos = np.tile(np.arange(n), n)
-        return pair_anchor, pair_pos, np.full(n, n, dtype=np.int64)
-    ext = np.concatenate((sorted_pts - 1.0, sorted_pts, sorted_pts + 1.0))
-    lo = np.searchsorted(ext, sorted_pts - w, side="left")
-    hi = np.searchsorted(ext, sorted_pts + w, side="right")
-    cnt = hi - lo
-    total = int(cnt.sum())
-    pair_anchor = np.repeat(np.arange(n), cnt)
-    offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    pair_pos = (np.repeat(lo, cnt) + offs) % n
-    return pair_anchor, pair_pos, cnt
-
-
-def _occupant_table(seq: PointSequence, radius: float):
-    """Per-anchor lists of (occupant sorted-position, signed distance).
-
-    Signed distances are ((x_anchor - x_occ)) computed with the core
-    definition, so they match the brute-force predicate bit for bit.
-    The anchor's own index is excluded; duplicate values at other
-    indices stay.
-    """
-    sp = seq.sorted_points
-    n = sp.size
-    pa, pp, _ = _window_pairs(sp, radius)
+        pa = np.repeat(np.arange(n), n)
+        pp = np.tile(np.arange(n), n)
+    else:
+        ext = np.concatenate((sp - 1.0, sp, sp + 1.0))
+        lo = np.searchsorted(ext, sp - w, side="left")
+        cnt = np.searchsorted(ext, sp + w, side="right") - lo
+        pa = np.repeat(np.arange(n), cnt)
+        offs = np.arange(pa.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        pp = (np.repeat(lo, cnt) + offs) % n
     keep = pp != pa
     pa, pp = pa[keep], pp[keep]
-    delta = signed_distance(sp[pa] - sp[pp])
-    table = [([], []) for _ in range(n)]
-    for a, p, d in zip(pa.tolist(), pp.tolist(), delta.tolist()):
-        table[a][0].append(p)
-        table[a][1].append(d)
-    return table
+    return pa, pp, signed_distance(sp[pa] - sp[pp])
 
 
-def _count_injective(masks: list[int]) -> int:
-    """Number of ways to pick pairwise-distinct items, one per slot,
-    where masks[r] is the candidate bitmask of slot r."""
-    order = sorted(range(len(masks)), key=lambda r: bin(masks[r]).count("1"))
-    ms = [masks[r] for r in order]
-    memo: dict[tuple[int, int], int] = {}
+def _set_partitions(m: int, alive):
+    """Set partitions of the slots 0..m-1, as tuples of block bitmasks.
 
-    def rec(r: int, used: int) -> int:
-        if r == len(ms):
-            return 1
-        key = (r, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        avail = ms[r] & ~used
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            total += rec(r + 1, used | bit)
-        memo[key] = total
-        return total
-
-    def rec_plain(r: int, used: int) -> int:
-        if r == len(ms):
-            return 1
-        total = 0
-        avail = ms[r] & ~used
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            total += rec_plain(r + 1, used | bit)
-        return total
-
-    width = max((m.bit_length() for m in ms), default=0)
-    return rec(0, 0) if width <= _MEMO_OCCUPANCY else rec_plain(0, 0)
-
-
-def _map_chunks(worker, n: int, threads: int):
-    """worker(start, stop) over a partition of range(n), results in order.
-
-    Partial results are per-anchor contribution lists, so any final
-    reduction done in index order (or with math.fsum, which is exactly
-    rounded) is independent of the thread count.
+    Slots are placed in order, each into an existing block or a new one.
+    A branch is cut as soon as one of its blocks fails alive(); blocks
+    only gain slots further down, so a dead block never revives.
     """
-    if threads <= 1 or n < 512:
-        return [worker(0, n)]
-    parts = min(threads * 4, n)
-    bounds = np.linspace(0, n, parts + 1).astype(int)
-    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(lambda ab: worker(*ab), ranges))
+
+    def rec(r, blocks):
+        if r == m:
+            yield blocks
+            return
+        bit = 1 << r
+        for i, b in enumerate(blocks):
+            if alive(b | bit):
+                yield from rec(r + 1, blocks[:i] + (b | bit,) + blocks[i + 1:])
+        if alive(bit):
+            yield from rec(r + 1, blocks + (bit,))
+
+    yield from rec(0, ())
 
 
-def r_k_box(seq: PointSequence, boxes, threads: int = 1) -> CorrelationReport:
+def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     """Distinct-index count with signed per-slot constraints
     a_r/N <= ((x_{i_1} - x_{i_{r+1}})) <= b_r/N.
 
     Symmetric boxes (-s, s) reproduce r_k_distinct.  Per anchor the slot
-    candidate sets are arcs that need not be nested, so injective
-    tuples are counted by depth-first slot filling (bitmask-memoized for
-    small windows).
+    candidate sets are arcs that need not be nested, so injective tuples
+    are counted by Moebius inversion on the lattice of set partitions pi
+    of the k-1 slots: sum_pi mu(pi) prod_{B in pi} #{occupants meeting
+    every slot of B}, with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!.  Each
+    block count is one bincount over the window pairs, so the work is
+    O(Bell(k-1) * window pairs), whatever the window occupancy.
     """
     boxes = _as_boxes(boxes)
     n = len(seq)
@@ -322,120 +279,131 @@ def r_k_box(seq: PointSequence, boxes, threads: int = 1) -> CorrelationReport:
     for a, b in boxes:
         if abs(a) > n / 2 or abs(b) > n / 2:
             raise ParameterError(f"box bound beyond N/2 = {n / 2}")
-    los = [a / n for a, b in boxes]
-    his = [b / n for a, b in boxes]
     radius = max(max(abs(a), abs(b)) for a, b in boxes) / n
-    sp = seq.sorted_points
+    pa, _, delta = _occupant_pairs(seq.sorted_points, radius)
+    slot_ok = [(delta >= a / n) & (delta <= b / n) for a, b in boxes]
+    # keep the anchors whose count can be nonzero: at least k-1 candidates
+    # in all, and one in every slot.  An empty slot zeroes every
+    # partition's product (each block lies inside a slot); too few
+    # candidates make the anchor's partition terms cancel to zero.
+    live = np.bincount(pa[np.logical_or.reduce(slot_ok)], minlength=n) >= k - 1
+    for ok in slot_ok:
+        live &= np.bincount(pa[ok], minlength=n) > 0
+    raw = 0
+    if live.any():
+        on_live = live[pa]
+        anchor = (np.cumsum(live) - 1)[pa[on_live]]
+        slot_ok = [ok[on_live] for ok in slot_ok]
+        n_live = int(np.count_nonzero(live))
+        counts: dict[int, np.ndarray] = {}
 
-    if k == 2:
-        pa, pp, _ = _window_pairs(sp, radius)
-        keep = pp != pa
-        pa, pp = pa[keep], pp[keep]
-        delta = signed_distance(sp[pa] - sp[pp])
-        ok = (delta >= los[0]) & (delta <= his[0])
-        raw = int(np.count_nonzero(ok))
-        return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)
+        def block_count(mask: int) -> np.ndarray:
+            if mask not in counts:
+                ok = np.logical_and.reduce([slot_ok[r] for r in range(k - 1) if mask >> r & 1])
+                counts[mask] = np.bincount(anchor[ok], minlength=n_live)
+            return counts[mask]
 
-    table = _occupant_table(seq, radius)
-
-    def worker(start, stop):
-        sub = 0
-        for a in range(start, stop):
-            _, deltas = table[a]
-            if len(deltas) < k - 1:
-                continue
-            masks = []
-            for lo, hi in zip(los, his):
-                m = 0
-                for idx, d in enumerate(deltas):
-                    if lo <= d <= hi:
-                        m |= 1 << idx
-                masks.append(m)
-            if all(masks):
-                sub += _count_injective(masks)
-        return sub
-
-    raw = sum(_map_chunks(worker, n, threads))
+        for blocks in _set_partitions(k - 1, lambda mask: block_count(mask).any()):
+            mu = 1
+            for mask in blocks:
+                size = mask.bit_count()
+                mu *= (-1) ** (size - 1) * math.factorial(size - 1)
+            raw += mu * _exact_product_sum([block_count(mask) for mask in blocks])
     return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)
 
 
-def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int,
-               threads: int = 1) -> CorrelationReport:
-    """Weighted correlation sum over distinct tuples:
-    (1/N) sum f(N((x_{i_1}-x_{i_2})), ..., N((x_{i_1}-x_{i_k}))).
+# rows per chunk of whole anchors (counted before repeated indices are
+# dropped); it bounds the memory of the tuple joins independently of N
+_CHUNK_ROWS = 1 << 16
 
-    ``f`` takes a sequence of k-1 floats and must vanish outside
-    [-support_radius, support_radius]^(k-1); enumeration is restricted
-    to window occupants per anchor.
+
+def _tuple_weight_sum(sp: np.ndarray, f, radius: float, k: int, chained: bool) -> float:
+    """math.fsum of the weights f gives the distinct-index k-tuples whose
+    consecutive (chained) or anchored index pairs are all window pairs.
+
+    Tuples are built by k-2 joins on the sorted pair list: on the last
+    index when chained, on the anchor otherwise; rows that repeat an
+    index are dropped.  Column r of the (m, k-1) array passed to f is
+    N((x_u - x_v)) for the pair (u, v) the join used.  math.fsum is
+    exactly rounded, so the value does not depend on the chunking.
     """
-    n = len(seq)
+    n = sp.size
+    pa, pp, delta = _occupant_pairs(sp, radius)
+    scaled = n * delta
+    cnt = np.bincount(pa, minlength=n)
+    start = np.concatenate(([0], np.cumsum(cnt)))
+    # tuple rows per anchor after the last join, before repeats are dropped
+    rows = cnt.astype(np.float64)
+    for _ in range(k - 2):
+        rows = np.bincount(pa, weights=rows[pp], minlength=n) if chained else rows * cnt
+    ends = np.cumsum(rows)
+
+    def chunk_weights():
+        a0 = 0
+        while a0 < n:
+            done = ends[a0 - 1] if a0 else 0.0
+            a1 = max(int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right")), a0 + 1)
+            sl = slice(start[a0], start[a1])
+            a0 = a1
+            cols, vals = [pa[sl], pp[sl]], [scaled[sl]]
+            for _ in range(k - 2):
+                key = cols[-1] if chained else cols[0]
+                c = cnt[key]
+                src = np.repeat(np.arange(key.size), c)
+                pair = np.repeat(start[key] - (np.cumsum(c) - c), c) + np.arange(src.size)
+                new = pp[pair]
+                ok = np.ones(src.size, dtype=bool)
+                for col in cols:
+                    ok &= col[src] != new
+                src, pair = src[ok], pair[ok]
+                cols = [col[src] for col in cols] + [new[ok]]
+                vals = [v[src] for v in vals] + [scaled[pair]]
+            m = cols[0].size
+            if m:
+                w = np.asarray(f(np.column_stack(vals)), dtype=np.float64)
+                if w.shape != (m,):
+                    raise ParameterError(f"f must map an ({m}, {k - 1}) array to {m} weights, "
+                                         f"got shape {w.shape}")
+                yield w.tolist()
+
+    return math.fsum(itertools.chain.from_iterable(chunk_weights()))
+
+
+def _check_support(k: int, support_radius: float, n: int) -> None:
     if k < 2:
         raise ParameterError("k must be >= 2")
     if support_radius > n / 2:
         raise ParameterError(f"support radius {support_radius} > N/2 = {n / 2}")
-    table = _occupant_table(seq, support_radius / n)
 
-    def worker(start, stop):
-        out = []
-        for a in range(start, stop):
-            _, deltas = table[a]
-            if len(deltas) < k - 1:
-                continue
-            scaled = [n * d for d in deltas]
-            if k == 2:
-                out.extend(f((y,)) for y in scaled)
-            else:
-                for tup in itertools.permutations(scaled, k - 1):
-                    out.append(f(tup))
-        return out
 
-    parts = _map_chunks(worker, n, threads)
-    total = math.fsum(itertools.chain.from_iterable(parts))
+def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> CorrelationReport:
+    """Weighted correlation sum over distinct tuples:
+    (1/N) sum f(N((x_{i_1}-x_{i_2})), ..., N((x_{i_1}-x_{i_k}))).
+
+    ``f`` maps an (m, k-1) float64 array of such rows to m weights and
+    must vanish outside [-support_radius, support_radius]^(k-1);
+    enumeration is restricted to window occupants per anchor.
+    """
+    n = len(seq)
+    _check_support(k, support_radius, n)
+    total = _tuple_weight_sum(seq.sorted_points, f, support_radius / n, k, chained=False)
     return CorrelationReport(
         "r_k_testfn", k, n, {"support_radius": support_radius}, None, total / n
     )
 
 
-def r_k_consecutive(seq: PointSequence, f, support_radius: float, k: int,
-                    threads: int = 1) -> CorrelationReport:
+def r_k_consecutive(seq: PointSequence, f, support_radius: float, k: int) -> CorrelationReport:
     """Weighted sum over distinct tuples with consecutive differences:
     (1/N) sum f(N((x_{i_1}-x_{i_2})), N((x_{i_2}-x_{i_3})), ...).
 
-    For k = 2 this coincides with r_k_testfn.  A contributing tuple has
-    every consecutive distance <= support_radius/N, hence lies within
-    (k-1) support_radius/N of its first point; that window bounds the
-    enumeration.
+    ``f`` takes (m, k-1) rows as in r_k_testfn and must vanish once any
+    consecutive difference leaves [-support_radius, support_radius], so
+    each next index is a window occupant of the previous one.  For k = 2
+    this coincides with r_k_testfn.
     """
     n = len(seq)
-    if k < 2:
-        raise ParameterError("k must be >= 2")
-    if support_radius > n / 2:
-        raise ParameterError(f"support radius {support_radius} > N/2 = {n / 2}")
-    if k == 2:
-        rep = r_k_testfn(seq, f, support_radius, 2, threads)
-        return CorrelationReport(
-            "r_k_consecutive", 2, n, {"support_radius": support_radius}, None, rep.value
-        )
-    sp = seq.sorted_points
-    table = _occupant_table(seq, min((k - 1) * support_radius / n, 0.5))
-
-    def worker(start, stop):
-        out = []
-        for a in range(start, stop):
-            occ, deltas = table[a]
-            if len(occ) < k - 1:
-                continue
-            for tup in itertools.permutations(range(len(occ)), k - 1):
-                args = [n * deltas[tup[0]]]
-                prev = tup[0]
-                for cur in tup[1:]:
-                    args.append(n * signed_distance(sp[occ[prev]] - sp[occ[cur]]))
-                    prev = cur
-                out.append(f(tuple(args)))
-        return out
-
-    parts = _map_chunks(worker, n, threads)
-    total = math.fsum(itertools.chain.from_iterable(parts))
+    _check_support(k, support_radius, n)
+    total = _tuple_weight_sum(seq.sorted_points, f, support_radius / n, k, chained=True)
     return CorrelationReport(
         "r_k_consecutive", k, n, {"support_radius": support_radius}, None, total / n
     )
@@ -487,14 +455,15 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
         if k is None or support_radius is None:
             raise ParameterError("testfn mode needs k and support_radius")
         _charge_budget(n, k)
-        delta = _pairwise_signed(seq)
+        scaled = (n * _pairwise_signed(seq)).tolist()
         tuples = (
             itertools.product(range(n), repeat=k)
             if star
             else itertools.permutations(range(n), k)
         )
+        # one f call per tuple, on a one-row array
         terms = [
-            testfn(tuple(n * delta[t[0], t[r]] for r in range(1, k)))
+            float(testfn(np.array([[scaled[t[0]][j] for j in t[1:]]]))[0])
             for t in tuples
         ]
         total = math.fsum(terms)

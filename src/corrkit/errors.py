@@ -15,3 +15,7 @@ class BudgetError(CorrkitError, RuntimeError):
 
 class FormatError(CorrkitError, ValueError):
     """Malformed input file."""
+
+
+class ConsistencyError(CorrkitError, RuntimeError):
+    """An internal invariant of a computed result does not hold."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import PointSequence, count_within, falling_factorial, stirling_second
 from .correlations import CorrelationReport, r_k_testfn
-from .errors import ParameterError
+from .errors import ConsistencyError, ParameterError
 
 _MASS_TOL = 1e-12
 
@@ -112,10 +112,10 @@ def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
     base = int(count_within(seq.sorted_points, wrap_mid, r)[0])
     values = base + np.cumsum(jumps)
     if values.min() < 0 or values.max() > n or values[-1] != base:
-        raise AssertionError("inconsistent sweep profile")
+        raise ConsistencyError("inconsistent sweep profile")
     prof = SweepProfile(uniq, values, float(s), n)
     if abs(prof.total_mass() - s) > _MASS_TOL * max(n, 1):
-        raise AssertionError("profile mass does not equal s")
+        raise ConsistencyError("profile mass does not equal s")
     return prof
 
 
@@ -184,8 +184,7 @@ def g_integral_mc(k: int, s: float, samples: int, seed: int) -> MCIntegral:
     return MCIntegral(est, se, int(samples))
 
 
-def i_k_via_correlation(seq: PointSequence, s: float, k: int,
-                        threads: int = 1) -> float:
+def i_k_via_correlation(seq: PointSequence, s: float, k: int) -> float:
     """I_k computed from the correlation side: the weighted sum of
     g_s^(k) over distinct tuples.  Valid for N >= 4s, where the
     arc-intersection identity holds.
@@ -194,7 +193,7 @@ def i_k_via_correlation(seq: PointSequence, s: float, k: int,
     if n < 4 * s:
         raise ParameterError(f"need N >= 4s, got N = {n}, s = {s}")
     rep: CorrelationReport = r_k_testfn(
-        seq, lambda ys: g_test(k, s, ys), float(s), k, threads
+        seq, lambda ys: g_eval(k, s, ys), float(s), k
     )
     return rep.value
 

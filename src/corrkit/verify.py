@@ -550,17 +550,10 @@ def _chk_nonuniform_pair_excess(rng, tier):
 
 
 def _chk_json_round_trip(rng, tier):
+    from .cli import _report_payload  # cli imports this module
+
     rep = correlations.r_k_distinct(PointSequence(rng.random(50)), (1.0, 0.5))
-    payload = {
-        "schema": "corrkit/1",
-        "kind": "corr",
-        "statistic": rep.statistic_name,
-        "k": rep.k,
-        "n": rep.n,
-        "parameters": {"scales": list(rep.parameters["scales"])},
-        "raw_count": rep.raw_count,
-        "value": rep.value,
-    }
+    payload = _report_payload("corr", rep)
     ok = json.loads(json.dumps(payload)) == payload
     return _result("json_report_round_trip", "parse(serialize(report)) = report",
                    ok, "round-trips" if ok else "mismatch", "equal", "exact")

@@ -208,13 +208,7 @@ def test_criterion_10_consecutive_form_equivalence():
 
     def make_f(rho):
         def f(ys):
-            out = 1.0
-            for y in ys:
-                t = rho - abs(y)
-                if t <= 0:
-                    return 0.0
-                out *= t
-            return out
+            return np.prod(np.maximum(rho - np.abs(ys), 0.0), axis=1)
 
         return f
 
@@ -223,7 +217,7 @@ def test_criterion_10_consecutive_form_equivalence():
         n = int(rng.integers(math.ceil(2 * k * rho), 120))
         seq = ck.PointSequence(rng.random(n))
         f = make_f(rho)
-        g = lambda ys: f((ys[0], ys[0] + ys[1]))
+        g = lambda ys: f(np.column_stack((ys[:, 0], ys[:, 0] + ys[:, 1])))
         lhs = ck.r_k_consecutive(seq, g, 2 * rho, k).value
         rhs = ck.r_k_testfn(seq, f, rho, k).value
         worst = max(worst, abs(lhs - rhs) / (1e-12 * n))

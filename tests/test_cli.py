@@ -204,11 +204,9 @@ def test_verify_catalog_complete():
     assert tiers == {"quick", "full"}
 
 
-def test_cli_threads_flag_invariant(points_file, capsys):
-    assert main(["--threads", "1", "corr", "--input", str(points_file),
-                 "--k", "2", "--box", "0:1"]) == 0
-    one = capsys.readouterr().out
-    assert main(["--threads", "4", "corr", "--input", str(points_file),
-                 "--k", "2", "--box", "0:1"]) == 0
-    four = capsys.readouterr().out
-    assert one == four
+def test_consistency_error_exit_code(points_file, capsys, monkeypatch):
+    from corrkit import intervalstats
+
+    monkeypatch.setattr(intervalstats, "_MASS_TOL", -1.0)  # every mass check now fails
+    assert main(["moments", "--input", str(points_file), "--s", "2.0", "--k", "2"]) == 5
+    assert "consistency" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corrkit import correlations
 from corrkit import (
     BoxVector,
     BudgetError,
@@ -18,6 +20,7 @@ from corrkit import (
     r_k_distinct,
     r_k_star,
     r_k_testfn,
+    signed_distance,
 )
 
 THREE = PointSequence([0.0, 0.1, 0.5])
@@ -198,7 +201,7 @@ def test_testfn_indicator_matches_distinct():
         k = int(rng.integers(2, 4))
         s = float(rng.uniform(0.1, n / 4))
         seq = PointSequence(rng.random(n))
-        ind = lambda ys: 1.0 if all(abs(y) <= s for y in ys) else 0.0
+        ind = lambda ys: np.all(np.abs(ys) <= s, axis=1).astype(np.float64)
         got = r_k_testfn(seq, ind, s, k).value
         want = r_k_distinct(seq, (s,) * (k - 1)).value
         assert got == pytest.approx(want, abs=1e-12)
@@ -206,13 +209,13 @@ def test_testfn_indicator_matches_distinct():
 
 def test_testfn_zero_function():
     seq = PointSequence(np.random.default_rng(0).random(30))
-    assert r_k_testfn(seq, lambda ys: 0.0, 1.0, 3).value == 0.0
-    assert r_k_consecutive(seq, lambda ys: 0.0, 1.0, 3).value == 0.0
+    assert r_k_testfn(seq, lambda ys: np.zeros(len(ys)), 1.0, 3).value == 0.0
+    assert r_k_consecutive(seq, lambda ys: np.zeros(len(ys)), 1.0, 3).value == 0.0
 
 
 def test_testfn_matches_bruteforce():
     rng = np.random.default_rng(10)
-    tent = lambda ys: float(np.prod([max(1.5 - abs(y), 0.0) for y in ys]))
+    tent = lambda ys: np.prod(np.maximum(1.5 - np.abs(ys), 0.0), axis=1)
     for _ in range(6):
         n = int(rng.integers(6, 25))
         k = int(rng.integers(2, 4))
@@ -224,7 +227,7 @@ def test_testfn_matches_bruteforce():
 
 def test_consecutive_equals_testfn_for_k2():
     seq = PointSequence(np.random.default_rng(11).random(40))
-    f = lambda ys: max(1.0 - abs(ys[0]), 0.0)
+    f = lambda ys: np.maximum(1.0 - np.abs(ys[:, 0]), 0.0)
     assert r_k_consecutive(seq, f, 1.0, 2).value == r_k_testfn(seq, f, 1.0, 2).value
 
 
@@ -235,15 +238,9 @@ def test_consecutive_substitution_identity():
     k = 3
 
     def f(ys):
-        out = 1.0
-        for y in ys:
-            t = rho - abs(y)
-            if t <= 0:
-                return 0.0
-            out *= t
-        return out
+        return np.prod(np.maximum(rho - np.abs(ys), 0.0), axis=1)
 
-    g = lambda ys: f((ys[0], ys[0] + ys[1]))
+    g = lambda ys: f(np.column_stack((ys[:, 0], ys[:, 0] + ys[:, 1])))
     for _ in range(8):
         n = int(rng.integers(2 * k * rho, 60))
         seq = PointSequence(rng.random(n))
@@ -255,7 +252,7 @@ def test_consecutive_substitution_identity():
 def test_support_radius_validated():
     seq = PointSequence([0.1, 0.5, 0.9])
     with pytest.raises(ParameterError):
-        r_k_testfn(seq, lambda ys: 0.0, 2.0, 2)
+        r_k_testfn(seq, lambda ys: np.zeros(len(ys)), 2.0, 2)
 
 
 def test_brute_force_budget(monkeypatch):
@@ -313,7 +310,7 @@ def test_box_halves_recombine_to_symmetric_count():
 
 
 def test_box_dense_occupancy_uses_plain_dfs_correctly():
-    # 30 points in one tight cluster: window occupancy 29 > memo limit
+    # 30 points in one tight cluster: every anchor has 29 window occupants
     rng = np.random.default_rng(15)
     pts = 0.4 + rng.random(30) * 0.004
     seq = PointSequence(pts)
@@ -324,14 +321,84 @@ def test_box_dense_occupancy_uses_plain_dfs_correctly():
     assert fast == brute > 0
 
 
-def test_threads_do_not_change_results():
+def test_chunking_does_not_change_results(monkeypatch):
     rng = np.random.default_rng(13)
     seq = PointSequence(rng.random(600))
     boxes = ((-0.8, 0.3), (0.1, 1.2))
-    a = r_k_box(seq, boxes, threads=1)
-    b = r_k_box(seq, boxes, threads=4)
-    assert a.raw_count == b.raw_count
-    f = lambda ys: float(np.prod([max(1.0 - abs(y), 0.0) for y in ys]))
-    va = r_k_testfn(seq, f, 1.0, 3, threads=1).value
-    vb = r_k_testfn(seq, f, 1.0, 3, threads=4).value
-    assert va == vb
+    f = lambda ys: np.prod(np.maximum(1.0 - np.abs(ys), 0.0), axis=1)
+
+    def run():
+        return (r_k_box(seq, boxes).raw_count,
+                [r_k_testfn(seq, f, 1.0, k).value.hex() for k in (2, 3, 4)],
+                [r_k_consecutive(seq, f, 1.0, k).value.hex() for k in (2, 3, 4)])
+
+    whole = run()
+    monkeypatch.setattr(correlations, "_CHUNK_ROWS", 7)
+    assert run() == whole
+
+
+def _forced_duplicates(rng, n):
+    return PointSequence(rng.integers(0, 9, size=n) / 9.0)
+
+
+@pytest.mark.parametrize("k, n_max", [(5, 14), (6, 11)])
+def test_box_matches_bruteforce_high_order_with_duplicates(k, n_max):
+    rng = np.random.default_rng(16 + k)
+    for _ in range(6):
+        n = int(rng.integers(k, n_max + 1))
+        seq = _forced_duplicates(rng, n)
+        lo = rng.uniform(-0.45 * n, 0.3 * n, size=k - 1)
+        hi = np.minimum(lo + rng.uniform(0.05, 0.4 * n, size=k - 1), n / 2)
+        boxes = tuple(zip(lo.tolist(), hi.tolist()))
+        assert r_k_box(seq, boxes).raw_count == brute_force_r_k(seq, boxes=boxes).raw_count
+
+
+def test_box_pairwise_disjoint_boxes():
+    # no occupant meets two disjoint slots, so every partition with a
+    # block of two or more slots is pruned and only prod_r c_r survives
+    rng = np.random.default_rng(17)
+    boxes = ((-2.9, -1.5), (0.0, 1.45), (1.5, 2.9))
+    fasts = []
+    for _ in range(6):
+        n = int(rng.integers(9, 14))
+        seq = _forced_duplicates(rng, n)
+        fast = r_k_box(seq, boxes).raw_count
+        fasts.append(fast)
+        assert fast == brute_force_r_k(seq, boxes=boxes).raw_count
+        x = seq.points
+        d = n * signed_distance(x[:, None] - x[None, :])
+        np.fill_diagonal(d, np.nan)
+        per_slot = [((d >= a) & (d <= b)).sum(axis=1) for a, b in boxes]
+        assert fast == int(np.prod(per_slot, axis=0).sum())
+    assert max(fasts) > 0
+    # every other point is a duplicate or half a circle away, so the first
+    # and last slots stay empty at every anchor
+    assert r_k_box(PointSequence([0.1, 0.1, 0.1, 0.6, 0.6, 0.6]), boxes).raw_count == 0
+
+
+def test_consecutive_matches_bruteforce_k4():
+    rng = np.random.default_rng(18)
+    tent = lambda ys: np.prod(np.maximum(1.2 - np.abs(ys), 0.0), axis=1)
+    for i in range(4):
+        n = int(rng.integers(5, 13))
+        seq = _forced_duplicates(rng, n) if i % 2 else PointSequence(rng.random(n))
+        x = seq.points
+        terms = []
+        for t in itertools.permutations(range(n), 4):
+            ys = [n * signed_distance(x[t[r]] - x[t[r + 1]]) for r in range(3)]
+            terms.append(float(tent(np.array([ys]))[0]))
+        assert r_k_consecutive(seq, tent, 1.2, 4).value == math.fsum(terms) / n
+
+
+def test_testfn_receives_2d_float_rows():
+    rng = np.random.default_rng(19)
+    seq = PointSequence(rng.random(200))
+    for k in (2, 3, 4):
+        shapes = []
+
+        def f(ys):
+            shapes.append((type(ys), ys.dtype.name, ys.ndim, ys.shape[1:]))
+            return np.ones(len(ys))
+
+        r_k_testfn(seq, f, 2.0, k)
+        assert shapes and set(shapes) == {(np.ndarray, "float64", 2, (k - 1,))}

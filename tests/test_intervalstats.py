@@ -219,6 +219,7 @@ def test_tent_function_equals_arc_intersection_per_tuple():
     import itertools as it
 
     from corrkit import g_test, r_k_testfn, signed_distance
+    from corrkit.intervalstats import g_eval
 
     seq = PointSequence([0.1, 0.13, 0.15, 0.6, 0.97])
     n, s, k = len(seq), 0.9, 3
@@ -227,7 +228,7 @@ def test_tent_function_equals_arc_intersection_per_tuple():
     direct = 0.0
     for tup in it.permutations(range(n), k):
         direct += _arc_intersection_measure([x[i] for i in tup], r)
-    corr = r_k_testfn(seq, lambda ys: g_test(k, s, ys), s, k).value
+    corr = r_k_testfn(seq, lambda ys: g_eval(k, s, ys), s, k).value
     assert corr == pytest.approx(direct, abs=1e-12)
     # per-tuple identity: N * lambda(cap B) = g at the scaled differences
     for tup in it.permutations(range(n), k):
