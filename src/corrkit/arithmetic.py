@@ -6,6 +6,13 @@ pair sums (E = sum_sigma r(sigma)^2); T(A) = #{(a,b,c) in A^3 :
 a-b = b-c != 0} counts ordered nontrivial 3-term progressions, so each
 unordered progression contributes 2.  Both are exact integers.
 
+Both counts are translation invariant, so they work on d = A - min A
+and sweep the |A|^2 ordered pair sums of d in blocks of at most
+_PAIR_CHUNK: O(|A|^2) time and O(_PAIR_CHUNK + span) memory, with
+tables indexed by pair sums in [0, 2 span].  Wider spans, above
+_FLAT_SUM_LIMIT, count energy in a dict and test 3-AP midpoints by
+binary search.
+
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
 correlation R_3(s, N) against the lower bound 2 s T(A_N) / N^2 that the
@@ -14,6 +21,7 @@ progression structure forces on the alpha-average.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,27 +29,11 @@ import numpy as np
 from .core import PointSequence
 from .correlations import r_k_box, r_k_distinct, _as_boxes
 from .errors import BudgetError, ParameterError
-from .seqgen import exact_frac_parts, trial_rng
+from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
-_FLAT_SUM_LIMIT = 1 << 26  # use a flat array of pair-sum counts up to this
+_FLAT_SUM_LIMIT = 1 << 26  # flat pair-sum tables while 2 * span is at most this
+_PAIR_CHUNK = 1 << 20      # pair sums formed at a time
 _METRIC_WORK_LIMIT = 10**8
-
-
-@dataclass(frozen=True)
-class IntegerSet:
-    """A strictly increasing tuple of positive integers."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        e = self.elements
-        if len(e) == 0:
-            raise ParameterError("integer set must be nonempty")
-        if e[0] <= 0 or any(b <= a for a, b in zip(e, e[1:])):
-            raise ParameterError("elements must be strictly increasing and positive")
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -57,29 +49,44 @@ class MetricExperimentReport:
 
 
 def _as_elements(a) -> np.ndarray:
-    if isinstance(a, IntegerSet):
-        e = a.elements
-    else:
-        e = tuple(int(v) for v in a)
-        IntegerSet(e)  # validate
+    e = a.elements if isinstance(a, IntegerSet) else IntegerSet(tuple(int(v) for v in a)).elements
+    if e[-1] >= 2**63:
+        raise ParameterError(f"elements must be below 2^63, got {e[-1]}")
     return np.asarray(e, dtype=np.int64)
+
+
+def _translated(a) -> tuple[np.ndarray, bool]:
+    """(d, flat): d = A - min A, and whether 2 * span fits the flat tables.
+    Off the flat path d is uint64, where every pair sum (< 2^64) is exact."""
+    e = _as_elements(a)
+    d = e - e[0]
+    flat = 2 * int(d[-1]) <= _FLAT_SUM_LIMIT
+    return (d if flat else d.astype(np.uint64)), flat
+
+
+def _pair_sum_blocks(d: np.ndarray):
+    """All |d|^2 ordered pair sums d_i + d_j, at most _PAIR_CHUNK per block."""
+    n = d.size
+    rows = max(1, _PAIR_CHUNK // n)
+    cols = min(n, _PAIR_CHUNK)
+    for r in range(0, n, rows):
+        for c in range(0, n, cols):
+            yield (d[r:r + rows, None] + d[None, c:c + cols]).ravel()
 
 
 def additive_energy(a) -> int:
     """E(A): exact count of quadruples with a+b = c+d, via pair-sum counts
     E = sum_sigma r(sigma)^2 with r(sigma) the ordered pairs summing to sigma."""
-    e = _as_elements(a)
-    if int(e[-1]) * 2 <= _FLAT_SUM_LIMIT:
-        sums = (e[:, None] + e[None, :]).ravel()
-        counts = np.bincount(sums).astype(np.int64)
+    d, flat = _translated(a)
+    if flat:
+        r = np.zeros(2 * int(d[-1]) + 1, dtype=np.int64)
+        for block in _pair_sum_blocks(d):
+            np.add.at(r, block, 1)
         # r <= |A| and sum r^2 <= |A|^3, exact in int64 up to |A| ~ 2e6
-        return int(np.sum(counts * counts))
-    table: dict[int, int] = {}
-    elems = e.tolist()
-    for x in elems:
-        for y in elems:
-            sig = x + y
-            table[sig] = table.get(sig, 0) + 1
+        return int(r @ r)
+    table: Counter[int] = Counter()
+    for block in _pair_sum_blocks(d):
+        table.update(block.tolist())
     return sum(c * c for c in table.values())
 
 
@@ -98,14 +105,21 @@ def additive_energy_bruteforce(a) -> int:
 
 def three_ap_count(a) -> int:
     """T(A): ordered triples (x,y,z) with x-y = y-z != 0, i.e. x+z = 2y,
-    x != z, midpoint in A."""
-    e = _as_elements(a)
-    members = set(e.tolist())
-    sums = e[:, None] + e[None, :]
-    even = sums % 2 == 0
-    np.fill_diagonal(even, False)
-    mids = (sums[even] // 2).tolist()
-    return sum(1 for m in mids if m in members)
+    x != z, midpoint in A.  Counts the ordered pairs (x, z) with
+    x + z in 2A; the |A| pairs x = z are the trivial ones."""
+    d, flat = _translated(a)
+    doubled = 2 * d
+    hits = 0
+    if flat:
+        member = np.zeros(int(doubled[-1]) + 1, dtype=bool)
+        member[doubled] = True
+        for block in _pair_sum_blocks(d):
+            hits += int(np.count_nonzero(member[block]))
+    else:
+        # every pair sum is at most doubled[-1], so each search lands inside
+        for block in _pair_sum_blocks(d):
+            hits += int(np.count_nonzero(doubled[np.searchsorted(doubled, block)] == block))
+    return hits - d.size
 
 
 def three_ap_count_bruteforce(a) -> int:

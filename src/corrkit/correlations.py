@@ -88,6 +88,8 @@ class BoxVector:
             raise ParameterError("need at least one interval (k >= 2)")
         if any(b <= a for a, b in self.intervals):
             raise ParameterError("each interval needs b > a")
+        if len(self.intervals) > 15:
+            raise ParameterError("orders above k = 16 are unsupported")
 
     @property
     def k(self) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .core import PointSequence
 from .errors import FormatError
+from .seqgen import first_out_of_order
 
 
 def _payload_lines(path):
@@ -43,17 +44,17 @@ def write_points(path, seq: PointSequence) -> None:
 
 
 def read_integers(path) -> list[int]:
-    vals = []
+    vals, linenos = [], []
     for lineno, line in _payload_lines(path):
         try:
-            v = int(line)
+            vals.append(int(line))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: not an integer: {line!r}") from exc
-        if v <= 0:
-            raise FormatError(f"{path}:{lineno}: entries must be positive")
-        if vals and v <= vals[-1]:
-            raise FormatError(f"{path}:{lineno}: entries must be strictly increasing")
-        vals.append(v)
+        linenos.append(lineno)
     if not vals:
         raise FormatError(f"{path}: no integers found")
+    bad = first_out_of_order(vals)
+    if bad is not None:
+        what = "positive" if vals[bad] <= 0 else "strictly increasing"
+        raise FormatError(f"{path}:{linenos[bad]}: entries must be {what}")
     return vals

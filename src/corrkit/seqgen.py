@@ -7,9 +7,11 @@ scheduled.
 
 Dilated sequences {a_n * alpha} are reduced mod 1 in exact integer
 arithmetic before rounding once to float64: a float alpha equals p/q
-with q a power of two, so {a p / q} = ((a p) mod q) / q, computed with
-Python ints.  Naive float multiplication would lose exactly the
-low-order bits that determine the fractional part for large a_n.
+with q a power of two, so {a p / q} = ((a p) mod q) / q.  When q <= 2^64
+and the integers form an int64 or uint64 array, the reduction is a
+wrapping uint64 product; otherwise it uses Python ints.  Naive float multiplication would lose
+exactly the low-order bits that determine the fractional part for
+large a_n.
 """
 
 from __future__ import annotations
@@ -31,6 +33,33 @@ KINDS = (
 )
 
 
+def first_out_of_order(ints) -> int | None:
+    """Index of the first entry that is not positive or not above its
+    predecessor; None when the entries are strictly increasing and positive."""
+    prev = 0
+    for i, v in enumerate(ints):
+        if v <= prev:
+            return i
+        prev = v
+    return None
+
+
+@dataclass(frozen=True)
+class IntegerSet:
+    """A strictly increasing tuple of positive integers."""
+
+    elements: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.elements) == 0:
+            raise ParameterError("integer set must be nonempty")
+        if first_out_of_order(self.elements) is not None:
+            raise ParameterError("elements must be strictly increasing and positive")
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of one sequence family; see ``generate``."""
@@ -49,13 +78,9 @@ class GeneratorSpec:
         if self.kind in ("kronecker", "polynomial", "dilated") and self.alpha is None:
             raise ParameterError(f"{self.kind} generator needs alpha")
         if self.kind == "dilated":
-            ints = self.integers
-            if not ints:
+            if not self.integers:
                 raise ParameterError("dilated generator needs an integer sequence")
-            if any(a <= 0 for a in ints) or any(
-                b <= a for a, b in zip(ints, ints[1:])
-            ):
-                raise ParameterError("integer sequence must be strictly increasing and positive")
+            IntegerSet(tuple(self.integers))
         if self.kind == "uniform_random" and self.seed is None:
             raise ParameterError("uniform_random generator needs a seed")
 
@@ -68,9 +93,20 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def exact_frac_parts(integers, alpha: float) -> np.ndarray:
     """{a * alpha} computed exactly per entry, rounded once to float64."""
     p, q = float(alpha).as_integer_ratio()
-    # q is a power of two, so ((a*p) mod q)/q is one correctly-rounded division
-    vals = [((int(a) * p) % q) / q for a in integers]
-    return np.asarray(vals, dtype=np.float64) % 1.0
+    if not isinstance(integers, np.ndarray):
+        integers = list(integers)
+    arr = np.asarray(integers)
+    if q <= 2**64 and arr.dtype.kind in "iu":
+        # q = 2^t with t <= 64 divides 2^64, so (a*p) mod q is the wrapping
+        # uint64 product of a and p mod 2^64, masked to t bits; it is
+        # converted to float64 once (correctly rounded), and the division
+        # by 2^t is exact
+        prod = arr.astype(np.uint64) * np.uint64(p % 2**64)
+        vals = (prod & np.uint64(q - 1)).astype(np.float64) / float(q)
+    else:
+        # q is a power of two, so ((a*p) mod q)/q is one correctly-rounded division
+        vals = np.asarray([((int(a) * p) % q) / q for a in integers], dtype=np.float64)
+    return vals % 1.0
 
 
 def uniform_random(n: int, seed: int) -> PointSequence:
@@ -99,8 +135,7 @@ def dilated(n: int, integers, alpha: float) -> PointSequence:
     ints = [int(a) for a in integers][:n]
     if len(ints) < n:
         raise ParameterError(f"integer sequence has only {len(ints)} entries, need {n}")
-    if any(a <= 0 for a in ints) or any(b <= a for a, b in zip(ints, ints[1:])):
-        raise ParameterError("integer sequence must be strictly increasing and positive")
+    IntegerSet(tuple(ints))
     return PointSequence(exact_frac_parts(ints, alpha))
 
 

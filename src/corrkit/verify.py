@@ -482,13 +482,16 @@ def _chk_energy_diagonal(rng, tier):
 
 def _chk_energy_ap_brute(rng, tier):
     bad = 0
-    for _ in range(12):
-        size = int(rng.integers(1, 31))
-        a = np.unique(rng.integers(1, 200, size=size)).tolist()
+    sets = [np.unique(rng.integers(1, 200, size=int(rng.integers(1, 31)))).tolist()
+            for _ in range(12)]
+    # an affine image of the largest set: translated, and spread past the flat tables
+    sets.append([2**40 + 2**30 * x for x in max(sets, key=len)])
+    for a in sets:
         bad += arithmetic.additive_energy(a) != arithmetic.additive_energy_bruteforce(a)
         bad += arithmetic.three_ap_count(a) != arithmetic.three_ap_count_bruteforce(a)
     return _result("energy_ap_brute_agreement",
-                   "E(A) and T(A) match O(|A|^4)/O(|A|^3) enumeration for |A| <= 30",
+                   "E(A) and T(A) match O(|A|^4)/O(|A|^3) enumeration for |A| <= 30,"
+                   " also on a translated wide set",
                    bad == 0, bad, 0, "exact")
 
 

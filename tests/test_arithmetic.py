@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from corrkit import arithmetic
 from corrkit import (
     BudgetError,
     IntegerSet,
@@ -40,15 +41,23 @@ def test_three_ap_examples():
     assert three_ap_count([1, 2, 3]) == 2
     assert three_ap_count([1, 2, 4]) == 0
     assert three_ap_count([5]) == 0
+    # pair sums of these elements overflow int64
+    assert three_ap_count([2**62, 2**62 + 1, 2**62 + 2]) == 2
+    assert three_ap_count([1, 2**62, 2**63 - 1]) == 2
 
 
-def test_brute_agreement_random_sets():
+def test_brute_agreement_random_sets(monkeypatch):
     rng = np.random.default_rng(0)
+    flat_limits = (arithmetic._FLAT_SUM_LIMIT, 0)  # 0 sends every set down the wide path
     for _ in range(20):
         size = int(rng.integers(1, 31))
         a = np.unique(rng.integers(1, 300, size=size)).tolist()
-        assert additive_energy(a) == additive_energy_bruteforce(a)
-        assert three_ap_count(a) == three_ap_count_bruteforce(a)
+        for b in (a, [x + 2**40 for x in a]):
+            energy, aps = additive_energy_bruteforce(b), three_ap_count_bruteforce(b)
+            for flat_limit in flat_limits:
+                monkeypatch.setattr(arithmetic, "_FLAT_SUM_LIMIT", flat_limit)
+                assert additive_energy(b) == energy
+                assert three_ap_count(b) == aps
 
 
 def test_energy_diagonal_lower_bound():
@@ -59,8 +68,10 @@ def test_energy_diagonal_lower_bound():
 
 
 def test_energy_large_elements_hash_path():
-    a = [10**9 + 1, 10**9 + 5, 10**9 + 9]  # beyond the flat-array limit
+    a = [10**9 + 1, 10**9 + 5, 10**9 + 9]  # large elements, small span after translation
     assert additive_energy(a) == additive_energy_bruteforce(a)
+    for a in ([2**62, 2**62 + 1, 2**62 + 2], [1, 2**40, 2**62, 2**63 - 1]):
+        assert additive_energy(a) == additive_energy_bruteforce(a)
 
 
 def test_integer_set_validation():
@@ -70,6 +81,9 @@ def test_integer_set_validation():
         IntegerSet((0, 1))
     with pytest.raises(ParameterError):
         IntegerSet(())
+    for count in (additive_energy, three_ap_count, additive_energy_bruteforce):
+        with pytest.raises(ParameterError):
+            count([1, 2**63])
 
 
 def test_dilation_measure():

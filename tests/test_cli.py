@@ -125,6 +125,17 @@ def test_energy_and_metric(integers_file, capsys):
     assert m["trials"] == 10 and m["lower_bound"] > 0
 
 
+def test_energy_large_elements(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{2**62}\n{2**62 + 1}\n{2**62 + 2}\n")
+    assert main(["energy", "--input", str(path)]) == 0
+    e = json.loads(capsys.readouterr().out)
+    assert e["additive_energy"] == 19 and e["three_ap_count"] == 2
+    path.write_text(f"1\n{2**63}\n")
+    assert main(["energy", "--input", str(path)]) == 2
+    assert "2^63" in capsys.readouterr().err
+
+
 def test_dist_reports_masses(points_file, capsys):
     assert main(["dist", "--input", str(points_file), "--r", "2", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

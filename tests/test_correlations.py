@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrkit import correlations
+from corrkit import arithmetic, correlations
 from corrkit import (
     BoxVector,
     BudgetError,
     ParameterError,
     PointSequence,
     ScaleVector,
+    additive_energy,
     brute_force_r_k,
     circle_distance,
     dyadic_counterexample,
@@ -21,6 +22,7 @@ from corrkit import (
     r_k_star,
     r_k_testfn,
     signed_distance,
+    three_ap_count,
 )
 
 THREE = PointSequence([0.0, 0.1, 0.5])
@@ -131,6 +133,9 @@ def test_box_bounds_validated():
         r_k_box(seq, ((0.1, 2.0),))
     with pytest.raises(ParameterError):
         BoxVector(((0.4, 0.4),))
+    assert r_k_box(seq, ((-0.5, 0.5),) * 15).raw_count == 0  # k = 16 is the highest order
+    with pytest.raises(ParameterError):
+        r_k_box(seq, ((-0.5, 0.5),) * 16)
 
 
 def test_oracle_equivalence_randomized():
@@ -335,6 +340,11 @@ def test_chunking_does_not_change_results(monkeypatch):
     whole = run()
     monkeypatch.setattr(correlations, "_CHUNK_ROWS", 7)
     assert run() == whole
+
+    ints = np.unique(rng.integers(1, 400, size=60)).tolist()
+    counts = (additive_energy(ints), three_ap_count(ints))
+    monkeypatch.setattr(arithmetic, "_PAIR_CHUNK", 7)
+    assert (additive_energy(ints), three_ap_count(ints)) == counts
 
 
 def _forced_duplicates(rng, n):

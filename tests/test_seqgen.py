@@ -77,6 +77,21 @@ def test_dilated_matches_exact_rational_reduction():
     assert got.tolist() == expected
 
 
+def test_exact_frac_parts_matches_fraction_arithmetic():
+    rng = np.random.default_rng(3)
+    word = rng.integers(0, 2**63, size=60, dtype=np.int64).tolist() + [0, 1, 2**64 - 1, 2**63]
+    huge = [2**64, 2**64 + 1, 3**50]  # beyond 64 bits: the Python-int reduction
+    alphas = [float(rng.random()), 0.1, 3 * 2.0**-64, (2**53 - 1) * 2.0**-64,
+              1.0, 12345.678, 2.0**63, 1.5 * 2.0**64, -0.3, 2.0**-70]
+    signed = np.array(word[:-2], dtype=np.int64) * rng.choice([-1, 1], size=len(word) - 2)
+    for alpha in alphas:
+        fr = Fraction(alpha)
+        for ints in (word, huge, word + huge, np.array(word, dtype=np.uint64), signed):
+            got = exact_frac_parts(ints, alpha)
+            expected = [float(Fraction(int(a)) * fr % 1) % 1.0 for a in ints]
+            assert got.tolist() == expected
+
+
 def test_exact_frac_parts_beats_naive_float():
     # at a ~ 2^60 the naive product has lost the fractional part entirely
     a = 2**60 + 1
