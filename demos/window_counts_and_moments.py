@@ -22,7 +22,7 @@ def banner(title):
 banner("Sweep profile of a 6-point sequence at s = 1.2")
 seq = ck.PointSequence([0.05, 0.1, 0.12, 0.5, 0.52, 0.9])
 prof = ck.sweep_profile(seq, 1.2)
-print("breakpoints:", np.round(prof.breakpoints, 4).tolist())
+print("breakpoints:", np.round(prof.breakpoints / 2.0**64, 4).tolist())  # grid points as floats
 print("values     :", prof.values.tolist())
 print(f"total mass = {prof.total_mass():.12f} (equals s exactly)")
 print("value at t=0.11:", prof.value_at(0.11), "== direct count:", ck.f_count(seq, 0.11, 1.2))

@@ -10,8 +10,9 @@ Both counts are translation invariant, so they work on d = A - min A
 and sweep the |A|^2 ordered pair sums of d in blocks of at most
 _PAIR_CHUNK: O(|A|^2) time and O(_PAIR_CHUNK + span) memory, with
 tables indexed by pair sums in [0, 2 span].  Wider spans, above
-_FLAT_SUM_LIMIT, count energy in a dict and test 3-AP midpoints by
-binary search.
+_FLAT_SUM_LIMIT or above _FLAT_SUM_FACTOR |A|^2 (a table much larger
+than the pair sums it counts), count energy in a dict and test 3-AP
+midpoints by binary search.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
@@ -32,6 +33,7 @@ from .errors import BudgetError, ParameterError
 from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
 _FLAT_SUM_LIMIT = 1 << 26  # flat pair-sum tables while 2 * span is at most this
+_FLAT_SUM_FACTOR = 4       # ... and at most this many times |A|^2
 _PAIR_CHUNK = 1 << 20      # pair sums formed at a time
 _METRIC_WORK_LIMIT = 10**8
 
@@ -60,7 +62,7 @@ def _translated(a) -> tuple[np.ndarray, bool]:
     Off the flat path d is uint64, where every pair sum (< 2^64) is exact."""
     e = _as_elements(a)
     d = e - e[0]
-    flat = 2 * int(d[-1]) <= _FLAT_SUM_LIMIT
+    flat = 2 * int(d[-1]) <= min(_FLAT_SUM_LIMIT, _FLAT_SUM_FACTOR * d.size**2)
     return (d if flat else d.astype(np.uint64)), flat
 
 

@@ -14,10 +14,10 @@ The averaged statistics factorize per anchor:
 
 and equal the integral of R_k* over the scale box [0,s_1] x ... x [0,s_{k-1}].
 
-L_i is accumulated from explicitly expanded window pairs (each term
-exact to one rounding) and the anchor products are reduced with
-math.fsum, which is exactly rounded and therefore deterministic
-independent of evaluation order.
+L_i is accumulated over the window pairs of core's window primitive,
+each term an exact 2^-64 grid distance rounded once, and the anchor
+products are reduced with math.fsum, which is exactly rounded and
+therefore deterministic independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import math
 
 import numpy as np
 
-from .core import PointSequence, circle_distance, positive_part
+from .core import (PointSequence, check_scale, circle_distance, grid_arc, positive_part, window,
+                   window_pairs)
 from .correlations import _as_scales, _distinct_mask, _charge_budget, _pairwise_signed
 from .errors import ParameterError
 
@@ -34,38 +35,25 @@ from .errors import ParameterError
 def lambda_overlap(seq: PointSequence, s: float, i: int, j: int) -> float:
     """{s/N - ||x_i - x_j||}^+ for 0-based indices i, j."""
     n = len(seq)
-    if not (0 < s <= n):
-        raise ParameterError(f"need 0 < s <= N = {n}")
+    check_scale(s, n)
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError("index out of range")
     x = seq.points
     return positive_part(s / n - circle_distance(x[i], x[j]))
 
 
-def _overlap_sums(sorted_pts: np.ndarray, w: float) -> np.ndarray:
-    """L(c) = sum_j {w - ||p_j - c||}^+ for every c in sorted_pts.
-
-    Window occupants are expanded explicitly; each |c - p_j| is a single
-    subtraction, so the per-anchor sums carry no prefix-sum drift.
-    """
-    n = sorted_pts.size
-    ext = np.concatenate((sorted_pts - 1.0, sorted_pts, sorted_pts + 1.0))
-    if w >= 0.5:
-        # every pair contributes; positions lo..lo+n-1 cover each point once
-        lo = np.searchsorted(ext, sorted_pts - 0.5, side="left")
-        cnt = np.full(n, n, dtype=np.int64)
-        hi = lo + n
-    else:
-        lo = np.searchsorted(ext, sorted_pts - w, side="left")
-        hi = np.searchsorted(ext, sorted_pts + w, side="right")
-        cnt = hi - lo
-    total = int(cnt.sum())
-    anchors = np.repeat(np.arange(n), cnt)
-    offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    pos = np.repeat(lo, cnt) + offs
-    dist = np.abs(sorted_pts[anchors] - ext[pos])
-    dist_sums = np.bincount(anchors, weights=dist, minlength=n)
-    return w * cnt - dist_sums
+def _overlap_sums(g: np.ndarray, s: float, n: int) -> np.ndarray:
+    """L(c) = sum_j {s/N - ||p_j - c||}^+ for every c in the sorted grid g,
+    over explicitly expanded window pairs, so no prefix-sum drift."""
+    lo, cnt = window(g, g, grid_arc(-s, s, n))
+    anchor, occupant = window_pairs(lo, cnt)
+    d = g[occupant]
+    del occupant
+    d -= g[anchor]
+    dist = d.view(np.int64).astype(np.float64)  # ((p_j - c)) * 2^64
+    del d
+    np.abs(dist, out=dist)
+    return s / n * cnt - np.bincount(anchor, weights=dist, minlength=g.size) * 2.0**-64
 
 
 def c_k_star(seq: PointSequence, scales, k=None) -> float:
@@ -75,13 +63,8 @@ def c_k_star(seq: PointSequence, scales, k=None) -> float:
     n = len(seq)
     kk = len(scales) + 1
     for s in scales:
-        if not (0 < s <= n):
-            raise ParameterError(f"need 0 < s <= N = {n}")
-    sp = seq.sorted_points
-    ls = [_overlap_sums(sp, s / n) for s in scales]
-    prod = ls[0].copy()
-    for arr in ls[1:]:
-        prod *= arr
+        check_scale(s, n)
+    prod = math.prod(_overlap_sums(seq.sorted_grid, s, n) for s in scales)
     return float(n ** (kk - 2)) * math.fsum(prod.tolist())
 
 
@@ -91,21 +74,16 @@ def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
     N^(k-2)) keeps the full-sequence N.
     """
     n = len(seq)
-    if not (0 < s <= n):
-        raise ParameterError(f"need 0 < s <= N = {n}")
+    check_scale(s, n)
     if k < 2:
         raise ParameterError("k must be >= 2")
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ParameterError("interval must satisfy 0 <= lo < hi <= 1")
-    sp = seq.sorted_points
-    a = np.searchsorted(sp, lo, side="left")
-    b = np.searchsorted(sp, hi, side="left")
-    sub = sp[a:b]
-    if sub.size == 0:
+    a, b = np.searchsorted(seq.sorted_points, (lo, hi), side="left")
+    if a == b:
         return 0.0
-    l_sub = _overlap_sums(sub, s / n)
-    prod = l_sub ** (k - 1)
+    prod = _overlap_sums(seq.sorted_grid[a:b], s, n) ** (k - 1)
     return float(n ** (k - 2)) * math.fsum(prod.tolist())
 
 
@@ -118,8 +96,7 @@ def c_k_distinct_bruteforce(seq: PointSequence, scales, k=None) -> float:
     n = len(seq)
     kk = len(scales) + 1
     for s in scales:
-        if not (0 < s <= n):
-            raise ParameterError(f"need 0 < s <= N = {n}")
+        check_scale(s, n)
     _charge_budget(n, kk)
     dist = np.abs(_pairwise_signed(seq))
     lam = [np.maximum(s / n - dist, 0.0) for s in scales]

@@ -1,24 +1,35 @@
-"""Circle arithmetic, the point container, and Stirling-number tables.
+"""Circle arithmetic, the point container, the window primitive, and
+Stirling-number tables.
 
-Everything downstream works on points of the unit circle R/Z represented
-as floats in [0,1).  The two elementary functionals are
+Points of the unit circle R/Z are given as floats in [0,1).  The two
+float functionals are
 
     signed_distance(x)  ((x)), the representative of x mod 1 in (-1/2, 1/2]
     circle_distance(x,y)  ||x-y|| = |((x-y))|, in [0, 1/2]
 
-All counting downstream uses closed inequalities (||.|| <= s/N); with
-points stored as 64-bit floats an adversarial input sitting exactly on a
-window boundary can flip a count by one ulp of rounding, so the test
-suites avoid exact-boundary scales.
+Every count uses one exact representation instead: uint64 multiples of
+2^-64 (to_grid).  A float >= 2^-11 is exact on that grid; a smaller one
+floors to it, which keeps the order.  Grid differences wrap modulo 2^64,
+the circle itself.  Each threshold (a scale s/N, a box bound a/N)
+becomes, once and exactly, an integer arc of grid offsets (grid_arc), so
+||x-y|| <= s/N and a/N <= ((x-y)) <= b/N are integer tests (in_arc) and
+one window primitive (window, window_pairs) finds their occupants: the
+fast counts and the oracles read every tie the same way.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParameterError
 
 DEFAULT_STIRLING_ORDER = 16
+
+GRID = 1 << 64  # grid steps around the circle
+_HALF = 1 << 63
 
 
 def signed_distance(x):
@@ -50,14 +61,23 @@ def positive_part(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
+def to_grid(x) -> np.ndarray:
+    """Floats in [0,1) as uint64 multiples of 2^-64: floor(x 2^64), exact
+    for x >= 2^-11 (the scaling by 2^64 is exact, the cast truncates)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape, dtype=np.uint64)
+    np.multiply(x, float(GRID), out=out, casting="unsafe")  # cast chunk by chunk, no float copy
+    return out
+
+
 class PointSequence:
-    """A finite ordered list of points in [0,1) with a cached sorted view.
+    """A finite ordered list of points in [0,1) with cached sorted views.
 
     Immutable after construction; duplicate values are permitted and all
     counting formulas downstream are stated over indices, not values.
     """
 
-    __slots__ = ("_points", "_sort_index", "_sorted")
+    __slots__ = ("_points", "_sort_index", "_sorted", "_grid")
 
     def __init__(self, points):
         pts = np.array(points, dtype=np.float64, copy=True)
@@ -68,7 +88,8 @@ class PointSequence:
         self._points = pts
         self._sort_index = np.argsort(pts, kind="stable")
         self._sorted = pts[self._sort_index]
-        for a in (self._points, self._sort_index, self._sorted):
+        self._grid = to_grid(self._sorted)
+        for a in (self._points, self._sort_index, self._sorted, self._grid):
             a.setflags(write=False)
 
     def __len__(self) -> int:
@@ -92,25 +113,62 @@ class PointSequence:
     def sorted_points(self) -> np.ndarray:
         return self._sorted
 
+    @property
+    def sorted_grid(self) -> np.ndarray:
+        """sorted_points as uint64 multiples of 2^-64 (see to_grid)."""
+        return self._grid
+
     def __repr__(self) -> str:
         return f"PointSequence(n={self.n})"
 
 
-def count_within(sorted_pts: np.ndarray, centers, radius: float) -> np.ndarray:
-    """#{j : ||p_j - c|| <= radius} for each center c, via the sorted view.
+def check_scale(s: float, n: int) -> None:
+    """0 < s <= N: the window of a scale s may cover the circle, no more."""
+    if not (0 < s <= n):
+        raise ParameterError(f"need 0 < s <= N = {n}")
 
-    Closed bounds on both sides.  The sorted array is tripled onto
-    [-1, 2) so circular windows become plain interval lookups; for
-    radius >= 1/2 the window is the whole circle.
-    """
-    centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
-    n = sorted_pts.size
-    if radius >= 0.5:
-        return np.full(centers.shape, n, dtype=np.int64)
-    ext = np.concatenate((sorted_pts - 1.0, sorted_pts, sorted_pts + 1.0))
-    lo = np.searchsorted(ext, centers - radius, side="left")
-    hi = np.searchsorted(ext, centers + radius, side="right")
-    return (hi - lo).astype(np.int64)
+
+def check_half(bounds, n: int, message: str) -> None:
+    """Every |bound| <= N/2 (no constraint arc wraps); message formats {b} and {half}."""
+    for b in bounds:
+        if abs(b) > n / 2:
+            raise ParameterError(message.format(b=b, half=n / 2))
+
+
+def grid_arc(a: float, b: float, n: int) -> tuple[int, int]:
+    """a/N <= ((y - c)) <= b/N as grid offsets (ceil(a 2^64/N), floor(b 2^64/N)),
+    clipped to the range (-2^63, 2^63] of ((.)); ||y - c|| <= s/N is grid_arc(-s, s, N)."""
+    return (max(math.ceil(Fraction(a) * GRID / n), 1 - _HALF),
+            min(math.floor(Fraction(b) * GRID / n), _HALF))
+
+
+def in_arc(d: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
+    """lo <= ((d)) <= hi for wrapped uint64 differences d = y - c."""
+    return d - arc[0] % GRID <= arc[1] - arc[0]  # all False when hi < lo
+
+
+def window(grid: np.ndarray, centers: np.ndarray, arc: tuple[int, int]):
+    """(lo, cnt): for each uint64 center c, the cnt occupants y with y - c
+    in a nonempty arc sit at positions lo, lo+1, ... of the sorted grid,
+    cyclically."""
+    start = centers + arc[0] % GRID
+    lo = np.searchsorted(grid, start, side="left")
+    if arc[1] - arc[0] >= GRID - 1:  # the whole circle: every point once
+        return lo, np.full(lo.shape, grid.size, dtype=np.int64)
+    end = start + (arc[1] - arc[0])
+    cnt = np.searchsorted(grid, end, side="right") - lo
+    cnt[end < start] += grid.size  # the arc wraps past 0
+    return lo, cnt
+
+
+def window_pairs(lo: np.ndarray, cnt: np.ndarray):
+    """(anchor, occupant) positions of every occupant of the windows
+    centred on the sorted grid itself, sorted by anchor."""
+    anchor = np.repeat(np.arange(cnt.size), cnt)
+    occupant = np.arange(anchor.size)
+    occupant -= np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+    occupant[occupant >= cnt.size] -= cnt.size
+    return anchor, occupant
 
 
 class StirlingTables:

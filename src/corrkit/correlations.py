@@ -15,10 +15,12 @@ All statistics are normalized counts over index k-tuples
                 f(N((x_{i_1}-x_{i_2})), N((x_{i_2}-x_{i_3})), ...)
 
 Counts are exact integers; every fast path is tested for exact integer
-agreement against brute_force_r_k.  Window location uses two searches on
-a tripled sorted array covering [-1, 2), so circular windows never
-branch.  Ties at an exact window boundary are included (closed
-inequality) on both the fast and brute-force paths.
+agreement against brute_force_r_k.  Both read every constraint as an
+integer arc on the 2^-64 grid (core.grid_arc): the fast paths through
+the window primitive on the sorted grid, the oracle on the pairwise grid
+differences.  Ties at an exact window boundary are included (closed
+inequality) the same way on both, and the counts are those of the
+stored doubles.
 
 The three tuple forms are numpy passes over the sorted (anchor,
 occupant) pair list of one window, with no per-anchor Python loop.
@@ -39,15 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSequence, circle_distance, count_within, signed_distance
+from .core import (PointSequence, check_half, grid_arc, in_arc, signed_distance, to_grid,
+                   window, window_pairs)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
 DEFAULT_ORACLE_BUDGET = 10**8
 
-# candidate windows are padded by this much before the exact per-pair
-# predicate is applied, so float rounding can only add candidates
-_WINDOW_PAD = 1e-12
+_SCALE_WRAPS = "scale {b} > N/2 = {half}: constraint arc wraps"
+_BOX_WRAPS = "box bound beyond N/2 = {half}"
 
 
 def oracle_budget() -> int:
@@ -138,12 +140,6 @@ def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
     return out
 
 
-def _check_scales_fit(scales, n):
-    for s in scales:
-        if s > n / 2:
-            raise ParameterError(f"scale {s} > N/2 = {n / 2}: constraint arc wraps")
-
-
 def _exact_product_sum(factors: list[np.ndarray]) -> int:
     """sum_i prod_r factors[r][i] as an exact Python int.
 
@@ -174,9 +170,9 @@ def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
     """
     scales = _as_scales(scales, k)
     n = len(seq)
-    _check_scales_fit(scales, n)
-    sp = seq.sorted_points
-    zs = [count_within(sp, sp, s / n) for s in scales]
+    check_half(scales, n, _SCALE_WRAPS)
+    g = seq.sorted_grid
+    zs = [window(g, g, grid_arc(-s, s, n))[1] for s in scales]
     raw = _exact_product_sum(zs)
     return CorrelationReport(
         "r_k_star", len(scales) + 1, n, {"scales": scales}, raw, raw / n
@@ -195,14 +191,11 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
     """
     scales = _as_scales(scales, k)
     n = len(seq)
-    _check_scales_fit(scales, n)
-    desc = sorted(scales, reverse=True)
-    sp = seq.sorted_points
-    cs = [count_within(sp, sp, s / n) - 1 for s in desc]
-    factors = []
-    for t in range(len(desc)):  # t-th filled slot uses the (k-1-t)-th largest window
-        f = cs[len(desc) - 1 - t] - t
-        factors.append(np.maximum(f, 0))
+    check_half(scales, n, _SCALE_WRAPS)
+    g = seq.sorted_grid
+    # the t-th filled slot uses the t-th smallest window
+    factors = [np.maximum(window(g, g, grid_arc(-s, s, n))[1] - 1 - t, 0)
+               for t, s in enumerate(sorted(scales))]
     raw = _exact_product_sum(factors)
     return CorrelationReport(
         "r_k", len(scales) + 1, n, {"scales": scales}, raw, raw / n
@@ -213,32 +206,14 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
 # tuple enumeration over the sorted (anchor, occupant) window pairs
 
 
-def _occupant_pairs(sp: np.ndarray, radius: float):
-    """(anchor, occupant, ((x_anchor - x_occupant))) for every index pair
-    with ||x_a - x_o|| <= radius + pad, the anchor itself excluded.
-
-    Anchors and occupants are positions in the sorted array, and the
-    pairs come sorted by anchor.  The pad makes the candidate set a
-    superset under rounding; exact predicates decide.  Signed distances
-    use the core definition, so they match the brute-force predicate bit
-    for bit.  Duplicate values at other indices stay.
+def _occupant_pairs(g: np.ndarray, radius: float, n: int):
+    """(anchor, occupant) positions in the sorted grid of every index
+    pair with ||x_a - x_o|| <= radius/N, the anchor itself excluded,
+    sorted by anchor.  Duplicate values at other indices stay.
     """
-    n = sp.size
-    w = radius + _WINDOW_PAD
-    if w >= 0.5:
-        # whole circle: every point once per anchor
-        pa = np.repeat(np.arange(n), n)
-        pp = np.tile(np.arange(n), n)
-    else:
-        ext = np.concatenate((sp - 1.0, sp, sp + 1.0))
-        lo = np.searchsorted(ext, sp - w, side="left")
-        cnt = np.searchsorted(ext, sp + w, side="right") - lo
-        pa = np.repeat(np.arange(n), cnt)
-        offs = np.arange(pa.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        pp = (np.repeat(lo, cnt) + offs) % n
+    pa, pp = window_pairs(*window(g, g, grid_arc(-radius, radius, n)))
     keep = pp != pa
-    pa, pp = pa[keep], pp[keep]
-    return pa, pp, signed_distance(sp[pa] - sp[pp])
+    return pa[keep], pp[keep]
 
 
 def _set_partitions(m: int, alive):
@@ -278,12 +253,11 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     boxes = _as_boxes(boxes)
     n = len(seq)
     k = len(boxes) + 1
-    for a, b in boxes:
-        if abs(a) > n / 2 or abs(b) > n / 2:
-            raise ParameterError(f"box bound beyond N/2 = {n / 2}")
-    radius = max(max(abs(a), abs(b)) for a, b in boxes) / n
-    pa, _, delta = _occupant_pairs(seq.sorted_points, radius)
-    slot_ok = [(delta >= a / n) & (delta <= b / n) for a, b in boxes]
+    check_half(itertools.chain.from_iterable(boxes), n, _BOX_WRAPS)
+    g = seq.sorted_grid
+    pa, pp = _occupant_pairs(g, max(max(abs(a), abs(b)) for a, b in boxes), n)
+    delta = g[pa] - g[pp]
+    slot_ok = [in_arc(delta, grid_arc(a, b, n)) for a, b in boxes]
     # keep the anchors whose count can be nonzero: at least k-1 candidates
     # in all, and one in every slot.  An empty slot zeroes every
     # partition's product (each block lies inside a slot); too few
@@ -319,9 +293,10 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
 _CHUNK_ROWS = 1 << 16
 
 
-def _tuple_weight_sum(sp: np.ndarray, f, radius: float, k: int, chained: bool) -> float:
+def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: bool) -> float:
     """math.fsum of the weights f gives the distinct-index k-tuples whose
-    consecutive (chained) or anchored index pairs are all window pairs.
+    consecutive (chained) or anchored index pairs are all window pairs
+    of the given radius (in units of 1/N).
 
     Tuples are built by k-2 joins on the sorted pair list: on the last
     index when chained, on the anchor otherwise; rows that repeat an
@@ -329,9 +304,13 @@ def _tuple_weight_sum(sp: np.ndarray, f, radius: float, k: int, chained: bool) -
     N((x_u - x_v)) for the pair (u, v) the join used.  math.fsum is
     exactly rounded, so the value does not depend on the chunking.
     """
-    n = sp.size
-    pa, pp, delta = _occupant_pairs(sp, radius)
-    scaled = n * delta
+    n = len(seq)
+    if k < 2:
+        raise ParameterError("k must be >= 2")
+    check_half((radius,), n, "support radius {b} > N/2 = {half}")
+    sp = seq.sorted_points
+    pa, pp = _occupant_pairs(seq.sorted_grid, radius, n)
+    scaled = n * signed_distance(sp[pa] - sp[pp])
     cnt = np.bincount(pa, minlength=n)
     start = np.concatenate(([0], np.cumsum(cnt)))
     # tuple rows per anchor after the last join, before repeats are dropped
@@ -371,13 +350,6 @@ def _tuple_weight_sum(sp: np.ndarray, f, radius: float, k: int, chained: bool) -
     return math.fsum(itertools.chain.from_iterable(chunk_weights()))
 
 
-def _check_support(k: int, support_radius: float, n: int) -> None:
-    if k < 2:
-        raise ParameterError("k must be >= 2")
-    if support_radius > n / 2:
-        raise ParameterError(f"support radius {support_radius} > N/2 = {n / 2}")
-
-
 def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> CorrelationReport:
     """Weighted correlation sum over distinct tuples:
     (1/N) sum f(N((x_{i_1}-x_{i_2})), ..., N((x_{i_1}-x_{i_k}))).
@@ -387,8 +359,7 @@ def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> Correlat
     enumeration is restricted to window occupants per anchor.
     """
     n = len(seq)
-    _check_support(k, support_radius, n)
-    total = _tuple_weight_sum(seq.sorted_points, f, support_radius / n, k, chained=False)
+    total = _tuple_weight_sum(seq, f, support_radius, k, chained=False)
     return CorrelationReport(
         "r_k_testfn", k, n, {"support_radius": support_radius}, None, total / n
     )
@@ -404,8 +375,7 @@ def r_k_consecutive(seq: PointSequence, f, support_radius: float, k: int) -> Cor
     this coincides with r_k_testfn.
     """
     n = len(seq)
-    _check_support(k, support_radius, n)
-    total = _tuple_weight_sum(seq.sorted_points, f, support_radius / n, k, chained=True)
+    total = _tuple_weight_sum(seq, f, support_radius, k, chained=True)
     return CorrelationReport(
         "r_k_consecutive", k, n, {"support_radius": support_radius}, None, total / n
     )
@@ -421,8 +391,9 @@ def _pairwise_signed(seq: PointSequence) -> np.ndarray:
 
 
 def _distinct_mask(n: int, m: int) -> np.ndarray:
-    """Pairwise-distinct mask over [n]^m tuples."""
-    idx = np.indices((n,) * m)
+    """Pairwise-distinct mask over [n]^m tuples, from one broadcast index
+    vector per axis."""
+    idx = [np.arange(n).reshape((n,) + (1,) * (m - 1 - a)) for a in range(m)]
     mask = np.ones((n,) * m, dtype=bool)
     for a in range(m):
         for b in range(a + 1, m):
@@ -444,14 +415,16 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     path is tested against.
 
     Exactly one of scales / boxes / testfn must be given.  Constraints
-    are evaluated for every tuple of [N]^k from the raw pairwise
-    signed-difference matrix, independent of the sorted-window
-    machinery.
+    are evaluated for every tuple of [N]^k from the pairwise grid
+    differences of the points in their given order, independent of the
+    sorted-window machinery; the integer arcs are those of the fast
+    paths, so ties are read the same way.
     """
     given = [scales is not None, boxes is not None, testfn is not None]
     if sum(given) != 1:
         raise ParameterError("give exactly one of scales, boxes, testfn")
     n = len(seq)
+    name = "brute_force_r_k_star" if star else "brute_force_r_k"
 
     if testfn is not None:
         if k is None or support_radius is None:
@@ -469,30 +442,24 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
             for t in tuples
         ]
         total = math.fsum(terms)
-        name = "brute_force_r_k_star" if star else "brute_force_r_k"
         return CorrelationReport(name, k, n, {"support_radius": support_radius},
                                  None, total / n)
 
     if scales is not None:
         scales = _as_scales(scales, k)
-        k = len(scales) + 1
-        _check_scales_fit(scales, n)
-        _charge_budget(n, k)
-        x = seq.points
-        dist = circle_distance(x[:, None], x[None, :])
-        slot_masks = [dist <= s / n for s in scales]
+        check_half(scales, n, _SCALE_WRAPS)
+        arcs = [grid_arc(-s, s, n) for s in scales]
     else:
         boxes = _as_boxes(boxes)
-        k = len(boxes) + 1
-        for a, b in boxes:
-            if abs(a) > n / 2 or abs(b) > n / 2:
-                raise ParameterError(f"box bound beyond N/2 = {n / 2}")
-        _charge_budget(n, k)
-        delta = _pairwise_signed(seq)
-        slot_masks = [(delta >= a / n) & (delta <= b / n) for a, b in boxes]
+        check_half(itertools.chain.from_iterable(boxes), n, _BOX_WRAPS)
+        arcs = [grid_arc(a, b, n) for a, b in boxes]
+    k = len(arcs) + 1
+    _charge_budget(n, k)
+    g = to_grid(seq.points)
+    delta = g[:, None] - g[None, :]
+    slot_masks = [in_arc(delta, arc) for arc in arcs]
 
-    m = k - 1
-    distinct = None if star else _distinct_mask(n, m)
+    distinct = None if star else _distinct_mask(n, k - 1)
     ids = np.arange(n)
     raw = 0
     for i1 in range(n):
@@ -502,9 +469,8 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
         tensor = rows[0]
         for r in rows[1:]:
             tensor = tensor[..., None] & r
-        if distinct is not None:
+        if not star:
             tensor = tensor & distinct
         raw += int(tensor.sum())
-    name = "brute_force_r_k_star" if star else "brute_force_r_k"
     params = {"scales": scales} if scales is not None else {"boxes": boxes}
     return CorrelationReport(name, k, n, params, raw, raw / n)

@@ -8,7 +8,9 @@ with at most 2N breakpoints, so its moments
     I_k*(s,N) = int_0^1 F^k dt                       (power moment)
 
 are computed exactly from the step function rather than by quadrature;
-exactness removes a tolerance from every identity built on them.
+exactness removes a tolerance from every identity built on them.  Arc m
+is the grid range [x_m - R, x_m + R + 1) of core's 2^-64 grid, with
+R = floor(s 2^64 / (2N)), so the profile is F at every grid point.
 
 The tent test function
 
@@ -29,24 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSequence, count_within, falling_factorial, stirling_second
+from .core import (GRID, PointSequence, check_scale, falling_factorial, grid_arc,
+                   stirling_second, to_grid, window)
 from .correlations import CorrelationReport, r_k_testfn
 from .errors import ConsistencyError, ParameterError
-
-_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SweepProfile:
     """F(.,s,N) as a circular step function.
 
-    values[i] holds F on [breakpoints[i], breakpoints[i+1]) and
-    values[-1] on the wrap segment [breakpoints[-1], breakpoints[0]+1).
-    Coincident arc endpoints are merged into one breakpoint with an
-    integer jump equal to their multiplicity.  At an arc's closed right
-    endpoint the profile already shows the decremented value, a
-    measure-zero deviation from the pointwise count that integration
-    never sees.
+    breakpoints are uint64 points of the 2^-64 grid; values[i] holds F
+    on [breakpoints[i], breakpoints[i+1]) and values[-1] on the wrap
+    segment [breakpoints[-1], breakpoints[0]+1).  Coincident arc
+    endpoints are merged into one breakpoint with an integer jump equal
+    to their multiplicity.  At every grid point the profile equals the
+    pointwise count f_count.
     """
 
     breakpoints: np.ndarray
@@ -58,18 +58,14 @@ class SweepProfile:
         bp = self.breakpoints
         if bp.size == 1:
             return np.array([1.0])
-        out = np.empty_like(bp)
-        out[:-1] = np.diff(bp)
-        out[-1] = bp[0] + 1.0 - bp[-1]
-        return out
+        return np.diff(bp, append=bp[:1]) * 2.0**-64  # the wrap segment's length wraps too
 
     def total_mass(self) -> float:
         return math.fsum((self.values * self.segment_lengths()).tolist())
 
     def value_at(self, t):
         """Profile value at t (right-continuous step lookup)."""
-        t = np.asarray(t, dtype=np.float64) % 1.0
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
+        idx = np.searchsorted(self.breakpoints, _grid_of(t), side="right") - 1
         idx = np.where(idx < 0, self.values.size - 1, idx)
         out = self.values[idx]
         return int(out) if out.ndim == 0 else out
@@ -87,36 +83,41 @@ class MomentReport:
     i_k_star: float
 
 
+def _grid_of(t) -> np.ndarray:
+    """t mod 1 on the grid (a float t % 1.0 of 1.0 wraps to 0)."""
+    f = np.asarray(t, dtype=np.float64) % 1.0
+    return to_grid(np.where(f < 1.0, f, 0.0))
+
+
 def f_count(seq: PointSequence, t: float, s: float) -> int:
     """Exact #{m <= N : ||x_m - t|| <= s/(2N)}."""
     n = len(seq)
-    _check_scale(s, n)
-    t = float(t) % 1.0
-    return int(count_within(seq.sorted_points, t, 0.5 * s / n)[0])
+    check_scale(s, n)
+    return int(window(seq.sorted_grid, _grid_of([t]), grid_arc(-0.5 * s, 0.5 * s, n))[1][0])
 
 
 def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
     """Build the 2N-event circular step function of F by endpoint sorting."""
     n = len(seq)
-    _check_scale(s, n)
-    r = 0.5 * s / n
-    if r >= 0.5:
-        return SweepProfile(np.array([0.0]), np.array([n], dtype=np.int64), float(s), n)
-    pts = seq.points
-    positions = np.concatenate(((pts - r) % 1.0, (pts + r) % 1.0))
-    deltas = np.concatenate((np.ones(n, np.int64), -np.ones(n, np.int64)))
-    uniq, inverse = np.unique(positions, return_inverse=True)
-    jumps = np.bincount(inverse, weights=deltas, minlength=uniq.size).astype(np.int64)
-    # value on the wrap segment, probed at its midpoint
-    wrap_mid = ((uniq[-1] + uniq[0] + 1.0) / 2.0) % 1.0
-    base = int(count_within(seq.sorted_points, wrap_mid, r)[0])
+    check_scale(s, n)
+    arc = grid_arc(-0.5 * s, 0.5 * s, n)
+    r = arc[1]
+    if 2 * r + 1 >= GRID:
+        return SweepProfile(np.zeros(1, np.uint64), np.array([n], dtype=np.int64), float(s), n)
+    g = seq.sorted_grid
+    starts, ends = g - r, g + (r + 1)
+    uniq, inverse = np.unique(np.concatenate((starts, ends)), return_inverse=True)
+    jumps = np.bincount(inverse[:n], minlength=uniq.size)
+    jumps -= np.bincount(inverse[n:], minlength=uniq.size)
+    # value on the wrap segment, counted at its first grid point
+    base = int(window(g, uniq[-1:], arc)[1][0])
     values = base + np.cumsum(jumps)
     if values.min() < 0 or values.max() > n or values[-1] != base:
         raise ConsistencyError("inconsistent sweep profile")
-    prof = SweepProfile(uniq, values, float(s), n)
-    if abs(prof.total_mass() - s) > _MASS_TOL * max(n, 1):
+    # in grid units the mass is N (2R+1) + 2^64 (base - #arcs that wrap past 0)
+    if base != np.count_nonzero(ends < starts):
         raise ConsistencyError("profile mass does not equal s")
-    return prof
+    return SweepProfile(uniq, values, float(s), n)
 
 
 def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
@@ -204,8 +205,3 @@ def bell_prediction(k: int, s: float) -> float:
     if k < 1:
         raise ParameterError("k must be >= 1")
     return math.fsum(stirling_second(k, j) * float(s) ** j for j in range(1, k + 1))
-
-
-def _check_scale(s: float, n: int) -> None:
-    if not (0 < s <= n):
-        raise ParameterError(f"need 0 < s <= N = {n}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ def test_energy_large_elements_hash_path():
     assert additive_energy(a) == additive_energy_bruteforce(a)
     for a in ([2**62, 2**62 + 1, 2**62 + 2], [1, 2**40, 2**62, 2**63 - 1]):
         assert additive_energy(a) == additive_energy_bruteforce(a)
+
+
+def test_sparse_wide_set_skips_the_flat_table():
+    # a flat table over [0, 2 span] would be 2^26 entries for 4 pair sums
+    a = [1, 2**25]
+    for count, want in ((additive_energy, 6), (three_ap_count, 0)):
+        tracemalloc.start()
+        try:
+            got = count(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2**20
 
 
 def test_integer_set_validation():

@@ -75,6 +75,17 @@ def test_corr_star_and_box(points_file, capsys):
     assert abs(box["value"] - 1.0) < 0.3
 
 
+def test_corr_counts_ties_on_the_stored_doubles(tmp_path, capsys):
+    # N = 5, s = 1: every neighbour sits 1/5 away, but only the pairs
+    # (0.4, 0.6) and (0.8, 0) are within 1/5 as stored doubles
+    path = tmp_path / "fifths.txt"
+    path.write_text("0\n0.2\n0.4\n0.6\n0.8\n")
+    assert main(["corr", "--input", str(path), "--k", "2", "--s", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["raw_count"] == 4
+    assert main(["corr", "--input", str(path), "--k", "2", "--box=-1:1"]) == 0
+    assert json.loads(capsys.readouterr().out)["raw_count"] == 4
+
+
 def test_corr_csv_format(points_file, capsys):
     assert main(["corr", "--input", str(points_file), "--k", "3", "--s", "1.0",
                  "--format", "csv"]) == 0
@@ -218,6 +229,13 @@ def test_verify_catalog_complete():
 def test_consistency_error_exit_code(points_file, capsys, monkeypatch):
     from corrkit import intervalstats
 
-    monkeypatch.setattr(intervalstats, "_MASS_TOL", -1.0)  # every mass check now fails
+    window = intervalstats.window
+
+    def one_too_many(grid, centers, arc):  # the profile's wrap value comes out one too high
+        lo, cnt = window(grid, centers, arc)
+        return lo, cnt + 1
+
+    monkeypatch.setattr(intervalstats, "window", one_too_many)
     assert main(["moments", "--input", str(points_file), "--s", "2.0", "--k", "2"]) == 5
-    assert "consistency" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "consistency" in err and "mass" in err

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -412,3 +414,82 @@ def test_testfn_receives_2d_float_rows():
 
         r_k_testfn(seq, f, 2.0, k)
         assert shapes and set(shapes) == {(np.ndarray, "float64", 2, (k - 1,))}
+
+
+def _exact_counts(x, n, s, boxes):
+    """Independent counts on the stored doubles x, in exact integers:
+    per anchor, the scale-window occupants c and the membership of the
+    other indices in each box slot, a/N <= ((x_i - x_j)) <= b/N.
+
+    Every x here is 0 or at least 2^-8, so X = x 2^60 is an exact
+    integer, and so is every bound times 2^60; Python compares ints and
+    floats exactly.
+    """
+    unit = 1 << 60
+    xs = [Fraction(float(v)) * unit for v in x]
+    assert all(v.denominator == 1 for v in xs)
+    xs = [int(v) for v in xs]
+
+    def signed(d):  # ((d)) 2^60, in (-2^59, 2^59]
+        d %= unit
+        return d if 2 * d <= unit else d - unit
+
+    deltas = [[signed(xs[i] - xs[j]) * n for j in range(n) if j != i] for i in range(n)]
+    lim = s * unit
+    c = [sum(abs(d) <= lim for d in row) for row in deltas]
+    slots = [[[a * unit <= d <= b * unit for d in row] for a, b in boxes] for row in deltas]
+    return c, slots
+
+
+def test_lattice_ties_match_exact_fraction_counts():
+    # points on the lattice (j + shift)/N put pair distances exactly on
+    # window and box boundaries; every path must read the ties on the
+    # stored doubles the same way an exact rational count does
+    for n in range(2, 41):
+        for shift in (0.0, 0.5, 0.25):
+            x = np.array([(j + shift) / n for j in range(n)]) % 1.0
+            seq = PointSequence(x)
+            for s in (1.0, 2.0, 3.0):
+                if s > n / 2:
+                    continue
+                asym = ((-s, s / 2), (0.0, s))
+                c, slots = _exact_counts(x, n, s, asym)
+                for k in (2, 3):
+                    sc = (s,) * (k - 1)
+                    distinct = sum(math.perm(ci, k - 1) for ci in c)
+                    star = sum((ci + 1) ** (k - 1) for ci in c)
+                    if k == 2:
+                        box = sum(sum(row[0]) for row in slots)
+                    else:
+                        box = sum(sum(row[0]) * sum(row[1]) - sum(p and q for p, q in zip(*row))
+                                  for row in slots)
+                    case = (n, shift, s, k)
+                    assert r_k_distinct(seq, sc).raw_count == distinct, case
+                    assert brute_force_r_k(seq, scales=sc).raw_count == distinct, case
+                    assert r_k_star(seq, sc).raw_count == star, case
+                    assert brute_force_r_k(seq, scales=sc, star=True).raw_count == star, case
+                    assert r_k_box(seq, ((-s, s),) * (k - 1)).raw_count == distinct, case
+                    assert r_k_box(seq, asym[:k - 1]).raw_count == box, case
+                    assert brute_force_r_k(seq, boxes=asym[:k - 1]).raw_count == box, case
+                    if k == 2:
+                        assert distinct % 2 == 0, case
+
+
+def test_thirds_count_the_stored_doubles():
+    # 1/3 and 2/3 are stored just below the thirds: 0 and 2/3 sit a hair
+    # more than 1/3 apart, the other two pairs a hair less
+    seq = PointSequence([0.0, 1 / 3, 2 / 3])
+    assert r_k_distinct(seq, (1.0,)).raw_count == 4
+    assert brute_force_r_k(seq, scales=(1.0,)).raw_count == 4
+
+
+def test_distinct_mask_memory_is_the_mask():
+    n, m = 20, 5
+    tracemalloc.start()
+    try:
+        mask = correlations._distinct_mask(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(mask.sum()) == math.perm(n, m)
+    assert peak < 8 * 2**20  # the bool mask itself is 3.05 MiB
