@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
 from .errors import BudgetError, ConsistencyError, FormatError, ParameterError
-from .io import read_integers, read_points, write_points
+from .io import read_integers, read_points, write_point_lines, write_points
 from .verify import DEFAULT_SEED, run_verify
 
 SCHEMA = "corrkit/1"
@@ -99,8 +99,7 @@ def _cmd_gen(args) -> int:
     if args.out:
         write_points(args.out, seq)
     else:
-        for v in seq.points.tolist():
-            sys.stdout.write(f"{v!r}\n")
+        write_point_lines(sys.stdout, seq)
     return 0
 
 

@@ -27,7 +27,7 @@ occupant) pair list of one window, with no per-anchor Python loop.
 r_k_box counts injective slot fillings by Moebius inversion over the set
 partitions of the k-1 slots, one bincount per block.  r_k_testfn and
 r_k_consecutive build their tuples by chained joins on the pair list, in
-chunks of whole anchors capped at _CHUNK_ROWS rows, and call the test
+chunks of first-level pairs capped at _CHUNK_ROWS rows, and call the test
 function once per chunk on an (m, k-1) float64 array of scaled
 differences; its weights are summed with one math.fsum.
 """
@@ -288,8 +288,9 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)
 
 
-# rows per chunk of whole anchors (counted before repeated indices are
-# dropped); it bounds the memory of the tuple joins independently of N
+# rows per chunk of pairs (counted before repeated indices are dropped);
+# it bounds the memory of the tuple joins independently of N, except that
+# one pair is never split: for k >= 4 a single pair can grow into more
 _CHUNK_ROWS = 1 << 16
 
 
@@ -313,19 +314,25 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     scaled = n * signed_distance(sp[pa] - sp[pp])
     cnt = np.bincount(pa, minlength=n)
     start = np.concatenate(([0], np.cumsum(cnt)))
-    # tuple rows per anchor after the last join, before repeats are dropped
-    rows = cnt.astype(np.float64)
-    for _ in range(k - 2):
-        rows = np.bincount(pa, weights=rows[pp], minlength=n) if chained else rows * cnt
-    ends = np.cumsum(rows)
+    # running total of the tuple rows the pairs grow into over the k-2
+    # joins, before repeats are dropped: cnt[anchor]^(k-2) per pair
+    # anchored; chained, the number of (k-2)-step pair chains from the
+    # occupant
+    if chained:
+        reach = np.ones(n)
+        for _ in range(k - 2):
+            reach = np.bincount(pa, weights=reach[pp], minlength=n)
+        ends = np.cumsum(reach[pp])
+    else:
+        ends = np.cumsum(cnt[pa].astype(np.float64) ** (k - 2))
 
     def chunk_weights():
-        a0 = 0
-        while a0 < n:
-            done = ends[a0 - 1] if a0 else 0.0
-            a1 = max(int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right")), a0 + 1)
-            sl = slice(start[a0], start[a1])
-            a0 = a1
+        p0 = 0
+        while p0 < pa.size:
+            done = ends[p0 - 1] if p0 else 0.0
+            p1 = max(int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right")), p0 + 1)
+            sl = slice(p0, p1)
+            p0 = p1
             cols, vals = [pa[sl], pp[sl]], [scaled[sl]]
             for _ in range(k - 2):
                 key = cols[-1] if chained else cols[0]
@@ -357,6 +364,14 @@ def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> Correlat
     ``f`` maps an (m, k-1) float64 array of such rows to m weights and
     must vanish outside [-support_radius, support_radius]^(k-1);
     enumeration is restricted to window occupants per anchor.
+
+    Contract at the edge: a pair enters when its offset lies in the
+    window exactly (on the 2^-64 grid), but ``f`` sees the offset
+    rounded to float64, which at a tie can land on either side of
+    |y| = support_radius.  So ``f`` must also vanish at |y| =
+    support_radius (the tent g_s does) for the value not to depend on
+    ties.  An indicator of |y| <= 1 on the points j/9, j < 9, gives a
+    sum of 8 where r_k_distinct counts 12 pairs.
     """
     n = len(seq)
     total = _tuple_weight_sum(seq, f, support_radius, k, chained=False)
@@ -371,8 +386,9 @@ def r_k_consecutive(seq: PointSequence, f, support_radius: float, k: int) -> Cor
 
     ``f`` takes (m, k-1) rows as in r_k_testfn and must vanish once any
     consecutive difference leaves [-support_radius, support_radius], so
-    each next index is a window occupant of the previous one.  For k = 2
-    this coincides with r_k_testfn.
+    each next index is a window occupant of the previous one; as there,
+    it must also vanish when a difference is exactly +-support_radius.
+    For k = 2 this coincides with r_k_testfn.
     """
     n = len(seq)
     total = _tuple_weight_sum(seq, f, support_radius, k, chained=True)
@@ -418,7 +434,10 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     are evaluated for every tuple of [N]^k from the pairwise grid
     differences of the points in their given order, independent of the
     sorted-window machinery; the integer arcs are those of the fast
-    paths, so ties are read the same way.
+    paths, so ties are read the same way.  ``testfn`` gets the rounded
+    float64 offsets N((x_a - x_b)) of every tuple, not only of window
+    pairs, so it agrees with r_k_testfn / r_k_consecutive on ties only
+    if it vanishes at |y| = support_radius (see r_k_testfn).
     """
     given = [scales is not None, boxes is not None, testfn is not None]
     if sum(given) != 1:

@@ -29,6 +29,17 @@ def test_gen_roundtrip(tmp_path):
     assert seq.points.tolist() == [0.0, 0.0, 0.5, 0.5, 0.25, 0.25, 0.75, 0.75]
 
 
+@pytest.mark.parametrize("kind", ["uniform_random", "van_der_corput"])
+def test_gen_stdout_is_the_file_without_its_header(tmp_path, capsys, kind):
+    path = tmp_path / "p.txt"
+    argv = ["gen", "--kind", kind, "--n", "300", "--seed", "11"]
+    assert main(argv + ["--out", str(path)]) == 0
+    assert main(argv) == 0
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert header == b"# 300 points in [0,1)"
+    assert capsys.readouterr().out.encode() == body
+
+
 def test_point_file_rejects_out_of_range(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0.5\n1.0\n")

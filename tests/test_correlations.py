@@ -349,6 +349,22 @@ def test_chunking_does_not_change_results(monkeypatch):
     assert (additive_energy(ints), three_ap_count(ints)) == counts
 
 
+@pytest.mark.parametrize("form", [r_k_testfn, r_k_consecutive])
+def test_one_anchor_is_split_across_chunks(monkeypatch, form):
+    # 60 equal points: each anchor grows into 59 * 59 rows, more than a
+    # chunk, so the chunks must cut through anchors
+    monkeypatch.setattr(correlations, "_CHUNK_ROWS", 1024)
+    sizes = []
+
+    def f(ys):
+        sizes.append(len(ys))
+        return np.ones(len(ys))
+
+    rep = form(PointSequence([0.5] * 60), f, 1.0, 3)
+    assert rep.value * 60 == 60 * 59 * 58
+    assert sum(sizes) == 60 * 59 * 58 and max(sizes) <= 1024
+
+
 def _forced_duplicates(rng, n):
     return PointSequence(rng.integers(0, 9, size=n) / 9.0)
 

@@ -132,6 +132,26 @@ def test_i_k_via_correlation_matches_sweep():
         assert abs(i_k_via_correlation(seq, s, k) - moments(seq, s, k).i_k) <= 1e-9 * n
 
 
+def test_i_k_via_correlation_at_lattice_ties():
+    # the lattice points of the tie test in test_correlations put pair
+    # offsets exactly at |y| = s, where the test function gets a rounded
+    # offset; the tent g_s vanishes there, so the sum does not depend on
+    # which side of the tie the rounding lands
+    cases = 0
+    for n in range(4, 41):
+        for shift in (0.0, 0.5, 0.25):
+            seq = PointSequence(np.array([(j + shift) / n for j in range(n)]) % 1.0)
+            for s in (1.0, 2.0, 3.0):
+                if 4 * s > n:
+                    continue
+                for k in (2, 3):
+                    exact = moments(seq, s, k).i_k
+                    assert abs(i_k_via_correlation(seq, s, k) - exact) <= 1e-9 * max(exact, 1.0), \
+                        (n, shift, s, k)
+                    cases += 1
+    assert cases == 594
+
+
 def test_i_k_via_correlation_degenerate_cluster():
     # all points identical: I_k = falling(N,k) * s/N on one arc
     n, s, k = 7, 0.5, 3
