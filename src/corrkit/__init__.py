@@ -20,22 +20,17 @@ from .arithmetic import (
     three_ap_count,
     three_ap_count_bruteforce,
 )
-from .averaged import c_k_distinct_bruteforce, c_k_star, c_k_star_local, lambda_overlap
+from .averaged import c_k_distinct_bruteforce, c_k_star, c_k_star_local
 from .core import (
     PointSequence,
-    StirlingTables,
-    circle_distance,
     falling_factorial,
     order_comparison_threshold,
-    positive_part,
     signed_distance,
     stirling_first_unsigned,
     stirling_second,
 )
 from .correlations import (
-    BoxVector,
     CorrelationReport,
-    ScaleVector,
     brute_force_r_k,
     oracle_budget,
     r_k_box,
@@ -58,8 +53,8 @@ from .intervalstats import (
     SweepProfile,
     bell_prediction,
     f_count,
+    g_eval,
     g_integral_mc,
-    g_test,
     i_k_via_correlation,
     moments,
     sweep_profile,

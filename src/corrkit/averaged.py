@@ -14,8 +14,9 @@ The averaged statistics factorize per anchor:
 
 and equal the integral of R_k* over the scale box [0,s_1] x ... x [0,s_{k-1}].
 
-L_i is accumulated over the window pairs of core's window primitive,
-each term an exact 2^-64 grid distance rounded once, and the anchor
+The kernel is never evaluated pair by pair: L_i is accumulated over the
+window pairs of core's window primitive, each term an exact 2^-64 grid
+distance rounded once, with one window per distinct scale.  The anchor
 products are reduced with math.fsum, which is exactly rounded and
 therefore deterministic independent of evaluation order.
 """
@@ -26,20 +27,9 @@ import math
 
 import numpy as np
 
-from .core import (PointSequence, check_scale, circle_distance, grid_arc, positive_part, window,
-                   window_pairs)
+from .core import PointSequence, check_scale, grid_arc, window, window_pairs
 from .correlations import _as_scales, _distinct_mask, _charge_budget, _pairwise_signed
 from .errors import ParameterError
-
-
-def lambda_overlap(seq: PointSequence, s: float, i: int, j: int) -> float:
-    """{s/N - ||x_i - x_j||}^+ for 0-based indices i, j."""
-    n = len(seq)
-    check_scale(s, n)
-    if not (0 <= i < n and 0 <= j < n):
-        raise ParameterError("index out of range")
-    x = seq.points
-    return positive_part(s / n - circle_distance(x[i], x[j]))
 
 
 def _overlap_sums(g: np.ndarray, s: float, n: int) -> np.ndarray:
@@ -64,7 +54,8 @@ def c_k_star(seq: PointSequence, scales, k=None) -> float:
     kk = len(scales) + 1
     for s in scales:
         check_scale(s, n)
-    prod = math.prod(_overlap_sums(seq.sorted_grid, s, n) for s in scales)
+    sums = {s: _overlap_sums(seq.sorted_grid, s, n) for s in set(scales)}
+    prod = math.prod(sums[s] for s in scales)
     return float(n ** (kk - 2)) * math.fsum(prod.tolist())
 
 

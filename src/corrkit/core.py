@@ -1,11 +1,10 @@
 """Circle arithmetic, the point container, the window primitive, and
-Stirling-number tables.
+Stirling numbers.
 
-Points of the unit circle R/Z are given as floats in [0,1).  The two
-float functionals are
-
-    signed_distance(x)  ((x)), the representative of x mod 1 in (-1/2, 1/2]
-    circle_distance(x,y)  ||x-y|| = |((x-y))|, in [0, 1/2]
+Points of the unit circle R/Z are given as floats in [0,1).  The one
+float functional is signed_distance(x) = ((x)), the representative of
+x mod 1 in (-1/2, 1/2]; it gives the offsets a test function sees, and
+||x-y|| = |((x-y))| where a float weight is wanted.
 
 Every count uses one exact representation instead: uint64 multiples of
 2^-64 (to_grid).  A float >= 2^-11 is exact on that grid; a smaller one
@@ -19,14 +18,13 @@ fast counts and the oracles read every tie the same way.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParameterError
-
-DEFAULT_STIRLING_ORDER = 16
 
 GRID = 1 << 64  # grid steps around the circle
 _HALF = 1 << 63
@@ -40,25 +38,6 @@ def signed_distance(x):
     f = np.asarray(x, dtype=np.float64) % 1.0
     out = np.where(f <= 0.5, f, f - 1.0)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def circle_distance(x, y):
-    """||x - y||: distance on the circle, in [0, 1/2].
-
-    Computed as min(|{x}-{y}|, 1-|{x}-{y}|), which is symmetric bit for
-    bit; it can differ from |((x-y))| by one rounding of the mod-1
-    reduction.
-    """
-    d0 = np.abs(np.asarray(x, dtype=np.float64) % 1.0 - np.asarray(y, dtype=np.float64) % 1.0)
-    d = np.minimum(d0, 1.0 - d0)
-    return float(d) if np.ndim(d) == 0 else d
-
-
-def positive_part(x):
-    """{x}^+ = max(x, 0)."""
-    if np.ndim(x) == 0:
-        return x if x > 0 else 0.0
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
 def to_grid(x) -> np.ndarray:
@@ -171,52 +150,37 @@ def window_pairs(lo: np.ndarray, cnt: np.ndarray):
     return anchor, occupant
 
 
-class StirlingTables:
-    """Exact tables of Stirling numbers up to a configured order.
-
-    second_kind[k][j] = S(k,j), the number of partitions of a k-set into
-    j nonempty blocks; satisfies sum_j S(k,j) x(x-1)...(x-j+1) = x^k.
-
-    first_kind_unsigned[m][i] = c(m,i) with the recurrence
-    c(m,i) = (m-1) c(m-1,i) + c(m-1,i-1); these are the unsigned
-    coefficients of the falling factorial:
-    y(y-1)...(y-m+1) = sum_i (-1)^(m-i) c(m,i) y^i.
-
-    Entries are Python ints, so every value is exact.
-    """
-
-    def __init__(self, max_order: int = DEFAULT_STIRLING_ORDER):
-        if max_order < 1:
-            raise ParameterError("max_order must be >= 1")
-        self.max_order = max_order
-        m = max_order
-        s2 = [[0] * (m + 1) for _ in range(m + 1)]
-        s2[0][0] = 1
-        for k in range(1, m + 1):
-            for j in range(1, k + 1):
-                s2[k][j] = j * s2[k - 1][j] + s2[k - 1][j - 1]
-        c1 = [[0] * (m + 1) for _ in range(m + 1)]
-        c1[0][0] = 1
-        for k in range(1, m + 1):
-            for j in range(1, k + 1):
-                c1[k][j] = (k - 1) * c1[k - 1][j] + c1[k - 1][j - 1]
-        self.second_kind = s2
-        self.first_kind_unsigned = c1
-
-    def _check(self, k: int, j: int) -> None:
-        if not (0 <= j <= k <= self.max_order):
-            raise ParameterError(
-                f"Stirling index ({k},{j}) outside table of order {self.max_order}"
-            )
+_STIRLING_ORDER = 16
 
 
-TABLES = StirlingTables(DEFAULT_STIRLING_ORDER)
+def _check_stirling(k: int, j: int) -> None:
+    if not (0 <= j <= k <= _STIRLING_ORDER):
+        raise ParameterError(
+            f"Stirling index ({k},{j}) outside table of order {_STIRLING_ORDER}"
+        )
+
+
+@functools.cache
+def _second_kind(k: int, j: int) -> int:
+    """S(k,j) = j S(k-1,j) + S(k-1,j-1): partitions of a k-set into j blocks."""
+    if k == 0 or j == 0:
+        return int(k == j)
+    return j * _second_kind(k - 1, j) + _second_kind(k - 1, j - 1)
+
+
+@functools.cache
+def _first_kind_unsigned(k: int, j: int) -> int:
+    """c(k,j) = (k-1) c(k-1,j) + c(k-1,j-1): the unsigned coefficients of
+    y(y-1)...(y-k+1) = sum_j (-1)^(k-j) c(k,j) y^j."""
+    if k == 0 or j == 0:
+        return int(k == j)
+    return (k - 1) * _first_kind_unsigned(k - 1, j) + _first_kind_unsigned(k - 1, j - 1)
 
 
 def stirling_second(k: int, j: int) -> int:
-    """S(k,j), second kind."""
-    TABLES._check(k, j)
-    return TABLES.second_kind[k][j]
+    """S(k,j), second kind: sum_j S(k,j) x(x-1)...(x-j+1) = x^k.  Exact int."""
+    _check_stirling(k, j)
+    return _second_kind(int(k), int(j))
 
 
 def stirling_first_unsigned(m: int, i: int) -> int:
@@ -225,8 +189,8 @@ def stirling_first_unsigned(m: int, i: int) -> int:
     The product has m+1 factors, so this is the unsigned first-kind
     number of order m+1: c(m+1, i).
     """
-    TABLES._check(m + 1, i)
-    return TABLES.first_kind_unsigned[m + 1][i]
+    _check_stirling(m + 1, i)
+    return _first_kind_unsigned(int(m) + 1, int(i))
 
 
 def order_comparison_threshold(m: int) -> float:

@@ -57,48 +57,6 @@ def oracle_budget() -> int:
 
 
 @dataclass(frozen=True)
-class ScaleVector:
-    """k-1 positive scales (s_1, ..., s_{k-1})."""
-
-    scales: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.scales) < 1:
-            raise ParameterError("need at least one scale (k >= 2)")
-        if any(s <= 0 for s in self.scales):
-            raise ParameterError("all scales must be > 0")
-
-    @classmethod
-    def equal(cls, s: float, k: int) -> "ScaleVector":
-        if k < 2:
-            raise ParameterError("k must be >= 2")
-        return cls((float(s),) * (k - 1))
-
-    @property
-    def k(self) -> int:
-        return len(self.scales) + 1
-
-
-@dataclass(frozen=True)
-class BoxVector:
-    """k-1 intervals (a_r, b_r), a_r < b_r, for the signed box form."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if len(self.intervals) < 1:
-            raise ParameterError("need at least one interval (k >= 2)")
-        if any(b <= a for a, b in self.intervals):
-            raise ParameterError("each interval needs b > a")
-        if len(self.intervals) > 15:
-            raise ParameterError("orders above k = 16 are unsupported")
-
-    @property
-    def k(self) -> int:
-        return len(self.intervals) + 1
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
     """One computed statistic.
 
@@ -115,9 +73,8 @@ class CorrelationReport:
 
 
 def _as_scales(scales, k=None) -> tuple[float, ...]:
-    if isinstance(scales, ScaleVector):
-        out = scales.scales
-    elif np.ndim(scales) == 0:
+    """k-1 positive scales (s_1, ..., s_{k-1}); a scalar s with k means s k-1 times."""
+    if np.ndim(scales) == 0:
         if k is None:
             raise ParameterError("a scalar scale needs an explicit k")
         out = (float(scales),) * (k - 1)
@@ -125,7 +82,7 @@ def _as_scales(scales, k=None) -> tuple[float, ...]:
         out = tuple(float(s) for s in scales)
     if k is not None and len(out) != k - 1:
         raise ParameterError(f"expected {k - 1} scales, got {len(out)}")
-    if len(out) < 1 or any(s <= 0 for s in out):
+    if len(out) < 1 or not all(s > 0 for s in out):  # NaN fails too
         raise ParameterError("scales must be positive and nonempty")
     if len(out) > 15:
         raise ParameterError("orders above k = 16 are unsupported")
@@ -133,11 +90,22 @@ def _as_scales(scales, k=None) -> tuple[float, ...]:
 
 
 def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
-    if isinstance(boxes, BoxVector):
-        return boxes.intervals
+    """k-1 intervals (a_r, b_r) with a_r < b_r, for the signed box form."""
     out = tuple((float(a), float(b)) for a, b in boxes)
-    BoxVector(out)  # validate
+    if len(out) < 1:
+        raise ParameterError("need at least one interval (k >= 2)")
+    if not all(b > a for a, b in out):  # NaN fails too
+        raise ParameterError("each interval needs b > a")
+    if len(out) > 15:
+        raise ParameterError("orders above k = 16 are unsupported")
     return out
+
+
+def _window_counts(g: np.ndarray, scales, n: int) -> list[np.ndarray]:
+    """z(s) = #{j : ||p_j - c|| <= s/N} for every c in the sorted grid g and
+    each scale in order; equal scales share one window search."""
+    z = {s: window(g, g, grid_arc(-s, s, n))[1] for s in set(scales)}
+    return [z[s] for s in scales]
 
 
 def _exact_product_sum(factors: list[np.ndarray]) -> int:
@@ -171,9 +139,7 @@ def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
     scales = _as_scales(scales, k)
     n = len(seq)
     check_half(scales, n, _SCALE_WRAPS)
-    g = seq.sorted_grid
-    zs = [window(g, g, grid_arc(-s, s, n))[1] for s in scales]
-    raw = _exact_product_sum(zs)
+    raw = _exact_product_sum(_window_counts(seq.sorted_grid, scales, n))
     return CorrelationReport(
         "r_k_star", len(scales) + 1, n, {"scales": scales}, raw, raw / n
     )
@@ -192,10 +158,9 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
     scales = _as_scales(scales, k)
     n = len(seq)
     check_half(scales, n, _SCALE_WRAPS)
-    g = seq.sorted_grid
     # the t-th filled slot uses the t-th smallest window
-    factors = [np.maximum(window(g, g, grid_arc(-s, s, n))[1] - 1 - t, 0)
-               for t, s in enumerate(sorted(scales))]
+    factors = [np.maximum(z - 1 - t, 0)
+               for t, z in enumerate(_window_counts(seq.sorted_grid, sorted(scales), n))]
     raw = _exact_product_sum(factors)
     return CorrelationReport(
         "r_k", len(scales) + 1, n, {"scales": scales}, raw, raw / n

@@ -5,7 +5,8 @@ Empirical bucket masses stand in for any limit distribution function;
 level r is an explicit parameter and nothing here claims convergence.
 Bucket boundaries are the half-open dyadic intervals [i/2^r, (i+1)/2^r),
 which partition [0,1) exactly (and are float-exact: scaling by 2^r is
-an exact operation on the stored doubles).
+an exact operation on the stored doubles).  Levels stop at _MAX_LEVEL,
+so a profile holds at most 2^24 buckets (128 MiB of counts).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from .core import PointSequence
 from .errors import ParameterError
+
+_MAX_LEVEL = 24
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,8 @@ def ecdf(seq: PointSequence, x: float) -> float:
 
 def dyadic_profile(seq: PointSequence, r: int) -> DyadicProfile:
     """Exact bucket masses over the 2^r dyadic intervals."""
-    if r < 0:
-        raise ParameterError("level must be >= 0")
+    if not (0 <= r <= _MAX_LEVEL):
+        raise ParameterError(f"level must be in 0..{_MAX_LEVEL} (at most 2^{_MAX_LEVEL} buckets)")
     n = len(seq)
     buckets = np.floor(seq.points * (1 << r)).astype(np.int64)
     counts = np.bincount(buckets, minlength=1 << r)

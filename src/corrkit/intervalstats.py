@@ -21,7 +21,9 @@ intersection of the k arcs around x_1..x_k equals
 g_s^(k)(N((x_1-x_2)), ..., N((x_1-x_k))) whenever N >= 4s.  That makes
 I_k equal to the correlation sum r_k_testfn(g_s^(k)), and expands the
 power moment through second-kind Stirling numbers:
-I_k* = sum_j S(k,j) I_j with I_1 = s.
+I_k* = sum_j S(k,j) I_j with I_1 = s.  g_eval is the one tent: it takes
+the (m, k-1) arrays r_k_testfn passes, and a one-row array for a single
+tuple.
 """
 
 from __future__ import annotations
@@ -132,31 +134,17 @@ def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
     return MomentReport(k, float(s), len(seq), i_k, i_k_star)
 
 
-def g_test(k: int, s: float, y) -> float:
-    """g_s^(k) at one (k-1)-tuple: {s - max_i {y_i}^+ - max_i {-y_i}^+}^+.
-
-    One pass computes both maxima; the subtraction happens before the
-    final positive part, with no tolerance applied.
+def g_eval(k: int, s: float, ys) -> np.ndarray:
+    """g_s^(k) = {s - max_i {y_i}^+ - max_i {-y_i}^+}^+ over the rows of an
+    (m, k-1) array: m values, the subtraction done before the final
+    positive part, with no tolerance applied.  A one-row array evaluates
+    a single tuple.
     """
     if k < 2 or s <= 0:
         raise ParameterError("need k >= 2 and s > 0")
-    ys = [float(v) for v in (y if np.ndim(y) else (y,))]
-    if len(ys) != k - 1:
-        raise ParameterError(f"expected {k - 1} coordinates, got {len(ys)}")
-    mplus = 0.0
-    mminus = 0.0
-    for v in ys:
-        if v > mplus:
-            mplus = v
-        if -v > mminus:
-            mminus = -v
-    t = s - mplus - mminus
-    return t if t > 0.0 else 0.0
-
-
-def g_eval(k: int, s: float, ys: np.ndarray) -> np.ndarray:
-    """Vectorized g_s^(k) over rows of an (m, k-1) array."""
     ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim == 0 or ys.shape[-1] != k - 1:
+        raise ParameterError(f"expected rows of {k - 1} coordinates, got shape {ys.shape}")
     mplus = np.maximum(ys, 0.0).max(axis=-1)
     mminus = np.maximum(-ys, 0.0).max(axis=-1)
     return np.maximum(s - mplus - mminus, 0.0)

@@ -17,18 +17,21 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
 from .core import (
     PointSequence,
-    circle_distance,
     falling_factorial,
+    grid_arc,
+    in_arc,
     order_comparison_threshold,
     signed_distance,
     stirling_first_unsigned,
     stirling_second,
+    to_grid,
 )
 from .seqgen import trial_rng
 
@@ -88,18 +91,39 @@ def _result(name, statement, ok, measured, target, tol, report_only=False):
 # core
 
 
-def _chk_circle_eq_abs_signed(rng, tier):
+def _chk_grid_offset_abs_signed(rng, tier):
+    # the window reads a pair on the grid, a test function gets the float
+    # offset: the two must agree to one rounding (the tie contract)
     xs, ys = rng.random(10**4), rng.random(10**4)
-    worst = float(np.max(np.abs(circle_distance(xs, ys) - np.abs(signed_distance(xs - ys)))))
-    return _result("circle_eq_abs_signed", "||x-y|| = |((x-y))| on 1e4 random pairs",
-                   worst <= 1e-15, worst, 0.0, "1e-15 (one mod-1 rounding)")
+    grid = (to_grid(xs) - to_grid(ys)).view(np.int64).astype(np.float64) * 2.0**-64
+    worst = float(np.max(np.abs(np.abs(grid) - np.abs(signed_distance(xs - ys)))))
+    return _result("grid_offset_eq_abs_signed",
+                   "|((x-y))| from the 2^-64 grid equals the float |((x-y))| on 1e4 random pairs",
+                   worst <= 1e-15, worst, 0.0, "1e-15 (one rounding)")
 
 
-def _chk_circle_triangle(rng, tier):
-    x, y, z = rng.random(10**4), rng.random(10**4), rng.random(10**4)
-    slack = float(np.min(circle_distance(x, y) + circle_distance(y, z) - circle_distance(x, z)))
-    return _result("circle_triangle_inequality", "||x-z|| <= ||x-y|| + ||y-z||",
-                   slack >= -1e-15, slack, ">= 0", "1e-15")
+def _chk_grid_arc_exact_ties(rng, tier):
+    # lattice points (j + shift)/N put pair offsets exactly on the arc ends
+    bad = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 41))
+        x = (np.arange(n) + float(rng.choice([0.0, 0.5, 0.25]))) / n
+        s = float(rng.choice([1.0, 2.0, 3.0, rng.uniform(0.1, n / 2)]))
+        g = to_grid(x)
+        delta = g[None, :] - g[:, None]  # y - c for centre c (row), occupant y (column)
+        fx = [Fraction(float(v)) for v in x]
+        for a, b in ((-s, s), (-s, s / 2)):
+            got = in_arc(delta, grid_arc(a, b, n))
+            lo, hi = Fraction(a) / n, Fraction(b) / n
+            for i, c in enumerate(fx):
+                for j, y in enumerate(fx):
+                    d = (y - c) % 1
+                    d = d if d <= Fraction(1, 2) else d - 1  # ((y - c))
+                    bad += bool(got[i, j]) != (lo <= d <= hi)
+    return _result("grid_arc_exact_ties",
+                   "in_arc/grid_arc decide a/N <= ((y-c)) <= b/N as exact rationals do, "
+                   "ties included (lattice points)",
+                   bad == 0, bad, 0, "exact")
 
 
 def _chk_stirling_second_expansion(rng, tier):
@@ -150,8 +174,6 @@ def _chk_generated_in_unit(rng, tier):
 
 
 def _chk_dilated_exact(rng, tier):
-    from fractions import Fraction
-
     alpha = float(rng.random())
     ints = np.cumsum(rng.integers(1, 2**40, size=50)).tolist()
     got = seqgen.exact_frac_parts(ints, alpha)
@@ -297,11 +319,12 @@ def _chk_partition_shift(rng, tier):
         n, s = (30, 3.0) if trial % 2 == 0 else (40, 2.0)
         x = rng.random(n)
         kcells = round(n / s)
-        w = (s / 3) / n
+        g = to_grid(x)
+        near = in_arc(g[None, :] - g[:, None], grid_arc(-s / 3, s / 3, n))
         for m_order in (2, 3):
             for tup in itertools.permutations(range(n), m_order):
                 i1 = tup[0]
-                if not all(circle_distance(x[i1], x[j]) <= w for j in tup[1:]):
+                if not all(near[i1, j] for j in tup[1:]):
                     continue
                 checked += 1
                 if not any(
@@ -432,12 +455,12 @@ def _chk_ball_cover_counting(rng, tier):
         s = float(rng.uniform(0.5, n / 2.0))
         seq = PointSequence(rng.random(n))
         t = float(rng.random())
-        r = 0.5 * s / n
+        inside = in_arc(to_grid(seq.points) - to_grid(t), grid_arc(-0.5 * s, 0.5 * s, n))
         fval = intervalstats.f_count(seq, t, s)
         direct = sum(
             1
             for tup in itertools.permutations(range(n), k)
-            if all(circle_distance(seq.points[i], t) <= r for i in tup)
+            if all(inside[i] for i in tup)
         )
         bad += falling_factorial(fval, k) != direct
     return _result("ball_cover_counting_identity",
@@ -594,8 +617,8 @@ def _chk_sweep_csv_stable(rng, tier):
 # catalog
 
 CHECK_CATALOG = (
-    ("quick", _chk_circle_eq_abs_signed),
-    ("quick", _chk_circle_triangle),
+    ("quick", _chk_grid_offset_abs_signed),
+    ("quick", _chk_grid_arc_exact_ties),
     ("quick", _chk_stirling_second_expansion),
     ("quick", _chk_stirling_first_expansion),
     ("quick", _chk_generated_in_unit),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from corrkit import averaged
 from corrkit import (
     ParameterError,
     PointSequence,
@@ -10,28 +11,26 @@ from corrkit import (
     c_k_distinct_bruteforce,
     c_k_star,
     c_k_star_local,
-    circle_distance,
-    lambda_overlap,
     moments,
     signed_distance,
     uniform_random,
 )
 
 
-def test_lambda_overlap_examples():
+def test_c2_star_two_point_overlaps():
+    # C_2* = sum_i sum_j lambda(s; i, j) on two points: the two diagonal
+    # terms are s/N each, the two off-diagonal ones lambda(s; 0, 1)
     seq = PointSequence([0.0, 0.3])
-    assert lambda_overlap(seq, 1.0, 0, 0) == pytest.approx(0.5)  # i = j gives s/N
-    assert lambda_overlap(seq, 1.0, 0, 1) == pytest.approx(0.2)
+    assert c_k_star(seq, (1.0,)) == pytest.approx(2 * 0.5 + 2 * 0.2)
     far = PointSequence([0.0, 0.5])
-    assert lambda_overlap(far, 0.6, 0, 1) == 0.0  # disjoint arcs
+    assert c_k_star(far, (0.6,)) == pytest.approx(2 * 0.3)  # disjoint arcs add nothing
 
 
-def test_lambda_overlap_validation():
+def test_c2_star_scale_validation():
+    # s > N is rejected (the pair-index check went with the scalar helper)
     seq = PointSequence([0.0, 0.3])
     with pytest.raises(ParameterError):
-        lambda_overlap(seq, 3.0, 0, 1)
-    with pytest.raises(ParameterError):
-        lambda_overlap(seq, 1.0, 0, 2)
+        c_k_star(seq, (3.0,))
 
 
 def test_c2_star_single_point():
@@ -48,7 +47,7 @@ def test_c_k_star_matches_direct_double_sum():
         seq = PointSequence(rng.random(n))
         x = seq.points
         direct = math.fsum(
-            max(s / n - circle_distance(x[i], x[j]), 0.0)
+            max(s / n - abs(signed_distance(x[i] - x[j])), 0.0)
             for i in range(n)
             for j in range(n)
         )
@@ -160,3 +159,21 @@ def test_local_lower_bound_for_uniform():
     a, s, k = 0.5, 2.0, 3
     seq = uniform_random(10**4, 11)
     assert c_k_star_local(seq, s, k, (0.0, a)) >= 0.9 * a * s ** (2 * (k - 1))
+
+
+def test_one_overlap_sum_per_distinct_scale(monkeypatch):
+    seq = PointSequence(np.random.default_rng(8).random(300))
+    n, g = len(seq), seq.sorted_grid
+    real = averaged._overlap_sums
+    l1, l2 = real(g, 1.0, n), real(g, 2.0, n)
+    calls = []
+
+    def counting(g, s, n):
+        calls.append(s)
+        return real(g, s, n)
+
+    monkeypatch.setattr(averaged, "_overlap_sums", counting)
+    # the values are those of one L per slot, multiplied in slot order
+    assert c_k_star(seq, (2.0, 2.0)) == n * math.fsum((l2 * l2).tolist())
+    assert c_k_star(seq, (1.0, 2.0, 1.0)) == n**2 * math.fsum((l1 * l2 * l1).tolist())
+    assert sorted(calls) == [1.0, 2.0, 2.0]

@@ -166,6 +166,19 @@ def test_dist_reports_masses(points_file, capsys):
     assert 0 < payload["star_discrepancy"] < 0.1
 
 
+@pytest.mark.parametrize("level", ["25", "40", "70"])
+def test_dist_rejects_levels_past_the_bucket_cap(points_file, capsys, level):
+    # 2^40 buckets would need 8 TiB of counts; 2^70 overflowed the scaling
+    assert main(["dist", "--input", str(points_file), "--r", level]) == 2
+    assert "parameter error" in capsys.readouterr().err
+
+
+def test_nan_scale_is_a_parameter_error(points_file, capsys):
+    assert main(["corr", "--input", str(points_file), "--k", "2", "--s", "nan"]) == 2
+    assert main(["corr", "--input", str(points_file), "--k", "2", "--box", "nan:0.5"]) == 2
+    assert capsys.readouterr().err.count("parameter error") == 2
+
+
 def test_sweep_stat_parsing():
     assert parse_sweep_stat("r2") == ("r", 2, False)
     assert parse_sweep_stat("r3star") == ("r", 3, True)

@@ -5,23 +5,29 @@ from hypothesis import given, strategies as st
 from corrkit import (
     PointSequence,
     ParameterError,
-    StirlingTables,
-    circle_distance,
     falling_factorial,
     order_comparison_threshold,
-    positive_part,
     signed_distance,
     stirling_first_unsigned,
     stirling_second,
 )
+from corrkit.core import to_grid
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
 
-def test_circle_distance_examples():
-    assert circle_distance(0.9, 0.1) == pytest.approx(0.2)
-    assert circle_distance(0.37, 0.37) == 0.0
-    assert circle_distance(0.25, 0.75) == 0.5
+def _grid_distance(x, y) -> float:
+    """||x - y|| read on the 2^-64 grid, rounded once to a float."""
+    d = int((to_grid([x]) - to_grid([y]))[0])
+    return min(d, (1 << 64) - d) * 2.0**-64
+
+
+def test_grid_distance_examples():
+    # ||x - y|| as the window reads it (the grid arc) and as a float weight
+    assert _grid_distance(0.9, 0.1) == pytest.approx(0.2)
+    assert abs(signed_distance(0.9 - 0.1)) == pytest.approx(0.2)
+    assert _grid_distance(0.37, 0.37) == 0.0 == abs(signed_distance(0.37 - 0.37))
+    assert _grid_distance(0.25, 0.75) == 0.5 == abs(signed_distance(0.25 - 0.75))
 
 
 def test_signed_distance_examples():
@@ -30,23 +36,17 @@ def test_signed_distance_examples():
     assert signed_distance(0.2) == 0.2
 
 
-def test_positive_part():
-    assert positive_part(-3.0) == 0.0
-    assert positive_part(0.0) == 0.0
-    assert positive_part(2.5) == 2.5
-
-
 @given(unit, unit)
-def test_circle_distance_is_abs_signed(x, y):
-    # the mod-1 reduction inside ((.)) may cost one ulp relative to the
-    # symmetric min-form
-    assert circle_distance(x, y) == pytest.approx(abs(signed_distance(x - y)), abs=1e-15)
-    assert circle_distance(x, y) == circle_distance(y, x)
+def test_grid_distance_is_abs_signed(x, y):
+    # the float |((x-y))| is within one rounding of the exact grid distance,
+    # which is symmetric bit for bit
+    assert _grid_distance(x, y) == pytest.approx(abs(signed_distance(x - y)), abs=1e-15)
+    assert _grid_distance(x, y) == _grid_distance(y, x)
 
 
 @given(unit, unit, unit)
 def test_circle_triangle_inequality(x, y, z):
-    assert circle_distance(x, z) <= circle_distance(x, y) + circle_distance(y, z) + 1e-15
+    assert _grid_distance(x, z) <= _grid_distance(x, y) + _grid_distance(y, z) + 1e-15
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
@@ -101,16 +101,20 @@ def test_stirling_second_expansion_full_range():
 
 
 def test_stirling_recurrences_hold_for_stored_entries():
-    t = StirlingTables(10)
+    # S(k,j) and the unsigned first-kind c(k,j) = stirling_first_unsigned(k-1, j),
+    # both zero above the diagonal
+    def s2(k, j):
+        return stirling_second(k, j) if j <= k else 0
+
+    def c1(k, j):
+        return stirling_first_unsigned(k - 1, j) if j <= k else 0
+
     for k in range(1, 11):
-        assert t.second_kind[k][k] == 1
-        assert t.second_kind[k][0] == 0
+        assert s2(k, k) == 1
+        assert s2(k, 0) == 0
         for j in range(1, k + 1):
-            assert t.second_kind[k][j] == j * t.second_kind[k - 1][j] + t.second_kind[k - 1][j - 1]
-            assert (
-                t.first_kind_unsigned[k][j]
-                == (k - 1) * t.first_kind_unsigned[k - 1][j] + t.first_kind_unsigned[k - 1][j - 1]
-            )
+            assert s2(k, j) == j * s2(k - 1, j) + s2(k - 1, j - 1)
+            assert c1(k, j) == (k - 1) * c1(k - 1, j) + c1(k - 1, j - 1)
 
 
 def test_stirling_range_errors():

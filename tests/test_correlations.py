@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrkit import arithmetic, correlations
+from corrkit.core import grid_arc, in_arc, to_grid
 from corrkit import (
-    BoxVector,
     BudgetError,
     ParameterError,
     PointSequence,
-    ScaleVector,
     additive_energy,
     brute_force_r_k,
-    circle_distance,
+    c_k_star,
     dyadic_counterexample,
     r_k_box,
     r_k_consecutive,
@@ -83,8 +82,10 @@ def test_equal_scale_distinct_formula():
         s = float(rng.uniform(0.1, n / 3))
         seq = PointSequence(rng.random(n))
         fast = r_k_distinct(seq, (s,) * (k - 1)).raw_count
+        g = to_grid(seq.points)
+        near = in_arc(g[None, :] - g[:, None], grid_arc(-s, s, n))  # ||x_i - x_j|| <= s/N
         w = np.array([
-            sum(1 for j in range(n) if j != i and circle_distance(seq.points[i], seq.points[j]) <= s / n)
+            sum(1 for j in range(n) if j != i and near[i, j])
             for i in range(n)
         ])
         direct = 0
@@ -134,7 +135,7 @@ def test_box_bounds_validated():
     with pytest.raises(ParameterError):
         r_k_box(seq, ((0.1, 2.0),))
     with pytest.raises(ParameterError):
-        BoxVector(((0.4, 0.4),))
+        r_k_box(seq, ((0.4, 0.4),))
     assert r_k_box(seq, ((-0.5, 0.5),) * 15).raw_count == 0  # k = 16 is the highest order
     with pytest.raises(ParameterError):
         r_k_box(seq, ((-0.5, 0.5),) * 16)
@@ -278,10 +279,45 @@ def test_report_value_is_count_over_n():
 
 def test_scale_vector_validation():
     with pytest.raises(ParameterError):
-        ScaleVector(())
+        r_k_star(THREE, ())
     with pytest.raises(ParameterError):
-        ScaleVector((0.0,))
-    assert ScaleVector.equal(1.0, 3).scales == (1.0, 1.0)
+        r_k_star(THREE, (0.0,))
+    assert r_k_star(THREE, 1.0, k=3).parameters["scales"] == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [(float("nan"),), (1.0, float("nan"))])
+def test_nan_scales_rejected(bad):
+    seq = PointSequence([0.1, 0.2, 0.5])
+    for stat in (r_k_star, r_k_distinct, c_k_star):
+        with pytest.raises(ParameterError):
+            stat(seq, bad)
+    with pytest.raises(ParameterError):
+        brute_force_r_k(seq, scales=bad)
+
+
+@pytest.mark.parametrize("bad", [(), ((float("nan"), 0.5),), ((0.1, float("nan")),)])
+def test_empty_or_nan_boxes_rejected(bad):
+    seq = PointSequence([0.1, 0.2, 0.5])
+    with pytest.raises(ParameterError):
+        r_k_box(seq, bad)
+    with pytest.raises(ParameterError):
+        brute_force_r_k(seq, boxes=bad)
+
+
+def test_one_window_per_distinct_scale(monkeypatch):
+    seq = PointSequence(np.random.default_rng(20).random(200))
+    calls = []
+    real = correlations.window
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(correlations, "window", counting)
+    r_k_distinct(seq, (1, 1, 1))
+    assert len(calls) == 1
+    r_k_star(seq, (1.0, 2.0, 1.0))
+    assert len(calls) == 3
 
 
 def test_order_sixteen_counts_stay_exact():

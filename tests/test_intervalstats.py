@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from corrkit import (
     PointSequence,
     bell_prediction,
     c_k_star,
-    circle_distance,
     f_count,
     falling_factorial,
+    g_eval,
     g_integral_mc,
-    g_test,
     i_k_via_correlation,
     moments,
     stirling_second,
     sweep_profile,
 )
+from corrkit.core import grid_arc, in_arc, to_grid
 
 
 def test_f_count_examples():
@@ -55,6 +56,36 @@ def test_profile_point_queries_match_f_count():
         got = prof.value_at(ts)
         want = np.array([f_count(seq, t, s) for t in ts])
         assert np.array_equal(got, want)
+
+
+def test_f_count_and_profile_at_exact_ties():
+    # lattice points (j + shift)/N, and t at the arc ends (j + shift +- s/2)/N,
+    # where ||x_m - t|| = s/(2N) can hold exactly on the stored doubles;
+    # both must count the closed arc as an exact rational count does
+    unit = 1 << 60  # every x and t here is 0 or >= 2^-8, so x 2^60 is an integer
+    ties = 0
+    for n in range(2, 41):
+        for shift in (0.0, 0.5, 0.25):
+            x = np.array([(j + shift) / n for j in range(n)]) % 1.0
+            seq = PointSequence(x)
+            xs = [int(Fraction(float(v)) * unit) for v in x]
+            for s in (1.0, 2.0, 3.0):
+                if s > n / 2:
+                    continue
+                ts = np.array([(j + shift + e * s / 2) / n for j in range(n) for e in (-1, 1)]) % 1.0
+                prof = sweep_profile(seq, s)
+                got = prof.value_at(ts)
+                for t, v in zip(ts.tolist(), got.tolist()):
+                    tt = Fraction(t) * unit
+                    assert tt.denominator == 1
+                    dists = [min((xm - int(tt)) % unit, (int(tt) - xm) % unit) for xm in xs]
+                    # ||x_m - t|| 2^60 <= s 2^60 / (2N), compared exactly
+                    want = sum(2 * n * d <= int(s) * unit for d in dists)
+                    ties += any(2 * n * d == int(s) * unit for d in dists)
+                    case = (n, shift, s, t)
+                    assert f_count(seq, t, s) == want, case
+                    assert v == want, case
+    assert ties == 1284  # the boundary is hit exactly, not just approached
 
 
 def test_profile_merges_coincident_endpoints():
@@ -94,9 +125,27 @@ def test_factorial_below_power_moment():
 
 
 def test_g_examples():
-    assert g_test(2, 1.0, 0.4) == pytest.approx(0.6)
-    assert g_test(3, 1.0, (0.2, -0.3)) == pytest.approx(0.5)
-    assert g_test(3, 1.0, (1.5, 0.0)) == 0.0  # outside the support box
+    assert g_eval(2, 1.0, [[0.4]])[0] == pytest.approx(0.6)
+    assert g_eval(3, 1.0, [[0.2, -0.3]])[0] == pytest.approx(0.5)
+    assert g_eval(3, 1.0, [[1.5, 0.0]])[0] == 0.0  # outside the support box
+    # several rows at once, one value per row
+    assert g_eval(3, 1.0, [[0.2, -0.3], [1.5, 0.0]]).tolist() == pytest.approx([0.5, 0.0])
+
+
+def test_g_clamp_examples():
+    # the final {x}^+ at x = s - |y| = -3, 0 and 2.5
+    assert g_eval(2, 1.0, [[4.0]])[0] == 0.0
+    assert g_eval(2, 1.0, [[-1.0]])[0] == 0.0
+    assert g_eval(2, 3.0, [[0.5]])[0] == 2.5
+
+
+def test_g_validation():
+    with pytest.raises(ParameterError):
+        g_eval(1, 1.0, [[]])
+    with pytest.raises(ParameterError):
+        g_eval(2, 0.0, [[0.1]])
+    with pytest.raises(ParameterError):
+        g_eval(3, 1.0, [[0.1]])  # one coordinate where k - 1 = 2 are needed
 
 
 @settings(max_examples=100)
@@ -107,7 +156,7 @@ def test_g_examples():
 )
 def test_g_support_and_bounds(k, s, ys):
     ys = ys[: k - 1] + [0.0] * max(0, k - 1 - len(ys))
-    v = g_test(k, s, ys)
+    v = g_eval(k, s, [ys])[0]
     assert 0.0 <= v <= s
     if any(abs(y) > s for y in ys):
         assert v == 0.0
@@ -199,11 +248,12 @@ def test_ball_cover_counting_identity():
         s = float(rng.uniform(0.5, n / 2))
         seq = PointSequence(rng.random(n))
         t = float(rng.random())
-        r = 0.5 * s / n
+        # ||x_i - t|| <= s/(2N) on the grid
+        inside = in_arc(to_grid(seq.points) - to_grid(t), grid_arc(-0.5 * s, 0.5 * s, n))
         direct = sum(
             1
             for tup in itertools.permutations(range(n), k)
-            if all(circle_distance(seq.points[i], t) <= r for i in tup)
+            if all(inside[i] for i in tup)
         )
         assert falling_factorial(f_count(seq, t, s), k) == direct
 
@@ -238,8 +288,7 @@ def _arc_intersection_measure(centers, radius):
 def test_tent_function_equals_arc_intersection_per_tuple():
     import itertools as it
 
-    from corrkit import g_test, r_k_testfn, signed_distance
-    from corrkit.intervalstats import g_eval
+    from corrkit import r_k_testfn, signed_distance
 
     seq = PointSequence([0.1, 0.13, 0.15, 0.6, 0.97])
     n, s, k = len(seq), 0.9, 3
@@ -253,7 +302,7 @@ def test_tent_function_equals_arc_intersection_per_tuple():
     # per-tuple identity: N * lambda(cap B) = g at the scaled differences
     for tup in it.permutations(range(n), k):
         lam = _arc_intersection_measure([x[i] for i in tup], r)
-        g = g_test(k, s, [n * signed_distance(x[tup[0]] - x[i]) for i in tup[1:]])
+        g = g_eval(k, s, [[n * signed_distance(x[tup[0]] - x[i]) for i in tup[1:]]])[0]
         assert n * lam == pytest.approx(g, abs=1e-12)
 
 
