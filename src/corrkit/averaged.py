@@ -14,11 +14,13 @@ The averaged statistics factorize per anchor:
 
 and equal the integral of R_k* over the scale box [0,s_1] x ... x [0,s_{k-1}].
 
-The kernel is never evaluated pair by pair: L_i is accumulated over the
-window pairs of core's window primitive, each term an exact 2^-64 grid
-distance rounded once, with one window per distinct scale.  The anchor
-products are reduced with math.fsum, which is exactly rounded and
-therefore deterministic independent of evaluation order.
+The kernel is never evaluated pair by pair.  One window per distinct
+scale gives each anchor's occupants as a run of the sorted grid, and
+L_i = s/N cnt_i - D_i 2^-64 follows from the exact integer
+D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
+grid: O(N) time and memory at any scale.  The anchor products are
+reduced with math.fsum, which is exactly rounded and therefore
+deterministic independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -27,23 +29,52 @@ import math
 
 import numpy as np
 
-from .core import PointSequence, check_scale, grid_arc, window, window_pairs
+from .core import PointSequence, check_scale, grid_arc, window
 from .correlations import _as_scales, _distinct_mask, _charge_budget, _pairwise_signed
 from .errors import ParameterError
 
 
 def _overlap_sums(g: np.ndarray, s: float, n: int) -> np.ndarray:
-    """L(c) = sum_j {s/N - ||p_j - c||}^+ for every c in the sorted grid g,
-    over explicitly expanded window pairs, so no prefix-sum drift."""
+    """L(c) = sum_j {s/N - ||p_j - c||}^+ for every c in the sorted grid g
+    (the whole grid or a slice of it), from prefix sums of the grid.
+
+    Unrolled around the circle, anchor i's occupants are the run
+    [lo, end) of the grid with laps added, lo <= i < end, so
+    D_i = sum_j |g_j - g_i| = P[end] + P[lo] - 2 P[i] + (2i - lo - end) g_i
+    for the prefix sums P.  The grid is split into two 32-bit limbs, a
+    lap adding 2^32 to the high one, and each limb's prefix sums are
+    int64 over at most three laps; N < 2^29 keeps them below 2^63.  The
+    low limb is carried into the high one, and D_i is converted as
+    float(hi) 2^32 + lo: one rounding while hi < 2^53, as always for
+    N < 2^22.
+    """
     lo, cnt = window(g, g, grid_arc(-s, s, n))
-    anchor, occupant = window_pairs(lo, cnt)
-    d = g[occupant]
-    del occupant
-    d -= g[anchor]
-    dist = d.view(np.int64).astype(np.float64)  # ((p_j - c)) * 2^64
-    del d
-    np.abs(dist, out=dist)
-    return s / n * cnt - np.bincount(anchor, weights=dist, minlength=g.size) * 2.0**-64
+    m = g.size
+    i = np.arange(m)
+    lo -= m * (lo > i)  # the window start on the anchor's own lap
+    end = lo + cnt
+    sign = i + i  # 2i - lo - end: left less right occupants, less 1
+    sign -= lo
+    sign -= end
+    before, after = -min(int(lo.min()), 0), max(int(end.max()) - m, 0)
+    lo += before
+    end += before
+    limbs = []
+    for limb, lap in (((g >> np.uint64(32)).view(np.int64), 1 << 32),
+                      ((g & np.uint64(0xFFFFFFFF)).view(np.int64), 0)):
+        p = np.zeros(before + m + after + 1, dtype=np.int64)
+        np.cumsum(np.concatenate((limb[m - before:] - lap, limb, limb[:after] + lap)), out=p[1:])
+        p_anchor = p[before:before + m]
+        d = p[end]
+        d -= p_anchor
+        d += p[lo]
+        d -= p_anchor
+        d += sign * limb
+        limbs.append(d)
+    hi, low = limbs
+    hi += low >> 32
+    low &= 0xFFFFFFFF
+    return s / n * cnt - (hi * 2.0**32 + low) * 2.0**-64
 
 
 def c_k_star(seq: PointSequence, scales, k=None) -> float:

@@ -108,9 +108,10 @@ def check_scale(s: float, n: int) -> None:
 
 
 def check_half(bounds, n: int, message: str) -> None:
-    """Every |bound| <= N/2 (no constraint arc wraps); message formats {b} and {half}."""
+    """Every |bound| <= N/2 (no constraint arc wraps; NaN fails too); message
+    formats {b} and {half}."""
     for b in bounds:
-        if abs(b) > n / 2:
+        if not abs(b) <= n / 2:
             raise ParameterError(message.format(b=b, half=n / 2))
 
 
@@ -203,15 +204,9 @@ def order_comparison_threshold(m: int) -> float:
     return 2.0 * max(stirling_first_unsigned(m, i) for i in range(1, m + 1))
 
 
-def falling_factorial(x, k: int):
-    """x (x-1) ... (x-k+1); exact for int x, vectorized for arrays (float)."""
-    if isinstance(x, (int, np.integer)):
-        out = 1
-        for t in range(k):
-            out *= x - t
-        return out
-    x = np.asarray(x, dtype=np.float64)
-    out = np.ones_like(x)
+def falling_factorial(x: int, k: int) -> int:
+    """x (x-1) ... (x-k+1), an exact int."""
+    out = 1
     for t in range(k):
-        out = out * (x - t)
+        out *= x - t
     return out

@@ -10,7 +10,9 @@ with at most 2N breakpoints, so its moments
 are computed exactly from the step function rather than by quadrature;
 exactness removes a tolerance from every identity built on them.  Arc m
 is the grid range [x_m - R, x_m + R + 1) of core's 2^-64 grid, with
-R = floor(s 2^64 / (2N)), so the profile is F at every grid point.
+R = floor(s 2^64 / (2N)), so the profile is F at every grid point.  The
+integer segment lengths are grouped by profile value, so each moment is
+an exact rational sum_v w(v) L_v / 2^64, rounded once.
 
 The tent test function
 
@@ -33,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GRID, PointSequence, check_scale, falling_factorial, grid_arc,
-                   stirling_second, to_grid, window)
+from .core import GRID, PointSequence, check_scale, grid_arc, stirling_second, to_grid, window
 from .correlations import CorrelationReport, r_k_testfn
 from .errors import ConsistencyError, ParameterError
 
@@ -56,14 +57,28 @@ class SweepProfile:
     s: float
     n: int
 
-    def segment_lengths(self) -> np.ndarray:
-        bp = self.breakpoints
+    def value_lengths(self) -> dict[int, int]:
+        """{v: L_v}, L_v the exact number of grid points where F = v; the
+        L_v sum to 2^64.
+
+        The uint64 segment lengths are summed per value by np.bincount in
+        float64 limbs, the high 32 bits and two 16-bit low limbs: those
+        sums stay below 2^53, so exact, for any N < 2^36.
+        """
+        bp, v = self.breakpoints, self.values
         if bp.size == 1:
-            return np.array([1.0])
-        return np.diff(bp, append=bp[:1]) * 2.0**-64  # the wrap segment's length wraps too
+            return {int(v[0]): GRID}
+        lens = np.diff(bp, append=bp[:1])  # the wrap segment's length wraps too
+        sums = [np.bincount(v, weights=(lens >> np.uint64(shift)) & np.uint64(mask))
+                for shift, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (0, 0xFFFF))]
+        present = np.flatnonzero(sums[0] + sums[1] + sums[2])
+        hi, mid, low = (a[present].astype(np.int64).tolist() for a in sums)
+        return {val: (h << 32) + (m << 16) + lw
+                for val, h, m, lw in zip(present.tolist(), hi, mid, low)}
 
     def total_mass(self) -> float:
-        return math.fsum((self.values * self.segment_lengths()).tolist())
+        """int_0^1 F dt = sum_v v L_v / 2^64, rounded once."""
+        return sum(v * ln for v, ln in self.value_lengths().items()) / GRID
 
     def value_at(self, t):
         """Profile value at t (right-continuous step lookup)."""
@@ -87,7 +102,10 @@ class MomentReport:
 
 def _grid_of(t) -> np.ndarray:
     """t mod 1 on the grid (a float t % 1.0 of 1.0 wraps to 0)."""
-    f = np.asarray(t, dtype=np.float64) % 1.0
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ParameterError("t must be finite")
+    f = t % 1.0
     return to_grid(np.where(f < 1.0, f, 0.0))
 
 
@@ -99,7 +117,13 @@ def f_count(seq: PointSequence, t: float, s: float) -> int:
 
 
 def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
-    """Build the 2N-event circular step function of F by endpoint sorting."""
+    """Build the 2N-event circular step function of F by one stable sort
+    of the arc endpoints.
+
+    The last event of each run of equal endpoints carries the value after
+    their merged breakpoint.  Ends sort before starts, so every running
+    count, inside a run too, is a number of arcs in [0, N].
+    """
     n = len(seq)
     check_scale(s, n)
     arc = grid_arc(-0.5 * s, 0.5 * s, n)
@@ -108,29 +132,36 @@ def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
         return SweepProfile(np.zeros(1, np.uint64), np.array([n], dtype=np.int64), float(s), n)
     g = seq.sorted_grid
     starts, ends = g - r, g + (r + 1)
-    uniq, inverse = np.unique(np.concatenate((starts, ends)), return_inverse=True)
-    jumps = np.bincount(inverse[:n], minlength=uniq.size)
-    jumps -= np.bincount(inverse[n:], minlength=uniq.size)
+    events = np.concatenate((ends, starts))
+    order = np.argsort(events, kind="stable")
+    events = events[order]
+    last = np.empty(events.size, dtype=bool)
+    np.not_equal(events[1:], events[:-1], out=last[:-1])
+    last[-1] = True
+    steps = np.where(order < n, np.int8(-1), np.int8(1))
+    del order
+    breakpoints = events[last]
     # value on the wrap segment, counted at its first grid point
-    base = int(window(g, uniq[-1:], arc)[1][0])
-    values = base + np.cumsum(jumps)
+    base = int(window(g, breakpoints[-1:], arc)[1][0])
+    values = np.cumsum(steps, dtype=np.int64)[last]
+    values += base
     if values.min() < 0 or values.max() > n or values[-1] != base:
         raise ConsistencyError("inconsistent sweep profile")
     # in grid units the mass is N (2R+1) + 2^64 (base - #arcs that wrap past 0)
     if base != np.count_nonzero(ends < starts):
         raise ConsistencyError("profile mass does not equal s")
-    return SweepProfile(uniq, values, float(s), n)
+    return SweepProfile(breakpoints, values, float(s), n)
 
 
 def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
-    """Exact factorial moment I_k and power moment I_k* of F(.,s,N)."""
+    """Exact factorial moment I_k and power moment I_k* of F(.,s,N):
+    sum_v (v)_k L_v / 2^64 and sum_v v^k L_v / 2^64 over the value
+    histogram, each an exact rational rounded once."""
     if k < 2:
         raise ParameterError("k must be >= 2")
-    prof = sweep_profile(seq, s)
-    v = prof.values.astype(np.float64)
-    lens = prof.segment_lengths()
-    i_k = math.fsum((falling_factorial(v, k) * lens).tolist())
-    i_k_star = math.fsum((v**k * lens).tolist())
+    hist = sweep_profile(seq, s).value_lengths().items()
+    i_k = sum(math.perm(v, k) * ln for v, ln in hist) / GRID
+    i_k_star = sum(v**k * ln for v, ln in hist) / GRID
     return MomentReport(k, float(s), len(seq), i_k, i_k_star)
 
 

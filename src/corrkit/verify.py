@@ -23,6 +23,7 @@ import numpy as np
 
 from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
 from .core import (
+    GRID,
     PointSequence,
     falling_factorial,
     grid_arc,
@@ -469,14 +470,18 @@ def _chk_ball_cover_counting(rng, tier):
 
 
 def _chk_profile_mass(rng, tier):
-    worst = 0.0
+    # on the grid each arc has 2R+1 points (all 2^64 once it covers the circle)
+    bad = 0
     for _ in range(20):
         n = int(rng.integers(1, 4000))
         s = float(rng.uniform(0.1, n))
         seq = PointSequence(rng.random(n))
-        worst = max(worst, abs(intervalstats.sweep_profile(seq, s).total_mass() - s) / max(n, 1))
-    return _result("profile_mass_equals_s", "int_0^1 F(t,s,N) dt = s (profile mass)",
-                   worst <= 1e-12, worst, 0.0, "1e-12 * N")
+        hist = intervalstats.sweep_profile(seq, s).value_lengths()
+        r = grid_arc(-0.5 * s, 0.5 * s, n)[1]
+        bad += sum(v * ln for v, ln in hist.items()) != n * min(2 * r + 1, GRID)
+    return _result("profile_mass_equals_s",
+                   "int_0^1 F(t,s,N) dt = s (profile mass): sum_v v L_v = N (2R+1) grid points",
+                   bad == 0, bad, 0, "exact")
 
 
 def _chk_max_count_log_bound(rng, tier):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,3 +179,93 @@ def test_one_overlap_sum_per_distinct_scale(monkeypatch):
     assert c_k_star(seq, (2.0, 2.0)) == n * math.fsum((l2 * l2).tolist())
     assert c_k_star(seq, (1.0, 2.0, 1.0)) == n**2 * math.fsum((l1 * l2 * l1).tolist())
     assert sorted(calls) == [1.0, 2.0, 2.0]
+
+
+def _lattice_inputs():
+    # the points (j + shift)/N of the lattice tie tests, and the same sites
+    # taken twice each (exact duplicates)
+    for n in range(2, 41):
+        for shift in (0.0, 0.5, 0.25):
+            yield np.array([(j + shift) / n for j in range(n)]) % 1.0
+            if n % 2 == 0:
+                yield np.repeat(np.array([(j + shift) / (n // 2) for j in range(n // 2)]) % 1.0, 2)
+
+
+def _exact_overlap_sums(x, s, n):
+    """L_i = sum_j {s/N - ||x_i - x_j||}^+ over the given points, exactly:
+    integer numerators over one common denominator."""
+    unit = 1 << 60  # every lattice point is a multiple of 2^-60
+    p, q = Fraction(s).as_integer_ratio()
+    xs = [int(Fraction(float(v)) * unit) for v in x]
+    nums = [sum(max(p * unit - q * n * min((a - b) % unit, (b - a) % unit), 0) for b in xs)
+            for a in xs]
+    return nums, q * n * unit
+
+
+def _exact_c_k_star(ls, n):
+    """N^(k-2) sum_i prod_r L_i(s_r) as a Fraction, from _exact_overlap_sums per slot."""
+    total = sum(math.prod(row) for row in zip(*(nums for nums, _ in ls)))
+    return Fraction(n ** (len(ls) - 1) * total, math.prod(den for _, den in ls))
+
+
+def test_c_k_star_matches_exact_fraction_double_sum_on_lattice():
+    # ties at ||x_i - x_j|| = s/N, duplicates, and s in (N/2, N], where the
+    # window is the whole circle
+    worst, cases = 0.0, 0
+    for x in _lattice_inputs():
+        n = x.size
+        seq = PointSequence(x)
+        unit_scale = _exact_overlap_sums(x, 1.0, n)
+        for s in sorted({1.0, 2.0, 3.0, 0.75 * n, float(n)}):
+            if s > n:
+                continue
+            ls = _exact_overlap_sums(x, s, n)
+            for scales, slots in (((s,), [ls]), ((s, s), [ls, ls]), ((s, 1.0), [ls, unit_scale])):
+                exact = _exact_c_k_star(slots, n)
+                worst = max(worst, abs(Fraction(c_k_star(seq, scales)) - exact) / exact)
+                cases += 1
+    assert cases == 2592
+    assert worst <= 1e-15
+
+
+def test_c_k_star_local_matches_exact_fraction_double_sum_on_lattice():
+    # intervals that start at 0, end at 1, and cut the lattice at a point
+    worst, cases = 0.0, 0
+    for x in _lattice_inputs():
+        n = x.size
+        seq = PointSequence(x)
+        for interval in ((0.0, 0.5), (0.5, 1.0), (0.0, 1.0), (0.25, 0.75)):
+            inside = x[(interval[0] <= x) & (x < interval[1])]
+            for s in sorted({1.0, 3.0, float(n)}):
+                if s > n:
+                    continue
+                ls = _exact_overlap_sums(inside, s, n)
+                for k in (2, 3):
+                    got = c_k_star_local(seq, s, k, interval)
+                    if inside.size == 0:
+                        assert got == 0.0
+                        continue
+                    exact = _exact_c_k_star([ls] * (k - 1), n)
+                    worst = max(worst, abs(Fraction(got) - exact) / exact)
+                    cases += 1
+    assert cases == 4160
+    assert worst <= 1e-15
+
+
+def test_c_k_star_memory_is_linear():
+    # an expansion of the ~1e7 window pairs would need ~240 MB
+    seq = uniform_random(10**4, 31)
+    tracemalloc.start()
+    try:
+        c_k_star(seq, (500.0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_c_k_star_at_a_wide_scale_equals_the_second_moment():
+    # N = 1e5, s = 1e4: each window holds ~2e4 points, 2e9 pairs in all
+    seq = uniform_random(10**5, 32)
+    s = 1e4
+    assert c_k_star(seq, (s,)) == pytest.approx(moments(seq, s, 2).i_k_star, rel=1e-12)

@@ -176,7 +176,10 @@ def test_dist_rejects_levels_past_the_bucket_cap(points_file, capsys, level):
 def test_nan_scale_is_a_parameter_error(points_file, capsys):
     assert main(["corr", "--input", str(points_file), "--k", "2", "--s", "nan"]) == 2
     assert main(["corr", "--input", str(points_file), "--k", "2", "--box", "nan:0.5"]) == 2
-    assert capsys.readouterr().err.count("parameter error") == 2
+    assert main(["corr", "--input", str(points_file), "--k", "2", "--box=-inf:0.5"]) == 2
+    assert main(["moments", "--input", str(points_file), "--k", "2", "--s", "nan"]) == 2
+    assert main(["sweep", "--stat", "i2", "--s", "nan", "--N", "10,20"]) == 2
+    assert capsys.readouterr().err.count("parameter error") == 5
 
 
 def test_sweep_stat_parsing():

@@ -11,7 +11,7 @@ from corrkit import (
     stirling_first_unsigned,
     stirling_second,
 )
-from corrkit.core import to_grid
+from corrkit.core import check_half, to_grid
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -140,6 +140,13 @@ def test_point_sequence_sorted_view():
     assert np.array_equal(seq.points[seq.sort_index], seq.sorted_points)
     # stable: the two 0.1 duplicates keep their original relative order
     assert list(seq.sort_index[:2]) == [1, 3]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -2.5])
+def test_check_half_rejects_nan_and_wrapping_bounds(bad):
+    check_half((0.5, -2.0, 2.0), 4, "{b} > {half}")
+    with pytest.raises(ParameterError, match="> 2.0"):
+        check_half((0.5, bad), 4, "{b} > {half}")
 
 
 def test_point_sequence_rejects_bad_values():

@@ -295,6 +295,14 @@ def test_nan_scales_rejected(bad):
         brute_force_r_k(seq, scales=bad)
 
 
+def test_nan_support_radius_rejected():
+    # abs(nan) > N/2 is False, so the half-circle check must be written to fail NaN
+    seq = PointSequence([0.1, 0.2, 0.5])
+    for stat in (r_k_testfn, r_k_consecutive):
+        with pytest.raises(ParameterError):
+            stat(seq, lambda ys: np.ones(len(ys)), float("nan"), 2)
+
+
 @pytest.mark.parametrize("bad", [(), ((float("nan"), 0.5),), ((0.1, float("nan")),)])
 def test_empty_or_nan_boxes_rejected(bad):
     seq = PointSequence([0.1, 0.2, 0.5])

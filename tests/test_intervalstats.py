@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from corrkit import (
     stirling_second,
     sweep_profile,
 )
-from corrkit.core import grid_arc, in_arc, to_grid
+from corrkit.core import GRID, grid_arc, in_arc, to_grid
 
 
 def test_f_count_examples():
@@ -27,6 +28,18 @@ def test_f_count_examples():
     assert f_count(seq, 0.0, 1.0) == 1  # radius 1/4 catches only x_1
     assert f_count(seq, 0.25, 0.4) == 0  # t far from both points
     assert f_count(seq, 0.7, 2.0) == 2  # s = N: radius 1/2 covers everything
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_t_is_a_parameter_error(bad):
+    seq = PointSequence([0.0, 0.5])
+    with pytest.raises(ParameterError):
+        f_count(seq, bad, 1.0)
+    prof = sweep_profile(seq, 1.0)
+    with pytest.raises(ParameterError):
+        prof.value_at(bad)
+    with pytest.raises(ParameterError):
+        prof.value_at([0.25, bad])
 
 
 def test_profile_single_point():
@@ -43,6 +56,56 @@ def test_profile_mass_is_s():
         s = float(rng.uniform(0.05, n))
         seq = PointSequence(rng.random(n))
         assert abs(sweep_profile(seq, s).total_mass() - s) <= 1e-12 * n
+
+
+def test_value_lengths_are_the_exact_grid_mass():
+    # the L_v count grid points: they cover the circle once, and each arc
+    # puts its 2R+1 points into the mass sum_v v L_v
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        n = int(rng.integers(1, 2000))
+        s = float(rng.uniform(0.05, n))
+        prof = sweep_profile(PointSequence(rng.random(n)), s)
+        hist = prof.value_lengths()
+        r = grid_arc(-0.5 * s, 0.5 * s, n)[1]
+        assert sum(hist.values()) == GRID
+        assert sum(v * ln for v, ln in hist.items()) == n * min(2 * r + 1, GRID)
+        assert set(hist) == set(prof.values.tolist())
+
+
+def _unique_profile(seq, s):
+    """(breakpoints, values) by np.unique(..., return_inverse=True): an
+    independent construction to check the one-sort sweep against."""
+    n = len(seq)
+    arc = grid_arc(-0.5 * s, 0.5 * s, n)
+    r = arc[1]
+    if 2 * r + 1 >= GRID:
+        return np.zeros(1, np.uint64), np.array([n])
+    g = seq.sorted_grid
+    starts, ends = g - np.uint64(r), g + np.uint64(r + 1)
+    uniq, inverse = np.unique(np.concatenate((starts, ends)), return_inverse=True)
+    jumps = np.bincount(inverse[:n], minlength=uniq.size)
+    jumps -= np.bincount(inverse[n:], minlength=uniq.size)
+    base = in_arc(uniq[-1:] - g, (-r, r)).sum()  # F on the wrap segment
+    return uniq, base + np.cumsum(jumps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(min_value=0, max_value=15).map(lambda j: j / 16),
+                       st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+             min_size=1, max_size=30),
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+def test_sweep_profile_equals_unique_construction(points, frac):
+    # lattice points j/16 make coincident endpoints, duplicates and arcs
+    # that end exactly where another starts
+    seq = PointSequence(points)
+    s = frac * len(seq)
+    prof = sweep_profile(seq, s)
+    bp, values = _unique_profile(seq, s)
+    assert np.array_equal(prof.breakpoints, bp)
+    assert np.array_equal(prof.values, values)
 
 
 def test_profile_point_queries_match_f_count():
@@ -100,6 +163,46 @@ def test_profile_wrap_full_circle():
     prof = sweep_profile(seq, 2.0)  # radius 1/2: F constant N
     assert prof.values.tolist() == [2]
     assert prof.value_at(0.37) == 2
+
+
+def _grid_moments(seq, s, k):
+    """(I_k, I_k*) as exact Fractions: F summed over every grid point by a
+    Python-int event walk, arc m being [g_m - R, g_m + R + 1) mod 2^64."""
+    n = len(seq)
+    r = int(Fraction(s) * GRID / (2 * n))  # floor: s 2^64 / (2N) >= 0
+    if 2 * r + 1 >= GRID:
+        return Fraction(math.perm(n, k)), Fraction(n**k)
+    gs = [int(v) for v in seq.sorted_grid]
+    delta = {}
+    for g in gs:
+        delta[(g - r) % GRID] = delta.get((g - r) % GRID, 0) + 1
+        delta[(g + r + 1) % GRID] = delta.get((g + r + 1) % GRID, 0) - 1
+    value = sum((-1 - (g - r)) % GRID < 2 * r + 1 for g in gs)  # F at grid point -1
+    pos, fact, power = 0, 0, 0
+    for p in sorted(delta) + [GRID]:
+        fact += math.perm(value, k) * (p - pos)
+        power += value**k * (p - pos)
+        pos, value = p, value + delta.get(p, 0)
+    return Fraction(fact, GRID), Fraction(power, GRID)
+
+
+def test_moments_are_the_exact_rationals_rounded_once():
+    # the lattice inputs of the tie tests: arc ends land on other points
+    # and on each other; s = N covers the whole circle, s in (N/2, N)
+    # nearly so
+    cases = 0
+    for n in range(2, 41):
+        for shift in (0.0, 0.5, 0.25):
+            seq = PointSequence(np.array([(j + shift) / n for j in range(n)]) % 1.0)
+            for s in {1.0, 2.0, 3.0, n - 0.5, float(n)}:
+                if s > n:
+                    continue
+                for k in range(2, 6):
+                    rep = moments(seq, s, k)
+                    i_k, i_k_star = _grid_moments(seq, s, k)
+                    assert (rep.i_k, rep.i_k_star) == (float(i_k), float(i_k_star)), (n, shift, s, k)
+                    cases += 1
+    assert cases == 2304
 
 
 def test_moments_hand_instances():
@@ -164,8 +267,12 @@ def test_g_support_and_bounds(k, s, ys):
 
 def test_g_integral_mc_matches_closed_form():
     # k = 2 closed form: integral of {s - |y|}^+ over R is exactly s^2
+    # the tent is piecewise linear: the trapezoid rule on a grid holding its
+    # kinks -s, 0, s is exact up to rounding
+    for s in (0.5, 1.0, 2.5):
+        y = np.union1d(np.linspace(-2 * s, 2 * s, 1001), [-s, 0.0, s])
+        assert abs(np.trapezoid(g_eval(2, s, y[:, None]), y) - s**2) <= 1e-12
     mc = g_integral_mc(2, 1.0, 10**5, 3)
-    assert 1.0**2 == 1.0
     assert abs(mc.estimate - 1.0) <= 3 * mc.standard_error
     mc = g_integral_mc(3, 2.0, 10**5, 4)
     assert abs(mc.estimate - 8.0) <= 3 * mc.standard_error
@@ -213,6 +320,8 @@ def test_i_k_via_correlation_degenerate_cluster():
 def test_i_k_requires_n_at_least_4s():
     with pytest.raises(ParameterError):
         i_k_via_correlation(PointSequence([0.1, 0.2, 0.3]), 1.0, 2)
+    with pytest.raises(ParameterError):  # N < 4s is False for NaN
+        i_k_via_correlation(PointSequence([0.1, 0.2, 0.3]), float("nan"), 2)
 
 
 def test_i2_chain_through_second_moment():
