@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID, PointSequence, check_scale, grid_arc, stirling_second, to_grid, window
+from .core import (GRID, PointSequence, check_scale, falling_factorial, grid_arc,
+                   stirling_second, to_grid, window)
 from .correlations import CorrelationReport, r_k_testfn
 from .errors import ConsistencyError, ParameterError
 
@@ -160,7 +161,7 @@ def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
     if k < 2:
         raise ParameterError("k must be >= 2")
     hist = sweep_profile(seq, s).value_lengths().items()
-    i_k = sum(math.perm(v, k) * ln for v, ln in hist) / GRID
+    i_k = sum(falling_factorial(v, k) * ln for v, ln in hist) / GRID
     i_k_star = sum(v**k * ln for v, ln in hist) / GRID
     return MomentReport(k, float(s), len(seq), i_k, i_k_star)
 
