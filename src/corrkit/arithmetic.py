@@ -11,8 +11,9 @@ and sweep the |A|^2 ordered pair sums of d in blocks of at most
 _PAIR_CHUNK: O(|A|^2) time and O(_PAIR_CHUNK + span) memory, with
 tables indexed by pair sums in [0, 2 span].  Wider spans, above
 _FLAT_SUM_LIMIT or above _FLAT_SUM_FACTOR |A|^2 (a table much larger
-than the pair sums it counts), count energy in a dict and test 3-AP
-midpoints by binary search.
+than the pair sums it counts), count energy from the runs of equal
+values in one sorted uint64 array of the pair sums (8 |A|^2 bytes) and
+test 3-AP midpoints by binary search.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
@@ -22,7 +23,6 @@ progression structure forces on the alpha-average.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +86,23 @@ def additive_energy(a) -> int:
             np.add.at(r, block, 1)
         # r <= |A| and sum r^2 <= |A|^3, exact in int64 up to |A| ~ 2e6
         return int(r @ r)
-    table: Counter[int] = Counter()
+    sums = np.empty(d.size * d.size, dtype=np.uint64)
+    filled = 0
     for block in _pair_sum_blocks(d):
-        table.update(block.tolist())
-    return sum(c * c for c in table.values())
+        sums[filled:filled + block.size] = block
+        filled += block.size
+    sums.sort()
+    # r(sigma) are the lengths of the runs of equal sums; a run ends at
+    # each i with sums[i] != sums[i+1], compared _PAIR_CHUNK at a time
+    energy, run_start = 0, 0
+    for c in range(0, sums.size - 1, _PAIR_CHUNK):
+        part = sums[c:c + _PAIR_CHUNK + 1]
+        ends = np.flatnonzero(part[1:] != part[:-1]) + (c + 1)
+        if ends.size:
+            runs = np.diff(ends, prepend=run_start)
+            energy += int(runs @ runs)
+            run_start = int(ends[-1])
+    return energy + (sums.size - run_start) ** 2
 
 
 def additive_energy_bruteforce(a) -> int:

@@ -19,8 +19,8 @@ scale gives each anchor's occupants as a run of the sorted grid, and
 L_i = s/N cnt_i - D_i 2^-64 follows from the exact integer
 D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
 grid: O(N) time and memory at any scale.  The anchor products are
-reduced with math.fsum, which is exactly rounded and therefore
-deterministic independent of evaluation order.
+reduced with core.exact_sum, equal to math.fsum: exactly rounded and
+therefore deterministic independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import PointSequence, check_scale, grid_arc, window
+from .core import PointSequence, check_scale, exact_sum, grid_arc, self_window
 from .correlations import _as_scales, _distinct_mask, _charge_budget, _pairwise_signed
 from .errors import ParameterError
 
@@ -48,7 +48,7 @@ def _overlap_sums(g: np.ndarray, s: float, n: int) -> np.ndarray:
     float(hi) 2^32 + lo: one rounding while hi < 2^53, as always for
     N < 2^22.
     """
-    lo, cnt = window(g, g, grid_arc(-s, s, n))
+    lo, cnt = self_window(g, grid_arc(-s, s, n))
     m = g.size
     i = np.arange(m)
     lo -= m * (lo > i)  # the window start on the anchor's own lap
@@ -87,7 +87,7 @@ def c_k_star(seq: PointSequence, scales, k=None) -> float:
         check_scale(s, n)
     sums = {s: _overlap_sums(seq.sorted_grid, s, n) for s in set(scales)}
     prod = math.prod(sums[s] for s in scales)
-    return float(n ** (kk - 2)) * math.fsum(prod.tolist())
+    return float(n ** (kk - 2)) * exact_sum(prod)
 
 
 def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
@@ -106,7 +106,7 @@ def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
     if a == b:
         return 0.0
     prod = _overlap_sums(seq.sorted_grid[a:b], s, n) ** (k - 1)
-    return float(n ** (k - 2)) * math.fsum(prod.tolist())
+    return float(n ** (k - 2)) * exact_sum(prod)
 
 
 def c_k_distinct_bruteforce(seq: PointSequence, scales, k=None) -> float:

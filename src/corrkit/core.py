@@ -1,5 +1,5 @@
-"""Circle arithmetic, the point container, the window primitive, and
-Stirling numbers.
+"""Circle arithmetic, the point container, the window primitive, exact
+float sums, and Stirling numbers.
 
 Points of the unit circle R/Z are given as floats in [0,1).  The one
 float functional is signed_distance(x) = ((x)), the representative of
@@ -12,13 +12,18 @@ floors to it, which keeps the order.  Grid differences wrap modulo 2^64,
 the circle itself.  Each threshold (a scale s/N, a box bound a/N)
 becomes, once and exactly, an integer arc of grid offsets (grid_arc), so
 ||x-y|| <= s/N and a/N <= ((x-y)) <= b/N are integer tests (in_arc) and
-one window primitive (window, window_pairs) finds their occupants: the
-fast counts and the oracles read every tie the same way.
+one window primitive (window, self_window, window_pairs) finds their
+occupants: the fast counts and the oracles read every tie the same way.
+
+Float results that sum many terms use exact_sum, math.fsum's correctly
+rounded sum computed from integer limb sums, so they do not depend on
+the order of the terms.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -54,6 +59,8 @@ class PointSequence:
 
     Immutable after construction; duplicate values are permitted and all
     counting formulas downstream are stated over indices, not values.
+    Construction is one sort of the values; the sort permutation is
+    computed on first access to sort_index.
     """
 
     __slots__ = ("_points", "_sort_index", "_sorted", "_grid")
@@ -62,13 +69,15 @@ class PointSequence:
         pts = np.array(points, dtype=np.float64, copy=True)
         if pts.ndim != 1 or pts.size == 0:
             raise ParameterError("a point sequence needs at least one point")
-        if not np.all(np.isfinite(pts)) or pts.min() < 0.0 or pts.max() >= 1.0:
+        srt = np.sort(pts)
+        # NaN sorts last and fails the second test; -inf and +inf fail one of the two
+        if not (srt[0] >= 0.0 and srt[-1] < 1.0):
             raise ParameterError("all points must lie in [0,1)")
         self._points = pts
-        self._sort_index = np.argsort(pts, kind="stable")
-        self._sorted = pts[self._sort_index]
-        self._grid = to_grid(self._sorted)
-        for a in (self._points, self._sort_index, self._sorted, self._grid):
+        self._sort_index = None
+        self._sorted = srt
+        self._grid = to_grid(srt)
+        for a in (self._points, self._sorted, self._grid):
             a.setflags(write=False)
 
     def __len__(self) -> int:
@@ -86,6 +95,10 @@ class PointSequence:
     @property
     def sort_index(self) -> np.ndarray:
         """Permutation p with points[p] non-decreasing (stable)."""
+        if self._sort_index is None:
+            index = np.argsort(self._points, kind="stable")
+            index.setflags(write=False)
+            self._sort_index = index
         return self._sort_index
 
     @property
@@ -130,7 +143,8 @@ def in_arc(d: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
 def window(grid: np.ndarray, centers: np.ndarray, arc: tuple[int, int]):
     """(lo, cnt): for each uint64 center c, the cnt occupants y with y - c
     in a nonempty arc sit at positions lo, lo+1, ... of the sorted grid,
-    cyclically."""
+    cyclically.  Two searches per center; windows centred on the grid
+    itself take one (self_window)."""
     start = centers + arc[0] % GRID
     lo = np.searchsorted(grid, start, side="left")
     if arc[1] - arc[0] >= GRID - 1:  # the whole circle: every point once
@@ -138,6 +152,31 @@ def window(grid: np.ndarray, centers: np.ndarray, arc: tuple[int, int]):
     end = start + (arc[1] - arc[0])
     cnt = np.searchsorted(grid, end, side="right") - lo
     cnt[end < start] += grid.size  # the arc wraps past 0
+    return lo, cnt
+
+
+def self_window(grid: np.ndarray, arc: tuple[int, int]):
+    """window(grid, grid, arc) for an arc grid_arc(-s, s, N), by one search.
+
+    Unless it is the whole circle, the arc is (-R, R), and ||y - c|| <= R
+    is symmetric: i is in j's window exactly when j is in i's.  One
+    search gives each anchor's unrolled end E_i in [i+1, i+N] (N added
+    where g_i + R wraps past 0).  Anchor j's window reaches back over the
+    i < j with E_i > j and the i > j with E_i > j + N, so with
+    C[x] = #{i : E_i <= x} its unrolled start is S_j = C[j] + C[j+N] - N;
+    cnt = E - S and lo = S mod N.
+    """
+    if arc[1] - arc[0] >= GRID - 1:  # the whole circle, the one arc here not symmetric
+        return window(grid, grid, arc)
+    n = grid.size
+    reach = grid + np.uint64(arc[1])
+    end = np.searchsorted(grid, reach, side="right")
+    end[reach < grid] += n
+    ended = np.cumsum(np.bincount(end, minlength=2 * n))
+    lo = ended[:n] + ended[n:]
+    lo -= n  # the unrolled start S
+    cnt = end - lo
+    lo[lo < 0] += n
     return lo, cnt
 
 
@@ -149,6 +188,63 @@ def window_pairs(lo: np.ndarray, cnt: np.ndarray):
     occupant -= np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
     occupant[occupant >= cnt.size] -= cnt.size
     return anchor, occupant
+
+
+# every finite double is M 2^(e-53) with |M| < 2^53 and e >= -1073 (np.frexp),
+# so an integer multiple of 2^-1126
+_EXACT_UNIT = 1 << 1126
+# terms per block: each limb sum below stays under 2^53 for up to 2^26 terms;
+# smaller blocks keep the temporaries in cache
+_EXACT_BLOCK = 1 << 16
+# with sum |x| below this, no partial of math.fsum overflows
+_EXACT_LIMIT = 2.0**1020
+
+
+def _scaled_sum(x: np.ndarray) -> int:
+    """sum(x) 2^1126 as an exact int, for finite float64 x.
+
+    Each mantissa M = m 2^53 splits into a signed high limb M >> 26 and a
+    low limb in [0, 2^26); np.bincount sums each limb per exponent in
+    float64, exactly, as no partial sum of a block reaches 2^53.  The
+    per-exponent sums are combined as Python ints.
+    """
+    total = 0
+    for b in range(0, x.size, _EXACT_BLOCK):
+        m, e = np.frexp(x[b:b + _EXACT_BLOCK])
+        mant = np.ldexp(m, 53).astype(np.int64)
+        e += 1073
+        high = np.bincount(e, weights=mant >> 26)
+        low = np.bincount(e, weights=mant & 0x3FFFFFF)
+        nz = np.flatnonzero((high != 0) | (low != 0))
+        for k, h, l in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
+            total += ((int(h) << 26) + int(l)) << k
+    return total
+
+
+def exact_chunk_sum(chunks) -> float:
+    """exact_sum of the concatenation of the arrays chunks() yields,
+    without concatenating them.
+
+    chunks is called a second time only when the terms hold a non-finite
+    value or sum |x| may reach 2^1020, where math.fsum's special values
+    and overflow errors depend on the order of the terms: it then runs
+    math.fsum over every term in order.
+    """
+    bound, total = 0.0, 0
+    for x in chunks():
+        # size * max |x|, a bound on sum |x|: inf or NaN for a non-finite x
+        bound += x.size and max(float(x.max()), -float(x.min())) * x.size
+        if not bound < _EXACT_LIMIT:
+            return math.fsum(itertools.chain.from_iterable(x.tolist() for x in chunks()))
+        total += _scaled_sum(x)
+    return total / _EXACT_UNIT  # int true division rounds correctly, once
+
+
+def exact_sum(x) -> float:
+    """math.fsum(x.tolist()) bit for bit, for a float64 array, from
+    integer limb sums instead of a Python float per term."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    return exact_chunk_sum(lambda: (x,))
 
 
 _STIRLING_ORDER = 16

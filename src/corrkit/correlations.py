@@ -29,7 +29,8 @@ partitions of the k-1 slots, one bincount per block.  r_k_testfn and
 r_k_consecutive build their tuples by chained joins on the pair list, in
 chunks of first-level pairs capped at _CHUNK_ROWS rows, and call the test
 function once per chunk on an (m, k-1) float64 array of scaled
-differences; its weights are summed with one math.fsum.
+differences; its weights are summed exactly, chunk by chunk, and rounded
+once (core.exact_chunk_sum, equal to one math.fsum over all of them).
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PointSequence, check_half, grid_arc, in_arc, signed_distance, to_grid,
-                   window, window_pairs)
+from .core import (PointSequence, check_half, exact_chunk_sum, grid_arc, in_arc,
+                   self_window, signed_distance, to_grid, window_pairs)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
@@ -103,8 +104,8 @@ def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
 
 def _window_counts(g: np.ndarray, scales, n: int) -> list[np.ndarray]:
     """z(s) = #{j : ||p_j - c|| <= s/N} for every c in the sorted grid g and
-    each scale in order; equal scales share one window search."""
-    z = {s: window(g, g, grid_arc(-s, s, n))[1] for s in set(scales)}
+    each scale in order; equal scales share one window."""
+    z = {s: self_window(g, grid_arc(-s, s, n))[1] for s in set(scales)}
     return [z[s] for s in scales]
 
 
@@ -176,7 +177,7 @@ def _occupant_pairs(g: np.ndarray, radius: float, n: int):
     pair with ||x_a - x_o|| <= radius/N, the anchor itself excluded,
     sorted by anchor.  Duplicate values at other indices stay.
     """
-    pa, pp = window_pairs(*window(g, g, grid_arc(-radius, radius, n)))
+    pa, pp = window_pairs(*self_window(g, grid_arc(-radius, radius, n)))
     keep = pp != pa
     return pa[keep], pp[keep]
 
@@ -260,15 +261,17 @@ _CHUNK_ROWS = 1 << 16
 
 
 def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: bool) -> float:
-    """math.fsum of the weights f gives the distinct-index k-tuples whose
-    consecutive (chained) or anchored index pairs are all window pairs
-    of the given radius (in units of 1/N).
+    """The sum, rounded once, of the weights f gives the distinct-index
+    k-tuples whose consecutive (chained) or anchored index pairs are all
+    window pairs of the given radius (in units of 1/N).
 
     Tuples are built by k-2 joins on the sorted pair list: on the last
     index when chained, on the anchor otherwise; rows that repeat an
     index are dropped.  Column r of the (m, k-1) array passed to f is
-    N((x_u - x_v)) for the pair (u, v) the join used.  math.fsum is
-    exactly rounded, so the value does not depend on the chunking.
+    N((x_u - x_v)) for the pair (u, v) the join used.  The sum equals
+    math.fsum over all the weights, so it does not depend on the chunking;
+    where a weight is non-finite or huge, f runs over the chunks a second
+    time to give math.fsum's special value or error (core.exact_chunk_sum).
     """
     n = len(seq)
     if k < 2:
@@ -317,9 +320,9 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
                 if w.shape != (m,):
                     raise ParameterError(f"f must map an ({m}, {k - 1}) array to {m} weights, "
                                          f"got shape {w.shape}")
-                yield w.tolist()
+                yield w
 
-    return math.fsum(itertools.chain.from_iterable(chunk_weights()))
+    return exact_chunk_sum(chunk_weights)
 
 
 def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> CorrelationReport:

@@ -11,12 +11,11 @@ so a profile holds at most 2^24 buckets (128 MiB of counts).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSequence
+from .core import PointSequence, exact_sum
 from .errors import ParameterError
 
 _MAX_LEVEL = 24
@@ -59,7 +58,7 @@ def density_moment_lower_bound(seq: PointSequence, r: int, k: int) -> float:
     if k < 2:
         raise ParameterError("k must be >= 2")
     prof = dyadic_profile(seq, r)
-    return float(2.0 ** (r * (k - 1))) * math.fsum((prof.masses**k).tolist())
+    return float(2.0 ** (r * (k - 1))) * exact_sum(prof.masses**k)
 
 
 def star_discrepancy(seq: PointSequence) -> float:

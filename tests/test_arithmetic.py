@@ -89,6 +89,35 @@ def test_sparse_wide_set_skips_the_flat_table():
         assert peak < 2**20
 
 
+def test_wide_energy_agrees_with_brute_force():
+    # random sets whose span takes the sorted-run path, near 2^62 too; the
+    # narrow spreads and the progression repeat pair sums off the diagonal
+    rng = np.random.default_rng(62)
+    for trial in range(60):
+        base = (1, 2**62)[trial % 2]
+        spread = (2**40, 2**61, 64)[trial % 3]
+        a = sorted(set((base + rng.integers(0, spread, int(rng.integers(2, 13)))).tolist()))
+        assert additive_energy(a) == additive_energy_bruteforce(a)
+    ap = [2**62 + i * 2**57 for i in range(9)]
+    assert additive_energy(ap) == additive_energy_bruteforce(ap)
+
+
+def test_wide_energy_memory_is_the_sorted_pair_sums():
+    # 4e6 pair sums sorted in place take 30.5 MiB; a dict entry per
+    # distinct sum took ~196 MiB
+    a = sorted(set(np.random.default_rng(40).integers(1, 2**40, 2000).tolist()))
+    tracemalloc.start()
+    try:
+        energy = additive_energy(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    d = np.array(a, dtype=np.uint64)
+    counts = np.unique(np.add.outer(d, d), return_counts=True)[1].astype(np.int64)
+    assert energy == int(counts @ counts)
+
+
 def test_integer_set_validation():
     with pytest.raises(ParameterError):
         IntegerSet((3, 2))

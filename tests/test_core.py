@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from corrkit import core
 from corrkit import (
     PointSequence,
     ParameterError,
@@ -11,7 +14,8 @@ from corrkit import (
     stirling_first_unsigned,
     stirling_second,
 )
-from corrkit.core import check_half, to_grid
+from corrkit.core import (check_half, exact_chunk_sum, exact_sum, grid_arc, self_window,
+                          to_grid, window)
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -153,6 +157,103 @@ def test_point_sequence_rejects_bad_values():
     for bad in ([1.0], [-0.1], [float("nan")], []):
         with pytest.raises(ParameterError):
             PointSequence(bad)
+
+
+def test_point_sequence_builds_without_argsort(monkeypatch):
+    calls = []
+    real = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    seq = PointSequence(np.random.default_rng(3).integers(0, 5, 200) / 5)
+    assert calls == []
+    index = seq.sort_index
+    assert calls == ["stable"]
+    assert np.array_equal(index, real(seq.points, kind="stable"))
+    assert seq.sort_index is index and calls == ["stable"]
+    with pytest.raises(ValueError):
+        index[0] = 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_point_sequence_rejects_non_finite_anywhere(bad, at):
+    points = [0.1, 0.0, 0.5, 0.9, 0.3]
+    points.insert(at, bad)
+    with pytest.raises(ParameterError, match=r"\[0,1\)"):
+        PointSequence(points)
+
+
+def _outcome(total, *args):
+    """The sum, or the type of the error it raised."""
+    try:
+        return total(*args)
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+def _same(got, want):
+    return got == want if isinstance(want, type) else float(got).hex() == want.hex()
+
+
+any_double = st.floats(allow_nan=True, allow_infinity=True)
+scaled_double = st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                          st.integers(-1080, 1024))
+huge = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -8.98846567431158e307, 1.0, -1.0])
+tiny = st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308])
+
+
+@given(st.lists(st.one_of(scaled_double, huge, tiny, any_double), max_size=40),
+       st.lists(st.integers(0, 40), max_size=4))
+@example([], [])
+@example([-0.0], [])
+@example([-0.0, -0.0], [1])
+@example([1e308, 1e308, -1e308], [])
+@example([1e308, -1e308, 1.0, 1e-300], [2])
+@example([5e-324, 5e-324, -2.2250738585072014e-308], [1])
+@example([float("inf"), 1.0, float("-inf")], [1])
+def test_exact_sum_is_fsum_bit_for_bit(values, cuts):
+    want = _outcome(math.fsum, values)
+    x = np.array(values, dtype=np.float64)
+    assert _same(_outcome(exact_sum, x), want)
+    # the same terms in chunks give one rounding of the whole sum
+    cuts = sorted(min(c, len(values)) for c in cuts)
+    chunks = np.split(x, cuts)
+    assert _same(_outcome(exact_chunk_sum, lambda: iter(chunks)), want)
+
+
+@given(st.lists(st.one_of(scaled_double, tiny), min_size=1, max_size=60), st.integers(1, 7))
+def test_exact_sum_across_blocks(values, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_EXACT_BLOCK", block)
+        assert _same(_outcome(exact_sum, np.array(values)), _outcome(math.fsum, values))
+
+
+def test_exact_sum_of_many_terms():
+    # 2^17 + 3 terms, so the default block is crossed; exponents spread wide
+    rng = np.random.default_rng(7)
+    x = np.ldexp(rng.standard_normal((1 << 17) + 3), rng.integers(-60, 60, (1 << 17) + 3))
+    assert exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@given(st.integers(1, 40), st.lists(st.integers(0, 39), min_size=1, max_size=60),
+       st.integers(0, 3), st.one_of(st.floats(2e-9, 1.0), st.integers(1, 80)))
+def test_self_window_is_the_two_search_window(m, cells, shift, scale):
+    # lattice points (j + shift/4)/m with duplicates, so window edges meet
+    # ties; an integer scale puts s/N on the lattice spacing's multiples
+    points = [((c % m) + shift / 4) / m for c in cells]
+    n = len(points)
+    s = scale * n / (2 * m) if isinstance(scale, int) else scale * n / 2
+    assume(s <= n / 2)
+    grid = PointSequence(points).sorted_grid
+    arc = grid_arc(-s, s, n)
+    lo, cnt = window(grid, grid, arc)
+    lo_self, cnt_self = self_window(grid, arc)
+    assert np.array_equal(cnt_self, cnt)
+    assert np.array_equal(lo_self % n, lo % n)
 
 
 def test_point_sequence_immutable():

@@ -221,6 +221,19 @@ def test_testfn_zero_function():
     assert r_k_consecutive(seq, lambda ys: np.zeros(len(ys)), 1.0, 3).value == 0.0
 
 
+def test_testfn_special_weights_follow_fsum(monkeypatch):
+    # one chunk per window pair: two weights of 1e308 overflow math.fsum,
+    # so the exact chunk sum must hand every chunk to it; NaN propagates
+    monkeypatch.setattr(correlations, "_CHUNK_ROWS", 1)
+    seq = PointSequence([0.1, 0.11, 0.5, 0.51])
+    big_left = lambda ys: np.where(ys[:, 0] < 0, 1e308, 1.0)
+    with pytest.raises(OverflowError):
+        r_k_testfn(seq, big_left, 1.0, 2)
+    half_nan = lambda ys: np.where(ys[:, 0] > 0, np.nan, 1.0)
+    assert math.isnan(r_k_consecutive(seq, half_nan, 1.0, 2).value)
+    assert r_k_testfn(seq, lambda ys: np.full(len(ys), 1e300), 1.0, 2).value == 1e300
+
+
 def test_testfn_matches_bruteforce():
     rng = np.random.default_rng(10)
     tent = lambda ys: np.prod(np.maximum(1.5 - np.abs(ys), 0.0), axis=1)
@@ -315,13 +328,13 @@ def test_empty_or_nan_boxes_rejected(bad):
 def test_one_window_per_distinct_scale(monkeypatch):
     seq = PointSequence(np.random.default_rng(20).random(200))
     calls = []
-    real = correlations.window
+    real = correlations.self_window
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(correlations, "window", counting)
+    monkeypatch.setattr(correlations, "self_window", counting)
     r_k_distinct(seq, (1, 1, 1))
     assert len(calls) == 1
     r_k_star(seq, (1.0, 2.0, 1.0))
