@@ -12,8 +12,9 @@ _PAIR_CHUNK: O(|A|^2) time and O(_PAIR_CHUNK + span) memory, with
 tables indexed by pair sums in [0, 2 span].  Wider spans, above
 _FLAT_SUM_LIMIT or above _FLAT_SUM_FACTOR |A|^2 (a table much larger
 than the pair sums it counts), count energy from the runs of equal
-values in one sorted uint64 array of the pair sums (8 |A|^2 bytes) and
-test 3-AP midpoints by binary search.
+values in one sorted uint64 array of the pair sums (8 |A|^2 bytes, one
+outer sum, refused with BudgetError when |A|^2 exceeds the oracle
+budget) and test 3-AP midpoints by binary search.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PointSequence
-from .correlations import r_k_box, r_k_distinct, _as_boxes
+from .correlations import ORACLE_BUDGET_ENV, oracle_budget, r_k_box, r_k_distinct, _as_boxes
 from .errors import BudgetError, ParameterError
 from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
@@ -86,11 +87,12 @@ def additive_energy(a) -> int:
             np.add.at(r, block, 1)
         # r <= |A| and sum r^2 <= |A|^3, exact in int64 up to |A| ~ 2e6
         return int(r @ r)
-    sums = np.empty(d.size * d.size, dtype=np.uint64)
-    filled = 0
-    for block in _pair_sum_blocks(d):
-        sums[filled:filled + block.size] = block
-        filled += block.size
+    if d.size**2 > oracle_budget():
+        raise BudgetError(
+            f"wide additive energy sorts |A|^2 = {d.size**2} pair sums, over the "
+            f"budget of {oracle_budget()} (override via {ORACLE_BUDGET_ENV})"
+        )
+    sums = (d[:, None] + d).ravel()
     sums.sort()
     # r(sigma) are the lengths of the runs of equal sums; a run ends at
     # each i with sums[i] != sums[i+1], compared _PAIR_CHUNK at a time
@@ -162,12 +164,12 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
     if n * trials > _METRIC_WORK_LIMIT:
         raise BudgetError(f"N * trials = {n * trials} exceeds {_METRIC_WORK_LIMIT}")
     head = e[:n]
-    t_count = three_ap_count(head.tolist())
+    t_count = three_ap_count(head)
     lower = 2.0 * s * t_count / n**2
     vals = np.empty(trials)
     for t in range(trials):
         alpha = float(trial_rng(seed, t).random())
-        seq = PointSequence(exact_frac_parts(head.tolist(), alpha))
+        seq = PointSequence(exact_frac_parts(head, alpha))
         vals[t] = r_k_distinct(seq, (s, s)).value
     mean = float(vals.mean())
     var = float(vals.var(ddof=1)) if trials > 1 else 0.0

@@ -35,6 +35,7 @@ once (core.exact_chunk_sum, equal to one math.fsum over all of them).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -237,13 +238,11 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
         anchor = (np.cumsum(live) - 1)[pa[on_live]]
         slot_ok = [ok[on_live] for ok in slot_ok]
         n_live = int(np.count_nonzero(live))
-        counts: dict[int, np.ndarray] = {}
 
+        @functools.cache
         def block_count(mask: int) -> np.ndarray:
-            if mask not in counts:
-                ok = np.logical_and.reduce([slot_ok[r] for r in range(k - 1) if mask >> r & 1])
-                counts[mask] = np.bincount(anchor[ok], minlength=n_live)
-            return counts[mask]
+            ok = np.logical_and.reduce([slot_ok[r] for r in range(k - 1) if mask >> r & 1])
+            return np.bincount(anchor[ok], minlength=n_live)
 
         for blocks in _set_partitions(k - 1, lambda mask: block_count(mask).any()):
             mu = 1

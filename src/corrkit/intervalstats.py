@@ -62,20 +62,20 @@ class SweepProfile:
         """{v: L_v}, L_v the exact number of grid points where F = v; the
         L_v sum to 2^64.
 
-        The uint64 segment lengths are summed per value by np.bincount in
-        float64 limbs, the high 32 bits and two 16-bit low limbs: those
-        sums stay below 2^53, so exact, for any N < 2^36.
+        The uint64 segment lengths are summed per value by one wrapping
+        np.add.at, which is exact: each L_v <= 2^64 and the L_v sum to
+        2^64, so a sum modulo 2^64 is L_v unless L_v = 2^64, a lone value
+        that wraps to 0.  Only the whole-circle profile (one breakpoint)
+        has one value: any other has mass N(2R+1) with 2R+1 odd and
+        N < 2^64, never a multiple of 2^64, so it holds two values or more.
         """
         bp, v = self.breakpoints, self.values
         if bp.size == 1:
             return {int(v[0]): GRID}
-        lens = np.diff(bp, append=bp[:1])  # the wrap segment's length wraps too
-        sums = [np.bincount(v, weights=(lens >> np.uint64(shift)) & np.uint64(mask))
-                for shift, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (0, 0xFFFF))]
-        present = np.flatnonzero(sums[0] + sums[1] + sums[2])
-        hi, mid, low = (a[present].astype(np.int64).tolist() for a in sums)
-        return {val: (h << 32) + (m << 16) + lw
-                for val, h, m, lw in zip(present.tolist(), hi, mid, low)}
+        sums = np.zeros(int(v.max()) + 1, dtype=np.uint64)
+        np.add.at(sums, v, np.diff(bp, append=bp[:1]))  # the wrap segment's length wraps too
+        present = np.flatnonzero(sums)
+        return dict(zip(present.tolist(), sums[present].tolist()))
 
     def total_mass(self) -> float:
         """int_0^1 F dt = sum_v v L_v / 2^64, rounded once."""
@@ -83,9 +83,8 @@ class SweepProfile:
 
     def value_at(self, t):
         """Profile value at t (right-continuous step lookup)."""
-        idx = np.searchsorted(self.breakpoints, _grid_of(t), side="right") - 1
-        idx = np.where(idx < 0, self.values.size - 1, idx)
-        out = self.values[idx]
+        # index -1, before the first breakpoint, reads the wrap segment
+        out = self.values[np.searchsorted(self.breakpoints, _grid_of(t), side="right") - 1]
         return int(out) if out.ndim == 0 else out
 
     def max_value(self) -> int:

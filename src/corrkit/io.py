@@ -75,7 +75,7 @@ def _scan_points(path, text: str) -> list[float]:
             v = float(line)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from exc
-        if not (0.0 <= v < 1.0) or not np.isfinite(v):
+        if not 0.0 <= v < 1.0:  # False for NaN and +-inf too
             raise FormatError(f"{path}:{lineno}: point {v!r} outside [0,1)")
         vals.append(v)
     if not vals:

@@ -148,32 +148,26 @@ def dyadic_counterexample(n: int) -> PointSequence:
     R_3 = 0 for scales below 2 at N = 2^r.
     """
     _check_n(n)
-    out = np.empty(n, dtype=np.float64)
+    j = np.arange(n)  # j = m - 1 = 2^r + k - 1, so 2^r is the largest power of two <= j
+    block = np.ldexp(1.0, np.frexp(j)[1] - 1)
+    k = j + 1 - block
+    out = (2 * ((k + 1) // 2) - 1) / block % 1.0
     out[0] = 0.0
-    m = 2
-    r = 0
-    while m <= n:
-        block = 1 << r  # indices m = 2^r + k, k = 1..2^r
-        k = m - block
-        while k <= block and m <= n:
-            out[m - 1] = ((2 * ((k + 1) // 2) - 1) / block) % 1.0
-            m += 1
-            k += 1
-        r += 1
     return PointSequence(out)
 
 
 def van_der_corput(n: int) -> PointSequence:
     """Base-2 radical-inverse sequence; a structured non-random example."""
     _check_n(n)
-    out = np.empty(n, dtype=np.float64)
-    for m in range(1, n + 1):
-        v, denom, mm = 0.0, 2, m
-        while mm:
-            v += (mm & 1) / denom
-            denom *= 2
-            mm >>= 1
-        out[m - 1] = v
+    m = np.arange(1, n + 1)
+    out = np.zeros(n)
+    denom = 2
+    # lowest bit first: each point adds its binary digits' terms in the order
+    # of the per-point radical inverse, so the doubles equal its doubles
+    for _ in range(int(n).bit_length()):
+        out += (m & 1) / denom
+        m >>= 1
+        denom *= 2
     return PointSequence(out)
 
 

@@ -106,10 +106,6 @@ def test_criterion_05_tent_integral_monte_carlo():
         hit = abs(mc.estimate - s**k) <= 3 * mc.standard_error
         ok &= hit
         details.append(f"k={k}: {mc.estimate:.4f} vs {s ** k} (3se {3 * mc.standard_error:.4f})")
-    # k = 2 closed form: the triangle under {s - |y|}^+ has area exactly s^2
-    s = 1.0
-    closed_form = s * s
-    ok &= closed_form == s**2
     _report(5, "tent test-function integral = s^k", ok, "; ".join(details))
 
 

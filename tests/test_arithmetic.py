@@ -118,6 +118,17 @@ def test_wide_energy_memory_is_the_sorted_pair_sums():
     assert energy == int(counts @ counts)
 
 
+def test_wide_energy_is_charged_to_the_oracle_budget(monkeypatch):
+    # 11 elements on the wide path sort 121 pair sums, over a budget of 100
+    a = [2**40 + 2**30 * i for i in range(1, 12)]
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "100")
+    with pytest.raises(BudgetError, match=r"\|A\|\^2 = 121.*CORRKIT_ORACLE_BUDGET"):
+        additive_energy(a)
+    assert three_ap_count(a) == three_ap_count_bruteforce(a)  # chunked, not charged
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "121")
+    assert additive_energy(a) == additive_energy_bruteforce(a)
+
+
 def test_integer_set_validation():
     with pytest.raises(ParameterError):
         IntegerSet((3, 2))

@@ -158,6 +158,14 @@ def test_energy_large_elements(tmp_path, capsys):
     assert "2^63" in capsys.readouterr().err
 
 
+def test_energy_budget_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"{2**40 + 2**30 * i}\n" for i in range(1, 12)))
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "100")
+    assert main(["energy", "--input", str(path)]) == 4
+    assert "CORRKIT_ORACLE_BUDGET" in capsys.readouterr().err
+
+
 def test_dist_reports_masses(points_file, capsys):
     assert main(["dist", "--input", str(points_file), "--r", "2", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -73,6 +73,26 @@ def test_value_lengths_are_the_exact_grid_mass():
         assert set(hist) == set(prof.values.tolist())
 
 
+def test_value_lengths_equal_a_python_int_histogram():
+    # lattice points with duplicates put many segments on each value; the
+    # wrapping uint64 sums must equal per-segment Python-int sums, the
+    # whole-circle profile (s = N, one breakpoint) included
+    for n, shift in ((12, 0.0), (30, 0.5), (64, 1 / 3), (97, 0.25)):
+        lattice = (np.arange(n) + shift) / n % 1.0
+        seq = PointSequence(np.concatenate((lattice, lattice[::3])))
+        m = len(seq)
+        for s in (1, 2, 3, m / 2, m):
+            prof = sweep_profile(seq, s)
+            bp, vals = prof.breakpoints.tolist(), prof.values.tolist()
+            want: dict[int, int] = {}
+            for i, v in enumerate(vals):
+                end = bp[i + 1] if i + 1 < len(bp) else bp[0] + GRID
+                want[v] = want.get(v, 0) + end - bp[i]
+            assert prof.value_lengths() == want
+            assert sum(want.values()) == GRID
+            assert (s == m) == (len(bp) == 1)
+
+
 def _unique_profile(seq, s):
     """(breakpoints, values) by np.unique(..., return_inverse=True): an
     independent construction to check the one-sort sweep against."""

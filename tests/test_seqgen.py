@@ -67,6 +67,41 @@ def test_dyadic_block_structure_exhaustive():
             assert np.allclose(vals * 2 ** (m - 1) % 1, 0.0)
 
 
+def _dyadic_loop(n):
+    """Reference: the doubled-dyadic points one at a time, block by block."""
+    out = np.empty(n, dtype=np.float64)
+    out[0] = 0.0
+    m, r = 2, 0
+    while m <= n:
+        block = 1 << r
+        k = m - block
+        while k <= block and m <= n:
+            out[m - 1] = ((2 * ((k + 1) // 2) - 1) / block) % 1.0
+            m += 1
+            k += 1
+        r += 1
+    return out
+
+
+def _van_der_corput_loop(n):
+    """Reference: each radical inverse one point at a time, lowest bit first."""
+    out = np.empty(n, dtype=np.float64)
+    for m in range(1, n + 1):
+        v, denom, mm = 0.0, 2, m
+        while mm:
+            v += (mm & 1) / denom
+            denom *= 2
+            mm >>= 1
+        out[m - 1] = v
+    return out
+
+
+@pytest.mark.parametrize("n", list(range(1, 71)) + [1000, 4097])
+def test_structured_generators_equal_their_per_point_loops(n):
+    assert dyadic_counterexample(n).points.tobytes() == _dyadic_loop(n).tobytes()
+    assert van_der_corput(n).points.tobytes() == _van_der_corput_loop(n).tobytes()
+
+
 def test_dilated_matches_exact_rational_reduction():
     rng = np.random.default_rng(0)
     ints = np.cumsum(rng.integers(1, 2**45, size=40)).tolist()
