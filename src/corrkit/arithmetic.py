@@ -6,15 +6,31 @@ pair sums (E = sum_sigma r(sigma)^2); T(A) = #{(a,b,c) in A^3 :
 a-b = b-c != 0} counts ordered nontrivial 3-term progressions, so each
 unordered progression contributes 2.  Both are exact integers.
 
-Both counts are translation invariant, so they work on d = A - min A
-and sweep the |A|^2 ordered pair sums of d in blocks of at most
-_PAIR_CHUNK: O(|A|^2) time and O(_PAIR_CHUNK + span) memory, with
-tables indexed by pair sums in [0, 2 span].  Wider spans, above
-_FLAT_SUM_LIMIT or above _FLAT_SUM_FACTOR |A|^2 (a table much larger
-than the pair sums it counts), count energy from the runs of equal
-values in one sorted uint64 array of the pair sums (8 |A|^2 bytes, one
-outer sum, refused with BudgetError when |A|^2 exceeds the oracle
-budget) and test 3-AP midpoints by binary search.
+Both counts are translation invariant, so they work on d = A - min A,
+whose pair sums lie in [0, 2 span].  There are three regimes:
+
+- dense: r(sigma) for every sigma in [0, 2 span] is one real FFT
+  autoconvolution of the 0/1 indicator of d, of length L, the least
+  power of two above 2 span, rounded to int64.  It is taken when
+  L log2 L <= |A|^2, i.e. when the FFT's operation count is at most the
+  sweep's, and L <= _FLAT_SUM_LIMIT.  The float64 error of an FFT
+  convolution of x and y of length 2^n is below
+  |x| |y| ((1+eps)^{3n} (1+eps sqrt 5)^{3n+1} (1+beta)^{3n} - 1)
+  (Percival, Math. Comp. 72 (2003), Thm. 5.1; |.| the Euclidean norm,
+  eps = 2^-53, beta the error of the roots of unity).  For 0/1 inputs
+  |x| |y| = |A|, and at n <= 26 the bound is about 4e-14 |A|, far below
+  1/2.  Every result is checked anyway: a rounding gap of 1/4 or more,
+  or sum_sigma r(sigma) != |A|^2, raises ConsistencyError.  Memory is
+  about three float64 arrays of length L.
+- flat: any other span with 2 span at most _FLAT_SUM_LIMIT and at most
+  _FLAT_SUM_FACTOR |A|^2 sweeps the |A|^2 ordered pair sums in blocks of
+  at most _PAIR_CHUNK against tables indexed by [0, 2 span]:
+  O(|A|^2) time and O(_PAIR_CHUNK + span) memory.
+- wide: larger spans (a table much larger than the pair sums it counts)
+  count energy from the runs of equal values in one sorted uint64 array
+  of the pair sums (8 |A|^2 bytes, one outer sum, refused with
+  BudgetError when |A|^2 exceeds the oracle budget) and test 3-AP
+  midpoints by binary search.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
@@ -30,7 +46,7 @@ import numpy as np
 
 from .core import PointSequence
 from .correlations import ORACLE_BUDGET_ENV, oracle_budget, r_k_box, r_k_distinct, _as_boxes
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ConsistencyError, ParameterError
 from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
 _FLAT_SUM_LIMIT = 1 << 26  # flat pair-sum tables while 2 * span is at most this
@@ -67,14 +83,60 @@ def _translated(a) -> tuple[np.ndarray, bool]:
     return (d if flat else d.astype(np.uint64)), flat
 
 
+def _fft_length(d: np.ndarray) -> int:
+    """Length L of the FFT autoconvolution of a flat d's indicator when it
+    is the cheaper count (L log2 L <= |A|^2, L <= _FLAT_SUM_LIMIT), else 0."""
+    length = 1 << (2 * int(d[-1])).bit_length()
+    cheaper = length * (length.bit_length() - 1) <= d.size**2
+    return length if cheaper and length <= _FLAT_SUM_LIMIT else 0
+
+
+def _fft_pair_sum_counts(d: np.ndarray, length: int) -> np.ndarray:
+    """r(sigma), sigma in [0, 2 span], as int64 from one real FFT of the
+    indicator of d; raises ConsistencyError unless every value lies
+    within 1/4 of an integer and the counts sum to |A|^2."""
+    x = np.zeros(length)
+    x[d] = 1.0
+    f = np.fft.rfft(x)
+    del x
+    f *= f
+    # L > 2 span, so the cyclic convolution does not wrap
+    r = np.fft.irfft(f, n=length)[:2 * int(d[-1]) + 1]
+    del f
+    counts = np.rint(r)
+    r -= counts
+    gap = float(np.abs(r, out=r).max())
+    del r
+    counts = counts.astype(np.int64)
+    total = int(counts.sum())
+    if gap >= 0.25 or total != d.size**2:
+        raise ConsistencyError(
+            f"FFT pair-sum counts of |A| = {d.size} are off: rounding gap {gap:.3g}, "
+            f"sum {total} != |A|^2 = {d.size**2}"
+        )
+    return counts
+
+
 def _pair_sum_blocks(d: np.ndarray):
-    """All |d|^2 ordered pair sums d_i + d_j, at most _PAIR_CHUNK per block."""
+    """All |d|^2 ordered pair sums d_i + d_j, at most _PAIR_CHUNK per block.
+    Every block is a view of one reused buffer, valid until the next."""
     n = d.size
     rows = max(1, _PAIR_CHUNK // n)
     cols = min(n, _PAIR_CHUNK)
+    buf = np.empty(min(rows, n) * cols, dtype=d.dtype)
     for r in range(0, n, rows):
         for c in range(0, n, cols):
-            yield (d[r:r + rows, None] + d[None, c:c + cols]).ravel()
+            a, b = d[r:r + rows, None], d[None, c:c + cols]
+            out = buf[:a.size * b.size].reshape(a.size, b.size)
+            yield np.add(a, b, out=out).ravel()
+
+
+def _sum_of_squares(r: np.ndarray) -> int:
+    """Exact sum of r^2 over int64 counts: each int64 partial sum covers
+    few enough entries that it stays below 2^63."""
+    top = max(1, int(r.max()))
+    step = max(1, (2**63 - 1) // (top * top))
+    return sum(int(part @ part) for part in (r[i:i + step] for i in range(0, r.size, step)))
 
 
 def additive_energy(a) -> int:
@@ -82,11 +144,14 @@ def additive_energy(a) -> int:
     E = sum_sigma r(sigma)^2 with r(sigma) the ordered pairs summing to sigma."""
     d, flat = _translated(a)
     if flat:
-        r = np.zeros(2 * int(d[-1]) + 1, dtype=np.int64)
-        for block in _pair_sum_blocks(d):
-            np.add.at(r, block, 1)
-        # r <= |A| and sum r^2 <= |A|^3, exact in int64 up to |A| ~ 2e6
-        return int(r @ r)
+        length = _fft_length(d)
+        if length:
+            r = _fft_pair_sum_counts(d, length)
+        else:
+            r = np.zeros(2 * int(d[-1]) + 1, dtype=np.int64)
+            for block in _pair_sum_blocks(d):
+                np.add.at(r, block, 1)
+        return _sum_of_squares(r)
     if d.size**2 > oracle_budget():
         raise BudgetError(
             f"wide additive energy sorts |A|^2 = {d.size**2} pair sums, over the "
@@ -125,6 +190,9 @@ def three_ap_count(a) -> int:
     x != z, midpoint in A.  Counts the ordered pairs (x, z) with
     x + z in 2A; the |A| pairs x = z are the trivial ones."""
     d, flat = _translated(a)
+    length = _fft_length(d) if flat else 0
+    if length:
+        return int(_fft_pair_sum_counts(d, length)[2 * d].sum()) - d.size
     doubled = 2 * d
     hits = 0
     if flat:

@@ -514,6 +514,7 @@ def _chk_energy_ap_brute(rng, tier):
             for _ in range(12)]
     # an affine image of the largest set: translated, and spread past the flat tables
     sets.append([2**40 + 2**30 * x for x in max(sets, key=len)])
+    sets.append(list(range(1, 31)))  # dense: its pair sums are counted by the FFT
     for a in sets:
         bad += arithmetic.additive_energy(a) != arithmetic.additive_energy_bruteforce(a)
         bad += arithmetic.three_ap_count(a) != arithmetic.three_ap_count_bruteforce(a)

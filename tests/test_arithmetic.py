@@ -7,6 +7,7 @@ import pytest
 from corrkit import arithmetic
 from corrkit import (
     BudgetError,
+    ConsistencyError,
     IntegerSet,
     ParameterError,
     additive_energy,
@@ -59,6 +60,101 @@ def test_brute_agreement_random_sets(monkeypatch):
                 monkeypatch.setattr(arithmetic, "_FLAT_SUM_LIMIT", flat_limit)
                 assert additive_energy(b) == energy
                 assert three_ap_count(b) == aps
+
+
+def _force_fft(d):
+    return 1 << (2 * int(d[-1])).bit_length()
+
+
+def _counts(a, monkeypatch, fft_length):
+    monkeypatch.setattr(arithmetic, "_fft_length", fft_length)
+    return additive_energy(a), three_ap_count(a)
+
+
+def test_fft_agrees_with_sweep_and_brute_force(monkeypatch):
+    rng = np.random.default_rng(10)
+    sets = [[7], [3, 4], [5, 9]]  # |A| = 1 and 2, forced onto the FFT
+    sets += [np.sort(rng.choice(2 * n + 3, n, replace=False) + 1000).tolist()
+             for n in (3, 8, 15, 22, 30) for _ in range(2)]
+    for a in sets:
+        want = additive_energy_bruteforce(a), three_ap_count_bruteforce(a)
+        assert _counts(a, monkeypatch, _force_fft) == want
+        assert _counts(a, monkeypatch, lambda d: 0) == want
+
+
+def test_fft_cost_rule_boundary_and_benchmark_shape(monkeypatch):
+    # L = 2^16 at spans 16384..32767, and L log2 L = 2^20 = 1024^2: 1024
+    # elements take the FFT, 1023 the sweep
+    rng = np.random.default_rng(11)
+    inner = rng.choice(np.arange(2, 20001), 1022, replace=False).tolist()
+    boundary = sorted(inner + [1, 20001])
+    below = boundary[:-2] + [20001]
+    shape = np.sort(rng.choice(np.arange(1, 32001), 4000, replace=False)).tolist()
+    fft_length = arithmetic._fft_length
+    for a, dense in ((boundary, True), (below, False), (shape, True), (list(range(1, 9)), True)):
+        d = np.array(a) - a[0]
+        assert bool(fft_length(d)) == dense
+        assert _counts(a, monkeypatch, _force_fft) == _counts(a, monkeypatch, lambda d: 0)
+
+
+def test_dense_set_skips_the_pair_sweep(monkeypatch):
+    def no_sweep(d):
+        raise AssertionError("the pair-sum sweep ran on a dense set")
+
+    monkeypatch.setattr(arithmetic, "_pair_sum_blocks", no_sweep)
+    assert additive_energy(integer_range(4000)) == additive_energy_range_closed_form(4000)
+    assert three_ap_count(integer_range(4000)) == 2 * 2000 * 1999
+
+
+@pytest.mark.parametrize("shift, what", [(0.3, "rounding gap 0.3"), (1.0, "sum 65")])
+def test_perturbed_fft_raises_consistency_error(monkeypatch, shift, what):
+    irfft = np.fft.irfft
+
+    def perturbed(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[3] += shift
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    for count in (additive_energy, three_ap_count):
+        with pytest.raises(ConsistencyError, match=what):
+            count(integer_range(8))  # 64 pair sums plus the shift
+
+
+def test_fft_memory_is_within_its_stated_bound():
+    # about three float64 arrays of L = 2^20 (8 MiB each)
+    a = integer_range(2**19)
+    d = np.asarray(a.elements) - 1
+    assert arithmetic._fft_length(d) == 2**20
+    tracemalloc.start()
+    try:
+        energy = additive_energy(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energy == additive_energy_range_closed_form(2**19)
+    assert peak <= 3 * 8 * 2**20 + 2**20
+
+
+def test_pair_sweep_holds_one_block():
+    # squares take the sweep; its 8 MiB blocks share one buffer next to
+    # the 7.6 MiB membership table (23.8 MiB peak with a block per step)
+    squares = [m * m for m in range(1, 2001)]
+    tracemalloc.start()
+    try:
+        aps = three_ap_count(squares)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aps == 2926
+    assert peak < 18 * 2**20
+
+
+def test_sum_of_squares_past_int64():
+    r = np.full(10, 2**31, dtype=np.int64)  # sum r^2 = 10 * 2^62
+    assert arithmetic._sum_of_squares(r) == 10 * 2**62
+    r = np.arange(5000, dtype=np.int64)
+    assert arithmetic._sum_of_squares(r) == sum(v * v for v in range(5000))
 
 
 def test_energy_diagonal_lower_bound():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from corrkit.cli import main, parse_sweep_stat, rows_to_csv, sweep_rows
@@ -164,6 +165,19 @@ def test_energy_budget_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "100")
     assert main(["energy", "--input", str(path)]) == 4
     assert "CORRKIT_ORACLE_BUDGET" in capsys.readouterr().err
+
+
+def test_energy_consistency_error_exit_code(integers_file, capsys, monkeypatch):
+    irfft = np.fft.irfft
+
+    def off_by_half(*args, **kwargs):  # one pair-sum count lands between integers
+        out = irfft(*args, **kwargs)
+        out[5] += 0.5
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_half)
+    assert main(["energy", "--input", str(integers_file)]) == 5
+    assert "consistency" in capsys.readouterr().err
 
 
 def test_dist_reports_masses(points_file, capsys):
