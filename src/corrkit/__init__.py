@@ -20,7 +20,7 @@ from .arithmetic import (
     three_ap_count,
     three_ap_count_bruteforce,
 )
-from .averaged import c_k_distinct_bruteforce, c_k_star, c_k_star_local
+from .averaged import c_k_star, c_k_star_local
 from .core import (
     PointSequence,
     falling_factorial,

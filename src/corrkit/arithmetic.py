@@ -29,7 +29,7 @@ whose pair sums lie in [0, 2 span].  There are three regimes:
 - wide: larger spans (a table much larger than the pair sums it counts)
   count energy from the runs of equal values in one sorted uint64 array
   of the pair sums (8 |A|^2 bytes, one outer sum, refused with
-  BudgetError when |A|^2 exceeds the oracle budget) and test 3-AP
+  BudgetError when |A|^2 exceeds the work budget) and test 3-AP
   midpoints by binary search.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
@@ -45,14 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PointSequence
-from .correlations import ORACLE_BUDGET_ENV, oracle_budget, r_k_box, r_k_distinct, _as_boxes
-from .errors import BudgetError, ConsistencyError, ParameterError
+from .correlations import _as_boxes, _charge_budget, r_k_box, r_k_distinct
+from .errors import ConsistencyError, ParameterError
 from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
 _FLAT_SUM_LIMIT = 1 << 26  # flat pair-sum tables while 2 * span is at most this
 _FLAT_SUM_FACTOR = 4       # ... and at most this many times |A|^2
 _PAIR_CHUNK = 1 << 20      # pair sums formed at a time
-_METRIC_WORK_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,7 @@ def additive_energy(a) -> int:
             for block in _pair_sum_blocks(d):
                 np.add.at(r, block, 1)
         return _sum_of_squares(r)
-    if d.size**2 > oracle_budget():
-        raise BudgetError(
-            f"wide additive energy sorts |A|^2 = {d.size**2} pair sums, over the "
-            f"budget of {oracle_budget()} (override via {ORACLE_BUDGET_ENV})"
-        )
+    _charge_budget(d.size**2, "wide additive energy: sorted pair sums |A|^2")
     sums = (d[:, None] + d).ravel()
     sums.sort()
     # r(sigma) are the lengths of the runs of equal sums; a run ends at
@@ -229,8 +224,7 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
         raise ParameterError(f"need s <= N/2 = {n / 2}")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if n * trials > _METRIC_WORK_LIMIT:
-        raise BudgetError(f"N * trials = {n * trials} exceeds {_METRIC_WORK_LIMIT}")
+    _charge_budget(n * trials, "metric experiment: points N * trials")
     head = e[:n]
     t_count = three_ap_count(head)
     lower = 2.0 * s * t_count / n**2
@@ -254,8 +248,7 @@ def random_correlation_stats(k: int, boxes, n: int, trials: int, seed: int):
         raise ParameterError(f"expected {k - 1} boxes for k = {k}")
     if trials < 2:
         raise ParameterError("trials must be >= 2")
-    if n * trials > _METRIC_WORK_LIMIT:
-        raise BudgetError(f"N * trials = {n * trials} exceeds {_METRIC_WORK_LIMIT}")
+    _charge_budget(n * trials, "random correlation stats: points N * trials")
     vals = np.empty(trials)
     for t in range(trials):
         seq = PointSequence(trial_rng(seed, t).random(n))

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .core import PointSequence, check_scale, exact_sum, grid_arc, self_window
-from .correlations import _as_scales, _distinct_mask, _charge_budget, _pairwise_signed
+from .correlations import _as_scales
 from .errors import ParameterError
 
 
@@ -107,29 +107,3 @@ def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
         return 0.0
     prod = _overlap_sums(seq.sorted_grid[a:b], s, n) ** (k - 1)
     return float(n ** (k - 2)) * exact_sum(prod)
-
-
-def c_k_distinct_bruteforce(seq: PointSequence, scales, k=None) -> float:
-    """Direct sum over distinct tuples of the lambda products, scaled by
-    N^(k-2).  Oracle only: the distinct-index average has no factorized
-    form, and the production statistic is c_k_star.
-    """
-    scales = _as_scales(scales, k)
-    n = len(seq)
-    kk = len(scales) + 1
-    for s in scales:
-        check_scale(s, n)
-    _charge_budget(n, kk)
-    dist = np.abs(_pairwise_signed(seq))
-    lam = [np.maximum(s / n - dist, 0.0) for s in scales]
-    m = kk - 1
-    distinct = _distinct_mask(n, m)
-    ids = np.arange(n)
-    total = []
-    for i1 in range(n):
-        rows = [lm[i1] * (ids != i1) for lm in lam]
-        tensor = rows[0]
-        for r in rows[1:]:
-            tensor = tensor[..., None] * r
-        total.append(float((tensor * distinct).sum()))
-    return float(n ** (kk - 2)) * math.fsum(total)

@@ -3,8 +3,10 @@
 Subcommands: gen, corr, cstar, moments, energy, metric, dist, verify,
 sweep.  Reports are JSON (schema "corrkit/1") or CSV with a header row;
 float fields use repr, so fixed seeds give byte-identical output.  The
-environment variable CORRKIT_ORACLE_BUDGET overrides the brute-force
-tuple-visit cap.
+environment variable CORRKIT_ORACLE_BUDGET (default 10^8) sets the one
+work budget checked before a costly job starts: brute-force tuple
+visits, the |A|^2 pair sums of wide additive energy, and N * trials of
+metric and random_correlation_stats.
 
 Exit codes: 0 success, 1 failed verify checks, 2 bad parameters,
 3 malformed input file, 4 work budget exceeded, 5 internal consistency
@@ -34,55 +36,36 @@ SCHEMA = "corrkit/1"
 _SWEEP_RE = re.compile(r"^(r|i|bell|c)([2-9])(star)?$")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_boxes(text: str) -> list[tuple[float, float]]:
-    out = []
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        bits = part.split(":")
-        if len(bits) != 2:
-            raise ParameterError(f"box {part!r} must look like a:b")
-        out.append((float(bits[0]), float(bits[1])))
-    return out
-
-
-def _parse_interval(text: str) -> tuple[float, float]:
+def _parse_pair(text: str, what: str) -> tuple[float, float]:
     bits = text.split(":")
     if len(bits) != 2:
-        raise ParameterError(f"interval {text!r} must look like lo:hi")
+        raise ParameterError(f"{what} {text!r} must look like a:b")
     return float(bits[0]), float(bits[1])
 
 
-def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_rows is not None:
-        buf = _io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(csv_header)
-        for row in csv_rows:
-            w.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+def _scales_for(args) -> tuple[float, ...]:
+    """--s as k-1 scales; one value stands for k-1 equal ones."""
+    vals = [float(x) for x in args.s.split(",") if x.strip()]
+    return correlations._as_scales(vals[0] if len(vals) == 1 else vals, args.k)
+
+
+def _csv_text(header, rows) -> str:
+    buf = _io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _write(args, text: str) -> None:
+    """Write a report to --out, or to stdout when it is not given."""
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _scales_for(args) -> tuple[float, ...]:
-    vals = _parse_floats(args.s)
-    if len(vals) == 1 and args.k > 2:
-        vals = vals * (args.k - 1)
-    if len(vals) != args.k - 1:
-        raise ParameterError(f"need {args.k - 1} scales for k = {args.k}, got {len(vals)}")
-    return tuple(vals)
+def _emit(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +110,18 @@ def _cmd_corr(args) -> int:
     if args.box is not None:
         if args.star:
             raise ParameterError("--star applies to scale windows, not the box form")
-        boxes = _parse_boxes(args.box)
+        boxes = [_parse_pair(part, "box") for part in args.box.split(",") if part.strip()]
         if len(boxes) != args.k - 1:
             raise ParameterError(f"need {args.k - 1} boxes for k = {args.k}")
         rep = correlations.r_k_box(seq, boxes)
     else:
         scales = _scales_for(args)
         rep = (correlations.r_k_star if args.star else correlations.r_k_distinct)(seq, scales)
-    payload = _report_payload("corr", rep)
-    _emit(args, payload,
-          csv_rows=[[rep.statistic_name, rep.k, rep.n, rep.raw_count, repr(rep.value)]],
-          csv_header=["statistic", "k", "N", "raw_count", "value"])
+    if args.format == "csv":
+        _write(args, _csv_text(["statistic", "k", "N", "raw_count", "value"],
+                               [[rep.statistic_name, rep.k, rep.n, rep.raw_count, repr(rep.value)]]))
+    else:
+        _emit(args, _report_payload("corr", rep))
     return 0
 
 
@@ -145,7 +129,7 @@ def _cmd_cstar(args) -> int:
     seq = read_points(args.input)
     scales = _scales_for(args)
     if args.interval:
-        lo, hi = _parse_interval(args.interval)
+        lo, hi = _parse_pair(args.interval, "interval")
         if len(set(scales)) != 1:
             raise ParameterError("localized average needs equal scales")
         value = averaged.c_k_star_local(seq, scales[0], args.k, (lo, hi))
@@ -285,24 +269,15 @@ def sweep_rows(stat: str, s: float, sizes, kind: str, seed,
 
 
 def rows_to_csv(rows) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["N", "statistic", "target", "deviation"])
-    for n, v, tgt, dev in rows:
-        w.writerow([n, repr(v), repr(tgt), repr(dev)])
-    return buf.getvalue()
+    return _csv_text(["N", "statistic", "target", "deviation"],
+                     ([n, repr(v), repr(tgt), repr(dev)] for n, v, tgt, dev in rows))
 
 
 def _cmd_sweep(args) -> int:
     sizes = [int(x) for x in args.N.split(",") if x.strip()]
     rows = sweep_rows(args.stat, args.s, sizes, args.kind, args.seed,
                       alpha=args.alpha, degree=args.degree)
-    text = rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, rows_to_csv(rows))
     return 0
 
 

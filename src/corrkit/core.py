@@ -59,11 +59,10 @@ class PointSequence:
 
     Immutable after construction; duplicate values are permitted and all
     counting formulas downstream are stated over indices, not values.
-    Construction is one sort of the values; the sort permutation is
-    computed on first access to sort_index.
+    Construction is one sort of the values.
     """
 
-    __slots__ = ("_points", "_sort_index", "_sorted", "_grid")
+    __slots__ = ("_points", "_sorted", "_grid")
 
     def __init__(self, points):
         pts = np.array(points, dtype=np.float64, copy=True)
@@ -74,7 +73,6 @@ class PointSequence:
         if not (srt[0] >= 0.0 and srt[-1] < 1.0):
             raise ParameterError("all points must lie in [0,1)")
         self._points = pts
-        self._sort_index = None
         self._sorted = srt
         self._grid = to_grid(srt)
         for a in (self._points, self._sorted, self._grid):
@@ -93,15 +91,6 @@ class PointSequence:
         return self._points
 
     @property
-    def sort_index(self) -> np.ndarray:
-        """Permutation p with points[p] non-decreasing (stable)."""
-        if self._sort_index is None:
-            index = np.argsort(self._points, kind="stable")
-            index.setflags(write=False)
-            self._sort_index = index
-        return self._sort_index
-
-    @property
     def sorted_points(self) -> np.ndarray:
         return self._sorted
 
@@ -111,7 +100,7 @@ class PointSequence:
         return self._grid
 
     def __repr__(self) -> str:
-        return f"PointSequence(n={self.n})"
+        return f"PointSequence(n={len(self)})"
 
 
 def check_scale(s: float, n: int) -> None:

@@ -58,6 +58,16 @@ def oracle_budget() -> int:
     return int(os.environ.get(ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET))
 
 
+def _charge_budget(work: int, what: str) -> None:
+    """Refuse, before doing any of it, work over the one budget every
+    costly job is charged to: brute-force tuple visits, wide |A|^2 pair
+    sums, and N * trials of the randomized experiments."""
+    budget = oracle_budget()
+    if work > budget:
+        raise BudgetError(f"{what} = {work} exceeds the work budget of {budget} "
+                          f"(override via {ORACLE_BUDGET_ENV})")
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     """One computed statistic.
@@ -275,6 +285,8 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     n = len(seq)
     if k < 2:
         raise ParameterError("k must be >= 2")
+    if not radius > 0:  # NaN fails too
+        raise ParameterError(f"support radius must be positive, got {radius}")
     check_half((radius,), n, "support radius {b} > N/2 = {half}")
     sp = seq.sorted_points
     pa, pp = _occupant_pairs(seq.sorted_grid, radius, n)
@@ -384,14 +396,6 @@ def _distinct_mask(n: int, m: int) -> np.ndarray:
     return mask
 
 
-def _charge_budget(n: int, k: int) -> None:
-    if n**k > oracle_budget():
-        raise BudgetError(
-            f"brute force over N^k = {n}^{k} tuples exceeds the budget of "
-            f"{oracle_budget()} visits (override via {ORACLE_BUDGET_ENV})"
-        )
-
-
 def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
                     support_radius=None, k=None, star=False) -> CorrelationReport:
     """Direct enumeration over all k-tuples; the reference every fast
@@ -415,7 +419,9 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     if testfn is not None:
         if k is None or support_radius is None:
             raise ParameterError("testfn mode needs k and support_radius")
-        _charge_budget(n, k)
+        if not support_radius > 0:
+            raise ParameterError(f"support radius must be positive, got {support_radius}")
+        _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")
         scaled = (n * _pairwise_signed(seq)).tolist()
         tuples = (
             itertools.product(range(n), repeat=k)
@@ -440,7 +446,7 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
         check_half(itertools.chain.from_iterable(boxes), n, _BOX_WRAPS)
         arcs = [grid_arc(a, b, n) for a, b in boxes]
     k = len(arcs) + 1
-    _charge_budget(n, k)
+    _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")
     g = to_grid(seq.points)
     delta = g[:, None] - g[None, :]
     slot_masks = [in_arc(delta, arc) for arc in arcs]

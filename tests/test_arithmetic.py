@@ -251,7 +251,8 @@ def test_metric_experiment_reproducible():
     assert r1.lower_bound == pytest.approx(2 * 0.2 * three_ap_count(a) / 64**2)
 
 
-def test_metric_experiment_validation():
+def test_metric_experiment_validation(monkeypatch):
+    monkeypatch.delenv("CORRKIT_ORACLE_BUDGET", raising=False)  # the default budget, 1e8
     a = integer_range(32)
     with pytest.raises(ParameterError):
         metric_r3_experiment(a, 0.1, 64, 5, 0)
@@ -259,6 +260,17 @@ def test_metric_experiment_validation():
         metric_r3_experiment(a, 20.0, 32, 5, 0)
     with pytest.raises(BudgetError):
         metric_r3_experiment(integer_range(10**4), 0.1, 10**4, 10**5, 0)
+
+
+def test_experiments_are_charged_to_the_oracle_budget(monkeypatch):
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "100")
+    with pytest.raises(BudgetError, match=r"N \* trials = 200 .*CORRKIT_ORACLE_BUDGET"):
+        metric_r3_experiment(integer_range(50), 0.5, 50, 4, 0)
+    with pytest.raises(BudgetError, match=r"N \* trials = 200 .*CORRKIT_ORACLE_BUDGET"):
+        random_correlation_stats(2, ((0.0, 1.0),), 50, 4, 0)
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "200")  # the budget itself is allowed
+    assert metric_r3_experiment(integer_range(50), 0.5, 50, 4, 0).trials == 4
+    assert len(random_correlation_stats(2, ((0.0, 1.0),), 50, 4, 0)) == 2
 
 
 def test_metric_experiment_mean_respects_ap_bound():

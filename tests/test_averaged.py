@@ -10,7 +10,6 @@ from corrkit import (
     ParameterError,
     PointSequence,
     brute_force_r_k,
-    c_k_distinct_bruteforce,
     c_k_star,
     c_k_star_local,
     moments,
@@ -138,23 +137,6 @@ def test_local_superadditivity_over_partition():
             c_k_star_local(seq, s, k, (j / parts, (j + 1) / parts)) for j in range(parts)
         )
         assert total <= c_k_star(seq, (s,) * (k - 1)) * (1 + 1e-12)
-
-
-def test_distinct_bruteforce_examples():
-    seq = PointSequence([0.0, 0.1, 0.5])
-    assert c_k_distinct_bruteforce(seq, (0.6,)) == pytest.approx(0.2)
-    # N = 1: no distinct tuple exists
-    assert c_k_distinct_bruteforce(PointSequence([0.5]), (0.4,)) == 0.0
-
-
-def test_distinct_below_star():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(2, 25))
-        k = int(rng.integers(2, 4))
-        s = float(rng.uniform(0.2, min(n, 3.0)))
-        seq = PointSequence(rng.random(n))
-        assert c_k_distinct_bruteforce(seq, (s,) * (k - 1)) <= c_k_star(seq, (s,) * (k - 1)) * (1 + 1e-12)
 
 
 def test_local_lower_bound_for_uniform():

@@ -167,6 +167,13 @@ def test_energy_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert "CORRKIT_ORACLE_BUDGET" in capsys.readouterr().err
 
 
+def test_metric_budget_exit_code(integers_file, capsys, monkeypatch):
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "100")
+    assert main(["metric", "--input", str(integers_file), "--s", "0.2", "--n", "128",
+                 "--trials", "2"]) == 4
+    assert "CORRKIT_ORACLE_BUDGET" in capsys.readouterr().err
+
+
 def test_energy_consistency_error_exit_code(integers_file, capsys, monkeypatch):
     irfft = np.fft.irfft
 

@@ -17,6 +17,7 @@ from corrkit import (
     brute_force_r_k,
     c_k_star,
     dyadic_counterexample,
+    i_k_via_correlation,
     r_k_box,
     r_k_consecutive,
     r_k_distinct,
@@ -274,6 +275,19 @@ def test_support_radius_validated():
     seq = PointSequence([0.1, 0.5, 0.9])
     with pytest.raises(ParameterError):
         r_k_testfn(seq, lambda ys: np.zeros(len(ys)), 2.0, 2)
+
+
+@pytest.mark.parametrize("radius", [-0.5, 0.0])
+def test_non_positive_support_radius_rejected(radius):
+    seq = PointSequence(np.random.default_rng(5).random(50))
+    ones = lambda ys: np.ones(len(ys))
+    calls = [lambda: r_k_testfn(seq, ones, radius, 2),
+             lambda: r_k_consecutive(seq, ones, radius, 3),
+             lambda: i_k_via_correlation(seq, radius, 3),
+             lambda: brute_force_r_k(seq, testfn=ones, support_radius=radius, k=2)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="support radius must be positive"):
+            call()
 
 
 def test_brute_force_budget(monkeypatch):
