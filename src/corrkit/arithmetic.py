@@ -23,19 +23,34 @@ whose pair sums lie in [0, 2 span].  There are three regimes:
   or sum_sigma r(sigma) != |A|^2, raises ConsistencyError.  Memory is
   about three float64 arrays of length L.
 - flat: any other span with 2 span at most _FLAT_SUM_LIMIT and at most
-  _FLAT_SUM_FACTOR |A|^2 sweeps the |A|^2 ordered pair sums in blocks of
-  at most _PAIR_CHUNK against tables indexed by [0, 2 span]:
-  O(|A|^2) time and O(_PAIR_CHUNK + span) memory.
+  _FLAT_SUM_FACTOR |A|^2 sweeps ordered pair sums in blocks of at most
+  _PAIR_CHUNK (one reused buffer): O(|A|^2) time.  Energy adds the |A|^2
+  sums into an int32 table of r over [0, 2 span] (r <= |A| < 2^31;
+  4 (2 span + 1) bytes).
 - wide: larger spans (a table much larger than the pair sums it counts)
   count energy from the runs of equal values in one sorted uint64 array
   of the pair sums (8 |A|^2 bytes, one outer sum, refused with
-  BudgetError when |A|^2 exceeds the work budget) and test 3-AP
-  midpoints by binary search.
+  BudgetError when |A|^2 exceeds the work budget).
+
+Off the FFT regime the 3-AP count is split by parity: x + z = 2y forces
+x = z (mod 2), and with x = 2x' + b, z = 2z' + b the midpoint is
+x' + z' + b.  Each parity class b sweeps only its own pairs, about
+|A|^2 / 2 in all, looking the midpoints up in a bool table of d over
+[0, span] (flat) or by binary search in d (wide); one class's block
+buffer is freed before the next class allocates its own.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
 correlation R_3(s, N) against the lower bound 2 s T(A_N) / N^2 that the
-progression structure forces on the alpha-average.
+progression structure forces on the alpha-average.  Each trial keeps
+its own trial_rng(seed, t) stream; the trials run in chunks of at most
+_TRIAL_CHUNK points, one row per trial: one wrapping uint64 product
+gives the chunk's fractional parts (seqgen.exact_frac_parts), one
+row-wise sort and core.self_window over the rows give every window
+count, and each row's raw count is the exact product sum r_k_distinct
+takes, so every R_3 value is the one r_k_distinct gives.  A chunk of P
+points (P = _TRIAL_CHUNK, or N when N is larger) peaks near 72 P bytes
+under tracemalloc, 1.1 MiB at P = 2^14: its arrays stay cache-sized.
 """
 
 from __future__ import annotations
@@ -44,14 +59,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSequence
-from .correlations import _as_boxes, _charge_budget, r_k_box, r_k_distinct
+from .core import PointSequence, check_half, to_grid
+from .correlations import (_SCALE_WRAPS, _as_boxes, _as_scales, _charge_budget, _distinct_raw,
+                           r_k_box)
 from .errors import ConsistencyError, ParameterError
 from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
 _FLAT_SUM_LIMIT = 1 << 26  # flat pair-sum tables while 2 * span is at most this
 _FLAT_SUM_FACTOR = 4       # ... and at most this many times |A|^2
-_PAIR_CHUNK = 1 << 20      # pair sums formed at a time
+_PAIR_CHUNK = 1 << 16      # pair sums formed at a time: a 512 KiB block stays in cache
+_TRIAL_CHUNK = 1 << 14     # trial points handled at a time: their arrays stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -131,11 +148,25 @@ def _pair_sum_blocks(d: np.ndarray):
 
 
 def _sum_of_squares(r: np.ndarray) -> int:
-    """Exact sum of r^2 over int64 counts: each int64 partial sum covers
-    few enough entries that it stays below 2^63."""
+    """Exact sum of r^2 over int32 or int64 counts: each part is widened to
+    int64, at most 2^16 entries (512 KiB) at a time, and covers few enough
+    entries that its sum stays below 2^63."""
     top = max(1, int(r.max()))
-    step = max(1, (2**63 - 1) // (top * top))
-    return sum(int(part @ part) for part in (r[i:i + step] for i in range(0, r.size, step)))
+    step = max(1, min(1 << 16, (2**63 - 1) // (top * top)))
+    total = 0
+    for i in range(0, r.size, step):
+        part = r[i:i + step].astype(np.int64, copy=False)
+        total += int(part @ part)
+    return total
+
+
+def _swept_pair_sum_counts(d: np.ndarray) -> np.ndarray:
+    """r(sigma), sigma in [0, 2 span], as int32 (r <= |A| < 2^31) from the
+    pair-sum sweep; the sweep's buffer is freed on return."""
+    r = np.zeros(2 * int(d[-1]) + 1, dtype=np.int32)
+    for block in _pair_sum_blocks(d):
+        np.add.at(r, block, np.int32(1))  # an int32 value keeps the fast typed loop
+    return r
 
 
 def additive_energy(a) -> int:
@@ -144,12 +175,7 @@ def additive_energy(a) -> int:
     d, flat = _translated(a)
     if flat:
         length = _fft_length(d)
-        if length:
-            r = _fft_pair_sum_counts(d, length)
-        else:
-            r = np.zeros(2 * int(d[-1]) + 1, dtype=np.int64)
-            for block in _pair_sum_blocks(d):
-                np.add.at(r, block, 1)
+        r = _fft_pair_sum_counts(d, length) if length else _swept_pair_sum_counts(d)
         return _sum_of_squares(r)
     _charge_budget(d.size**2, "wide additive energy: sorted pair sums |A|^2")
     sums = (d[:, None] + d).ravel()
@@ -180,25 +206,43 @@ def additive_energy_bruteforce(a) -> int:
     )
 
 
+def _midpoint_hits(h: np.ndarray, b: int, d: np.ndarray, member) -> int:
+    """#{(i, j) : h_i + h_j + b in d}, for the halves h = x >> 1 of one
+    parity class b of d: by the flat membership table over [0, span] when
+    one is given, else by binary search in d.  The sweep's block buffer
+    is freed on return."""
+    if member is not None:
+        member = member[b:]  # member[b + sigma] as member[sigma]
+        return sum(int(np.count_nonzero(member[block])) for block in _pair_sum_blocks(h))
+    hits = 0
+    for block in _pair_sum_blocks(h):
+        block += np.uint64(b)
+        # every midpoint is at most span = d[-1], so each search lands inside
+        hits += int(np.count_nonzero(d[np.searchsorted(d, block)] == block))
+    return hits
+
+
 def three_ap_count(a) -> int:
     """T(A): ordered triples (x,y,z) with x-y = y-z != 0, i.e. x+z = 2y,
     x != z, midpoint in A.  Counts the ordered pairs (x, z) with
-    x + z in 2A; the |A| pairs x = z are the trivial ones."""
+    x + z in 2A; the |A| pairs x = z are the trivial ones.
+
+    x + z = 2y forces x = z (mod 2), so off the FFT regime only the pairs
+    of one parity class b are swept: with x = 2x' + b and z = 2z' + b the
+    midpoint is x' + z' + b."""
     d, flat = _translated(a)
     length = _fft_length(d) if flat else 0
     if length:
         return int(_fft_pair_sum_counts(d, length)[2 * d].sum()) - d.size
-    doubled = 2 * d
-    hits = 0
+    member = None
     if flat:
-        member = np.zeros(int(doubled[-1]) + 1, dtype=bool)
-        member[doubled] = True
-        for block in _pair_sum_blocks(d):
-            hits += int(np.count_nonzero(member[block]))
-    else:
-        # every pair sum is at most doubled[-1], so each search lands inside
-        for block in _pair_sum_blocks(d):
-            hits += int(np.count_nonzero(doubled[np.searchsorted(doubled, block)] == block))
+        member = np.zeros(int(d[-1]) + 1, dtype=bool)
+        member[d] = True
+    hits = 0
+    for b in (0, 1):
+        h = d[(d & 1) == b] >> 1
+        if h.size:
+            hits += _midpoint_hits(h, b, d, member)
     return hits - d.size
 
 
@@ -225,14 +269,21 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     _charge_budget(n * trials, "metric experiment: points N * trials")
+    scales = _as_scales(s, 3)
+    check_half(scales, n, _SCALE_WRAPS)
     head = e[:n]
     t_count = three_ap_count(head)
     lower = 2.0 * s * t_count / n**2
+    # the trials in chunks of at most _TRIAL_CHUNK points, one row per
+    # trial: the same values as r_k_distinct(PointSequence(row), scales)
     vals = np.empty(trials)
-    for t in range(trials):
-        alpha = float(trial_rng(seed, t).random())
-        seq = PointSequence(exact_frac_parts(head, alpha))
-        vals[t] = r_k_distinct(seq, (s, s)).value
+    rows = max(1, _TRIAL_CHUNK // n)
+    for t0 in range(0, trials, rows):
+        alphas = [float(trial_rng(seed, t).random()) for t in range(t0, min(t0 + rows, trials))]
+        points = exact_frac_parts(head, alphas)
+        points.sort(axis=1)
+        raws = _distinct_raw(to_grid(points), scales, n)
+        vals[t0:t0 + len(raws)] = [raw / n for raw in raws]
     mean = float(vals.mean())
     var = float(vals.var(ddof=1)) if trials > 1 else 0.0
     frac = float(np.mean(vals > 4.0 * s * s))

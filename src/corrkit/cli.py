@@ -36,16 +36,24 @@ SCHEMA = "corrkit/1"
 _SWEEP_RE = re.compile(r"^(r|i|bell|c)([2-9])(star)?$")
 
 
+def _number(text: str, kind, what: str):
+    """kind(text) (float or int), a ParameterError if text is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"{what} {text!r} is not a number") from None
+
+
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
     bits = text.split(":")
     if len(bits) != 2:
         raise ParameterError(f"{what} {text!r} must look like a:b")
-    return float(bits[0]), float(bits[1])
+    return _number(bits[0], float, what), _number(bits[1], float, what)
 
 
 def _scales_for(args) -> tuple[float, ...]:
     """--s as k-1 scales; one value stands for k-1 equal ones."""
-    vals = [float(x) for x in args.s.split(",") if x.strip()]
+    vals = [_number(x, float, "scale") for x in args.s.split(",") if x.strip()]
     return correlations._as_scales(vals[0] if len(vals) == 1 else vals, args.k)
 
 
@@ -274,7 +282,7 @@ def rows_to_csv(rows) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    sizes = [int(x) for x in args.N.split(",") if x.strip()]
+    sizes = [_number(x, int, "size") for x in args.N.split(",") if x.strip()]
     rows = sweep_rows(args.stat, args.s, sizes, args.kind, args.seed,
                       alpha=args.alpha, degree=args.degree)
     _write(args, rows_to_csv(rows))

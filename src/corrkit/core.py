@@ -129,18 +129,30 @@ def in_arc(d: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
     return d - arc[0] % GRID <= arc[1] - arc[0]  # all False when hi < lo
 
 
+def _search_rows(grid: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted of x in grid, row by row when grid holds rows."""
+    if grid.size == grid.shape[-1]:  # one row: no copy of the result
+        return np.searchsorted(grid.reshape(-1), x.reshape(-1), side=side).reshape(x.shape)
+    out = np.empty(x.shape, dtype=np.intp)
+    for r in range(grid.shape[0]):
+        out[r] = np.searchsorted(grid[r], x[r], side=side)
+    return out
+
+
 def window(grid: np.ndarray, centers: np.ndarray, arc: tuple[int, int]):
     """(lo, cnt): for each uint64 center c, the cnt occupants y with y - c
     in a nonempty arc sit at positions lo, lo+1, ... of the sorted grid,
     cyclically.  Two searches per center; windows centred on the grid
-    itself take one (self_window)."""
+    itself take one (self_window).  A 2-D grid is a stack of independent
+    sorted rows, each searched for the same row of centers."""
+    n = grid.shape[-1]
     start = centers + arc[0] % GRID
-    lo = np.searchsorted(grid, start, side="left")
+    lo = _search_rows(grid, start, "left")
     if arc[1] - arc[0] >= GRID - 1:  # the whole circle: every point once
-        return lo, np.full(lo.shape, grid.size, dtype=np.int64)
+        return lo, np.full(lo.shape, n, dtype=np.int64)
     end = start + (arc[1] - arc[0])
-    cnt = np.searchsorted(grid, end, side="right") - lo
-    cnt[end < start] += grid.size  # the arc wraps past 0
+    cnt = _search_rows(grid, end, "right") - lo
+    cnt[end < start] += n  # the arc wraps past 0
     return lo, cnt
 
 
@@ -154,15 +166,22 @@ def self_window(grid: np.ndarray, arc: tuple[int, int]):
     i < j with E_i > j and the i > j with E_i > j + N, so with
     C[x] = #{i : E_i <= x} its unrolled start is S_j = C[j] + C[j+N] - N;
     cnt = E - S and lo = S mod N.
+
+    A 2-D grid is a stack of independent sorted rows of N points each,
+    as the trials of a batch are: one search per row, then one bincount
+    of E shifted by 2N per row gives every row's C at once.
     """
     if arc[1] - arc[0] >= GRID - 1:  # the whole circle, the one arc here not symmetric
         return window(grid, grid, arc)
-    n = grid.size
+    n = grid.shape[-1]
     reach = grid + np.uint64(arc[1])
-    end = np.searchsorted(grid, reach, side="right")
+    end = _search_rows(grid, reach, "right")
     end[reach < grid] += n
-    ended = np.cumsum(np.bincount(end, minlength=2 * n))
-    lo = ended[:n] + ended[n:]
+    rows = end.size // n
+    bins = end if rows == 1 else end + np.arange(0, 2 * n * rows, 2 * n)[:, None]
+    ended = np.bincount(bins.ravel(), minlength=2 * n * rows).reshape(*grid.shape[:-1], 2 * n)
+    ended = np.cumsum(ended, axis=-1)
+    lo = ended[..., :n] + ended[..., n:]
     lo -= n  # the unrolled start S
     cnt = end - lo
     lo[lo < 0] += n

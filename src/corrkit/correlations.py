@@ -115,13 +115,15 @@ def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
 
 def _window_counts(g: np.ndarray, scales, n: int) -> list[np.ndarray]:
     """z(s) = #{j : ||p_j - c|| <= s/N} for every c in the sorted grid g and
-    each scale in order; equal scales share one window."""
+    each scale in order; equal scales share one window.  A 2-D g is a
+    stack of independent sorted rows (core.self_window)."""
     z = {s: self_window(g, grid_arc(-s, s, n))[1] for s in set(scales)}
     return [z[s] for s in scales]
 
 
-def _exact_product_sum(factors: list[np.ndarray]) -> int:
-    """sum_i prod_r factors[r][i] as an exact Python int.
+def _exact_product_sum(factors: list[np.ndarray]):
+    """sum_i prod_r factors[r][..., i] over the last axis, as exact Python
+    ints: one int for 1-D factors, a list of ints for rows.
 
     Stays in int64 when a worst-case bound proves no overflow, otherwise
     falls back to Python-int (object) arithmetic.
@@ -130,16 +132,25 @@ def _exact_product_sum(factors: list[np.ndarray]) -> int:
     bound = 1
     for m in maxes:
         bound *= max(m, 1)
-    n = factors[0].size
+    n = factors[0].shape[-1]
     if bound * n < 2**62:
         prod = factors[0].astype(np.int64, copy=True)
         for f in factors[1:]:
             prod *= f
-        return int(prod.sum())
-    prod = factors[0].astype(object)
-    for f in factors[1:]:
-        prod = prod * f.astype(object)
-    return int(prod.sum())
+    else:
+        prod = factors[0].astype(object)
+        for f in factors[1:]:
+            prod = prod * f.astype(object)
+    return np.asarray(prod.sum(axis=-1)).tolist()
+
+
+def _distinct_raw(g: np.ndarray, scales, n: int) -> list[int]:
+    """The raw count of r_k_distinct for each row of a 2-D sorted grid g
+    of N points per row; scales already checked (see r_k_distinct)."""
+    # the t-th filled slot uses the t-th smallest window
+    factors = [np.maximum(z - 1 - t, 0)
+               for t, z in enumerate(_window_counts(g, sorted(scales), n))]
+    return _exact_product_sum(factors)
 
 
 def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
@@ -170,10 +181,7 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
     scales = _as_scales(scales, k)
     n = len(seq)
     check_half(scales, n, _SCALE_WRAPS)
-    # the t-th filled slot uses the t-th smallest window
-    factors = [np.maximum(z - 1 - t, 0)
-               for t, z in enumerate(_window_counts(seq.sorted_grid, sorted(scales), n))]
-    raw = _exact_product_sum(factors)
+    raw = _distinct_raw(seq.sorted_grid[None], scales, n)[0]
     return CorrelationReport(
         "r_k", len(scales) + 1, n, {"scales": scales}, raw, raw / n
     )

@@ -9,7 +9,8 @@ Dilated sequences {a_n * alpha} are reduced mod 1 in exact integer
 arithmetic before rounding once to float64: a float alpha equals p/q
 with q a power of two, so {a p / q} = ((a p) mod q) / q.  When q <= 2^64
 and the integers form an int64 or uint64 array, the reduction is a
-wrapping uint64 product; otherwise it uses Python ints.  Naive float multiplication would lose
+wrapping uint64 product, one for a whole batch of alphas; otherwise it
+uses Python ints.  Naive float multiplication would lose
 exactly the low-order bits that determine the fractional part for
 large a_n.
 """
@@ -90,23 +91,34 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
 
 
-def exact_frac_parts(integers, alpha: float) -> np.ndarray:
-    """{a * alpha} computed exactly per entry, rounded once to float64."""
-    p, q = float(alpha).as_integer_ratio()
+def exact_frac_parts(integers, alpha) -> np.ndarray:
+    """{a * alpha} computed exactly per entry, rounded once to float64.
+
+    alpha is one float, giving one value per integer, or a 1-D sequence
+    of floats, giving one row per alpha.
+    """
+    ratios = [x.as_integer_ratio() for x in np.asarray(alpha, dtype=np.float64).ravel().tolist()]
     if not isinstance(integers, np.ndarray):
         integers = list(integers)
     arr = np.asarray(integers)
-    if q <= 2**64 and arr.dtype.kind in "iu":
+    if max(q for _, q in ratios) <= 2**64 and arr.dtype.kind in "iu":
         # q = 2^t with t <= 64 divides 2^64, so (a*p) mod q is the wrapping
         # uint64 product of a and p mod 2^64, masked to t bits; it is
         # converted to float64 once (correctly rounded), and the division
         # by 2^t is exact
-        prod = arr.astype(np.uint64) * np.uint64(p % 2**64)
-        vals = (prod & np.uint64(q - 1)).astype(np.float64) / float(q)
+        p = np.array([p % 2**64 for p, _ in ratios], dtype=np.uint64)
+        prod = arr.astype(np.uint64) * p[:, None]
+        prod &= np.array([q - 1 for _, q in ratios], dtype=np.uint64)[:, None]
+        vals = prod.astype(np.float64)
+        vals /= np.array([q for _, q in ratios], dtype=np.float64)[:, None]
     else:
         # q is a power of two, so ((a*p) mod q)/q is one correctly-rounded division
-        vals = np.asarray([((int(a) * p) % q) / q for a in integers], dtype=np.float64)
-    return vals % 1.0
+        vals = np.asarray([[((int(a) * p) % q) / q for a in integers] for p, q in ratios],
+                          dtype=np.float64).reshape(len(ratios), arr.size)
+    # every value lies in [0, 1], 1 only where the rounding reached q:
+    # this is vals % 1.0 without its division
+    vals[vals == 1.0] = 0.0
+    return vals[0] if np.ndim(alpha) == 0 else vals
 
 
 def uniform_random(n: int, seed: int) -> PointSequence:

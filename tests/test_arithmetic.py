@@ -16,12 +16,16 @@ from corrkit import (
     dilation_measure_quadrature,
     dyadic_counterexample,
     integer_range,
+    PointSequence,
+    exact_frac_parts,
     metric_r3_experiment,
     r_k_distinct,
     random_correlation_stats,
     three_ap_count,
     three_ap_count_bruteforce,
+    trial_rng,
 )
+from corrkit.arithmetic import MetricExperimentReport
 
 
 def test_energy_examples():
@@ -137,8 +141,9 @@ def test_fft_memory_is_within_its_stated_bound():
 
 
 def test_pair_sweep_holds_one_block():
-    # squares take the sweep; its 8 MiB blocks share one buffer next to
-    # the 7.6 MiB membership table (23.8 MiB peak with a block per step)
+    # squares take the sweep; its blocks share one buffer next to the
+    # membership table over [0, span], 3.8 MiB (23.8 MiB peak with an
+    # 8 MiB block per step and a table over [0, 2 span])
     squares = [m * m for m in range(1, 2001)]
     tracemalloc.start()
     try:
@@ -150,11 +155,69 @@ def test_pair_sweep_holds_one_block():
     assert peak < 18 * 2**20
 
 
+@pytest.mark.parametrize("regime", ["sweep", "wide"])
+def test_parity_split_three_aps_match_brute_force(monkeypatch, regime):
+    # x + z = 2y pairs only x = z (mod 2): sets of one parity class (after
+    # translation by min A), of both, and of one element
+    if regime == "sweep":
+        monkeypatch.setattr(arithmetic, "_fft_length", lambda d: 0)
+    else:
+        monkeypatch.setattr(arithmetic, "_FLAT_SUM_LIMIT", 0)
+    rng = np.random.default_rng(12)
+    mixed = np.unique(rng.integers(1, 400, 40)).tolist()
+    sets = {
+        "all even": [2 * m for m in range(1, 30)] + [90, 130],
+        "all odd": [2 * m + 1 for m in range(3, 40, 2)] + [201],
+        "mixed": mixed,
+        "one odd among evens": [2, 4, 6, 9, 10, 14],
+        "single": [7],
+    }
+    for base in (0, 2**62, 2**62 + 1):
+        for name, a in sets.items():
+            b = [base + x for x in a]
+            assert three_ap_count(b) == three_ap_count_bruteforce(b), (name, base)
+    near = sorted([2**62 + i * 2**57 for i in range(9)] + [2**62 + 3, 2**62 + 2**57 + 5])
+    assert three_ap_count(near) == three_ap_count_bruteforce(near)
+
+
+def test_parity_classes_sweep_half_the_pairs(monkeypatch):
+    # the squares of 1..2000 split into 1000 even and 1000 odd ones: 2e6
+    # pair sums instead of 4e6, each below the span
+    seen = []
+    blocks = arithmetic._pair_sum_blocks
+
+    def recording(h):
+        seen.append(h.size)
+        yield from blocks(h)
+
+    monkeypatch.setattr(arithmetic, "_pair_sum_blocks", recording)
+    assert three_ap_count([m * m for m in range(1, 2001)]) == 2926
+    assert seen == [1000, 1000]
+
+
+def test_flat_energy_table_is_int32():
+    # the squares of 1..2000 take the flat sweep over [0, 8e6]: an int64
+    # table took 61 MiB (69 MiB peak), an int32 one takes 30.5 MiB
+    squares = [m * m for m in range(1, 2001)]
+    tracemalloc.start()
+    try:
+        energy = additive_energy(squares)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    d = np.array(squares, dtype=np.uint64)
+    counts = np.unique(np.add.outer(d, d), return_counts=True)[1].astype(np.int64)
+    assert energy == int(counts @ counts)
+
+
 def test_sum_of_squares_past_int64():
     r = np.full(10, 2**31, dtype=np.int64)  # sum r^2 = 10 * 2^62
     assert arithmetic._sum_of_squares(r) == 10 * 2**62
     r = np.arange(5000, dtype=np.int64)
     assert arithmetic._sum_of_squares(r) == sum(v * v for v in range(5000))
+    r = np.full(3 << 16, 2**31 - 1, dtype=np.int32)  # int32 counts, each square past int32
+    assert arithmetic._sum_of_squares(r) == (3 << 16) * (2**31 - 1) ** 2
 
 
 def test_energy_diagonal_lower_bound():
@@ -249,6 +312,42 @@ def test_metric_experiment_reproducible():
     r2 = metric_r3_experiment(a, 0.2, 64, 5, 99)
     assert r1 == r2
     assert r1.lower_bound == pytest.approx(2 * 0.2 * three_ap_count(a) / 64**2)
+
+
+def _metric_by_trial_loop(a, s, n, trials, seed):
+    """metric_r3_experiment by the public per-trial calls."""
+    head = np.asarray(a.elements if isinstance(a, IntegerSet) else a, dtype=np.int64)[:n]
+    vals = np.empty(trials)
+    for t in range(trials):
+        alpha = float(trial_rng(seed, t).random())
+        vals[t] = r_k_distinct(PointSequence(exact_frac_parts(head, alpha)), (s, s)).value
+    var = float(vals.var(ddof=1)) if trials > 1 else 0.0
+    return MetricExperimentReport(float(s), n, trials, seed, float(vals.mean()), var,
+                                  2.0 * s * three_ap_count(head) / n**2,
+                                  float(np.mean(vals > 4.0 * s * s)))
+
+
+@pytest.mark.parametrize("a, s, n, trials", [
+    (integer_range(512), 0.5, 512, 200),      # 102400 points: several chunks
+    (integer_range(512), 0.5, 512, 1),
+    ([m * 2**60 for m in range(1, 8)], 1.0, 7, 30),   # every point at 0
+    ([m * 2**60 for m in range(1, 8)], 3.5, 7, 30),   # ... in the whole-circle window
+    ([m * m for m in range(1, 301)], 150.0, 300, 40),  # the widest arc, s = N/2
+])
+def test_batched_metric_experiment_is_the_per_trial_loop(a, s, n, trials):
+    got = metric_r3_experiment(a, s, n, trials, 1729)
+    assert got == _metric_by_trial_loop(a, s, n, trials, 1729)
+    if trials == 200:
+        assert n * trials > 2 * arithmetic._TRIAL_CHUNK
+
+
+def test_metric_experiment_chunk_edges(monkeypatch):
+    # chunks of 3 rows with a partial last chunk, and of less than one row
+    a = [m * m for m in range(1, 101)]
+    want = _metric_by_trial_loop(a, 0.7, 100, 10, 5)
+    for chunk in (300, 1):
+        monkeypatch.setattr(arithmetic, "_TRIAL_CHUNK", chunk)
+        assert metric_r3_experiment(a, 0.7, 100, 10, 5) == want
 
 
 def test_metric_experiment_validation(monkeypatch):

@@ -118,6 +118,19 @@ def test_corr_parameter_exit_codes(points_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["corr", "--k", "2", "--s", "abc"], "scale 'abc'"),
+    (["sweep", "--stat", "r2", "--s", "1", "--N", "10,x"], "size 'x'"),
+    (["corr", "--k", "2", "--box", "0:y"], "box 'y'"),
+    (["cstar", "--k", "2", "--s", "1", "--interval", "0.2:q"], "interval 'q'"),
+])
+def test_non_numeric_option_is_a_parameter_error(points_file, capsys, argv, what):
+    if argv[0] != "sweep":
+        argv = argv[:1] + ["--input", str(points_file)] + argv[1:]
+    assert main(argv) == 2
+    assert f"parameter error: {what} is not a number" in capsys.readouterr().err
+
+
 def test_cstar_and_moments(points_file, capsys):
     assert main(["cstar", "--input", str(points_file), "--k", "2", "--s", "2.0"]) == 0
     cstar = json.loads(capsys.readouterr().out)

@@ -248,6 +248,28 @@ def test_self_window_is_the_two_search_window(m, cells, shift, scale):
     assert np.array_equal(lo_self % n, lo % n)
 
 
+@pytest.mark.parametrize("rows", ["random", "clustered", "coinciding"])
+@pytest.mark.parametrize("s", [1e-6, 0.5, 3.0, 25.0])  # s = N/2 = 25: the whole circle
+def test_self_window_of_rows_is_the_per_row_window(rows, s):
+    rng = np.random.default_rng(50)
+    n = 50
+    if rows == "random":
+        pts = rng.random((7, n))
+    elif rows == "clustered":  # ties and runs of equal points across the wrap
+        pts = (rng.integers(0, 6, (7, n)) / 6 + rng.choice([0.0, 0.999], (7, 1))) % 1.0
+    else:
+        pts = np.zeros((7, n))
+    grid = np.stack([PointSequence(row).sorted_grid for row in pts])
+    arc = grid_arc(-s, s, n)
+    lo, cnt = self_window(grid, arc)
+    assert lo.shape == cnt.shape == grid.shape
+    for r in range(grid.shape[0]):
+        lo_r, cnt_r = self_window(grid[r], arc)
+        assert np.array_equal(cnt[r], cnt_r)
+        assert np.array_equal(lo[r], lo_r)
+        assert np.array_equal(window(grid, grid, arc)[1][r], window(grid[r], grid[r], arc)[1])
+
+
 def test_point_sequence_immutable():
     seq = PointSequence([0.1, 0.2])
     with pytest.raises(ValueError):

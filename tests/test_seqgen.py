@@ -127,6 +127,19 @@ def test_exact_frac_parts_matches_fraction_arithmetic():
             assert got.tolist() == expected
 
 
+def test_exact_frac_parts_of_several_alphas_are_its_rows():
+    rng = np.random.default_rng(4)
+    ints = np.array([1, 3, 2**40 + 7, 2**62 + 1, 2**63 - 1], dtype=np.int64)
+    one_word = [float(rng.random()), 0.1, 3 * 2.0**-64, -0.3, 2.0**63]
+    for alphas in (one_word, one_word + [2.0**-70]):  # 2^-70: the Python-int rows
+        for a in (ints, ints.tolist(), [2**64 + 1, 5]):
+            got = exact_frac_parts(a, alphas)
+            assert got.shape == (len(alphas), len(a))
+            for row, alpha in zip(got, alphas):
+                assert row.tolist() == exact_frac_parts(a, alpha).tolist()
+    assert exact_frac_parts(ints, np.array([0.25])).shape == (1, ints.size)
+
+
 def test_exact_frac_parts_beats_naive_float():
     # at a ~ 2^60 the naive product has lost the fractional part entirely
     a = 2**60 + 1
