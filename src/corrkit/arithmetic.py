@@ -262,15 +262,15 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
     """Sample uniform dilations alpha, compute R_3(s, N) of ({a_m alpha})
     per trial, and report the sample mean against 2 s T(A_N) / N^2."""
     e = _as_elements(a)
+    if n < 1:
+        raise ParameterError(f"N must be >= 1, got N = {n}")
     if n > e.size:
         raise ParameterError(f"N = {n} exceeds |A| = {e.size}")
-    if s > n / 2:
-        raise ParameterError(f"need s <= N/2 = {n / 2}")
+    scales = _as_scales(s, 3)
+    check_half(scales, n, _SCALE_WRAPS)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     _charge_budget(n * trials, "metric experiment: points N * trials")
-    scales = _as_scales(s, 3)
-    check_half(scales, n, _SCALE_WRAPS)
     head = e[:n]
     t_count = three_ap_count(head)
     lower = 2.0 * s * t_count / n**2

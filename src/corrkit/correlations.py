@@ -333,15 +333,20 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
                 src, pair = src[ok], pair[ok]
                 cols = [col[src] for col in cols] + [new[ok]]
                 vals = [v[src] for v in vals] + [scaled[pair]]
-            m = cols[0].size
-            if m:
-                w = np.asarray(f(np.column_stack(vals)), dtype=np.float64)
-                if w.shape != (m,):
-                    raise ParameterError(f"f must map an ({m}, {k - 1}) array to {m} weights, "
-                                         f"got shape {w.shape}")
-                yield w
+            if cols[0].size:
+                yield _row_weights(f, np.column_stack(vals))
 
     return exact_chunk_sum(chunk_weights)
+
+
+def _row_weights(f, rows: np.ndarray) -> np.ndarray:
+    """The float64 weights f gives the (m, k-1) rows, one per row."""
+    m, width = rows.shape
+    w = np.asarray(f(rows), dtype=np.float64)
+    if w.shape != (m,):
+        raise ParameterError(f"f must map an ({m}, {width}) array to {m} weights, "
+                             f"got shape {w.shape}")
+    return w
 
 
 def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> CorrelationReport:
@@ -404,6 +409,23 @@ def _distinct_mask(n: int, m: int) -> np.ndarray:
     return mask
 
 
+def _anchor_tuples(slot_masks, star: bool):
+    """Per anchor i1, the bool tensor over [N]^(k-1) of the tuples
+    (i1, j_2, ..., j_k) with slot_masks[r][i1, j_{r+2}] for every slot r,
+    and the k indices pairwise distinct unless star."""
+    n = slot_masks[0].shape[0]
+    distinct = None if star else _distinct_mask(n, len(slot_masks))
+    ids = np.arange(n)
+    for i1 in range(n):
+        rows = [sm[i1] for sm in slot_masks]
+        if not star:
+            rows = [r & (ids != i1) for r in rows]
+        tensor = rows[0]
+        for r in rows[1:]:
+            tensor = tensor[..., None] & r
+        yield tensor if star else tensor & distinct
+
+
 def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
                     support_radius=None, k=None, star=False) -> CorrelationReport:
     """Direct enumeration over all k-tuples; the reference every fast
@@ -427,23 +449,21 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     if testfn is not None:
         if k is None or support_radius is None:
             raise ParameterError("testfn mode needs k and support_radius")
+        if k < 2:
+            raise ParameterError("k must be >= 2")
         if not support_radius > 0:
             raise ParameterError(f"support radius must be positive, got {support_radius}")
         _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")
-        scaled = (n * _pairwise_signed(seq)).tolist()
-        tuples = (
-            itertools.product(range(n), repeat=k)
-            if star
-            else itertools.permutations(range(n), k)
-        )
-        # one f call per tuple, on a one-row array
-        terms = [
-            float(testfn(np.array([[scaled[t[0]][j] for j in t[1:]]]))[0])
-            for t in tuples
-        ]
-        total = math.fsum(terms)
+        scaled = n * _pairwise_signed(seq)
+        terms = []
+        for i1, tensor in enumerate(_anchor_tuples([np.ones((n, n), dtype=bool)] * (k - 1), star)):
+            # one f call per anchor, on its tuples in lexicographic order
+            cols = np.nonzero(tensor)
+            if cols[0].size:
+                rows = np.column_stack([scaled[i1, c] for c in cols])
+                terms += _row_weights(testfn, rows).tolist()
         return CorrelationReport(name, k, n, {"support_radius": support_radius},
-                                 None, total / n)
+                                 None, math.fsum(terms) / n)
 
     if scales is not None:
         scales = _as_scales(scales, k)
@@ -458,19 +478,6 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     g = to_grid(seq.points)
     delta = g[:, None] - g[None, :]
     slot_masks = [in_arc(delta, arc) for arc in arcs]
-
-    distinct = None if star else _distinct_mask(n, k - 1)
-    ids = np.arange(n)
-    raw = 0
-    for i1 in range(n):
-        rows = [sm[i1] for sm in slot_masks]
-        if not star:
-            rows = [r & (ids != i1) for r in rows]
-        tensor = rows[0]
-        for r in rows[1:]:
-            tensor = tensor[..., None] & r
-        if not star:
-            tensor = tensor & distinct
-        raw += int(tensor.sum())
+    raw = sum(int(tensor.sum()) for tensor in _anchor_tuples(slot_masks, star))
     params = {"scales": scales} if scales is not None else {"boxes": boxes}
     return CorrelationReport(name, k, n, params, raw, raw / n)

@@ -17,6 +17,7 @@ large a_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +77,10 @@ class GeneratorSpec:
             raise ParameterError(f"unknown generator kind {self.kind!r}")
         if self.kind == "polynomial" and (self.degree is None or self.degree < 1):
             raise ParameterError("polynomial generator needs degree >= 1")
-        if self.kind in ("kronecker", "polynomial", "dilated") and self.alpha is None:
-            raise ParameterError(f"{self.kind} generator needs alpha")
+        if self.kind in ("kronecker", "polynomial", "dilated"):
+            if self.alpha is None:
+                raise ParameterError(f"{self.kind} generator needs alpha")
+            _check_alpha([self.alpha])
         if self.kind == "dilated":
             if not self.integers:
                 raise ParameterError("dilated generator needs an integer sequence")
@@ -91,13 +94,21 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
 
 
+def _check_alpha(alphas) -> None:
+    bad = [a for a in alphas if not math.isfinite(a)]
+    if bad:
+        raise ParameterError(f"alpha must be finite, got {bad[0]}")
+
+
 def exact_frac_parts(integers, alpha) -> np.ndarray:
     """{a * alpha} computed exactly per entry, rounded once to float64.
 
     alpha is one float, giving one value per integer, or a 1-D sequence
     of floats, giving one row per alpha.
     """
-    ratios = [x.as_integer_ratio() for x in np.asarray(alpha, dtype=np.float64).ravel().tolist()]
+    alphas = np.asarray(alpha, dtype=np.float64).ravel().tolist()
+    _check_alpha(alphas)
+    ratios = [x.as_integer_ratio() for x in alphas]
     if not isinstance(integers, np.ndarray):
         integers = list(integers)
     arr = np.asarray(integers)

@@ -161,6 +161,18 @@ def test_energy_and_metric(integers_file, capsys):
     assert m["trials"] == 10 and m["lower_bound"] > 0
 
 
+def test_metric_needs_one_point(integers_file, capsys):
+    assert main(["metric", "--input", str(integers_file), "--s", "0.2", "--n", "0",
+                 "--trials", "2"]) == 2
+    assert "parameter error: N must be >= 1, got N = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_non_finite_alpha_is_a_parameter_error(capsys, alpha):
+    assert main(["gen", "--kind", "kronecker", "--n", "5", f"--alpha={alpha}"]) == 2
+    assert "parameter error: alpha must be finite" in capsys.readouterr().err
+
+
 def test_energy_large_elements(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text(f"{2**62}\n{2**62 + 1}\n{2**62 + 2}\n")

@@ -247,6 +247,42 @@ def test_testfn_matches_bruteforce():
         assert fast == pytest.approx(brute, abs=1e-12)
 
 
+def _value_or_error(call):
+    try:
+        return call().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _testfn_by_tuple(seq, f, k, star):
+    """The oracle's testfn value by one f call per tuple, on a one-row array."""
+    n = len(seq)
+    x = seq.points
+    scaled = (n * signed_distance(x[:, None] - x[None, :])).tolist()
+    tuples = itertools.product(range(n), repeat=k) if star else itertools.permutations(range(n), k)
+    return math.fsum(float(f(np.array([[scaled[t[0]][j] for j in t[1:]]]))[0]) for t in tuples) / n
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_testfn_oracle_is_the_per_tuple_loop(star):
+    weights = [
+        lambda ys: np.prod(np.maximum(1.5 - np.abs(ys), 0.0), axis=1),
+        lambda ys: np.exp(ys.sum(axis=1)),
+        lambda ys: np.where(ys[:, 0] > 0, 1e308, 1.0),  # overflows math.fsum
+        lambda ys: np.where(ys[:, 0] > 0.5, np.nan, 1.0),
+        lambda ys: np.where(ys[:, 0] > 0, np.inf, -np.inf),  # inf - inf
+    ]
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        k = int(rng.integers(2, 5))
+        n = int(rng.integers(1, {2: 14, 3: 10, 4: 7}[k]))
+        seq = PointSequence(rng.random(n))
+        for f in weights:
+            oracle = lambda: brute_force_r_k(seq, testfn=f, support_radius=1.0, k=k, star=star).value
+            loop = lambda: _testfn_by_tuple(seq, f, k, star)
+            assert _value_or_error(oracle) == _value_or_error(loop)
+
+
 def test_consecutive_equals_testfn_for_k2():
     seq = PointSequence(np.random.default_rng(11).random(40))
     f = lambda ys: np.maximum(1.0 - np.abs(ys[:, 0]), 0.0)

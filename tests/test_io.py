@@ -137,7 +137,11 @@ def test_large_plain_file_matches_the_line_scan(tmp_path):
 
 
 def test_plain_file_skips_the_line_scan(tmp_path, monkeypatch):
+    # and so does a valid file with other spellings float() accepts: CRLF
+    # line ends, NBSP padding, a U+2028 line end inside a comment, an
+    # underscore between digits, Arabic-Indic digits
     x, text = _plain_text(2_000, 8)
-    path = _write(tmp_path, "  # indented\n\n" + text.replace("\n", " \t\r\n"))
-    monkeypatch.setattr(io, "_scan_points", lambda *a: pytest.fail("plain file went to the line scan"))
-    assert _points(path).tobytes() == x.tobytes()
+    odd = "\xa00.5\xa0\r\n# c\u20280.25\r\n0.2_5\r\n\u0660.\u0665\r\n"
+    path = _write(tmp_path, "  # indented\n\n" + odd + text.replace("\n", " \t\r\n"))
+    monkeypatch.setattr(io, "_scan_points", lambda *a: pytest.fail("valid file went to the line scan"))
+    assert _points(path).tobytes() == np.concatenate([[0.5, 0.25, 0.25, 0.5], x]).tobytes()

@@ -51,6 +51,19 @@ def test_generate_rejects_bad_parameters():
         generate(GeneratorSpec(kind="van_der_corput"), 0)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_alpha_rejected(alpha):
+    calls = [lambda: GeneratorSpec(kind="kronecker", alpha=alpha),
+             lambda: GeneratorSpec(kind="dilated", alpha=alpha, integers=(1, 2)),
+             lambda: kronecker(5, alpha),
+             lambda: polynomial(5, alpha, 2),
+             lambda: dilated(2, [1, 2], alpha),
+             lambda: exact_frac_parts([1, 2], [0.5, alpha])]
+    for call in calls:
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            call()
+
+
 def test_dyadic_explicit_prefix():
     assert dyadic_counterexample(2).points.tolist() == [0.0, 0.0]
     assert dyadic_counterexample(8).points.tolist() == [0.0, 0.0, 0.5, 0.5, 0.25, 0.25, 0.75, 0.75]
