@@ -18,9 +18,17 @@ The kernel is never evaluated pair by pair.  One window per distinct
 scale gives each anchor's occupants as a run of the sorted grid, and
 L_i = s/N cnt_i - D_i 2^-64 follows from the exact integer
 D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
-grid: O(N) time and memory at any scale.  The anchor products are
-reduced with core.exact_sum, equal to math.fsum: exactly rounded and
-therefore deterministic independent of evaluation order.
+grid: O(N) time at any scale.  The anchors go in blocks of
+core._WINDOW_BLOCK (core.self_window_blocks), each reading its prefix
+sums off three runs of the unrolled grid, about _WINDOW_BLOCK long and
+at most _WINDOW_BLOCK + w for windows of at most w points (see
+_overlap_sums).  The peak is about 140 bytes per anchor of a block
+while the runs are about _WINDOW_BLOCK long, 50 more per run position
+past that, and 32 more per anchor for each further distinct scale:
+under 8 MiB for windows of fewer than 10^4 points, whatever N.  The
+anchor products are reduced block by block with core.exact_chunk_sum,
+equal to math.fsum: exactly rounded and therefore deterministic
+independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -29,52 +37,90 @@ import math
 
 import numpy as np
 
-from .core import PointSequence, check_scale, exact_sum, grid_arc, self_window
+from .core import PointSequence, check_scale, exact_chunk_sum, grid_arc, self_window_blocks
 from .correlations import _as_scales
 from .errors import ParameterError
 
 
-def _overlap_sums(g: np.ndarray, s: float, n: int) -> np.ndarray:
+def _overlap_sums(g: np.ndarray, s: float, n: int):
     """L(c) = sum_j {s/N - ||p_j - c||}^+ for every c in the sorted grid g
-    (the whole grid or a slice of it), from prefix sums of the grid.
+    (the whole grid or a slice of it), from prefix sums of the grid: yields
+    one array per block of anchors (core.self_window_blocks).
 
     Unrolled around the circle, anchor i's occupants are the run
-    [lo, end) of the grid with laps added, lo <= i < end, so
-    D_i = sum_j |g_j - g_i| = P[end] + P[lo] - 2 P[i] + (2i - lo - end) g_i
-    for the prefix sums P.  The grid is split into two 32-bit limbs, a
-    lap adding 2^32 to the high one, and each limb's prefix sums are
-    int64 over at most three laps; N < 2^29 keeps them below 2^63.  The
-    low limb is carried into the high one, and D_i is converted as
-    float(hi) 2^32 + lo: one rounding while hi < 2^53, as always for
-    N < 2^22.
+    [start, end) of the grid with laps added, start <= i < end, so
+    D_i = sum_j |g_j - g_i| = P[end] + P[start] - 2 P[i] + (2i - start - end) g_i
+    for the prefix sums P of the unrolled grid.  The starts, the anchors
+    and the ends each ascend, so each has a cursor, and a block reads P
+    off the prefix sums of the three runs from the cursors to its last
+    start, anchor and end; K = P[end cursor] - 2 P[anchor cursor] +
+    P[start cursor] carries over.  Each run holds at most
+    _WINDOW_BLOCK + w positions for windows of at most w points (about
+    _WINDOW_BLOCK, unless the windows' widths jump), and the runs of all
+    blocks tile the unrolled grid once: O(N) time at any scale.
+
+    The grid is split into two 32-bit limbs, a lap adding 2^32 to the
+    high one, and each limb's sums are int64, below 2^63 while a run is
+    shorter than 2^30.  The low limb is carried into the high one, and
+    D_i is converted as float(hi) 2^32 + lo: one rounding while
+    hi < 2^53, as always for windows of fewer than 2^22 points.
     """
-    lo, cnt = self_window(g, grid_arc(-s, s, n))
-    m = g.size
-    i = np.arange(m)
-    lo -= m * (lo > i)  # the window start on the anchor's own lap
-    end = lo + cnt
-    sign = i + i  # 2i - lo - end: left less right occupants, less 1
-    sign -= lo
+    cursors, carry = None, [0, 0]
+    for b, [(start, end)] in self_window_blocks(g, [grid_arc(-s, s, n)]):
+        if cursors is None:  # all three at the first start, where K = 0
+            cursors = [int(start[0])] * 3
+        yield s / n * (end - start) - _block_distances(g, b, start, end, cursors, carry) * 2.0**-64
+
+
+def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
+                     cursors: list[int], carry: list[int]) -> np.ndarray:
+    """D_i, rounded to float64, of the anchors b, b+1, ... of one block
+    (see _overlap_sums); moves the cursors to the block's last start,
+    anchor and end, and carry, the two limbs of K, with them."""
+    i = np.arange(b, b + start.size)
+    ahead = (int(start[-1]), int(i[-1]), int(end[-1]))
+    sign = i + i  # 2i - start - end: left less right occupants, less 1
+    sign -= start
     sign -= end
-    before, after = -min(int(lo.min()), 0), max(int(end.max()) - m, 0)
-    lo += before
-    end += before
-    limbs = []
-    for limb, lap in (((g >> np.uint64(32)).view(np.int64), 1 << 32),
-                      ((g & np.uint64(0xFFFFFFFF)).view(np.int64), 0)):
-        p = np.zeros(before + m + after + 1, dtype=np.int64)
-        np.cumsum(np.concatenate((limb[m - before:] - lap, limb, limb[:after] + lap)), out=p[1:])
-        p_anchor = p[before:before + m]
-        d = p[end]
-        d -= p_anchor
-        d += p[lo]
-        d -= p_anchor
-        d += sign * limb
-        limbs.append(d)
-    hi, low = limbs
+    sums = []
+    for limb in (0, 1):
+        ps, pa, pe = (_prefix(_unrolled_limb(g, c, a, limb)) for c, a in zip(cursors, ahead))
+        pa_i = pa[i - cursors[1]]
+        d = pe[end - cursors[2]]
+        d -= pa_i
+        d -= pa_i
+        d += ps[start - cursors[0]]
+        d += sign * _unrolled_limb(g, b, b + i.size, limb)
+        d += carry[limb]
+        carry[limb] += int(pe[-1]) - 2 * int(pa[-1]) + int(ps[-1])
+        sums.append(d)
+    cursors[:] = ahead
+    hi, low = sums
     hi += low >> 32
     low &= 0xFFFFFFFF
-    return s / n * cnt - (hi * 2.0**32 + low) * 2.0**-64
+    return hi * 2.0**32 + low
+
+
+def _unrolled_limb(g: np.ndarray, first: int, last: int, limb: int) -> np.ndarray:
+    """The high (limb 0) or low (limb 1) 32-bit limb, as int64, of the
+    unrolled grid at positions [first, last), -m < first <= last < 2m:
+    laps -1 and 1 subtract and add 2^32 to the high limb."""
+    m = g.size
+    laps = [g[min(max(first - lap * m, 0), m):min(max(last - lap * m, 0), m)] for lap in (-1, 0, 1)]
+    x = np.concatenate(laps) if laps[0].size or laps[2].size else laps[1]  # a view of g: no writes
+    if limb:
+        return (x & np.uint64(0xFFFFFFFF)).view(np.int64)
+    hi = (x >> np.uint64(32)).view(np.int64)
+    hi[:laps[0].size] -= 1 << 32
+    hi[x.size - laps[2].size:] += 1 << 32
+    return hi
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """The prefix sums 0, x_0, x_0 + x_1, ... of an int64 array."""
+    p = np.zeros(x.size + 1, dtype=np.int64)
+    np.cumsum(x, out=p[1:])
+    return p
 
 
 def c_k_star(seq: PointSequence, scales, k=None) -> float:
@@ -85,9 +131,14 @@ def c_k_star(seq: PointSequence, scales, k=None) -> float:
     kk = len(scales) + 1
     for s in scales:
         check_scale(s, n)
-    sums = {s: _overlap_sums(seq.sorted_grid, s, n) for s in set(scales)}
-    prod = math.prod(sums[s] for s in scales)
-    return float(n ** (kk - 2)) * exact_sum(prod)
+
+    def products():
+        sums = {s: _overlap_sums(seq.sorted_grid, s, n) for s in set(scales)}
+        for block in zip(*sums.values()):
+            ls = dict(zip(sums, block))
+            yield math.prod(ls[s] for s in scales)
+
+    return float(n ** (kk - 2)) * exact_chunk_sum(products)
 
 
 def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
@@ -105,5 +156,5 @@ def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
     a, b = np.searchsorted(seq.sorted_points, (lo, hi), side="left")
     if a == b:
         return 0.0
-    prod = _overlap_sums(seq.sorted_grid[a:b], s, n) ** (k - 1)
-    return float(n ** (k - 2)) * exact_sum(prod)
+    return float(n ** (k - 2)) * exact_chunk_sum(
+        lambda: (ls ** (k - 1) for ls in _overlap_sums(seq.sorted_grid[a:b], s, n)))

@@ -12,8 +12,15 @@ floors to it, which keeps the order.  Grid differences wrap modulo 2^64,
 the circle itself.  Each threshold (a scale s/N, a box bound a/N)
 becomes, once and exactly, an integer arc of grid offsets (grid_arc), so
 ||x-y|| <= s/N and a/N <= ((x-y)) <= b/N are integer tests (in_arc) and
-one window primitive (window, self_window, window_pairs) finds their
-occupants: the fast counts and the oracles read every tie the same way.
+one window primitive (window, self_window, self_window_blocks,
+window_pairs) finds their occupants: the fast counts and the oracles
+read every tie the same way.
+
+The 1-D window statistics (r_k_distinct, r_k_star, c_k_star, moments)
+take their windows from self_window_blocks, _WINDOW_BLOCK = 2^15 anchors
+at a time, and reduce each block before the next: their transient
+memory is a block's, a few MiB, plus what the widest window adds (see
+each statistic), never O(N).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed from integer limb sums, so they do not depend on
@@ -186,6 +193,59 @@ def self_window(grid: np.ndarray, arc: tuple[int, int]):
     cnt = end - lo
     lo[lo < 0] += n
     return lo, cnt
+
+
+# anchors per block of the 1-D window statistics: each block's arrays stay
+# cache-sized and the transient memory does not grow with N
+_WINDOW_BLOCK = 1 << 15
+
+
+def _runs_search(grid: np.ndarray, keys: np.ndarray, side: str, cut: int) -> np.ndarray:
+    """np.searchsorted(grid, keys, side) for keys that ascend on [:cut] and
+    on [cut:]: each run is searched only in the slice of grid between the
+    positions of its two end keys."""
+    out = np.empty(keys.size, dtype=np.intp)
+    for run in (slice(0, cut), slice(cut, keys.size)):
+        k = keys[run]
+        if k.size:
+            a, z = np.searchsorted(grid, k[[0, -1]], side=side)
+            np.add(np.searchsorted(grid[a:z], k, side=side), a, out=out[run])
+    return out
+
+
+def self_window_blocks(grid: np.ndarray, arcs):
+    """The windows of a 1-D sorted grid centred on itself, in blocks of at
+    most _WINDOW_BLOCK anchors: yields (b, [(start, end) per arc]).
+
+    Each arc (lo, hi) has lo <= 0 <= hi (grid_arc(-s, s, N) and the whole
+    circle).  [start[t], end[t]) is the window of anchor i = b + t
+    unrolled around the circle: position p holds g_(p mod m) + 2^64
+    floor(p/m), the window holds the positions whose value lies in
+    [g_i + lo, g_i + hi], and start <= i < end, so cnt = end - start and
+    start, end ascend with i.  Two searches per anchor and arc, each
+    confined to the slice of the grid its block's keys reach.  A block
+    holds start and end per arc and one key array at a time: about
+    8 (2a + 1) bytes per anchor for a arcs, whatever N and the window
+    widths.
+    """
+    m = grid.size
+    for b in range(0, m, _WINDOW_BLOCK):
+        g = grid[b:b + _WINDOW_BLOCK]
+        wins = []
+        for lo, hi in arcs:
+            # the anchors before `below` have g_i + lo < 0: their windows start a lap back
+            below = int(np.searchsorted(g, np.uint64(-lo)))
+            start = _runs_search(grid, g + np.uint64(lo % GRID), "left", below)
+            start[:below] -= m
+            if hi - lo >= GRID - 1:  # the whole circle: every point once
+                end = start + m
+            else:
+                # from `above` on, g_i + hi >= 2^64: the windows end a lap ahead
+                above = int(np.searchsorted(g, np.uint64(GRID - hi))) if hi else g.size
+                end = _runs_search(grid, g + np.uint64(hi), "right", above)
+                end[above:] += m
+            wins.append((start, end))
+        yield b, wins
 
 
 def window_pairs(lo: np.ndarray, cnt: np.ndarray):

@@ -22,6 +22,12 @@ differences.  Ties at an exact window boundary are included (closed
 inequality) the same way on both, and the counts are those of the
 stored doubles.
 
+r_k_distinct and r_k_star take one window per distinct scale and block
+of core._WINDOW_BLOCK anchors (core.self_window_blocks) and add up the
+blocks' exact products.  Their peak is about 8 (4d + k) bytes per anchor
+of a block for d distinct scales, whatever N and the window widths:
+under 4 MiB up to k = 5 with two distinct scales.
+
 The three tuple forms are numpy passes over the sorted (anchor,
 occupant) pair list of one window, with no per-anchor Python loop.
 r_k_box counts injective slot fillings by Moebius inversion over the set
@@ -44,7 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (PointSequence, check_half, exact_chunk_sum, grid_arc, in_arc,
-                   self_window, signed_distance, to_grid, window_pairs)
+                   self_window, self_window_blocks, signed_distance, to_grid,
+                   window_pairs)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
@@ -86,6 +93,8 @@ class CorrelationReport:
 
 def _as_scales(scales, k=None) -> tuple[float, ...]:
     """k-1 positive scales (s_1, ..., s_{k-1}); a scalar s with k means s k-1 times."""
+    if k is not None and k < 2:
+        raise ParameterError("k must be >= 2")
     if np.ndim(scales) == 0:
         if k is None:
             raise ParameterError("a scalar scale needs an explicit k")
@@ -114,11 +123,22 @@ def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
 
 
 def _window_counts(g: np.ndarray, scales, n: int) -> list[np.ndarray]:
-    """z(s) = #{j : ||p_j - c|| <= s/N} for every c in the sorted grid g and
-    each scale in order; equal scales share one window.  A 2-D g is a
-    stack of independent sorted rows (core.self_window)."""
+    """z(s) = #{j : ||p_j - c|| <= s/N} for every c in a 2-D stack of
+    independent sorted rows g (core.self_window) and each scale in order;
+    equal scales share one window."""
     z = {s: self_window(g, grid_arc(-s, s, n))[1] for s in set(scales)}
     return [z[s] for s in scales]
+
+
+def _block_counts(g: np.ndarray, scales, n: int):
+    """_window_counts for a 1-D sorted grid g, one block of anchors at a
+    time (core.self_window_blocks): yields the list of z(s), one array
+    per scale in order, for each block; one window per distinct scale
+    and block."""
+    distinct = sorted(set(scales))
+    for _, wins in self_window_blocks(g, [grid_arc(-s, s, n) for s in distinct]):
+        z = {s: end - start for s, (start, end) in zip(distinct, wins)}
+        yield [z[s] for s in scales]
 
 
 def _exact_product_sum(factors: list[np.ndarray]):
@@ -144,13 +164,16 @@ def _exact_product_sum(factors: list[np.ndarray]):
     return np.asarray(prod.sum(axis=-1)).tolist()
 
 
+def _distinct_factors(z: list[np.ndarray]) -> list[np.ndarray]:
+    """The per-anchor factors of r_k_distinct from the window counts of the
+    ascending scales: the t-th filled slot uses the t-th smallest window."""
+    return [np.maximum(zt - 1 - t, 0) for t, zt in enumerate(z)]
+
+
 def _distinct_raw(g: np.ndarray, scales, n: int) -> list[int]:
     """The raw count of r_k_distinct for each row of a 2-D sorted grid g
     of N points per row; scales already checked (see r_k_distinct)."""
-    # the t-th filled slot uses the t-th smallest window
-    factors = [np.maximum(z - 1 - t, 0)
-               for t, z in enumerate(_window_counts(g, sorted(scales), n))]
-    return _exact_product_sum(factors)
+    return _exact_product_sum(_distinct_factors(_window_counts(g, sorted(scales), n)))
 
 
 def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
@@ -162,7 +185,7 @@ def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
     scales = _as_scales(scales, k)
     n = len(seq)
     check_half(scales, n, _SCALE_WRAPS)
-    raw = _exact_product_sum(_window_counts(seq.sorted_grid, scales, n))
+    raw = sum(_exact_product_sum(z) for z in _block_counts(seq.sorted_grid, scales, n))
     return CorrelationReport(
         "r_k_star", len(scales) + 1, n, {"scales": scales}, raw, raw / n
     )
@@ -181,7 +204,8 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
     scales = _as_scales(scales, k)
     n = len(seq)
     check_half(scales, n, _SCALE_WRAPS)
-    raw = _distinct_raw(seq.sorted_grid[None], scales, n)[0]
+    raw = sum(_exact_product_sum(_distinct_factors(z))
+              for z in _block_counts(seq.sorted_grid, sorted(scales), n))
     return CorrelationReport(
         "r_k", len(scales) + 1, n, {"scales": scales}, raw, raw / n
     )

@@ -12,7 +12,13 @@ exactness removes a tolerance from every identity built on them.  Arc m
 is the grid range [x_m - R, x_m + R + 1) of core's 2^-64 grid, with
 R = floor(s 2^64 / (2N)), so the profile is F at every grid point.  The
 integer segment lengths are grouped by profile value, so each moment is
-an exact rational sum_v w(v) L_v / 2^64, rounded once.
+an exact rational sum_v w(v) L_v / 2^64, rounded once.  moments folds
+that histogram block by block over the sweep (_profile_blocks), so its
+peak is about 42 bytes per endpoint of a block (at most
+2 core._WINDOW_BLOCK + 2 distinct ones, plus the longest run of equal
+ones) and 8 bytes per profile value up to max F: under 4 MiB while
+max F and the runs of equal points stay under 10^4, whatever N.
+sweep_profile concatenates the same blocks into its O(N) arrays.
 
 The tent test function
 
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (GRID, PointSequence, check_scale, falling_factorial, grid_arc,
                    stirling_second, to_grid, window)
 from .correlations import CorrelationReport, r_k_testfn
@@ -62,20 +69,14 @@ class SweepProfile:
         """{v: L_v}, L_v the exact number of grid points where F = v; the
         L_v sum to 2^64.
 
-        The uint64 segment lengths are summed per value by one wrapping
-        np.add.at, which is exact: each L_v <= 2^64 and the L_v sum to
-        2^64, so a sum modulo 2^64 is L_v unless L_v = 2^64, a lone value
-        that wraps to 0.  Only the whole-circle profile (one breakpoint)
+        The uint64 segment lengths are summed per value by a wrapping
+        np.add.at (_value_lengths, which moments runs block by block),
+        which is exact: each L_v <= 2^64 and the L_v sum to 2^64, so a sum
+        modulo 2^64 is L_v unless L_v = 2^64, a lone value that wraps to 0.  Only the whole-circle profile (one breakpoint)
         has one value: any other has mass N(2R+1) with 2R+1 odd and
         N < 2^64, never a multiple of 2^64, so it holds two values or more.
         """
-        bp, v = self.breakpoints, self.values
-        if bp.size == 1:
-            return {int(v[0]): GRID}
-        sums = np.zeros(int(v.max()) + 1, dtype=np.uint64)
-        np.add.at(sums, v, np.diff(bp, append=bp[:1]))  # the wrap segment's length wraps too
-        present = np.flatnonzero(sums)
-        return dict(zip(present.tolist(), sums[present].tolist()))
+        return _value_lengths([(self.breakpoints, self.values, self.breakpoints[0])])
 
     def total_mass(self) -> float:
         """int_0^1 F dt = sum_v v L_v / 2^64, rounded once."""
@@ -116,50 +117,130 @@ def f_count(seq: PointSequence, t: float, s: float) -> int:
     return int(window(seq.sorted_grid, _grid_of([t]), grid_arc(-0.5 * s, 0.5 * s, n))[1][0])
 
 
-def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
-    """Build the 2N-event circular step function of F by one stable sort
-    of the arc endpoints.
+def _endpoint_run(g: np.ndarray, add: int, a: int, z: int) -> np.ndarray:
+    """Positions [a, z) of the ascending endpoints (g + add) mod 2^64.
 
-    The last event of each run of equal endpoints carries the value after
-    their merged breakpoint.  Ends sort before starts, so every running
-    count, inside a run too, is a number of arcs in [0, N].
+    Sorted, they are the anchors first, first+1, ..., m-1, 0, ..., first-1
+    with first the least i with g_i >= -add mod 2^64 (the anchors before
+    it wrap to the top), so any run of them is one or two slices of g.
+    """
+    m = g.size
+    first = int(np.searchsorted(g, np.uint64(-add % GRID)))
+    a, z = a + first, z + first
+    run = np.concatenate((g[a:z], g[:max(z - m, 0)])) if a < m else g[a - m:z - m]
+    return run + np.uint64(add)
+
+
+def _endpoints_upto(g: np.ndarray, add: int, v: int) -> int:
+    """#{i : (g_i + add) mod 2^64 <= v}, for 0 <= v < 2^64: the g in the
+    cyclic grid arc [-add, -add + v]."""
+    a = -add % GRID
+    z = (a + v) % GRID
+    cnt = int(np.searchsorted(g, np.uint64(z), "right")) - int(np.searchsorted(g, np.uint64(a)))
+    return cnt + g.size if z < a else cnt
+
+
+def _profile_blocks(seq: PointSequence, s: float):
+    """The profile of sweep_profile in blocks: yields (breakpoints, values,
+    following), following the breakpoint after the block's last one (the
+    first breakpoint, after the last block).
+
+    Arc m is [g_m - R, g_m + R + 1), and the arc starts (ends) sorted are
+    the anchors' grid values rotated (_endpoint_run).  A block holds the
+    endpoints up to a cut value: the least of the endpoint _WINDOW_BLOCK
+    ends and the one _WINDOW_BLOCK starts further on.  So equal endpoints
+    never straddle two blocks, a block holds at most _WINDOW_BLOCK + 1
+    distinct values of each kind, and its arrays take O(_WINDOW_BLOCK +
+    the largest run of equal endpoints) memory.  The running count
+    carries over from block to block.
     """
     n = len(seq)
     check_scale(s, n)
     arc = grid_arc(-0.5 * s, 0.5 * s, n)
     r = arc[1]
     if 2 * r + 1 >= GRID:
-        return SweepProfile(np.zeros(1, np.uint64), np.array([n], dtype=np.int64), float(s), n)
+        yield np.zeros(1, np.uint64), np.array([n], dtype=np.int64), 0
+        return
     g = seq.sorted_grid
-    starts, ends = g - r, g + (r + 1)
-    events = np.concatenate((ends, starts))
-    order = np.argsort(events, kind="stable")
-    events = events[order]
-    last = np.empty(events.size, dtype=bool)
-    np.not_equal(events[1:], events[:-1], out=last[:-1])
-    last[-1] = True
-    steps = np.where(order < n, np.int8(-1), np.int8(1))
-    del order
-    breakpoints = events[last]
+    adds = (r + 1, -r % GRID)  # ends, starts
+
+    def endpoint(kind: int, p: int) -> int:
+        """The endpoint at sorted position p of one kind, GRID past the last."""
+        return int(_endpoint_run(g, adds[kind], p, p + 1)[0]) if p < n else GRID
+
     # value on the wrap segment, counted at its first grid point
-    base = int(window(g, breakpoints[-1:], arc)[1][0])
-    values = np.cumsum(steps, dtype=np.int64)[last]
-    values += base
-    if values.min() < 0 or values.max() > n or values[-1] != base:
-        raise ConsistencyError("inconsistent sweep profile")
-    # in grid units the mass is N (2R+1) + 2^64 (base - #arcs that wrap past 0)
-    if base != np.count_nonzero(ends < starts):
+    final = max(endpoint(0, n - 1), endpoint(1, n - 1))
+    base = int(window(g, np.array([final], np.uint64), arc)[1][0])
+    # in grid units the mass is N (2R+1) + 2^64 (base - #arcs that wrap past
+    # 0: g_m < R, or g_m + R + 1 >= 2^64)
+    wraps = int(np.searchsorted(g, np.uint64(r))) + n - int(np.searchsorted(g, np.uint64(GRID - r - 1)))
+    if base != wraps:
         raise ConsistencyError("profile mass does not equal s")
-    return SweepProfile(breakpoints, values, float(s), n)
+    initial = min(endpoint(0, 0), endpoint(1, 0))
+    value, at = base, (0, 0)
+    while at != (n, n):
+        cut = min(min(endpoint(kind, at[kind] + core._WINDOW_BLOCK) for kind in (0, 1)), GRID - 1)
+        upto = tuple(_endpoints_upto(g, add, cut) for add in adds)
+        events = np.concatenate([_endpoint_run(g, add, a, z) for add, a, z in zip(adds, at, upto)])
+        order = np.argsort(events, kind="stable")
+        events = events[order]
+        last = np.empty(events.size, dtype=bool)
+        np.not_equal(events[1:], events[:-1], out=last[:-1])
+        last[-1] = True
+        # ends sort before starts, so every running count, inside a run
+        # too, is a number of arcs in [0, N]
+        steps = np.where(order < upto[0] - at[0], np.int8(-1), np.int8(1))
+        del order
+        values = np.cumsum(steps, dtype=np.int64)[last]
+        del steps
+        values += value
+        if values.min() < 0 or values.max() > n:
+            raise ConsistencyError("inconsistent sweep profile")
+        value, at = int(values[-1]), upto
+        following = min(endpoint(0, at[0]), endpoint(1, at[1]))
+        yield events[last], values, initial if following == GRID else following
+    if value != base:
+        raise ConsistencyError("inconsistent sweep profile")
+
+
+def _value_lengths(blocks) -> dict[int, int]:
+    """{v: L_v} over the (breakpoints, values, following) blocks of a
+    profile (see SweepProfile.value_lengths)."""
+    sums = np.zeros(1, dtype=np.uint64)
+    for bp, v, following in blocks:
+        if following == bp[-1]:  # one breakpoint in all: F = v[0] on the whole circle
+            return {int(v[0]): GRID}
+        top = int(v.max())
+        if top >= sums.size:
+            sums = np.concatenate((sums, np.zeros(top + 1 - sums.size, dtype=np.uint64)))
+        # the wrap segment's length wraps too
+        np.add.at(sums, v, np.diff(bp, append=np.uint64(following)))
+    present = np.flatnonzero(sums)
+    return dict(zip(present.tolist(), sums[present].tolist()))
+
+
+def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
+    """Build the 2N-event circular step function of F by one sweep of the
+    sorted arc endpoints: a stable merge of the ends and the starts per
+    block (_profile_blocks), concatenated.
+
+    The last event of each run of equal endpoints carries the value after
+    their merged breakpoint.
+    """
+    blocks = list(_profile_blocks(seq, s))
+    return SweepProfile(np.concatenate([bp for bp, _, _ in blocks]),
+                        np.concatenate([v for _, v, _ in blocks]), float(s), len(seq))
 
 
 def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
     """Exact factorial moment I_k and power moment I_k* of F(.,s,N):
     sum_v (v)_k L_v / 2^64 and sum_v v^k L_v / 2^64 over the value
-    histogram, each an exact rational rounded once."""
+    histogram, each an exact rational rounded once.  The histogram is
+    folded block by block over the sweep (_profile_blocks), so the peak
+    memory is a block's plus 8 bytes per value up to max F."""
     if k < 2:
         raise ParameterError("k must be >= 2")
-    hist = sweep_profile(seq, s).value_lengths().items()
+    hist = _value_lengths(_profile_blocks(seq, s)).items()
     i_k = sum(falling_factorial(v, k) * ln for v, ln in hist) / GRID
     i_k_star = sum(v**k * ln for v, ln in hist) / GRID
     return MomentReport(k, float(s), len(seq), i_k, i_k_star)

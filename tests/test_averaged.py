@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corrkit import averaged
+from corrkit import averaged, core
 from corrkit import (
     ParameterError,
     PointSequence,
@@ -149,18 +149,27 @@ def test_one_overlap_sum_per_distinct_scale(monkeypatch):
     seq = PointSequence(np.random.default_rng(8).random(300))
     n, g = len(seq), seq.sorted_grid
     real = averaged._overlap_sums
-    l1, l2 = real(g, 1.0, n), real(g, 2.0, n)
-    calls = []
+    l1, l2 = (np.concatenate(list(real(g, s, n))) for s in (1.0, 2.0))
+    calls, windows = [], []
+    real_blocks = averaged.self_window_blocks
 
     def counting(g, s, n):
         calls.append(s)
         return real(g, s, n)
 
+    def counting_blocks(g, arcs):
+        for b, wins in real_blocks(g, arcs):
+            windows.append(len(wins))
+            yield b, wins
+
     monkeypatch.setattr(averaged, "_overlap_sums", counting)
+    monkeypatch.setattr(averaged, "self_window_blocks", counting_blocks)
+    monkeypatch.setattr(core, "_WINDOW_BLOCK", 7)
     # the values are those of one L per slot, multiplied in slot order
     assert c_k_star(seq, (2.0, 2.0)) == n * math.fsum((l2 * l2).tolist())
     assert c_k_star(seq, (1.0, 2.0, 1.0)) == n**2 * math.fsum((l1 * l2 * l1).tolist())
     assert sorted(calls) == [1.0, 2.0, 2.0]
+    assert windows == [1] * (3 * 43)  # 300 anchors in blocks of 7, per overlap sum
 
 
 def _lattice_inputs():

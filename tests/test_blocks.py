@@ -1,0 +1,94 @@
+"""The 1-D window statistics run in blocks of core._WINDOW_BLOCK anchors:
+their results must not depend on where the blocks are cut, and their
+transient memory must not grow with N."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from corrkit import (PointSequence, averaged, c_k_star, c_k_star_local, core, moments,
+                     r_k_distinct, r_k_star, sweep_profile, uniform_random)
+
+
+def _inputs():
+    # the lattice points (j + shift)/N of the tie tests, the same sites
+    # taken twice each, clusters whose windows span many blocks of 7, and
+    # points on both sides of 0, so that the first and last blocks' windows
+    # and unrolled slices reach across it
+    for n in (2, 3, 5, 8, 13, 21, 34, 40):
+        for shift in (0.0, 0.5, 0.25):
+            yield np.array([(j + shift) / n for j in range(n)]) % 1.0
+            if n % 2 == 0:
+                yield np.repeat(np.array([(j + shift) / (n // 2) for j in range(n // 2)]) % 1.0, 2)
+    rng = np.random.default_rng(41)
+    yield 0.4 + rng.random(60) * 1e-3
+    yield np.concatenate((0.2 + rng.random(30) * 1e-4, 0.7 + rng.random(30) * 1e-4))
+    yield (rng.random(50) * 0.02 - 0.01) % 1.0
+    yield np.concatenate(((rng.random(25) * 0.004 - 0.002) % 1.0, rng.random(25)))
+
+
+def _results(seq):
+    n = len(seq)
+    out = []
+    for s in sorted({1.0, n / 2}):
+        out += [r_k_distinct(seq, (s,)).raw_count, r_k_distinct(seq, (s, 1.0)).raw_count,
+                r_k_star(seq, (s, s)).raw_count,
+                c_k_star(seq, (s,)).hex(), c_k_star(seq, (s, 1.0)).hex(),
+                c_k_star_local(seq, s, 3, (0.0, 0.5)).hex(),
+                c_k_star_local(seq, s, 2, (0.25, 1.0)).hex()]
+    for s in sorted({1.0, n / 2, float(n)}):
+        rep = moments(seq, s, 3)
+        prof = sweep_profile(seq, s)
+        out += [rep.i_k.hex(), rep.i_k_star.hex(), prof.breakpoints.tolist(), prof.values.tolist()]
+    return out
+
+
+def test_block_boundaries_do_not_change_results(monkeypatch):
+    cases = 0
+    for x in _inputs():
+        seq = PointSequence(x)
+        results = []
+        for block in (1, 7, len(seq)):
+            monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+            results.append(_results(seq))
+        assert results[0] == results[1] == results[2], x
+        cases += 1
+    assert cases == 40
+
+
+# N = 2^20 points, where full-length temporaries would take 47 MiB for
+# r_k_distinct and r_k_star, 84 MiB for c_k_star and 80 MiB for moments.
+# The bounds are those the docstrings state for windows of a few points
+# at _WINDOW_BLOCK = 2^15.
+@pytest.mark.parametrize("stat, bound_mib", [
+    (lambda seq: r_k_distinct(seq, (1.0, 1.0)), 4),
+    (lambda seq: r_k_distinct(seq, (1.0, 2.0, 1.0, 2.0)), 4),
+    (lambda seq: r_k_star(seq, (1.0, 1.0)), 4),
+    (lambda seq: c_k_star(seq, (1.0,)), 8),
+    (lambda seq: c_k_star(seq, (2.0, 1.0)), 8),
+    (lambda seq: c_k_star_local(seq, 1.0, 3, (0.1, 0.9)), 8),
+    (lambda seq: moments(seq, 2.0, 3), 4),
+], ids=["r_k_distinct", "r_k_distinct_k5", "r_k_star", "c_k_star", "c_k_star_k3",
+        "c_k_star_local", "moments"])
+def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
+    assert core._WINDOW_BLOCK == 1 << 15
+    seq = uniform_random(1 << 20, 7)
+    tracemalloc.start()
+    try:
+        stat(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
+def test_overlap_sums_are_the_whole_grid_sums(monkeypatch):
+    # one block per anchor against one block in all
+    seq = PointSequence(np.random.default_rng(42).random(100))
+    g, n = seq.sorted_grid, len(seq)
+    whole = np.concatenate(list(averaged._overlap_sums(g, 3.0, n)))
+    monkeypatch.setattr(core, "_WINDOW_BLOCK", 1)
+    parts = list(averaged._overlap_sums(g, 3.0, n))
+    assert len(parts) == n
+    assert np.array_equal(np.concatenate(parts), whole)

@@ -118,6 +118,13 @@ def test_corr_parameter_exit_codes(points_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd", ["corr", "cstar"])
+@pytest.mark.parametrize("k", ["-3", "0", "1"])
+def test_order_below_two_is_named(points_file, capsys, cmd, k):
+    assert main([cmd, "--input", str(points_file), f"--k={k}", "--s", "1"]) == 2
+    assert "parameter error: k must be >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, what", [
     (["corr", "--k", "2", "--s", "abc"], "scale 'abc'"),
     (["sweep", "--stat", "r2", "--s", "1", "--N", "10,x"], "size 'x'"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrkit import arithmetic, correlations
+from corrkit import arithmetic, core, correlations
 from corrkit.core import grid_arc, in_arc, to_grid
 from corrkit import (
     BudgetError,
@@ -377,18 +377,21 @@ def test_empty_or_nan_boxes_rejected(bad):
 
 def test_one_window_per_distinct_scale(monkeypatch):
     seq = PointSequence(np.random.default_rng(20).random(200))
-    calls = []
-    real = correlations.self_window
+    windows = []  # the number of windows each block computes
+    real = correlations.self_window_blocks
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(g, arcs):
+        for b, wins in real(g, arcs):
+            windows.append(len(wins))
+            yield b, wins
 
-    monkeypatch.setattr(correlations, "self_window", counting)
+    monkeypatch.setattr(correlations, "self_window_blocks", counting)
+    monkeypatch.setattr(core, "_WINDOW_BLOCK", 7)
     r_k_distinct(seq, (1, 1, 1))
-    assert len(calls) == 1
+    assert windows == [1] * 29  # 200 anchors in blocks of 7
+    windows.clear()
     r_k_star(seq, (1.0, 2.0, 1.0))
-    assert len(calls) == 3
+    assert windows == [2] * 29
 
 
 def test_order_sixteen_counts_stay_exact():

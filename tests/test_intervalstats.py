@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from corrkit import (
     stirling_second,
     sweep_profile,
 )
+from corrkit import core
 from corrkit.core import GRID, grid_arc, in_arc, to_grid
 
 
@@ -126,6 +128,12 @@ def test_sweep_profile_equals_unique_construction(points, frac):
     bp, values = _unique_profile(seq, s)
     assert np.array_equal(prof.breakpoints, bp)
     assert np.array_equal(prof.values, values)
+
+
+def test_sweep_profile_in_blocks_of_seven_equals_unique_construction():
+    # blocks of at most 7 endpoints of each kind cut the sweep many times
+    with mock.patch.object(core, "_WINDOW_BLOCK", 7):
+        test_sweep_profile_equals_unique_construction()
 
 
 def test_profile_point_queries_match_f_count():
