@@ -19,7 +19,9 @@ scale gives each anchor's occupants as a run of the sorted grid, and
 L_i = s/N cnt_i - D_i 2^-64 follows from the exact integer
 D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
 grid: O(N) time at any scale.  The anchors go in blocks of
-core._WINDOW_BLOCK (core.self_window_blocks), each reading its prefix
+core._WINDOW_BLOCK (core.self_window_blocks, which finds windows of up
+to 8 points a side by passes over the neighbour offsets and searches
+only for wider ones), each reading its prefix
 sums off three runs of the unrolled grid, about _WINDOW_BLOCK long and
 at most _WINDOW_BLOCK + w for windows of at most w points (see
 _overlap_sums).  The peak is about 140 bytes per anchor of a block

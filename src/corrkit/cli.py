@@ -119,6 +119,8 @@ def _cmd_corr(args) -> int:
         if args.star:
             raise ParameterError("--star applies to scale windows, not the box form")
         boxes = [_parse_pair(part, "box") for part in args.box.split(",") if part.strip()]
+        if args.k < 2:
+            raise ParameterError("k must be >= 2")
         if len(boxes) != args.k - 1:
             raise ParameterError(f"need {args.k - 1} boxes for k = {args.k}")
         rep = correlations.r_k_box(seq, boxes)

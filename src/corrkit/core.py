@@ -16,11 +16,15 @@ one window primitive (window, self_window, self_window_blocks,
 window_pairs) finds their occupants: the fast counts and the oracles
 read every tie the same way.
 
-The 1-D window statistics (r_k_distinct, r_k_star, c_k_star, moments)
-take their windows from self_window_blocks, _WINDOW_BLOCK = 2^15 anchors
-at a time, and reduce each block before the next: their transient
-memory is a block's, a few MiB, plus what the widest window adds (see
-each statistic), never O(N).
+The 1-D window statistics (r_k_distinct, r_k_star, c_k_star) take their
+windows from self_window_blocks, _WINDOW_BLOCK = 2^15 anchors at a time
+(moments sweeps its arc endpoints in blocks of that size), and reduce
+each block before the next: their transient memory is a block's, a few
+MiB, plus what the widest window adds (see each statistic), never O(N).
+A block's windows cost one vectorized pass per neighbour offset, up to
+min(widest one-sided window, _PASS_CAP = 8) passes, plus binary
+searches for only the anchors whose windows are still open after them:
+for windows of a few points, hardly any.
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed from integer limb sums, so they do not depend on
@@ -213,38 +217,122 @@ def _runs_search(grid: np.ndarray, keys: np.ndarray, side: str, cut: int) -> np.
     return out
 
 
+def _unrolled_search(grid: np.ndarray, g: np.ndarray, off: int, side: str) -> np.ndarray:
+    """The unrolled positions (see self_window_blocks) of the ascending
+    anchors' keys g + off, -2^64 < off < 2^64, searched with side in the
+    grid: the keys that pass 0 land a lap back or ahead."""
+    if off < 0:  # the anchors before `cut` have g + off < 0
+        cut = int(np.searchsorted(g, np.uint64(-off)))
+    else:  # from `cut` on, g + off >= 2^64
+        cut = int(np.searchsorted(g, np.uint64(GRID - off))) if off else g.size
+    pos = _runs_search(grid, g + np.uint64(off % GRID), side, cut)
+    if off < 0:
+        pos[:cut] -= grid.size
+    else:
+        pos[cut:] += grid.size
+    return pos
+
+
+# offsets passed over per block of anchors before the windows still
+# growing are searched instead
+_PASS_CAP = 8
+
+
+def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
+    """(start, end) of the anchors b, ..., b + size - 1 for the arc (-r, r),
+    0 <= r < 2^63, found by passes over the offsets t = 1, 2, ...
+
+    Pass t takes d_j = U_(j+t) - U_j mod 2^64, the grid distance from
+    unrolled position j to j + t (U as in self_window_blocks), as one
+    array over j in [b - t, b + size): d_i <= r for anchor i moves its
+    end past i + t, d_(i-t) <= r its start back to i - t, as the arc is
+    symmetric.  For t < m the distance only grows
+    with t, so a window that closes stays closed.  The one exception is
+    a distance of exactly 2^64, between equal points a lap apart, which
+    wraps to 0; it stays 2^64 at every larger t < m, so that side keeps
+    growing to the last pass and is searched.  The passes stop when no
+    window grew, after min(_PASS_CAP, m - 1) of them, or at the first
+    offset where none closed (the windows are wide).  The windows still
+    open are then searched (_unrolled_search), all of the block's at once
+    if all are.
+    """
+    m = grid.size
+    cap = min(_PASS_CAP, m - 1)
+    start = np.arange(b, b + size)
+    end = start + 1
+    # the anchors whose end, start may still grow: None for all of them
+    ends, starts = _window_passes(grid, b, cap, r, start, end)
+    g = grid[b:b + size]
+    for bound, off, side, at in ((end, r, "right", ends), (start, -r, "left", starts)):
+        if at is None:
+            bound[:] = _unrolled_search(grid, g, off, side)
+        elif at.size:
+            bound[at] = _unrolled_search(grid, g[at], off, side)
+    return start, end
+
+
+def _window_passes(grid: np.ndarray, b: int, cap: int, r: int, start: np.ndarray, end: np.ndarray):
+    """The passes of _passed_window over t = 1, ..., at most cap < m,
+    moving start and end in place: returns the positions in the block of
+    the anchors whose end and whose start are still growing (None for
+    all of them).  Its temporaries end with it."""
+    m, size = grid.size, start.size
+    if not cap:
+        return None, None
+    d = np.empty(size + cap, dtype=np.uint64)
+    near = np.empty(size + cap, dtype=bool)
+    growing = [size, size]  # ends, starts
+    for t in range(1, cap + 1):
+        dt = d[:size + t]  # d_j at dt[j - b + t]
+        # j and j + t on the grid's first lap: two slices of it
+        lo, hi = min(max(t - b, 0), size + t), min(m - b, size + t)
+        np.subtract(grid[b + lo:b + hi], grid[b - t + lo:b - t + hi], out=dt[lo:hi])
+        for a, z in ((0, lo), (hi, size + t)):  # at most t on each side wrap
+            if a < z:
+                j = np.arange(b - t + a, b - t + z)
+                dt[a:z] = grid[(j + t) % m] - grid[j % m]
+        ok = np.less_equal(dt, np.uint64(r), out=near[:size + t])
+        end += ok[t:]
+        start -= ok[:size]
+        grew = [int(np.count_nonzero(ok[t:])), int(np.count_nonzero(ok[:size]))]
+        if grew == [0, 0] or grew == growing:  # all closed, or none closed at t: wide windows
+            break
+        growing = grew
+    return (np.flatnonzero(ok[t:]) if grew[0] < size else None,
+            np.flatnonzero(ok[:size]) if grew[1] < size else None)
+
+
 def self_window_blocks(grid: np.ndarray, arcs):
     """The windows of a 1-D sorted grid centred on itself, in blocks of at
     most _WINDOW_BLOCK anchors: yields (b, [(start, end) per arc]).
 
-    Each arc (lo, hi) has lo <= 0 <= hi (grid_arc(-s, s, N) and the whole
-    circle).  [start[t], end[t]) is the window of anchor i = b + t
-    unrolled around the circle: position p holds g_(p mod m) + 2^64
-    floor(p/m), the window holds the positions whose value lies in
+    Each arc is a grid_arc(-s, s, N): the whole circle, or (-r, r) with
+    0 <= r < 2^63.  [start[t], end[t]) is the window of anchor i = b + t
+    unrolled around the circle: position p holds U_p = g_(p mod m) +
+    2^64 floor(p/m), the window holds the positions whose value lies in
     [g_i + lo, g_i + hi], and start <= i < end, so cnt = end - start and
-    start, end ascend with i.  Two searches per anchor and arc, each
-    confined to the slice of the grid its block's keys reach.  A block
-    holds start and end per arc and one key array at a time: about
-    8 (2a + 1) bytes per anchor for a arcs, whatever N and the window
-    widths.
+    start, end ascend with i.
+
+    An arc (-r, r) takes one pass over the block per neighbour offset,
+    up to min(widest one-sided window, _PASS_CAP) of them, plus searches
+    for the anchors whose windows are still open after them
+    (_passed_window); the whole circle takes one search per anchor.
+    Each search is confined to the slice of the grid its keys reach.  A
+    block holds start and end per arc and, while it finds one arc's
+    windows, either the passes' differences and mask (9 bytes per
+    anchor) or a search's keys and positions (24): at most 8 (2a + 3)
+    bytes per anchor for a arcs, whatever N and the window widths.
     """
     m = grid.size
     for b in range(0, m, _WINDOW_BLOCK):
         g = grid[b:b + _WINDOW_BLOCK]
         wins = []
         for lo, hi in arcs:
-            # the anchors before `below` have g_i + lo < 0: their windows start a lap back
-            below = int(np.searchsorted(g, np.uint64(-lo)))
-            start = _runs_search(grid, g + np.uint64(lo % GRID), "left", below)
-            start[:below] -= m
             if hi - lo >= GRID - 1:  # the whole circle: every point once
-                end = start + m
+                start = _unrolled_search(grid, g, lo, "left")
+                wins.append((start, start + m))
             else:
-                # from `above` on, g_i + hi >= 2^64: the windows end a lap ahead
-                above = int(np.searchsorted(g, np.uint64(GRID - hi))) if hi else g.size
-                end = _runs_search(grid, g + np.uint64(hi), "right", above)
-                end[above:] += m
-            wins.append((start, end))
+                wins.append(_passed_window(grid, b, g.size, hi))
         yield b, wins
 
 

@@ -23,10 +23,12 @@ inequality) the same way on both, and the counts are those of the
 stored doubles.
 
 r_k_distinct and r_k_star take one window per distinct scale and block
-of core._WINDOW_BLOCK anchors (core.self_window_blocks) and add up the
-blocks' exact products.  Their peak is about 8 (4d + k) bytes per anchor
-of a block for d distinct scales, whatever N and the window widths:
-under 4 MiB up to k = 5 with two distinct scales.
+of core._WINDOW_BLOCK anchors (core.self_window_blocks: a pass per
+neighbour offset, up to 8, and searches only for the windows still
+open after them) and add up the blocks' exact products.  Their peak is
+under 8 (4d + k) bytes per anchor of a block for d distinct scales,
+whatever N and the window widths: 1.6 MiB at k = 3 and one scale, under
+3 MiB up to k = 5 with two distinct scales.
 
 The three tuple forms are numpy passes over the sorted (anchor,
 occupant) pair list of one window, with no per-anchor Python loop.

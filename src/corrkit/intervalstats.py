@@ -18,7 +18,7 @@ peak is about 42 bytes per endpoint of a block (at most
 2 core._WINDOW_BLOCK + 2 distinct ones, plus the longest run of equal
 ones) and 8 bytes per profile value up to max F: under 4 MiB while
 max F and the runs of equal points stay under 10^4, whatever N.
-sweep_profile concatenates the same blocks into its O(N) arrays.
+sweep_profile writes the same blocks into its O(N) arrays.
 
 The tent test function
 
@@ -222,14 +222,22 @@ def _value_lengths(blocks) -> dict[int, int]:
 def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
     """Build the 2N-event circular step function of F by one sweep of the
     sorted arc endpoints: a stable merge of the ends and the starts per
-    block (_profile_blocks), concatenated.
+    block (_profile_blocks), written into two arrays of 2N entries, the
+    most there can be: the peak is the output and one block.
 
     The last event of each run of equal endpoints carries the value after
     their merged breakpoint.
     """
-    blocks = list(_profile_blocks(seq, s))
-    return SweepProfile(np.concatenate([bp for bp, _, _ in blocks]),
-                        np.concatenate([v for _, v, _ in blocks]), float(s), len(seq))
+    n = len(seq)
+    breakpoints, values = np.empty(2 * n, dtype=np.uint64), np.empty(2 * n, dtype=np.int64)
+    size = 0
+    for bp, v, _ in _profile_blocks(seq, s):
+        breakpoints[size:size + bp.size] = bp
+        values[size:size + v.size] = v
+        size += bp.size
+    if size < 2 * n:  # equal endpoints merged
+        breakpoints, values = breakpoints[:size].copy(), values[:size].copy()
+    return SweepProfile(breakpoints, values, float(s), n)
 
 
 def moments(seq: PointSequence, s: float, k: int) -> MomentReport:

@@ -1,6 +1,7 @@
 """The 1-D window statistics run in blocks of core._WINDOW_BLOCK anchors:
-their results must not depend on where the blocks are cut, and their
-transient memory must not grow with N."""
+their results must not depend on where the blocks are cut, their windows
+must be those two plain searches find, however many passes run, and
+their transient memory must not grow with N."""
 
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 from corrkit import (PointSequence, averaged, c_k_star, c_k_star_local, core, moments,
                      r_k_distinct, r_k_star, sweep_profile, uniform_random)
+from corrkit.core import grid_arc
 
 
 def _inputs():
@@ -45,6 +47,15 @@ def _results(seq):
 
 
 def test_block_boundaries_do_not_change_results(monkeypatch):
+    _check_block_boundaries(monkeypatch)
+
+
+def test_block_boundaries_do_not_change_results_with_searches_only(monkeypatch):
+    monkeypatch.setattr(core, "_PASS_CAP", 0)
+    _check_block_boundaries(monkeypatch)
+
+
+def _check_block_boundaries(monkeypatch):
     cases = 0
     for x in _inputs():
         seq = PointSequence(x)
@@ -55,6 +66,61 @@ def test_block_boundaries_do_not_change_results(monkeypatch):
         assert results[0] == results[1] == results[2], x
         cases += 1
     assert cases == 40
+
+
+def _window_cases():
+    """(grid, arcs) pairs: the _inputs() sets at scales from a few points
+    to N/2 (the whole circle), two arcs at once, the slice of the grid
+    c_k_star_local passes (arcs of the full N), one point, and equal
+    points a lap apart."""
+    for x in [*_inputs(), [0.3], [0.0], [0.5, 0.5, 0.5, 0.5 + 1e-9, 0.5 + 1e-9]]:
+        seq = PointSequence(x)
+        g, n = seq.sorted_grid, len(seq)
+        for s in sorted({0.5, 1.0, 2.5, n / 3, n / 2}):
+            yield g, [grid_arc(-s, s, n)]
+        yield g, [grid_arc(-1.0, 1.0, n), grid_arc(-n / 2, n / 2, n)]
+        a, b = np.searchsorted(seq.sorted_points, (0.25, 1.0))
+        if a < b:
+            yield g[a:b], [grid_arc(-1.0, 1.0, n), grid_arc(-n / 3, n / 3, n)]
+
+
+def _unrolled_window(g, arc):
+    """core.window(g, g, arc), two plain searches per anchor, as unrolled
+    [start, end): start is lo, or lo - N where lo passes the anchor."""
+    lo, cnt = core.window(g, g, arc)
+    start = lo - np.where(lo > np.arange(g.size), g.size, 0)
+    return start, start + cnt
+
+
+# pass caps: every window searched, one pass, and passes over every window
+@pytest.mark.parametrize("cap", [0, 1, 1 << 30])
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_window_passes_match_plain_searches(monkeypatch, cap, block):
+    monkeypatch.setattr(core, "_PASS_CAP", cap)
+    monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+    cases = 0
+    for g, arcs in _window_cases():
+        wins = [w for _, ws in core.self_window_blocks(g, arcs) for w in ws]
+        for a, arc in enumerate(arcs):
+            start, end = _unrolled_window(g, arc)
+            got = wins[a::len(arcs)]
+            assert np.array_equal(np.concatenate([st for st, _ in got]), start), (g, arc)
+            assert np.array_equal(np.concatenate([en for _, en in got]), end), (g, arc)
+        cases += 1
+    assert cases > 250
+
+
+def test_sweep_profile_peak_is_its_output_and_one_block():
+    seq = uniform_random(1 << 20, 7)
+    tracemalloc.start()
+    try:
+        prof = sweep_profile(seq, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = prof.breakpoints.nbytes + prof.values.nbytes
+    assert out == 32 * 2**20
+    assert peak < out + 4 * 2**20
 
 
 # N = 2^20 points, where full-length temporaries would take 47 MiB for

@@ -125,6 +125,12 @@ def test_order_below_two_is_named(points_file, capsys, cmd, k):
     assert "parameter error: k must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_box_order_below_two_is_named(points_file, capsys, k):
+    assert main(["corr", "--input", str(points_file), f"--k={k}", "--box", "0:1"]) == 2
+    assert "parameter error: k must be >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, what", [
     (["corr", "--k", "2", "--s", "abc"], "scale 'abc'"),
     (["sweep", "--stat", "r2", "--s", "1", "--N", "10,x"], "size 'x'"),
