@@ -59,7 +59,10 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     P[start cursor] carries over.  Each run holds at most
     _WINDOW_BLOCK + w positions for windows of at most w points (about
     _WINDOW_BLOCK, unless the windows' widths jump), and the runs of all
-    blocks tile the unrolled grid once: O(N) time at any scale.
+    blocks tile the unrolled grid once: O(N) time at any scale.  One run
+    [start cursor, last end) per block would be a window longer, O(N w /
+    _WINDOW_BLOCK) in all: tried, it was 16% faster on window_stats but
+    c_k_star at N = 1e6, s = 4e5 took 866 ms, not 249 (2-core x86_64).
 
     The grid is split into two 32-bit limbs, a lap adding 2^32 to the
     high one, and each limb's sums are int64, below 2^63 while a run is

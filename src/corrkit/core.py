@@ -16,15 +16,15 @@ one window primitive (window, self_window, self_window_blocks,
 window_pairs) finds their occupants: the fast counts and the oracles
 read every tie the same way.
 
-The 1-D window statistics (r_k_distinct, r_k_star, c_k_star) take their
-windows from self_window_blocks, _WINDOW_BLOCK = 2^15 anchors at a time
-(moments sweeps its arc endpoints in blocks of that size), and reduce
-each block before the next: their transient memory is a block's, a few
-MiB, plus what the widest window adds (see each statistic), never O(N).
-A block's windows cost one vectorized pass per neighbour offset, up to
-min(widest one-sided window, _PASS_CAP = 8) passes, plus binary
-searches for only the anchors whose windows are still open after them:
-for windows of a few points, hardly any.
+The 1-D window statistics (r_k_distinct, r_k_star, r_k_box, c_k_star)
+take their windows from self_window_blocks, _WINDOW_BLOCK = 2^15 anchors
+at a time (moments sweeps its arc endpoints in blocks of that size), and
+reduce each block before the next: their transient memory is a block's,
+a few MiB, plus what the widest window adds (see each statistic), never
+O(N).  A block's windows of a symmetric arc cost one vectorized pass per
+neighbour offset, up to min(widest one-sided window, _PASS_CAP = 8),
+plus binary searches for only the anchors whose windows are still open
+after them: for windows of a few points, hardly any.
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed from integer limb sums, so they do not depend on
@@ -180,7 +180,9 @@ def self_window(grid: np.ndarray, arc: tuple[int, int]):
 
     A 2-D grid is a stack of independent sorted rows of N points each,
     as the trials of a batch are: one search per row, then one bincount
-    of E shifted by 2N per row gives every row's C at once.
+    of E shifted by 2N per row gives every row's C at once.  The trial
+    rows of metric_r3_experiment keep it: with window's two searches the
+    perfbench dilation job took 0.069 s, not 0.062 (6 of 6 pairs).
     """
     if arc[1] - arc[0] >= GRID - 1:  # the whole circle, the one arc here not symmetric
         return window(grid, grid, arc)
@@ -306,17 +308,18 @@ def self_window_blocks(grid: np.ndarray, arcs):
     """The windows of a 1-D sorted grid centred on itself, in blocks of at
     most _WINDOW_BLOCK anchors: yields (b, [(start, end) per arc]).
 
-    Each arc is a grid_arc(-s, s, N): the whole circle, or (-r, r) with
-    0 <= r < 2^63.  [start[t], end[t]) is the window of anchor i = b + t
-    unrolled around the circle: position p holds U_p = g_(p mod m) +
-    2^64 floor(p/m), the window holds the positions whose value lies in
-    [g_i + lo, g_i + hi], and start <= i < end, so cnt = end - start and
-    start, end ascend with i.
+    [start[t], end[t]) is the window of anchor i = b + t for the arc
+    (lo, hi), -2^63 <= lo, hi <= 2^63, unrolled around the circle:
+    position p holds U_p = g_(p mod m) + 2^64 floor(p/m), the window
+    holds the positions whose value lies in [g_i + lo, g_i + hi], so
+    cnt = end - start (or <= 0: empty) and start, end ascend with i;
+    start <= i < end only for arcs that contain 0.
 
-    An arc (-r, r) takes one pass over the block per neighbour offset,
-    up to min(widest one-sided window, _PASS_CAP) of them, plus searches
-    for the anchors whose windows are still open after them
-    (_passed_window); the whole circle takes one search per anchor.
+    A symmetric arc (-r, r), 0 <= r < 2^63, as from grid_arc(-s, s, N),
+    takes one pass over the block per neighbour offset, up to
+    min(widest one-sided window, _PASS_CAP), plus searches for the
+    anchors whose windows are still open after them (_passed_window);
+    the whole circle takes one search per anchor, any other arc two.
     Each search is confined to the slice of the grid its keys reach.  A
     block holds start and end per arc and, while it finds one arc's
     windows, either the passes' differences and mask (9 bytes per
@@ -331,8 +334,11 @@ def self_window_blocks(grid: np.ndarray, arcs):
             if hi - lo >= GRID - 1:  # the whole circle: every point once
                 start = _unrolled_search(grid, g, lo, "left")
                 wins.append((start, start + m))
-            else:
+            elif lo == -hi:
                 wins.append(_passed_window(grid, b, g.size, hi))
+            else:
+                wins.append((_unrolled_search(grid, g, lo, "left"),
+                             _unrolled_search(grid, g, hi, "right")))
         yield b, wins
 
 

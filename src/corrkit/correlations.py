@@ -30,12 +30,14 @@ under 8 (4d + k) bytes per anchor of a block for d distinct scales,
 whatever N and the window widths: 1.6 MiB at k = 3 and one scale, under
 3 MiB up to k = 5 with two distinct scales.
 
-The three tuple forms are numpy passes over the sorted (anchor,
-occupant) pair list of one window, with no per-anchor Python loop.
-r_k_box counts injective slot fillings by Moebius inversion over the set
-partitions of the k-1 slots, one bincount per block.  r_k_testfn and
-r_k_consecutive build their tuples by chained joins on the pair list, in
-chunks of first-level pairs capped at _CHUNK_ROWS rows, and call the test
+r_k_box counts injective slot fillings by Moebius inversion over the
+set partitions of the k-1 slots, in the same blocks of anchors and with
+no pair list: an anchor's candidates for one slot are one run of the
+unrolled sorted grid, so those of several slots are the intersection of
+their runs.  r_k_testfn and r_k_consecutive are numpy passes over the
+sorted (anchor, occupant) pair list of one window, with no per-anchor
+Python loop: they build their tuples by chained joins on it, in chunks
+of first-level pairs capped at _CHUNK_ROWS rows, and call the test
 function once per chunk on an (m, k-1) float64 array of scaled
 differences; its weights are summed exactly, chunk by chunk, and rounded
 once (core.exact_chunk_sum, equal to one math.fsum over all of them).
@@ -214,7 +216,7 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
 
 
 # ---------------------------------------------------------------------------
-# tuple enumeration over the sorted (anchor, occupant) window pairs
+# tuple enumeration: signed boxes from window runs, weighted sums from window pairs
 
 
 def _occupant_pairs(g: np.ndarray, radius: float, n: int):
@@ -227,26 +229,22 @@ def _occupant_pairs(g: np.ndarray, radius: float, n: int):
     return pa[keep], pp[keep]
 
 
-def _set_partitions(m: int, alive):
+def _set_partitions(m: int, alive, r: int = 0, blocks: tuple = ()):
     """Set partitions of the slots 0..m-1, as tuples of block bitmasks.
 
     Slots are placed in order, each into an existing block or a new one.
     A branch is cut as soon as one of its blocks fails alive(); blocks
     only gain slots further down, so a dead block never revives.
     """
-
-    def rec(r, blocks):
-        if r == m:
-            yield blocks
-            return
-        bit = 1 << r
-        for i, b in enumerate(blocks):
-            if alive(b | bit):
-                yield from rec(r + 1, blocks[:i] + (b | bit,) + blocks[i + 1:])
-        if alive(bit):
-            yield from rec(r + 1, blocks + (bit,))
-
-    yield from rec(0, ())
+    if r == m:
+        yield blocks
+        return
+    bit = 1 << r
+    for i, b in enumerate(blocks):
+        if alive(b | bit):
+            yield from _set_partitions(m, alive, r + 1, blocks[:i] + (b | bit,) + blocks[i + 1:])
+    if alive(bit):
+        yield from _set_partitions(m, alive, r + 1, blocks + (bit,))
 
 
 def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
@@ -258,42 +256,38 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     are counted by Moebius inversion on the lattice of set partitions pi
     of the k-1 slots: sum_pi mu(pi) prod_{B in pi} #{occupants meeting
     every slot of B}, with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!.  Each
-    block count is one bincount over the window pairs, so the work is
-    O(Bell(k-1) * window pairs), whatever the window occupancy.
+    slot's candidates are one run [start, end) of the unrolled grid
+    (core.self_window_blocks), so a block B's count is
+    max(min end - max start, 0), less the anchor where that run holds
+    it: O(Bell(k-1) N) work whatever the window occupancy.  Per anchor
+    of a core._WINDOW_BLOCK block, the peak is 16 bytes per slot, 8 per
+    cached block count (at most 2^(k-1) - 1) and under 40 more: 3 MiB at
+    k = 3, 11.5 MiB at k = 6 (2.8 and 11.3 measured at N = 2^20).
     """
     boxes = _as_boxes(boxes)
     n = len(seq)
     k = len(boxes) + 1
     check_half(itertools.chain.from_iterable(boxes), n, _BOX_WRAPS)
-    g = seq.sorted_grid
-    pa, pp = _occupant_pairs(g, max(max(abs(a), abs(b)) for a, b in boxes), n)
-    delta = g[pa] - g[pp]
-    slot_ok = [in_arc(delta, grid_arc(a, b, n)) for a, b in boxes]
-    # keep the anchors whose count can be nonzero: at least k-1 candidates
-    # in all, and one in every slot.  An empty slot zeroes every
-    # partition's product (each block lies inside a slot); too few
-    # candidates make the anchor's partition terms cancel to zero.
-    live = np.bincount(pa[np.logical_or.reduce(slot_ok)], minlength=n) >= k - 1
-    for ok in slot_ok:
-        live &= np.bincount(pa[ok], minlength=n) > 0
+    # a/N <= ((c - y)) <= b/N for anchor c and occupant y: y - c in (-hi, -lo)
+    arcs = [(-hi, -lo) for lo, hi in (grid_arc(a, b, n) for a, b in boxes)]
+    distinct = sorted(set(arcs))
     raw = 0
-    if live.any():
-        on_live = live[pa]
-        anchor = (np.cumsum(live) - 1)[pa[on_live]]
-        slot_ok = [ok[on_live] for ok in slot_ok]
-        n_live = int(np.count_nonzero(live))
+    for b, wins in self_window_blocks(seq.sorted_grid, distinct):
+        runs = [wins[distinct.index(arc)] for arc in arcs]
+        anchor = np.arange(b, b + runs[0][0].size)
 
         @functools.cache
         def block_count(mask: int) -> np.ndarray:
-            ok = np.logical_and.reduce([slot_ok[r] for r in range(k - 1) if mask >> r & 1])
-            return np.bincount(anchor[ok], minlength=n_live)
+            start = functools.reduce(np.maximum, [runs[r][0] for r in range(k - 1) if mask >> r & 1])
+            end = functools.reduce(np.minimum, [runs[r][1] for r in range(k - 1) if mask >> r & 1])
+            cnt = np.maximum(end - start, 0)
+            cnt -= (start <= anchor) & (anchor < end)
+            return cnt
 
         for blocks in _set_partitions(k - 1, lambda mask: block_count(mask).any()):
-            mu = 1
-            for mask in blocks:
-                size = mask.bit_count()
-                mu *= (-1) ** (size - 1) * math.factorial(size - 1)
+            mu = math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in map(int.bit_count, blocks))
             raw += mu * _exact_product_sum([block_count(mask) for mask in blocks])
+        block_count.cache_clear()  # before the next block's windows
     return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)
 
 

@@ -89,9 +89,15 @@ class GeneratorSpec:
             raise ParameterError("uniform_random generator needs a seed")
 
 
+def _check_seed(seed) -> int:
+    if int(seed) < 0:  # numpy takes no negative seed
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent PCG64 stream for (seed, trial)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+    return np.random.default_rng(np.random.SeedSequence([_check_seed(seed), int(trial)]))
 
 
 def _check_alpha(alphas) -> None:
@@ -135,7 +141,7 @@ def exact_frac_parts(integers, alpha) -> np.ndarray:
 def uniform_random(n: int, seed: int) -> PointSequence:
     """n i.i.d. uniform points from the PCG64 stream of ``seed``."""
     _check_n(n)
-    return PointSequence(np.random.default_rng(int(seed)).random(n))
+    return PointSequence(np.random.default_rng(_check_seed(seed)).random(n))
 
 
 def kronecker(n: int, alpha: float) -> PointSequence:

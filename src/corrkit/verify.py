@@ -142,9 +142,7 @@ def _chk_stirling_first_expansion(rng, tier):
     bad = 0
     for m in range(1, 8):
         for y in range(0, 21):
-            direct = 1
-            for t in range(m + 1):
-                direct *= y - t
+            direct = falling_factorial(y, m + 1)
             recon = y ** (m + 1) + sum(
                 (-1) ** (m + 1 - i) * stirling_first_unsigned(m, i) * y**i
                 for i in range(1, m + 1)
@@ -189,12 +187,9 @@ def _chk_dilated_exact(rng, tier):
 def _chk_dyadic_structure(rng, tier):
     ok = True
     for m in range(1, 15):
-        pts = seqgen.dyadic_counterexample(2**m).points
-        vals, counts = np.unique(pts, return_counts=True)
-        if not np.all(counts == 2):
-            ok = False
-        if vals.size > 1 and not math.isclose(np.diff(vals).min(), 2.0 / 2**m):
-            ok = False
+        vals, counts = np.unique(seqgen.dyadic_counterexample(2**m).points, return_counts=True)
+        ok &= bool(np.all(counts == 2)) and (
+            vals.size == 1 or math.isclose(np.diff(vals).min(), 2.0 / 2**m))
     return _result("dyadic_multiplicity_and_gap",
                    "first 2^m doubled-dyadic points: every value twice, min gap 2/2^m (m <= 14)",
                    ok, "structure holds" if ok else "violated", "multiplicity 2, gap 2/2^m", "exact")
@@ -205,11 +200,7 @@ def _chk_dyadic_structure(rng, tier):
 
 
 def _instance_set(rng, count, nmax=200):
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(10, nmax + 1))
-        out.append(PointSequence(rng.random(n)))
-    return out
+    return [PointSequence(rng.random(int(rng.integers(10, nmax + 1)))) for _ in range(count)]
 
 
 def _chk_star_dominates(rng, tier):
@@ -314,8 +305,7 @@ def _chk_power_mean_inequality(rng, tier):
 
 
 def _chk_partition_shift(rng, tier):
-    failures = 0
-    checked = 0
+    failures = checked = 0
     for trial in range(6):
         n, s = (30, 3.0) if trial % 2 == 0 else (40, 2.0)
         x = rng.random(n)
@@ -458,11 +448,7 @@ def _chk_ball_cover_counting(rng, tier):
         t = float(rng.random())
         inside = in_arc(to_grid(seq.points) - to_grid(t), grid_arc(-0.5 * s, 0.5 * s, n))
         fval = intervalstats.f_count(seq, t, s)
-        direct = sum(
-            1
-            for tup in itertools.permutations(range(n), k)
-            if all(inside[i] for i in tup)
-        )
+        direct = sum(all(inside[i] for i in tup) for tup in itertools.permutations(range(n), k))
         bad += falling_factorial(fval, k) != direct
     return _result("ball_cover_counting_identity",
                    "F(F-1)...(F-k+1) at t counts distinct tuples whose arcs all contain t",

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from corrkit import (PointSequence, averaged, c_k_star, c_k_star_local, core, moments,
-                     r_k_distinct, r_k_star, sweep_profile, uniform_random)
-from corrkit.core import grid_arc
+                     r_k_box, r_k_distinct, r_k_star, sweep_profile, uniform_random)
+from corrkit.core import grid_arc, in_arc
 
 
 def _inputs():
@@ -38,7 +38,9 @@ def _results(seq):
                 r_k_star(seq, (s, s)).raw_count,
                 c_k_star(seq, (s,)).hex(), c_k_star(seq, (s, 1.0)).hex(),
                 c_k_star_local(seq, s, 3, (0.0, 0.5)).hex(),
-                c_k_star_local(seq, s, 2, (0.25, 1.0)).hex()]
+                c_k_star_local(seq, s, 2, (0.25, 1.0)).hex(),
+                # slot arcs that hold 0 or not, and the whole circle at s = N/2
+                r_k_box(seq, ((-s, 0.5 * s), (0.25 * s, s), (-s, s))).raw_count]
     for s in sorted({1.0, n / 2, float(n)}):
         rep = moments(seq, s, 3)
         prof = sweep_profile(seq, s)
@@ -110,6 +112,25 @@ def test_window_passes_match_plain_searches(monkeypatch, cap, block):
     assert cases > 250
 
 
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_windows_of_any_arc_are_its_occupants(monkeypatch, block):
+    # arcs on one side of 0, ending at 0, empty, and the whole circle from
+    # -2^63: the run [start, end) holds each occupant once, the anchor only
+    # where the arc holds 0
+    monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+    for x in _inputs():
+        g, n = PointSequence(x).sorted_grid, len(x)
+        arcs = [grid_arc(0.25, 1.0, n), grid_arc(-2.5, -0.5, n), grid_arc(-1.0, 0.0, n),
+                grid_arc(0.5, float(np.nextafter(0.5, 1.0)), n), (-2**63, 2**63 - 1)]
+        wins = [w for _, ws in core.self_window_blocks(g, arcs) for w in ws]
+        for a, arc in enumerate(arcs):
+            start = np.concatenate([st for st, _ in wins[a::len(arcs)]])
+            end = np.concatenate([en for _, en in wins[a::len(arcs)]])
+            for i in range(n):
+                occupants = np.flatnonzero(in_arc(g - g[i], arc))
+                assert sorted(np.arange(start[i], end[i]) % n) == occupants.tolist(), (x, arc)
+
+
 def test_sweep_profile_peak_is_its_output_and_one_block():
     seq = uniform_random(1 << 20, 7)
     tracemalloc.start()
@@ -124,7 +145,8 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
 
 
 # N = 2^20 points, where full-length temporaries would take 47 MiB for
-# r_k_distinct and r_k_star, 84 MiB for c_k_star and 80 MiB for moments.
+# r_k_distinct and r_k_star, 84 MiB for c_k_star, 80 MiB for moments and
+# a window pair list for r_k_box about 370 MiB.
 # The bounds are those the docstrings state for windows of a few points
 # at _WINDOW_BLOCK = 2^15.
 @pytest.mark.parametrize("stat, bound_mib", [
@@ -135,8 +157,9 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
     (lambda seq: c_k_star(seq, (2.0, 1.0)), 8),
     (lambda seq: c_k_star_local(seq, 1.0, 3, (0.1, 0.9)), 8),
     (lambda seq: moments(seq, 2.0, 3), 4),
+    (lambda seq: r_k_box(seq, ((-4.0, 4.0), (-2.0, 3.0))), 3),
 ], ids=["r_k_distinct", "r_k_distinct_k5", "r_k_star", "c_k_star", "c_k_star_k3",
-        "c_k_star_local", "moments"])
+        "c_k_star_local", "moments", "r_k_box"])
 def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
     assert core._WINDOW_BLOCK == 1 << 15
     seq = uniform_random(1 << 20, 7)

@@ -118,6 +118,29 @@ def test_corr_parameter_exit_codes(points_file, capsys):
     capsys.readouterr()
 
 
+def test_moments_order_above_sixteen_is_named_before_the_sweep(points_file, capsys,
+                                                                 monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the moments were computed")
+
+    monkeypatch.setattr("corrkit.intervalstats.moments", no_sweep)
+    assert main(["moments", "--input", str(points_file), "--k", "20", "--s", "1"]) == 2
+    assert "parameter error: orders above k = 16 are unsupported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "uniform_random", "--n", "3", "--seed", "-1"],
+    ["metric", "--s", "0.2", "--n", "16", "--trials", "2", "--seed", "-1"],
+    ["sweep", "--stat", "r2", "--s", "1", "--N", "50", "--seed", "-3"],
+    ["verify", "--seed", "-1"],
+], ids=["gen", "metric", "sweep", "verify"])
+def test_negative_seed_is_a_parameter_error(integers_file, capsys, argv):
+    if argv[0] == "metric":
+        argv = argv + ["--input", str(integers_file)]
+    assert main(argv) == 2
+    assert "parameter error: seed must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", ["corr", "cstar"])
 @pytest.mark.parametrize("k", ["-3", "0", "1"])
 def test_order_below_two_is_named(points_file, capsys, cmd, k):
