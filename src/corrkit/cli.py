@@ -156,8 +156,6 @@ def _cmd_cstar(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    if args.k > 16:  # before the sweep: bell_prediction's Stirling table ends there
-        raise ParameterError("orders above k = 16 are unsupported")
     seq = read_points(args.input)
     rep = intervalstats.moments(seq, args.s, args.k)
     payload = {

@@ -182,7 +182,8 @@ def self_window(grid: np.ndarray, arc: tuple[int, int]):
     as the trials of a batch are: one search per row, then one bincount
     of E shifted by 2N per row gives every row's C at once.  The trial
     rows of metric_r3_experiment keep it: with window's two searches the
-    perfbench dilation job took 0.069 s, not 0.062 (6 of 6 pairs).
+    perfbench dilation job took 0.069 s, not 0.061 (3 of 3 pairs,
+    2-core x86_64).
     """
     if arc[1] - arc[0] >= GRID - 1:  # the whole circle, the one arc here not symmetric
         return window(grid, grid, arc)
@@ -410,6 +411,12 @@ def exact_sum(x) -> float:
 
 
 _STIRLING_ORDER = 16
+
+
+def check_order(k: int) -> None:
+    """Orders above the Stirling tables' are unsupported by every statistic."""
+    if k > _STIRLING_ORDER:
+        raise ParameterError(f"orders above k = {_STIRLING_ORDER} are unsupported")
 
 
 def _check_stirling(k: int, j: int) -> None:

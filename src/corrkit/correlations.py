@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PointSequence, check_half, exact_chunk_sum, grid_arc, in_arc,
+from .core import (PointSequence, check_half, check_order, exact_chunk_sum, grid_arc, in_arc,
                    self_window, self_window_blocks, signed_distance, to_grid,
                    window_pairs)
 from .errors import BudgetError, ParameterError
@@ -109,8 +109,7 @@ def _as_scales(scales, k=None) -> tuple[float, ...]:
         raise ParameterError(f"expected {k - 1} scales, got {len(out)}")
     if len(out) < 1 or not all(s > 0 for s in out):  # NaN fails too
         raise ParameterError("scales must be positive and nonempty")
-    if len(out) > 15:
-        raise ParameterError("orders above k = 16 are unsupported")
+    check_order(len(out) + 1)
     return out
 
 
@@ -121,8 +120,7 @@ def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
         raise ParameterError("need at least one interval (k >= 2)")
     if not all(b > a for a, b in out):  # NaN fails too
         raise ParameterError("each interval needs b > a")
-    if len(out) > 15:
-        raise ParameterError("orders above k = 16 are unsupported")
+    check_order(len(out) + 1)
     return out
 
 
@@ -259,7 +257,9 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     slot's candidates are one run [start, end) of the unrolled grid
     (core.self_window_blocks), so a block B's count is
     max(min end - max start, 0), less the anchor where that run holds
-    it: O(Bell(k-1) N) work whatever the window occupancy.  Per anchor
+    it: O(Bell(k-1) N) work at most, whatever the window occupancy.  An
+    anchor no tuple can fill counts zero, and a block of such anchors
+    is skipped: sparse windows cost O(k N) at any order.  Per anchor
     of a core._WINDOW_BLOCK block, the peak is 16 bytes per slot, 8 per
     cached block count (at most 2^(k-1) - 1) and under 40 more: 3 MiB at
     k = 3, 11.5 MiB at k = 6 (2.8 and 11.3 measured at N = 2^20).
@@ -276,16 +276,33 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
         runs = [wins[distinct.index(arc)] for arc in arcs]
         anchor = np.arange(b, b + runs[0][0].size)
 
+        def others(start, end):  # occupants of [start, end), the anchor left out
+            return np.maximum(end - start, 0) - ((start <= anchor) & (anchor < end))
+
+        # count only the anchors whose count can be nonzero: a candidate in
+        # every slot, and at least k-1 in the hull of all slots' runs.  An
+        # empty slot zeroes every partition's product (each block lies in a
+        # slot); too few candidates make the partition terms cancel to zero.
+        # Zeroing the other anchors' counts lets _set_partitions cut more,
+        # and a block with no live anchor is skipped.
+        live = others(functools.reduce(np.minimum, [s for s, _ in runs]),
+                      functools.reduce(np.maximum, [e for _, e in runs])) >= k - 1
+        for start, end in runs:
+            live &= others(start, end) > 0
+        if not live.any():
+            continue
+
         @functools.cache
         def block_count(mask: int) -> np.ndarray:
-            start = functools.reduce(np.maximum, [runs[r][0] for r in range(k - 1) if mask >> r & 1])
-            end = functools.reduce(np.minimum, [runs[r][1] for r in range(k - 1) if mask >> r & 1])
-            cnt = np.maximum(end - start, 0)
-            cnt -= (start <= anchor) & (anchor < end)
-            return cnt
+            slots = [runs[r] for r in range(k - 1) if mask >> r & 1]
+            return live * others(functools.reduce(np.maximum, [s for s, _ in slots]),
+                                 functools.reduce(np.minimum, [e for _, e in slots]))
 
         for blocks in _set_partitions(k - 1, lambda mask: block_count(mask).any()):
-            mu = math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in map(int.bit_count, blocks))
+            mu = 1
+            for mask in blocks:
+                size = mask.bit_count()
+                mu *= (-1) ** (size - 1) * math.factorial(size - 1)
             raw += mu * _exact_product_sum([block_count(mask) for mask in blocks])
         block_count.cache_clear()  # before the next block's windows
     return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)

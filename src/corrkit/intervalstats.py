@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (GRID, PointSequence, check_scale, falling_factorial, grid_arc,
+from .core import (GRID, PointSequence, check_order, check_scale, falling_factorial, grid_arc,
                    stirling_second, to_grid, window)
 from .correlations import CorrelationReport, r_k_testfn
 from .errors import ConsistencyError, ParameterError
@@ -248,6 +248,7 @@ def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
     memory is a block's plus 8 bytes per value up to max F."""
     if k < 2:
         raise ParameterError("k must be >= 2")
+    check_order(k)  # before the sweep: bell_prediction needs k up to the Stirling table's
     hist = _value_lengths(_profile_blocks(seq, s)).items()
     i_k = sum(falling_factorial(v, k) * ln for v, ln in hist) / GRID
     i_k_star = sum(v**k * ln for v, ln in hist) / GRID
@@ -312,4 +313,5 @@ def bell_prediction(k: int, s: float) -> float:
     the limit of I_k* for fully Poissonian sequences."""
     if k < 1:
         raise ParameterError("k must be >= 1")
+    check_order(k)
     return math.fsum(stirling_second(k, j) * float(s) ** j for j in range(1, k + 1))

@@ -187,9 +187,12 @@ def _chk_dilated_exact(rng, tier):
 def _chk_dyadic_structure(rng, tier):
     ok = True
     for m in range(1, 15):
-        vals, counts = np.unique(seqgen.dyadic_counterexample(2**m).points, return_counts=True)
-        ok &= bool(np.all(counts == 2)) and (
-            vals.size == 1 or math.isclose(np.diff(vals).min(), 2.0 / 2**m))
+        pts = seqgen.dyadic_counterexample(2**m).points
+        vals, counts = np.unique(pts, return_counts=True)
+        if not np.all(counts == 2):
+            ok = False
+        if vals.size > 1 and not math.isclose(np.diff(vals).min(), 2.0 / 2**m):
+            ok = False
     return _result("dyadic_multiplicity_and_gap",
                    "first 2^m doubled-dyadic points: every value twice, min gap 2/2^m (m <= 14)",
                    ok, "structure holds" if ok else "violated", "multiplicity 2, gap 2/2^m", "exact")
@@ -200,7 +203,11 @@ def _chk_dyadic_structure(rng, tier):
 
 
 def _instance_set(rng, count, nmax=200):
-    return [PointSequence(rng.random(int(rng.integers(10, nmax + 1)))) for _ in range(count)]
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(10, nmax + 1))
+        out.append(PointSequence(rng.random(n)))
+    return out
 
 
 def _chk_star_dominates(rng, tier):
@@ -305,7 +312,8 @@ def _chk_power_mean_inequality(rng, tier):
 
 
 def _chk_partition_shift(rng, tier):
-    failures = checked = 0
+    failures = 0
+    checked = 0
     for trial in range(6):
         n, s = (30, 3.0) if trial % 2 == 0 else (40, 2.0)
         x = rng.random(n)
@@ -448,7 +456,11 @@ def _chk_ball_cover_counting(rng, tier):
         t = float(rng.random())
         inside = in_arc(to_grid(seq.points) - to_grid(t), grid_arc(-0.5 * s, 0.5 * s, n))
         fval = intervalstats.f_count(seq, t, s)
-        direct = sum(all(inside[i] for i in tup) for tup in itertools.permutations(range(n), k))
+        direct = sum(
+            1
+            for tup in itertools.permutations(range(n), k)
+            if all(inside[i] for i in tup)
+        )
         bad += falling_factorial(fval, k) != direct
     return _result("ball_cover_counting_identity",
                    "F(F-1)...(F-k+1) at t counts distinct tuples whose arcs all contain t",

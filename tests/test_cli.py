@@ -123,7 +123,7 @@ def test_moments_order_above_sixteen_is_named_before_the_sweep(points_file, caps
     def no_sweep(*args):
         raise AssertionError("the moments were computed")
 
-    monkeypatch.setattr("corrkit.intervalstats.moments", no_sweep)
+    monkeypatch.setattr("corrkit.intervalstats._profile_blocks", no_sweep)
     assert main(["moments", "--input", str(points_file), "--k", "20", "--s", "1"]) == 2
     assert "parameter error: orders above k = 16 are unsupported" in capsys.readouterr().err
 

@@ -491,6 +491,18 @@ def test_box_matches_bruteforce_high_order_with_duplicates(k, n_max):
         assert r_k_box(seq, boxes).raw_count == brute_force_r_k(seq, boxes=boxes).raw_count
 
 
+@pytest.mark.parametrize("k", [12, 16])
+def test_box_sparse_high_order_skips_the_partition_sum(monkeypatch, k):
+    # 100 random points, slots of width 2/N: no anchor has k-1 candidates,
+    # so no block reaches the Bell(k-1) partition sum (1.4e9 at k = 16)
+    def no_partitions(*args):
+        raise AssertionError("the partition sum ran")
+
+    monkeypatch.setattr(correlations, "_set_partitions", no_partitions)
+    seq = PointSequence(np.random.default_rng(3).random(100))
+    assert r_k_box(seq, ((-1.0, 1.0),) * (k - 1)).raw_count == 0
+
+
 def test_box_pairwise_disjoint_boxes():
     # no occupant meets two disjoint slots, so every partition with a
     # block of two or more slots is pruned and only prod_r c_r survives

@@ -401,6 +401,14 @@ def test_bell_prediction_values():
     assert bell_prediction(4, 0.0) == 0.0
 
 
+def test_orders_above_sixteen_are_named():
+    seq = PointSequence([0.1, 0.9])
+    assert moments(seq, 1.0, 16).k == 16
+    for call in (lambda: moments(seq, 1.0, 17), lambda: bell_prediction(17, 1.0)):
+        with pytest.raises(ParameterError, match="orders above k = 16 are unsupported"):
+            call()
+
+
 def test_moments_validation():
     seq = PointSequence([0.1, 0.9])
     with pytest.raises(ParameterError):
