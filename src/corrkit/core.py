@@ -12,19 +12,21 @@ floors to it, which keeps the order.  Grid differences wrap modulo 2^64,
 the circle itself.  Each threshold (a scale s/N, a box bound a/N)
 becomes, once and exactly, an integer arc of grid offsets (grid_arc), so
 ||x-y|| <= s/N and a/N <= ((x-y)) <= b/N are integer tests (in_arc) and
-one window primitive (window, self_window, self_window_blocks,
-window_pairs) finds their occupants: the fast counts and the oracles
-read every tie the same way.
+one window primitive (window, self_window, self_window_blocks) finds
+their occupants: the fast counts and the oracles read every tie the same
+way.
 
 The 1-D window statistics (r_k_distinct, r_k_star, r_k_box, c_k_star)
 take their windows from self_window_blocks, _WINDOW_BLOCK = 2^15 anchors
 at a time (moments sweeps its arc endpoints in blocks of that size), and
 reduce each block before the next: their transient memory is a block's,
 a few MiB, plus what the widest window adds (see each statistic), never
-O(N).  A block's windows of a symmetric arc cost one vectorized pass per
+O(N); r_k_testfn and r_k_consecutive keep the blocks' runs, 16 bytes per
+point.  A block's windows of a symmetric arc cost one vectorized pass per
 neighbour offset, up to min(widest one-sided window, _PASS_CAP = 8),
 plus binary searches for only the anchors whose windows are still open
-after them: for windows of a few points, hardly any.
+after them: for windows of a few points, hardly any.  self_window serves
+only the 2-D stacks of trial rows (correlations._window_counts).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed from integer limb sums, so they do not depend on
@@ -49,11 +51,14 @@ _HALF = 1 << 63
 def signed_distance(x):
     """((x)): the representative of x mod 1 in (-1/2, 1/2].
 
-    Equals {x} when {x} <= 1/2 and {x} - 1 otherwise.
+    x - rint(x) is exact for every finite x (it is a multiple of x's
+    last place, and at most 1/2); x % 1.0 is not for negative x, where
+    it rounds x + 1.  rint takes ties to even, so -1/2 becomes 1/2.
     """
-    f = np.asarray(x, dtype=np.float64) % 1.0
-    out = np.where(f <= 0.5, f, f - 1.0)
-    return float(out) if np.ndim(x) == 0 else out
+    x = np.asarray(x, dtype=np.float64)
+    out = np.asarray(x - np.rint(x))  # an array for 0-d x too, to assign into
+    out[out == -0.5] = 0.5
+    return float(out) if out.ndim == 0 else out
 
 
 def to_grid(x) -> np.ndarray:
@@ -341,16 +346,6 @@ def self_window_blocks(grid: np.ndarray, arcs):
                 wins.append((_unrolled_search(grid, g, lo, "left"),
                              _unrolled_search(grid, g, hi, "right")))
         yield b, wins
-
-
-def window_pairs(lo: np.ndarray, cnt: np.ndarray):
-    """(anchor, occupant) positions of every occupant of the windows
-    centred on the sorted grid itself, sorted by anchor."""
-    anchor = np.repeat(np.arange(cnt.size), cnt)
-    occupant = np.arange(anchor.size)
-    occupant -= np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
-    occupant[occupant >= cnt.size] -= cnt.size
-    return anchor, occupant
 
 
 # every finite double is M 2^(e-53) with |M| < 2^53 and e >= -1073 (np.frexp),

@@ -34,13 +34,12 @@ r_k_box counts injective slot fillings by Moebius inversion over the
 set partitions of the k-1 slots, in the same blocks of anchors and with
 no pair list: an anchor's candidates for one slot are one run of the
 unrolled sorted grid, so those of several slots are the intersection of
-their runs.  r_k_testfn and r_k_consecutive are numpy passes over the
-sorted (anchor, occupant) pair list of one window, with no per-anchor
-Python loop: they build their tuples by chained joins on it, in chunks
-of first-level pairs capped at _CHUNK_ROWS rows, and call the test
-function once per chunk on an (m, k-1) float64 array of scaled
-differences; its weights are summed exactly, chunk by chunk, and rounded
-once (core.exact_chunk_sum, equal to one math.fsum over all of them).
+their runs.  r_k_testfn and r_k_consecutive keep one window's run for
+every point, 16 bytes per point, and grow their tuples from it depth
+first, in slices of at most _CHUNK_ROWS rows; they call the test
+function once per slice on an (m, k-1) float64 array of scaled
+differences, and sum its weights exactly, rounded once
+(core.exact_chunk_sum, equal to one math.fsum over all of them).
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (PointSequence, check_half, check_order, exact_chunk_sum, grid_arc, in_arc,
-                   self_window, self_window_blocks, signed_distance, to_grid,
-                   window_pairs)
+                   self_window, self_window_blocks, signed_distance, to_grid)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
@@ -214,17 +212,7 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
 
 
 # ---------------------------------------------------------------------------
-# tuple enumeration: signed boxes from window runs, weighted sums from window pairs
-
-
-def _occupant_pairs(g: np.ndarray, radius: float, n: int):
-    """(anchor, occupant) positions in the sorted grid of every index
-    pair with ||x_a - x_o|| <= radius/N, the anchor itself excluded,
-    sorted by anchor.  Duplicate values at other indices stay.
-    """
-    pa, pp = window_pairs(*self_window(g, grid_arc(-radius, radius, n)))
-    keep = pp != pa
-    return pa[keep], pp[keep]
+# tuple enumeration from window runs: signed boxes, weighted sums
 
 
 def _set_partitions(m: int, alive, r: int = 0, blocks: tuple = ()):
@@ -308,9 +296,9 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)
 
 
-# rows per chunk of pairs (counted before repeated indices are dropped);
-# it bounds the memory of the tuple joins independently of N, except that
-# one pair is never split: for k >= 4 a single pair can grow into more
+# rows per join slice, counted before the rows that repeat an index are
+# dropped: each f call gets at most this many, and the tuple joins hold
+# one slice per depth, whatever N, k and the window widths
 _CHUNK_ROWS = 1 << 16
 
 
@@ -319,61 +307,64 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     k-tuples whose consecutive (chained) or anchored index pairs are all
     window pairs of the given radius (in units of 1/N).
 
-    Tuples are built by k-2 joins on the sorted pair list: on the last
-    index when chained, on the anchor otherwise; rows that repeat an
-    index are dropped.  Column r of the (m, k-1) array passed to f is
-    N((x_u - x_v)) for the pair (u, v) the join used.  The sum equals
-    math.fsum over all the weights, so it does not depend on the chunking;
-    where a weight is non-finite or huge, f runs over the chunks a second
-    time to give math.fsum's special value or error (core.exact_chunk_sum).
+    Rows start as the anchors and grow depth first by k - 1 joins, on the
+    last index when chained, on the anchor otherwise.  A join adds the
+    key's window occupants first[key] + j mod N (its unrolled run, from
+    core.self_window_blocks) in slices of at most _CHUNK_ROWS rows, drops
+    the rows that repeat an index, and grows each slice or hands it to f.
+    Column r of f's (m, k-1) array is N((x_u - x_v)) for the pair (u, v)
+    of the r-th join.  The sum equals math.fsum over all the weights in
+    that order (core.exact_chunk_sum, which runs f a second time where a
+    weight is non-finite or huge).  Peak: the runs, 16 bytes per point,
+    under 8 (2d + 7) bytes per row of the slice at each depth d < k, and
+    f's temporaries; with g_eval at N = 2^20 and radius 1, 24.0 MiB at
+    k = 3 and 36.1 at k = 6.
     """
     n = len(seq)
     if k < 2:
         raise ParameterError("k must be >= 2")
+    check_order(k)
     if not radius > 0:  # NaN fails too
         raise ParameterError(f"support radius must be positive, got {radius}")
     check_half((radius,), n, "support radius {b} > N/2 = {half}")
     sp = seq.sorted_points
-    pa, pp = _occupant_pairs(seq.sorted_grid, radius, n)
-    scaled = n * signed_distance(sp[pa] - sp[pp])
-    cnt = np.bincount(pa, minlength=n)
-    start = np.concatenate(([0], np.cumsum(cnt)))
-    # running total of the tuple rows the pairs grow into over the k-2
-    # joins, before repeats are dropped: cnt[anchor]^(k-2) per pair
-    # anchored; chained, the number of (k-2)-step pair chains from the
-    # occupant
-    if chained:
-        reach = np.ones(n)
-        for _ in range(k - 2):
-            reach = np.bincount(pa, weights=reach[pp], minlength=n)
-        ends = np.cumsum(reach[pp])
-    else:
-        ends = np.cumsum(cnt[pa].astype(np.float64) ** (k - 2))
+    first = np.empty(n, dtype=np.int64)
+    last = np.empty(n, dtype=np.int64)
+    for b, [(start, end)] in self_window_blocks(seq.sorted_grid, [grid_arc(-radius, radius, n)]):
+        first[b:b + start.size] = start
+        last[b:b + end.size] = end
 
-    def chunk_weights():
-        p0 = 0
-        while p0 < pa.size:
-            done = ends[p0 - 1] if p0 else 0.0
-            p1 = max(int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right")), p0 + 1)
-            sl = slice(p0, p1)
-            p0 = p1
-            cols, vals = [pa[sl], pp[sl]], [scaled[sl]]
-            for _ in range(k - 2):
-                key = cols[-1] if chained else cols[0]
-                c = cnt[key]
-                src = np.repeat(np.arange(key.size), c)
-                pair = np.repeat(start[key] - (np.cumsum(c) - c), c) + np.arange(src.size)
-                new = pp[pair]
-                ok = np.ones(src.size, dtype=bool)
-                for col in cols:
-                    ok &= col[src] != new
-                src, pair = src[ok], pair[ok]
-                cols = [col[src] for col in cols] + [new[ok]]
-                vals = [v[src] for v in vals] + [scaled[pair]]
-            if cols[0].size:
-                yield _row_weights(f, np.column_stack(vals))
+    def grow(cols, vals):
+        key = cols[-1] if chained else cols[0]
+        cnt = last[key] - first[key]
+        ends = np.cumsum(cnt)
+        for a in range(0, int(ends[-1]), _CHUNK_ROWS):
+            z = min(a + _CHUNK_ROWS, int(ends[-1]))
+            # the rows that make outputs a, ..., z - 1, the first and last clipped
+            r0, r1 = np.searchsorted(ends, (a, z - 1), side="right")
+            c, at = cnt[r0:r1 + 1].copy(), first[key[r0:r1 + 1]]
+            skip = a - (ends[r0] - cnt[r0])
+            c[0] -= skip
+            at[0] += skip
+            c[-1] -= ends[r1] - z
+            src = np.repeat(np.arange(r0, r1 + 1), c)
+            new = np.repeat(at - (np.cumsum(c) - c), c) + np.arange(z - a)
+            new %= n
+            ok = np.ones(src.size, dtype=bool)
+            for col in cols:
+                ok &= col[src] != new
+            src, new = src[ok], new[ok]
+            if not new.size:
+                continue
+            rows = [col[src] for col in cols] + [new]
+            offsets = [v[src] for v in vals] + [n * signed_distance(sp[key[src]] - sp[new])]
+            if len(rows) < k:
+                yield from grow(rows, offsets)
+            else:
+                yield _row_weights(f, np.column_stack(offsets))
 
-    return exact_chunk_sum(chunk_weights)
+    return exact_chunk_sum(lambda: itertools.chain.from_iterable(
+        grow([np.arange(b, min(b + _CHUNK_ROWS, n))], []) for b in range(0, n, _CHUNK_ROWS)))
 
 
 def _row_weights(f, rows: np.ndarray) -> np.ndarray:
@@ -392,7 +383,8 @@ def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> Correlat
 
     ``f`` maps an (m, k-1) float64 array of such rows to m weights and
     must vanish outside [-support_radius, support_radius]^(k-1);
-    enumeration is restricted to window occupants per anchor.
+    enumeration is restricted to window occupants per anchor, in 16
+    bytes per point and a slice of rows per depth (_tuple_weight_sum).
 
     Contract at the edge: a pair enters when its offset lies in the
     window exactly (on the 2^-64 grid), but ``f`` sees the offset
@@ -488,6 +480,7 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
             raise ParameterError("testfn mode needs k and support_radius")
         if k < 2:
             raise ParameterError("k must be >= 2")
+        check_order(k)
         if not support_radius > 0:
             raise ParameterError(f"support radius must be positive, got {support_radius}")
         _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")

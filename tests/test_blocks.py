@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrkit import (PointSequence, averaged, c_k_star, c_k_star_local, core, moments,
-                     r_k_box, r_k_distinct, r_k_star, sweep_profile, uniform_random)
+from corrkit import (PointSequence, averaged, c_k_star, c_k_star_local, core, g_eval, moments,
+                     r_k_box, r_k_consecutive, r_k_distinct, r_k_star, r_k_testfn, sweep_profile,
+                     uniform_random)
 from corrkit.core import grid_arc, in_arc
 
 
@@ -30,6 +31,11 @@ def _inputs():
     yield np.concatenate(((rng.random(25) * 0.004 - 0.002) % 1.0, rng.random(25)))
 
 
+def _tilted_tent(s):
+    # a tent times a weight that tells the columns and their signs apart
+    return lambda ys: np.prod(np.maximum(s - np.abs(ys), 0.0), axis=1) * (2.0 + ys[:, 0] / s)
+
+
 def _results(seq):
     n = len(seq)
     out = []
@@ -40,7 +46,9 @@ def _results(seq):
                 c_k_star_local(seq, s, 3, (0.0, 0.5)).hex(),
                 c_k_star_local(seq, s, 2, (0.25, 1.0)).hex(),
                 # slot arcs that hold 0 or not, and the whole circle at s = N/2
-                r_k_box(seq, ((-s, 0.5 * s), (0.25 * s, s), (-s, s))).raw_count]
+                r_k_box(seq, ((-s, 0.5 * s), (0.25 * s, s), (-s, s))).raw_count,
+                r_k_testfn(seq, _tilted_tent(s), s, 3).value.hex(),
+                r_k_consecutive(seq, _tilted_tent(s), s, 3).value.hex()]
     for s in sorted({1.0, n / 2, float(n)}):
         rep = moments(seq, s, 3)
         prof = sweep_profile(seq, s)
@@ -146,9 +154,10 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
 
 # N = 2^20 points, where full-length temporaries would take 47 MiB for
 # r_k_distinct and r_k_star, 84 MiB for c_k_star, 80 MiB for moments and
-# a window pair list for r_k_box about 370 MiB.
-# The bounds are those the docstrings state for windows of a few points
-# at _WINDOW_BLOCK = 2^15.
+# a window pair list about 370 MiB for r_k_box and 100 MiB for the
+# weighted sums.  The bounds are those the docstrings state for windows
+# of a few points at _WINDOW_BLOCK = 2^15; the weighted sums hold 16 bytes
+# per point besides, their window runs.
 @pytest.mark.parametrize("stat, bound_mib", [
     (lambda seq: r_k_distinct(seq, (1.0, 1.0)), 4),
     (lambda seq: r_k_distinct(seq, (1.0, 2.0, 1.0, 2.0)), 4),
@@ -158,8 +167,10 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
     (lambda seq: c_k_star_local(seq, 1.0, 3, (0.1, 0.9)), 8),
     (lambda seq: moments(seq, 2.0, 3), 4),
     (lambda seq: r_k_box(seq, ((-4.0, 4.0), (-2.0, 3.0))), 3),
+    (lambda seq: r_k_testfn(seq, lambda ys: g_eval(3, 1.0, ys), 1.0, 3), 16 + 10),
+    (lambda seq: r_k_consecutive(seq, lambda ys: g_eval(3, 1.0, ys), 1.0, 3), 16 + 10),
 ], ids=["r_k_distinct", "r_k_distinct_k5", "r_k_star", "c_k_star", "c_k_star_k3",
-        "c_k_star_local", "moments", "r_k_box"])
+        "c_k_star_local", "moments", "r_k_box", "r_k_testfn", "r_k_consecutive"])
 def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
     assert core._WINDOW_BLOCK == 1 << 15
     seq = uniform_random(1 << 20, 7)

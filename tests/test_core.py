@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,10 +54,19 @@ def test_circle_triangle_inequality(x, y, z):
     assert _grid_distance(x, z) <= _grid_distance(x, y) + _grid_distance(y, z) + 1e-15
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False, width=32))
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1e-12)
+@example(-0.5)
+@example(2.5)
+@example(-0.75)
+@example(-2.0**52 - 0.5)
 def test_signed_distance_range(x):
+    # ((x)) exactly: x less an integer, in (-1/2, 1/2], and odd off +-1/2
     d = signed_distance(x)
     assert -0.5 < d <= 0.5
+    assert (Fraction(x) - Fraction(d)).denominator == 1
+    if abs(d) != 0.5:
+        assert signed_distance(-x) == -d
 
 
 def _poly_mul(a, b):

@@ -235,6 +235,14 @@ def test_testfn_special_weights_follow_fsum(monkeypatch):
     assert r_k_testfn(seq, lambda ys: np.full(len(ys), 1e300), 1.0, 2).value == 1e300
 
 
+def test_odd_testfn_sums_to_zero():
+    # every pair's two offsets cancel exactly, negative differences too
+    seq = PointSequence([0.1, 0.1 + 1e-12, 0.01, 0.01 + 3e-15])
+    odd = lambda ys: ys[:, 0]
+    assert r_k_testfn(seq, odd, 2.0, 2).value == 0.0
+    assert brute_force_r_k(seq, testfn=odd, support_radius=2.0, k=2).value == 0.0
+
+
 def test_testfn_matches_bruteforce():
     rng = np.random.default_rng(10)
     tent = lambda ys: np.prod(np.maximum(1.5 - np.abs(ys), 0.0), axis=1)
@@ -408,6 +416,17 @@ def test_order_sixteen_counts_stay_exact():
         r_k_star(seq, (1.0,) * 16)  # k = 17 is out of contract
 
 
+def test_weighted_sums_name_the_order_limit():
+    seq = PointSequence([0.1, 0.2, 0.9])
+    ones = lambda ys: np.ones(len(ys))
+    assert r_k_testfn(seq, ones, 1.0, 16).value == 0.0  # too few points for a tuple
+    for call in (lambda: r_k_testfn(seq, ones, 1.0, 17),
+                 lambda: r_k_consecutive(seq, ones, 1.0, 17),
+                 lambda: brute_force_r_k(seq, testfn=ones, support_radius=1.0, k=17)):
+        with pytest.raises(ParameterError, match="orders above k = 16 are unsupported"):
+            call()
+
+
 def test_box_halves_recombine_to_symmetric_count():
     # [‑s,0] and [0,s] overlap exactly in the zero-difference pairs, so
     # #[-s,0] + #[0,s] - #duplicates = #symmetric, exactly, duplicates and all
@@ -460,9 +479,11 @@ def test_chunking_does_not_change_results(monkeypatch):
 
 
 @pytest.mark.parametrize("form", [r_k_testfn, r_k_consecutive])
-def test_one_anchor_is_split_across_chunks(monkeypatch, form):
-    # 60 equal points: each anchor grows into 59 * 59 rows, more than a
-    # chunk, so the chunks must cut through anchors
+@pytest.mark.parametrize("k, n", [(3, 60), (4, 45)])
+def test_one_anchor_is_split_across_chunks(monkeypatch, form, k, n):
+    # n equal points: each anchor grows into (n-1)...(n-k+1) rows, and at
+    # k = 4 one (anchor, occupant) pair into 43 * 42 = 1806, more than a
+    # slice, so the slices must cut through anchors and pairs
     monkeypatch.setattr(correlations, "_CHUNK_ROWS", 1024)
     sizes = []
 
@@ -470,9 +491,10 @@ def test_one_anchor_is_split_across_chunks(monkeypatch, form):
         sizes.append(len(ys))
         return np.ones(len(ys))
 
-    rep = form(PointSequence([0.5] * 60), f, 1.0, 3)
-    assert rep.value * 60 == 60 * 59 * 58
-    assert sum(sizes) == 60 * 59 * 58 and max(sizes) <= 1024
+    rep = form(PointSequence([0.5] * n), f, 1.0, k)
+    tuples = math.perm(n, k)
+    assert rep.value * n == tuples
+    assert sum(sizes) == tuples and max(sizes) <= 1024
 
 
 def _forced_duplicates(rng, n):
