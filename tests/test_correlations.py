@@ -478,12 +478,7 @@ def test_chunking_does_not_change_results(monkeypatch):
     assert (additive_energy(ints), three_ap_count(ints)) == counts
 
 
-@pytest.mark.parametrize("form", [r_k_testfn, r_k_consecutive])
-@pytest.mark.parametrize("k, n", [(3, 60), (4, 45)])
-def test_one_anchor_is_split_across_chunks(monkeypatch, form, k, n):
-    # n equal points: each anchor grows into (n-1)...(n-k+1) rows, and at
-    # k = 4 one (anchor, occupant) pair into 43 * 42 = 1806, more than a
-    # slice, so the slices must cut through anchors and pairs
+def _split_rows(monkeypatch, form, k, n):
     monkeypatch.setattr(correlations, "_CHUNK_ROWS", 1024)
     sizes = []
 
@@ -495,6 +490,21 @@ def test_one_anchor_is_split_across_chunks(monkeypatch, form, k, n):
     tuples = math.perm(n, k)
     assert rep.value * n == tuples
     assert sum(sizes) == tuples and max(sizes) <= 1024
+
+
+@pytest.mark.parametrize("form", [r_k_testfn, r_k_consecutive])
+def test_one_anchor_is_split_across_chunks(monkeypatch, form):
+    # 60 equal points: each anchor grows into 59 * 58 rows, more than a
+    # chunk, so the chunks must cut through anchors
+    _split_rows(monkeypatch, form, 3, 60)
+
+
+@pytest.mark.parametrize("form", [r_k_testfn, r_k_consecutive])
+def test_one_pair_is_split_across_chunks(monkeypatch, form):
+    # 45 equal points at k = 4: one (anchor, occupant) pair grows into
+    # 43 * 42 = 1806 rows, more than a chunk, so the chunks must cut
+    # through pairs
+    _split_rows(monkeypatch, form, 4, 45)
 
 
 def _forced_duplicates(rng, n):
