@@ -21,16 +21,18 @@ D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
 grid: O(N) time at any scale.  The anchors go in blocks of
 core._WINDOW_BLOCK (core.self_window_blocks, which finds windows of up
 to 8 points a side by passes over the neighbour offsets and searches
-only for wider ones), each reading its prefix
-sums off three runs of the unrolled grid, about _WINDOW_BLOCK long and
-at most _WINDOW_BLOCK + w for windows of at most w points (see
-_overlap_sums).  The peak is about 140 bytes per anchor of a block
-while the runs are about _WINDOW_BLOCK long, 50 more per run position
-past that, and 32 more per anchor for each further distinct scale:
-under 8 MiB for windows of fewer than 10^4 points, whatever N.  The
-anchor products are reduced block by block with core.exact_chunk_sum,
-equal to math.fsum: exactly rounded and therefore deterministic
-independent of evaluation order.
+only for wider ones).  A block reads its prefix sums off runs of the
+unrolled grid from cursors to its last start, anchor and end: one run
+about _WINDOW_BLOCK + w long for windows of at most w points where the
+three overlap (windows narrower than a block, the common case), three
+runs about _WINDOW_BLOCK long each where they do not (see
+_overlap_sums).  The peak is about 110 bytes per anchor of a block, 32
+more per run position past _WINDOW_BLOCK, and 32 more per anchor for
+each further distinct scale: 3.6 MiB for windows of a few points and
+4.3 MiB for windows of 3.2e4 points, whatever N (measured at N = 2^20).
+The anchor products are reduced block by block with
+core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
+deterministic independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -54,15 +56,18 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     D_i = sum_j |g_j - g_i| = P[end] + P[start] - 2 P[i] + (2i - start - end) g_i
     for the prefix sums P of the unrolled grid.  The starts, the anchors
     and the ends each ascend, so each has a cursor, and a block reads P
-    off the prefix sums of the three runs from the cursors to its last
-    start, anchor and end; K = P[end cursor] - 2 P[anchor cursor] +
-    P[start cursor] carries over.  Each run holds at most
-    _WINDOW_BLOCK + w positions for windows of at most w points (about
-    _WINDOW_BLOCK, unless the windows' widths jump), and the runs of all
-    blocks tile the unrolled grid once: O(N) time at any scale.  One run
-    [start cursor, last end) per block would be a window longer, O(N w /
-    _WINDOW_BLOCK) in all: tried, it was 16% faster on window_stats but
-    c_k_star at N = 1e6, s = 4e5 took 866 ms, not 249 (2-core x86_64).
+    off prefix sums from the cursors to its last start, anchor and end;
+    K = P[end cursor] - 2 P[anchor cursor] + P[start cursor] carries over.
+    Where these three runs overlap, as they do for windows narrower than
+    a block, each limb's prefix sums are built once over their union
+    [start cursor, last end), _WINDOW_BLOCK + w positions for windows of
+    at most w points; elsewhere once per run, each at most _WINDOW_BLOCK
+    + w long (about _WINDOW_BLOCK, unless the windows' widths jump), and
+    the runs of all blocks tile the unrolled grid once: O(N) time at any
+    scale.  The union is merged only where the runs overlap: taken
+    always, it is a window longer per block, O(N w / _WINDOW_BLOCK) in
+    all, and c_k_star at N = 1e6, s = 4e5 took 866 ms, not 249 (2-core
+    x86_64).
 
     The grid is split into two 32-bit limbs, a lap adding 2^32 to the
     high one, and each limb's sums are int64, below 2^63 while a run is
@@ -81,25 +86,43 @@ def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
                      cursors: list[int], carry: list[int]) -> np.ndarray:
     """D_i, rounded to float64, of the anchors b, b+1, ... of one block
     (see _overlap_sums); moves the cursors to the block's last start,
-    anchor and end, and carry, the two limbs of K, with them."""
-    i = np.arange(b, b + start.size)
-    ahead = (int(start[-1]), int(i[-1]), int(end[-1]))
-    sign = i + i  # 2i - start - end: left less right occupants, less 1
+    anchor and end, and carry, the two limbs of K, with them.
+
+    Where the three runs overlap, each limb's prefix sums are built once
+    over their union [start cursor, last end): with one origin, K's terms
+    cancel.  Otherwise each run has its own, from its cursor.  The
+    anchors' run reaches one past the last anchor, so the anchors' values
+    and prefix sums are slices of it."""
+    size = start.size
+    cs, ca, ce = cursors
+    ls, la, le = int(start[-1]), b + size - 1, int(end[-1])
+    merged = ca <= ls and ce <= la
+    os_, oa, oe = (cs, cs, cs) if merged else (cs, ca, ce)  # the runs' origins
+    at_s, at_e, at_a = start - os_, end - oe, slice(b - oa, b - oa + size)
+    sign = np.arange(2 * b, 2 * (b + size), 2)  # 2i - start - end: left less right, less 1
     sign -= start
     sign -= end
     sums = []
     for limb in (0, 1):
-        ps, pa, pe = (_prefix(_unrolled_limb(g, c, a, limb)) for c, a in zip(cursors, ahead))
-        pa_i = pa[i - cursors[1]]
-        d = pe[end - cursors[2]]
+        if merged:
+            xa = _unrolled_limb(g, cs, le, limb)
+            ps = pa = pe = _prefix(xa)
+        else:
+            xa = _unrolled_limb(g, ca, la + 1, limb)
+            ps, pa, pe = (_prefix(_unrolled_limb(g, cs, ls, limb)), _prefix(xa),
+                          _prefix(_unrolled_limb(g, ce, le, limb)))
+        k = 0 if merged else carry[limb]  # K less P at the origins
+        pa_i = pa[at_a]
+        d = pe[at_e]
         d -= pa_i
         d -= pa_i
-        d += ps[start - cursors[0]]
-        d += sign * _unrolled_limb(g, b, b + i.size, limb)
-        d += carry[limb]
-        carry[limb] += int(pe[-1]) - 2 * int(pa[-1]) + int(ps[-1])
+        d += ps[at_s]
+        d += sign * xa[at_a]
+        if k:
+            d += k
+        carry[limb] = k + int(pe[le - oe]) - 2 * int(pa[la - oa]) + int(ps[ls - os_])
         sums.append(d)
-    cursors[:] = ahead
+    cursors[:] = ls, la, le
     hi, low = sums
     hi += low >> 32
     low &= 0xFFFFFFFF

@@ -24,13 +24,15 @@ a few MiB, plus what the widest window adds (see each statistic), never
 O(N); r_k_testfn and r_k_consecutive keep the blocks' runs, 16 bytes per
 point.  A block's windows of a symmetric arc cost one vectorized pass per
 neighbour offset, up to min(widest one-sided window, _PASS_CAP = 8),
-plus binary searches for only the anchors whose windows are still open
-after them: for windows of a few points, hardly any.  self_window serves
-only the 2-D stacks of trial rows (correlations._window_counts).
+counted per anchor in two byte-wide counters (11 bytes per anchor of
+the block with the differences and mask), plus binary searches for only
+the anchors whose windows are still open after them: for windows of a
+few points, hardly any.  self_window serves only the 2-D stacks of trial
+rows (correlations._window_counts).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
-rounded sum computed from integer limb sums, so they do not depend on
-the order of the terms.
+rounded sum computed by error-free extraction passes over blocks of the
+terms, so they do not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -283,12 +285,16 @@ def _window_passes(grid: np.ndarray, b: int, cap: int, r: int, start: np.ndarray
     """The passes of _passed_window over t = 1, ..., at most cap < m,
     moving start and end in place: returns the positions in the block of
     the anchors whose end and whose start are still growing (None for
-    all of them).  Its temporaries end with it."""
+    all of them).  Each anchor's passes are counted in the narrowest
+    unsigned type that holds cap, a byte for the default cap, and added
+    to end and start once.  Its temporaries end with it."""
     m, size = grid.size, start.size
     if not cap:
         return None, None
     d = np.empty(size + cap, dtype=np.uint64)
     near = np.empty(size + cap, dtype=bool)
+    ahead = np.zeros(size, dtype=np.min_scalar_type(cap))
+    behind = np.zeros_like(ahead)
     growing = [size, size]  # ends, starts
     for t in range(1, cap + 1):
         dt = d[:size + t]  # d_j at dt[j - b + t]
@@ -300,12 +306,15 @@ def _window_passes(grid: np.ndarray, b: int, cap: int, r: int, start: np.ndarray
                 j = np.arange(b - t + a, b - t + z)
                 dt[a:z] = grid[(j + t) % m] - grid[j % m]
         ok = np.less_equal(dt, np.uint64(r), out=near[:size + t])
-        end += ok[t:]
-        start -= ok[:size]
+        hits = ok.view(np.uint8)  # no cast per pass
+        ahead += hits[t:]
+        behind += hits[:size]
         grew = [int(np.count_nonzero(ok[t:])), int(np.count_nonzero(ok[:size]))]
         if grew == [0, 0] or grew == growing:  # all closed, or none closed at t: wide windows
             break
         growing = grew
+    end += ahead
+    start -= behind
     return (np.flatnonzero(ok[t:]) if grew[0] < size else None,
             np.flatnonzero(ok[:size]) if grew[1] < size else None)
 
@@ -328,9 +337,10 @@ def self_window_blocks(grid: np.ndarray, arcs):
     the whole circle takes one search per anchor, any other arc two.
     Each search is confined to the slice of the grid its keys reach.  A
     block holds start and end per arc and, while it finds one arc's
-    windows, either the passes' differences and mask (9 bytes per
-    anchor) or a search's keys and positions (24): at most 8 (2a + 3)
-    bytes per anchor for a arcs, whatever N and the window widths.
+    windows, either the passes' differences, mask and two byte-wide
+    counters (11 bytes per anchor) or a search's keys and positions
+    (24): at most 8 (2a + 3) bytes per anchor for a arcs, whatever N and
+    the window widths.
     """
     m = grid.size
     for b in range(0, m, _WINDOW_BLOCK):
@@ -348,34 +358,41 @@ def self_window_blocks(grid: np.ndarray, arcs):
         yield b, wins
 
 
-# every finite double is M 2^(e-53) with |M| < 2^53 and e >= -1073 (np.frexp),
-# so an integer multiple of 2^-1126
+# every finite double is an integer multiple of 2^-1074, so q 2^1126 is an
+# int for every q below
 _EXACT_UNIT = 1 << 1126
-# terms per block: each limb sum below stays under 2^53 for up to 2^26 terms;
-# smaller blocks keep the temporaries in cache
+# terms per block: a smaller block needs a smaller sigma below, so each
+# extraction pass takes more bits, and keeps the temporaries in cache
 _EXACT_BLOCK = 1 << 16
-# with sum |x| below this, no partial of math.fsum overflows
-_EXACT_LIMIT = 2.0**1020
+# with sum |x| below this, no sigma below overflows (math.fsum sums the rest)
+_EXACT_LIMIT = 2.0**1000
 
 
 def _scaled_sum(x: np.ndarray) -> int:
-    """sum(x) 2^1126 as an exact int, for finite float64 x.
+    """sum(x) 2^1126 as an exact int, for finite float64 x with sum |x|
+    below _EXACT_LIMIT.
 
-    Each mantissa M = m 2^53 splits into a signed high limb M >> 26 and a
-    low limb in [0, 2^26); np.bincount sums each limb per exponent in
-    float64, exactly, as no partial sum of a block reaches 2^53.  The
-    per-exponent sums are combined as Python ints.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 2008), block by block: with max |p|
+    < 2^e and sigma = 2^(e + bit_length(n + 2)) >= 2^e (n + 2),
+    q = (p + sigma) - sigma holds the high bits of each of the n terms
+    p, p - q the rest, both exact, and every partial sum of the q is a
+    multiple of ulp(sigma) below sigma, so q.sum() is exact in any order.
+    Each pass leaves |p| <= 2^-53 sigma, 53 - bit_length(n + 2) bits (36
+    in a full block) below the last max |p|, until p is all zero.
     """
     total = 0
+    high, rest = np.empty(min(x.size, _EXACT_BLOCK)), np.empty(min(x.size, _EXACT_BLOCK))
     for b in range(0, x.size, _EXACT_BLOCK):
-        m, e = np.frexp(x[b:b + _EXACT_BLOCK])
-        mant = np.ldexp(m, 53).astype(np.int64)
-        e += 1073
-        high = np.bincount(e, weights=mant >> 26)
-        low = np.bincount(e, weights=mant & 0x3FFFFFF)
-        nz = np.flatnonzero((high != 0) | (low != 0))
-        for k, h, l in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
-            total += ((int(h) << 26) + int(l)) << k
+        p = x[b:b + _EXACT_BLOCK]
+        q, width = high[:p.size], (p.size + 2).bit_length()
+        while top := max(float(p.max()), -float(p.min())):
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + width)
+            np.add(p, sigma, out=q)
+            q -= sigma
+            p = np.subtract(p, q, out=rest[:p.size])  # x itself is not written
+            num, den = float(q.sum()).as_integer_ratio()
+            total += num * (_EXACT_UNIT // den)
     return total
 
 
@@ -384,9 +401,10 @@ def exact_chunk_sum(chunks) -> float:
     without concatenating them.
 
     chunks is called a second time only when the terms hold a non-finite
-    value or sum |x| may reach 2^1020, where math.fsum's special values
-    and overflow errors depend on the order of the terms: it then runs
-    math.fsum over every term in order.
+    value or sum |x| may reach _EXACT_LIMIT = 2^1000, where the
+    extraction's sigma could overflow and math.fsum's special values and
+    overflow errors depend on the order of the terms: it then runs
+    math.fsum over every term in order, which defines the result.
     """
     bound, total = 0.0, 0
     for x in chunks():
@@ -400,7 +418,7 @@ def exact_chunk_sum(chunks) -> float:
 
 def exact_sum(x) -> float:
     """math.fsum(x.tolist()) bit for bit, for a float64 array, from
-    integer limb sums instead of a Python float per term."""
+    vectorized extraction passes instead of a Python float per term."""
     x = np.asarray(x, dtype=np.float64).ravel()
     return exact_chunk_sum(lambda: (x,))
 

@@ -27,7 +27,7 @@ of core._WINDOW_BLOCK anchors (core.self_window_blocks: a pass per
 neighbour offset, up to 8, and searches only for the windows still
 open after them) and add up the blocks' exact products.  Their peak is
 under 8 (4d + k) bytes per anchor of a block for d distinct scales,
-whatever N and the window widths: 1.6 MiB at k = 3 and one scale, under
+whatever N and the window widths: 1.7 MiB at k = 3 and one scale, under
 3 MiB up to k = 5 with two distinct scales.
 
 r_k_box counts injective slot fillings by Moebius inversion over the
@@ -39,7 +39,9 @@ every point, 16 bytes per point, and grow their tuples from it depth
 first, in slices of at most _CHUNK_ROWS rows; they call the test
 function once per slice on an (m, k-1) float64 array of scaled
 differences, and sum its weights exactly, rounded once
-(core.exact_chunk_sum, equal to one math.fsum over all of them).
+(core.exact_chunk_sum, equal to one math.fsum over all of them).  An
+upper bound on their rows is charged to the work budget before the
+first join.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def oracle_budget() -> int:
 def _charge_budget(work: int, what: str) -> None:
     """Refuse, before doing any of it, work over the one budget every
     costly job is charged to: brute-force tuple visits, wide |A|^2 pair
-    sums, and N * trials of the randomized experiments."""
+    sums, N * trials of the randomized experiments, and the rows of the
+    weighted tuple sums."""
     budget = oracle_budget()
     if work > budget:
         raise BudgetError(f"{what} = {work} exceeds the work budget of {budget} "
@@ -315,10 +318,13 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     Column r of f's (m, k-1) array is N((x_u - x_v)) for the pair (u, v)
     of the r-th join.  The sum equals math.fsum over all the weights in
     that order (core.exact_chunk_sum, which runs f a second time where a
-    weight is non-finite or huge).  Peak: the runs, 16 bytes per point,
-    under 8 (2d + 7) bytes per row of the slice at each depth d < k, and
-    f's temporaries; with g_eval at N = 2^20 and radius 1, 24.0 MiB at
-    k = 3 and 36.1 at k = 6.
+    weight is non-finite or huge).  Before the first join, an upper bound
+    on the rows (_row_bound) is charged to the work budget, so a wide
+    radius or a high k raises BudgetError at once.  Peak: the runs, 16
+    bytes per point, under 8 (2d + 7) bytes per row of the slice at each
+    depth d < k, and f's temporaries; with g_eval at N = 2^20 and radius
+    1, 24.0 MiB at k = 3 and 36.1 at k = 6 (about 1.3e9 rows by the bound,
+    over the default budget).
     """
     n = len(seq)
     if k < 2:
@@ -330,9 +336,16 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     sp = seq.sorted_points
     first = np.empty(n, dtype=np.int64)
     last = np.empty(n, dtype=np.int64)
+    often = np.zeros(1, dtype=np.int64)  # often[c]: the points whose window holds c points
     for b, [(start, end)] in self_window_blocks(seq.sorted_grid, [grid_arc(-radius, radius, n)]):
         first[b:b + start.size] = start
         last[b:b + end.size] = end
+        block = np.bincount(end - start)
+        if block.size > often.size:
+            often, block = block, often
+        often[:block.size] += block
+    _charge_budget(_row_bound(often, k, chained),
+                   f"weighted {k}-tuple rows of radius {radius} (an upper bound)")
 
     def grow(cols, vals):
         key = cols[-1] if chained else cols[0]
@@ -365,6 +378,18 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
 
     return exact_chunk_sum(lambda: itertools.chain.from_iterable(
         grow([np.arange(b, min(b + _CHUNK_ROWS, n))], []) for b in range(0, n, _CHUNK_ROWS)))
+
+
+def _row_bound(often: np.ndarray, k: int, chained: bool) -> int:
+    """An upper bound on the rows of _tuple_weight_sum's last join, from
+    often[c], the number of points whose window holds c points (the point
+    included): sum_i c_i^(k-1) when every join is on the anchor,
+    sum_i c_i (max c)^(k-2) when each is on the last index."""
+    sizes = np.flatnonzero(often)
+    pairs = list(zip(sizes.tolist(), often[sizes].tolist()))
+    if chained:
+        return sum(c * m for c, m in pairs) * pairs[-1][0] ** (k - 2)
+    return sum(c ** (k - 1) * m for c, m in pairs)
 
 
 def _row_weights(f, rows: np.ndarray) -> np.ndarray:

@@ -78,12 +78,21 @@ def _check_block_boundaries(monkeypatch):
     assert cases == 40
 
 
+def _dense_cluster():
+    # 700 points within 1e-6 and 20 far apart: one block's windows close
+    # one anchor at a time over 699 offsets, so the passes count past a byte
+    rng = np.random.default_rng(43)
+    return np.concatenate((0.4 + rng.random(700) * 1e-6, rng.random(20)))
+
+
 def _window_cases():
     """(grid, arcs) pairs: the _inputs() sets at scales from a few points
     to N/2 (the whole circle), two arcs at once, the slice of the grid
-    c_k_star_local passes (arcs of the full N), one point, and equal
-    points a lap apart."""
-    for x in [*_inputs(), [0.3], [0.0], [0.5, 0.5, 0.5, 0.5 + 1e-9, 0.5 + 1e-9]]:
+    c_k_star_local passes (arcs of the full N), one point, equal points a
+    lap apart, and a cluster whose windows take more passes than a byte
+    counts."""
+    for x in [*_inputs(), [0.3], [0.0], [0.5, 0.5, 0.5, 0.5 + 1e-9, 0.5 + 1e-9],
+              _dense_cluster()]:
         seq = PointSequence(x)
         g, n = seq.sorted_grid, len(seq)
         for s in sorted({0.5, 1.0, 2.5, n / 3, n / 2}):
@@ -118,6 +127,25 @@ def test_window_passes_match_plain_searches(monkeypatch, cap, block):
             assert np.array_equal(np.concatenate([en for _, en in got]), end), (g, arc)
         cases += 1
     assert cases > 250
+
+
+def test_window_passes_count_past_a_byte(monkeypatch):
+    monkeypatch.setattr(core, "_PASS_CAP", 1 << 30)
+    real, passes = core._window_passes, []
+
+    def spy(grid, b, cap, r, start, end):
+        before = end.copy()
+        out = real(grid, b, cap, r, start, end)
+        passes.append(int((end - before).max()))  # the passes that moved some end
+        return out
+
+    monkeypatch.setattr(core, "_window_passes", spy)
+    g = PointSequence(_dense_cluster()).sorted_grid
+    arc = grid_arc(-0.5, 0.5, g.size)
+    [(_, [(start, end)])] = core.self_window_blocks(g, [arc])
+    assert max(passes) > 255
+    want = _unrolled_window(g, arc)
+    assert np.array_equal(start, want[0]) and np.array_equal(end, want[1])
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 15])
@@ -181,6 +209,36 @@ def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak < bound_mib * 2**20
+
+
+def test_c_k_star_takes_both_prefix_layouts(monkeypatch):
+    # a block's runs of starts, anchors and ends overlap where the windows
+    # are narrower than the block (one prefix sum per limb over their union)
+    # and not where they are wider (one per run): the same bits either way
+    real_blocks, real_prefix = averaged._block_distances, averaged._prefix
+    layouts, prefixes = set(), []
+
+    def counting_prefix(x):
+        prefixes.append(x.size)
+        return real_prefix(x)
+
+    def spy(*args):
+        prefixes.clear()
+        out = real_blocks(*args)
+        layouts.add(len(prefixes))  # 2 merged, 6 in three runs
+        return out
+
+    monkeypatch.setattr(averaged, "_prefix", counting_prefix)
+    monkeypatch.setattr(averaged, "_block_distances", spy)
+    for x in _inputs():
+        seq = PointSequence(x)
+        n = len(seq)
+        results = []
+        for block in (1, 7, n):
+            monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+            results.append([c_k_star(seq, (s,)).hex() for s in sorted({0.5, 1.0, n / 2, float(n)})])
+        assert results[0] == results[1] == results[2], x
+    assert layouts == {2, 6}
 
 
 def test_overlap_sums_are_the_whole_grid_sums(monkeypatch):

@@ -234,6 +234,30 @@ def test_exact_sum_across_blocks(values, block):
         assert _same(_outcome(exact_sum, np.array(values)), _outcome(math.fsum, values))
 
 
+near_limit = st.builds(lambda m, e: math.ldexp(m, e), st.floats(-1.0, 1.0, exclude_min=True,
+                                                                 exclude_max=True),
+                       st.integers(985, 1000))
+subnormal = st.builds(lambda m: m * 5e-324, st.integers(-(1 << 52) + 1, (1 << 52) - 1))
+
+
+@given(st.lists(st.tuples(st.one_of(scaled_double, near_limit, subnormal, tiny), st.booleans()),
+                min_size=1, max_size=40),
+       st.integers(1, 9), st.randoms(use_true_random=False))
+@example([(5e-324, True), (2.0**999, True), (1.0, False)], 3, None)
+@example([(2.0**997, False), (-2.0**995, False), (3e-320, True)], 2, None)
+@example([(math.ldexp(0.75, 1000), False), (1.0, False)], 1, None)
+def test_exact_sum_mixes_subnormals_the_limit_and_cancellation(pairs, block, rnd):
+    # each flagged term with its negation, in some order, so that the
+    # blocks' partial sums and the whole sum cancel exactly; terms near
+    # _EXACT_LIMIT put the sum on either side of the math.fsum route
+    values = [v for x, both in pairs for v in ((x, -x) if both else (x,))]
+    if rnd is not None:
+        rnd.shuffle(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_EXACT_BLOCK", block)
+        assert _same(_outcome(exact_sum, np.array(values)), _outcome(math.fsum, values))
+
+
 def test_exact_sum_of_many_terms():
     # 2^17 + 3 terms, so the default block is crossed; exponents spread wide
     rng = np.random.default_rng(7)

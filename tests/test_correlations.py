@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from corrkit import (
     brute_force_r_k,
     c_k_star,
     dyadic_counterexample,
+    g_eval,
     i_k_via_correlation,
     r_k_box,
     r_k_consecutive,
@@ -425,6 +427,30 @@ def test_weighted_sums_name_the_order_limit():
                  lambda: brute_force_r_k(seq, testfn=ones, support_radius=1.0, k=17)):
         with pytest.raises(ParameterError, match="orders above k = 16 are unsupported"):
             call()
+
+
+def test_weighted_sums_charge_their_rows_before_the_first_join(monkeypatch):
+    # radius N/2 on 2000 points: every window holds all 2000, so k = 4
+    # bounds 2000 * 2000^3 = 1.6e13 rows, days of joins at the default budget
+    monkeypatch.delenv("CORRKIT_ORACLE_BUDGET", raising=False)
+    seq = PointSequence(np.random.default_rng(44).random(2000))
+    called = []
+    tent = lambda ys: called.append(len(ys)) or g_eval(4, 1000.0, ys)
+    for total in (r_k_testfn, r_k_consecutive):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"rows .* = 16000000000000 .*CORRKIT_ORACLE_BUDGET"):
+            total(seq, tent, 1000.0, 4)
+        assert time.perf_counter() - t0 < 0.5
+    assert called == []
+    # the bounds themselves: sum c^(k-1) anchored, sum c * (max c)^(k-2) chained
+    seq = PointSequence([0.1, 0.3, 0.5, 0.9])  # windows of radius 1/4: 3, 3, 2 and 2 points
+    ones = lambda ys: np.ones(len(ys))
+    for total, bound in ((r_k_testfn, 3**3 + 3**3 + 2**3 + 2**3), (r_k_consecutive, 10 * 3**2)):
+        monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(bound))
+        total(seq, ones, 1.0, 4)
+        monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(bound - 1))
+        with pytest.raises(BudgetError, match=f"= {bound} "):
+            total(seq, ones, 1.0, 4)
 
 
 def test_box_halves_recombine_to_symmetric_count():
