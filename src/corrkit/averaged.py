@@ -29,7 +29,9 @@ runs about _WINDOW_BLOCK long each where they do not (see
 _overlap_sums).  The peak is about 110 bytes per anchor of a block, 32
 more per run position past _WINDOW_BLOCK, and 32 more per anchor for
 each further distinct scale: 3.6 MiB for windows of a few points and
-4.3 MiB for windows of 3.2e4 points, whatever N (measured at N = 2^20).
+4.6 MiB for windows of 3.2e4 points or more, up to the whole circle,
+whatever N (measured at N = 2^20; the first block's runs start at its
+own start, anchor and end, like every other block's).
 The anchor products are reduced block by block with
 core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
 deterministic independent of evaluation order.
@@ -41,6 +43,7 @@ import math
 
 import numpy as np
 
+from . import core
 from .core import PointSequence, check_scale, exact_chunk_sum, grid_arc, self_window_blocks
 from .correlations import _as_scales
 from .errors import ParameterError
@@ -58,6 +61,9 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     and the ends each ascend, so each has a cursor, and a block reads P
     off prefix sums from the cursors to its last start, anchor and end;
     K = P[end cursor] - 2 P[anchor cursor] + P[start cursor] carries over.
+    The first block's cursors are its own first start, anchor and end,
+    and its K is summed over that one window in runs of _WINDOW_BLOCK
+    (_window_carry), so no block's runs span a wide window.
     Where these three runs overlap, as they do for windows narrower than
     a block, each limb's prefix sums are built once over their union
     [start cursor, last end), _WINDOW_BLOCK + w positions for windows of
@@ -75,11 +81,24 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     D_i is converted as float(hi) 2^32 + lo: one rounding while
     hi < 2^53, as always for windows of fewer than 2^22 points.
     """
-    cursors, carry = None, [0, 0]
+    cursors = None
     for b, [(start, end)] in self_window_blocks(g, [grid_arc(-s, s, n)]):
-        if cursors is None:  # all three at the first start, where K = 0
-            cursors = [int(start[0])] * 3
+        if cursors is None:  # the first block's own start, anchor and end
+            cursors = [int(start[0]), b, int(end[0])]
+            carry = _window_carry(g, *cursors)
         yield s / n * (end - start) - _block_distances(g, b, start, end, cursors, carry) * 2.0**-64
+
+
+def _window_carry(g: np.ndarray, cs: int, ca: int, ce: int) -> list[int]:
+    """The two limbs of K = P[ce] - 2 P[ca] + P[cs]: the unrolled grid
+    summed over [ca, ce) less over [cs, ca), one window, in runs of
+    _WINDOW_BLOCK positions."""
+    step, carry = core._WINDOW_BLOCK, [0, 0]
+    for limb in (0, 1):
+        for lo, hi, sign in ((ca, ce, 1), (cs, ca, -1)):
+            for a in range(lo, hi, step):
+                carry[limb] += sign * int(_unrolled_limb(g, a, min(a + step, hi), limb).sum())
+    return carry
 
 
 def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,

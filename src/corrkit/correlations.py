@@ -39,9 +39,9 @@ every point, 16 bytes per point, and grow their tuples from it depth
 first, in slices of at most _CHUNK_ROWS rows; they call the test
 function once per slice on an (m, k-1) float64 array of scaled
 differences, and sum its weights exactly, rounded once
-(core.exact_chunk_sum, equal to one math.fsum over all of them).  An
-upper bound on their rows is charged to the work budget before the
-first join.
+(core.exact_chunk_sum, equal to one math.fsum over all of them).  The
+rows their joins would make if none repeated an index are counted
+exactly and charged to the work budget before the first join.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import (PointSequence, check_half, check_order, exact_chunk_sum, grid_arc, in_arc,
                    self_window, self_window_blocks, signed_distance, to_grid)
 from .errors import BudgetError, ParameterError
@@ -318,13 +319,15 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     Column r of f's (m, k-1) array is N((x_u - x_v)) for the pair (u, v)
     of the r-th join.  The sum equals math.fsum over all the weights in
     that order (core.exact_chunk_sum, which runs f a second time where a
-    weight is non-finite or huge).  Before the first join, an upper bound
-    on the rows (_row_bound) is charged to the work budget, so a wide
-    radius or a high k raises BudgetError at once.  Peak: the runs, 16
-    bytes per point, under 8 (2d + 7) bytes per row of the slice at each
-    depth d < k, and f's temporaries; with g_eval at N = 2^20 and radius
-    1, 24.0 MiB at k = 3 and 36.1 at k = 6 (about 1.3e9 rows by the bound,
-    over the default budget).
+    weight is non-finite or huge).  Before the first join, the rows of
+    the last join, repeated indices included (_row_count), are charged to
+    the work budget, so a wide radius or a high k raises BudgetError at
+    once.  Peak: the runs, 16 bytes per point, under 8 (2d + 7) bytes per
+    row of the slice at each depth d < k, and f's temporaries; chained at
+    k >= 4, the count holds 8 bytes per point (16 from k = 6) before the
+    joins start.  With g_eval at N = 2^20 and radius 1: 24.0 MiB at k = 3
+    and 36.1 at k = 6 anchored (about 1.3e9 rows, over the default
+    budget); chained at k = 4, 4.85e7 rows and 26.8 MiB.
     """
     n = len(seq)
     if k < 2:
@@ -344,8 +347,8 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
         if block.size > often.size:
             often, block = block, often
         often[:block.size] += block
-    _charge_budget(_row_bound(often, k, chained),
-                   f"weighted {k}-tuple rows of radius {radius} (an upper bound)")
+    _charge_budget(_row_count(often, first, last, k, chained),
+                   f"weighted {k}-tuple rows of radius {radius}, repeated indices included")
 
     def grow(cols, vals):
         key = cols[-1] if chained else cols[0]
@@ -380,16 +383,45 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
         grow([np.arange(b, min(b + _CHUNK_ROWS, n))], []) for b in range(0, n, _CHUNK_ROWS)))
 
 
-def _row_bound(often: np.ndarray, k: int, chained: bool) -> int:
-    """An upper bound on the rows of _tuple_weight_sum's last join, from
-    often[c], the number of points whose window holds c points (the point
-    included): sum_i c_i^(k-1) when every join is on the anchor,
-    sum_i c_i (max c)^(k-2) when each is on the last index."""
-    sizes = np.flatnonzero(often)
-    pairs = list(zip(sizes.tolist(), often[sizes].tolist()))
-    if chained:
-        return sum(c * m for c, m in pairs) * pairs[-1][0] ** (k - 2)
-    return sum(c ** (k - 1) * m for c, m in pairs)
+def _row_count(often: np.ndarray, first: np.ndarray, last: np.ndarray, k: int,
+               chained: bool) -> int:
+    """The rows _tuple_weight_sum's last join makes if no join drops a
+    row that repeats an index: an upper bound on the rows it makes.
+
+    With w_1(i) = c_i, the points of i's window (itself included; often[c]
+    counts the points whose window holds c), and w_(d+1)(i) the sum of w_d
+    over i's window, the count is sum_i w_(k-1)(i) chained and sum_i
+    c_i^(k-1) anchored.  Windows are symmetric (j is in i's window when i
+    is in j's), so the chained count is sum_i w_a(i) w_b(i) for a + b =
+    k - 1, b - a in {0, 1}: sum_i c_i^(k-1) up to k = 3, as anchored.
+    Above, w_(d+1) comes from the prefix sums of w_d over one lap (two at
+    a time, 16 bytes per point), read at the ends of the unrolled runs
+    first, last, block by block.  The sums are float64, exact while the
+    count is below 2^51."""
+    if not chained or k <= 3:
+        sizes = np.flatnonzero(often)
+        return sum(c ** (k - 1) * m for c, m in zip(sizes.tolist(), often[sizes].tolist()))
+    n = first.size
+    step = core._WINDOW_BLOCK
+    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def sums(prefix, lo, hi):  # w_(d+1) at lo, ..., hi - 1 from prefix, that of w_d (None: d = 0)
+        f, e = first[lo:hi], last[lo:hi]
+        if prefix is None:
+            return (e - f).astype(np.float64)
+        return prefix[e % n] - prefix[f % n] + (e // n - f // n) * prefix[-1]
+
+    a = (k - 1) // 2
+    prefixes = [None]  # those of w_0 = 1, w_1, ..., w_(k-2-a): the last two at the end
+    for _ in range(k - 2 - a):
+        del prefixes[:-1]  # the next reads only the last
+        p = np.zeros(n + 1)
+        for lo, hi in blocks:
+            np.cumsum(sums(prefixes[-1], lo, hi), out=p[lo + 1:hi + 1])
+            p[lo + 1:hi + 1] += p[lo]
+        prefixes.append(p)
+    return int(sum(float(np.dot(sums(prefixes[-1 if 2 * a == k - 1 else -2], lo, hi),
+                                sums(prefixes[-1], lo, hi))) for lo, hi in blocks))
 
 
 def _row_weights(f, rows: np.ndarray) -> np.ndarray:

@@ -211,6 +211,21 @@ def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
     assert peak < bound_mib * 2**20
 
 
+@pytest.mark.parametrize("s", [4e5, 2.0**20])
+def test_c_k_star_wide_window_peak_is_a_block(s):
+    # windows of 8e5 points and the whole circle: the first block's runs
+    # start at its own cursors, so no block's prefix sums span a window
+    assert core._WINDOW_BLOCK == 1 << 15
+    seq = uniform_random(1 << 20, 7)
+    tracemalloc.start()
+    try:
+        c_k_star(seq, (s,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6 * 2**20  # averaged's docstring
+
+
 def test_c_k_star_takes_both_prefix_layouts(monkeypatch):
     # a block's runs of starts, anchors and ends overlap where the windows
     # are narrower than the block (one prefix sum per limb over their union)

@@ -442,15 +442,62 @@ def test_weighted_sums_charge_their_rows_before_the_first_join(monkeypatch):
             total(seq, tent, 1000.0, 4)
         assert time.perf_counter() - t0 < 0.5
     assert called == []
-    # the bounds themselves: sum c^(k-1) anchored, sum c * (max c)^(k-2) chained
+    # the counts themselves: sum c^(k-1) anchored; chained, the walks of
+    # k - 1 steps from window to window, sum_i w_3(i) with w_1 = c and
+    # w_(d+1)(i) the sum of w_d over i's window: w_2 = 8, 8, 5, 5 and
+    # w_3 = 21, 21, 13, 13
     seq = PointSequence([0.1, 0.3, 0.5, 0.9])  # windows of radius 1/4: 3, 3, 2 and 2 points
     ones = lambda ys: np.ones(len(ys))
-    for total, bound in ((r_k_testfn, 3**3 + 3**3 + 2**3 + 2**3), (r_k_consecutive, 10 * 3**2)):
+    for total, bound in ((r_k_testfn, 3**3 + 3**3 + 2**3 + 2**3), (r_k_consecutive, 68)):
         monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(bound))
         total(seq, ones, 1.0, 4)
         monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(bound - 1))
         with pytest.raises(BudgetError, match=f"= {bound} "):
             total(seq, ones, 1.0, 4)
+
+
+def _walks(seq, radius, k):
+    """sum over i of the index walks i = i_1, ..., i_k, each next index in
+    the previous one's window, repeats allowed: 1' A^(k-1) 1."""
+    g = seq.sorted_grid
+    a = in_arc(g[None, :] - g[:, None], grid_arc(-radius, radius, len(seq))).astype(object)
+    w = np.ones(len(seq), dtype=object)
+    for _ in range(k - 1):
+        w = a.dot(w)
+    return int(w.sum())
+
+
+def _chains(seq, radius, k):
+    """The distinct-index walks: the rows f sees."""
+    g = seq.sorted_grid
+    a = in_arc(g[None, :] - g[:, None], grid_arc(-radius, radius, len(seq)))
+    rows = [(i,) for i in range(len(seq))]
+    for _ in range(k - 1):
+        rows = [r + (j,) for r in rows for j in np.flatnonzero(a[r[-1]]).tolist() if j not in r]
+    return len(rows)
+
+
+def test_consecutive_sum_charges_the_exact_walk_count(monkeypatch):
+    # between the count and the old bound sum c (max c)^(k-2), the call
+    # runs; the joins drop the walks that repeat an index, so f sees fewer
+    rng = np.random.default_rng(45)
+    seq = PointSequence(np.concatenate((0.3 + 0.005 * rng.random(6), rng.random(34))))
+    radius, k = 1.0, 5
+    arc = grid_arc(-radius, radius, len(seq))
+    c = np.array([np.count_nonzero(in_arc(seq.sorted_grid - g, arc)) for g in seq.sorted_grid])
+    walks, old_bound = _walks(seq, radius, k), int(c.sum()) * int(c.max()) ** (k - 2)
+    assert walks < old_bound
+    charged, rows = [], []
+    real = correlations._charge_budget
+    monkeypatch.setattr(correlations, "_charge_budget", lambda work, what: charged.append(work)
+                        or real(work, what))
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str((walks + old_bound) // 2))
+    r_k_consecutive(seq, lambda ys: rows.append(len(ys)) or np.ones(len(ys)), radius, k)
+    assert charged == [walks]
+    assert sum(rows) == _chains(seq, radius, k) < walks
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(walks - 1))
+    with pytest.raises(BudgetError, match=f"radius 1.0, repeated indices included = {walks} "):
+        r_k_consecutive(seq, lambda ys: np.ones(len(ys)), radius, k)
 
 
 def test_box_halves_recombine_to_symmetric_count():

@@ -2,13 +2,17 @@
 doubles it returns, and the line-numbered FormatError of every file it
 rejects.  The reference is the plain line scan below."""
 
+import math
+import re
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrkit import FormatError, io
+from corrkit import FormatError, core, io
 from corrkit.io import read_points
 
 
@@ -69,6 +73,12 @@ def _message(tmp_path, text):
     ("0.5\n0.1 0.2\n", ":2: not a number: '0.1 0.2'"),
     ("0.1\t0.2\n", ":1: not a number: '0.1\\t0.2'"),
     ("0.5\n1e\n", ":2: not a number: '1e'"),
+    # nines that round up to 1.0, canonical (19 digits) or not, the last
+    # line with no final newline
+    ("0.5\n0.9999999999999999999\n", ":2: point 1.0 outside [0,1)"),
+    ("# h\n0.5\n0.99999999999999999", ":3: point 1.0 outside [0,1)"),
+    ("0.5\n0.99999999999999999999\n", ":2: point 1.0 outside [0,1)"),
+    ("0.5\n0.25\n0.x", ":3: not a number: '0.x'"),
 ])
 def test_rejected_files_name_the_line(tmp_path, text, message):
     assert _message(tmp_path, text) == message
@@ -86,6 +96,9 @@ def test_rejected_files_name_the_line(tmp_path, text, message):
     ("0.25\n# c\x0c0.5\n", [0.25, 0.5]),
     ("0.25\n# c\u20280.5\n", [0.25, 0.5]),
     ("\xa00.5\xa0\n# c\u20280.25\n", [0.5, 0.25]),
+    ("0.25\n0.5", [0.25, 0.5]),
+    ("0.0\n0.00\n0.5\n0.9999999999999999", [0.0, 0.0, 0.5, 0.9999999999999999]),
+    ("0.1\n\n 0.2\n0.3 \n0.4", [0.1, 0.2, 0.3, 0.4]),
 ])
 def test_accepted_files_read_exact_doubles(tmp_path, text, points):
     assert _points(_write(tmp_path, text)).tobytes() == np.array(points).tobytes()  # sign of zero included
@@ -94,8 +107,9 @@ def test_accepted_files_read_exact_doubles(tmp_path, text, points):
 # a file is plain lines (values, comments, blanks, padded by spaces and
 # tabs) with up to two odd lines put in: other spellings float() may or
 # may not accept, other whitespace, other line ends
+_CANONICAL_VALUES = st.text(alphabet="0123456789", min_size=1, max_size=19).map("0.".__add__)
 _PLAIN_VALUES = st.sampled_from(["0.5", "-0.0", "+.5", ".5", "5.", "1e-3", "5E-1", "1e-400"]) \
-    | st.floats(min_value=0.0, max_value=1.0, exclude_max=True).map(repr)
+    | st.floats(min_value=0.0, max_value=1.0, exclude_max=True).map(repr) | _CANONICAL_VALUES
 _OTHER_VALUES = st.sampled_from([
     "0.2_5", "0.1 0.2", "0.5 # c", "1.0", "-0.5", "1e999", "nan", "inf", "-inf", "abc", "1e",
     "+", ".", "--1", "0x1p-2", "\u0660.\u0665",
@@ -145,3 +159,85 @@ def test_plain_file_skips_the_line_scan(tmp_path, monkeypatch):
     path = _write(tmp_path, "  # indented\n\n" + odd + text.replace("\n", " \t\r\n"))
     monkeypatch.setattr(io, "_scan_points", lambda *a: pytest.fail("valid file went to the line scan"))
     assert _points(path).tobytes() == np.concatenate([[0.5, 0.25, 0.25, 0.5], x]).tobytes()
+
+
+def test_blocks_of_lines_match_the_line_scan(tmp_path, monkeypatch):
+    # 2 blocks and 3 lines: canonical lines, exponents, comments and
+    # blanks on both sides of each block boundary; then one line more
+    # per file than the blocks hold, and blocks of 1 and 7 lines
+    rng = np.random.default_rng(11)
+    lines = 2 * core._WINDOW_BLOCK + 3
+    x = rng.random(lines)
+    text = [f"{v!r}" for v in x.tolist()]
+    for i in range(0, lines, 5):
+        text[i] = f"{float(x[i]) * 1e-6!r}"
+    for i in (0, core._WINDOW_BLOCK - 1, core._WINDOW_BLOCK, 2 * core._WINDOW_BLOCK + 1):
+        text[i] = "# c" if i % 2 else ""
+    path = _write(tmp_path, "\n".join(text) + "\n")
+    assert _points(path).tobytes() == _line_scan(path).tobytes()
+    # short lines last: blocks before the last one reach the file's end
+    small = _write(tmp_path, "\n".join(text[:200] + ["", "0.5", "#", "", "0.1"]))
+    for block in (1, 7):
+        monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+        assert _points(small).tobytes() == _line_scan(small).tobytes()
+
+
+def test_nineteen_digit_decimals_match_float(tmp_path):
+    # 1e5 decimals of 19 digits, among them those whose longdouble
+    # quotient is a midpoint of two doubles, which go to float()
+    rng = np.random.default_rng(19)
+    m = rng.integers(0, 10**19, size=100_000, dtype=np.uint64)
+    lines = [f"0.{v:019d}" for v in m.tolist()]
+    data = "\n".join(lines).encode()
+    starts = np.arange(m.size, dtype=np.int64) * 22
+    _, certified = io._canonical_values(data, io._words(data), starts, starts + 21)
+    assert 0 < np.count_nonzero(~certified) < 200
+    path = tmp_path / "digits.txt"
+    path.write_bytes(data)
+    assert _points(path).tobytes() == np.array([float(v) for v in lines]).tobytes()
+
+
+def _near_a_midpoint(token):
+    """Whether the decimal lies within 2^-63 of a midpoint of two doubles,
+    relatively: where its quotient in 64 bits can land on one."""
+    v, x = Fraction(token), float(token)
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf if v > x else -math.inf))) / 2
+    return abs(v - mid) < mid / 2**63
+
+
+def test_plain_file_converts_no_canonical_line_as_a_str(tmp_path, monkeypatch):
+    # but the few whose longdouble quotient may be a midpoint
+    x, text = _plain_text(20_000, 9)
+    path = _write(tmp_path, text + "5e-1\n\n  # c\n.5 \n")
+    converted = []
+    real = io._token_values
+
+    def spy(tokens):
+        converted.extend(tokens)
+        return real(tokens)
+
+    monkeypatch.setattr(io, "_token_values", spy)
+    assert _points(path).tobytes() == np.concatenate([x, [0.5, 0.5]]).tobytes()
+    is_canonical = re.compile(r"0\.[0-9]{1,19}").fullmatch
+    canonical = [t for t in converted if is_canonical(t)]
+    others = [f"{v!r}" for v in x.tolist() if not is_canonical(f"{v!r}")]
+    assert len(others) > x.size // 97  # the exponents and the reprs of 20 digits
+    assert [t for t in converted if not is_canonical(t)] == others + ["5e-1", ".5"]
+    assert len(canonical) < 40 and all(map(_near_a_midpoint, canonical))
+
+
+def test_plain_file_peak_is_its_bytes_and_its_points(tmp_path):
+    # 2e5 reprs: the bytes, 16 bytes per line (line ends, values) and
+    # either a bool per byte (the split) or a block of lines at about 100
+    # bytes a line (read_points' docstring)
+    x, text = _plain_text(200_000, 12)
+    path = _write(tmp_path, text)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        seq = read_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.points.tobytes() == x.tobytes()
+    assert peak < size + 16 * x.size + max(size, 100 * core._WINDOW_BLOCK) + 2**20
