@@ -16,19 +16,20 @@ one window primitive (window, self_window, self_window_blocks) finds
 their occupants: the fast counts and the oracles read every tie the same
 way.
 
-The 1-D window statistics (r_k_distinct, r_k_star, r_k_box, c_k_star)
-take their windows from self_window_blocks, _WINDOW_BLOCK = 2^15 anchors
-at a time (moments sweeps its arc endpoints in blocks of that size), and
-reduce each block before the next: their transient memory is a block's,
-a few MiB, plus what the widest window adds (see each statistic), never
-O(N); r_k_testfn and r_k_consecutive keep the blocks' runs, 16 bytes per
-point.  A block's windows of a symmetric arc cost one vectorized pass per
-neighbour offset, up to min(widest one-sided window, _PASS_CAP = 8),
-counted per anchor in two byte-wide counters (11 bytes per anchor of
-the block with the differences and mask), plus binary searches for only
-the anchors whose windows are still open after them: for windows of a
-few points, hardly any.  self_window serves only the 2-D stacks of trial
-rows (correlations._window_counts).
+The 1-D window statistics (r_k_distinct, r_k_star, r_k_box, c_k_star,
+and the profile and moments of F(t,s,N), whose breakpoints are windows
+of twice F's radius) take their windows from self_window_blocks,
+_WINDOW_BLOCK = 2^15 anchors at a time, and reduce each block before
+the next: their transient memory is a block's, a few MiB, plus what the
+widest window adds (see each statistic), never O(N); r_k_testfn and
+r_k_consecutive keep the blocks' runs, 16 bytes per point.  A block's
+windows of a symmetric arc cost one vectorized pass per neighbour
+offset, up to min(widest one-sided window, _PASS_CAP = 8), counted per
+anchor in two byte-wide counters (11 bytes per anchor of the block with
+the differences and mask), plus binary searches for only the anchors
+whose windows are still open after them: for windows of a few points,
+hardly any.  self_window serves only the 2-D stacks of trial rows
+(correlations._window_counts).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -328,7 +329,10 @@ def self_window_blocks(grid: np.ndarray, arcs):
     position p holds U_p = g_(p mod m) + 2^64 floor(p/m), the window
     holds the positions whose value lies in [g_i + lo, g_i + hi], so
     cnt = end - start (or <= 0: empty) and start, end ascend with i;
-    start <= i < end only for arcs that contain 0.
+    start <= i < end only for arcs that contain 0.  hi - lo >= 2^64 - 1
+    is the whole circle, every point once, but a symmetric (-r, r) with
+    2^63 <= r < 2^64 is [g_i - r, g_i + r] unrolled: it can hold more
+    than m positions, a point twice if within r of g_i both ways.
 
     A symmetric arc (-r, r), 0 <= r < 2^63, as from grid_arc(-s, s, N),
     takes one pass over the block per neighbour offset, up to
@@ -347,11 +351,11 @@ def self_window_blocks(grid: np.ndarray, arcs):
         g = grid[b:b + _WINDOW_BLOCK]
         wins = []
         for lo, hi in arcs:
-            if hi - lo >= GRID - 1:  # the whole circle: every point once
+            if lo == -hi and hi < _HALF:
+                wins.append(_passed_window(grid, b, g.size, hi))
+            elif hi - lo >= GRID - 1 and lo != -hi:  # the whole circle: every point once
                 start = _unrolled_search(grid, g, lo, "left")
                 wins.append((start, start + m))
-            elif lo == -hi:
-                wins.append(_passed_window(grid, b, g.size, hi))
             else:
                 wins.append((_unrolled_search(grid, g, lo, "left"),
                              _unrolled_search(grid, g, hi, "right")))

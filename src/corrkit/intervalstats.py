@@ -1,4 +1,4 @@
-"""The window-count function F(t,s,N), its exact sweep-line moments, and
+"""The window-count function F(t,s,N), its exact moments, and
 the tent test functions tying them to correlation sums.
 
 F(t,s,N) = #{m <= N : ||x_m - t|| <= s/(2N)} is piecewise constant in t
@@ -10,15 +10,20 @@ with at most 2N breakpoints, so its moments
 are computed exactly from the step function rather than by quadrature;
 exactness removes a tolerance from every identity built on them.  Arc m
 is the grid range [x_m - R, x_m + R + 1) of core's 2^-64 grid, with
-R = floor(s 2^64 / (2N)), so the profile is F at every grid point.  The
-integer segment lengths are grouped by profile value, so each moment is
-an exact rational sum_v w(v) L_v / 2^64, rounded once.  moments folds
-that histogram block by block over the sweep (_profile_blocks), so its
-peak is about 42 bytes per endpoint of a block (at most
-2 core._WINDOW_BLOCK + 2 distinct ones, plus the longest run of equal
-ones) and 8 bytes per profile value up to max F: under 4 MiB while
-max F and the runs of equal points stay under 10^4, whatever N.
-sweep_profile writes the same blocks into its O(N) arrays.
+R = floor(s 2^64 / (2N)), so the profile is F at every grid point.  Each
+arc endpoint, with F's value after it and the length to the next one,
+is read off its anchor's window of radius 2R from
+core.self_window_blocks: the arcs open there are those of the points
+within 2R of x_m on one side (_breakpoints).  The integer segment
+lengths are grouped by profile value, so each moment is an exact
+rational sum_v w(v) L_v / 2^64, rounded once.  moments folds that
+histogram block by block of anchors, so its peak is a block's windows,
+values and lengths, and 8 bytes per profile value up to max F: 2.5 MiB
+at N = 2^20, s = 2, whatever N.  sweep_profile puts each endpoint
+straight into its slot of its O(N) arrays by its rank, with no sort.
+Windows past the neighbour-offset passes take binary searches: at
+N = 1e5 (2-core x86_64) moments takes about 4.5 ms at s = 2 but 14 ms at
+s = 32 and 15 ms at s = 4e4 or 6e4 (2R >= 2^63: two searches an anchor).
 
 The tent test function
 
@@ -70,14 +75,17 @@ class SweepProfile:
         """{v: L_v}, L_v the exact number of grid points where F = v; the
         L_v sum to 2^64.
 
-        The uint64 segment lengths are summed per value by a wrapping
-        np.add.at (_value_lengths, which moments runs block by block),
-        which is exact: each L_v <= 2^64 and the L_v sum to 2^64, so a sum
-        modulo 2^64 is L_v unless L_v = 2^64, a lone value that wraps to 0.  Only the whole-circle profile (one breakpoint)
-        has one value: any other has mass N(2R+1) with 2R+1 odd and
-        N < 2^64, never a multiple of 2^64, so it holds two values or more.
+        The segment lengths np.diff(breakpoints, append=breakpoints[0]),
+        the last one wrapping past 0, are summed per value in uint64 by
+        np.add.at, the fold moments runs over its windows (_histogram).
+        That is exact: the L_v sum to 2^64, and only the whole-circle
+        profile, one breakpoint, has a lone value with L_v = 2^64; any
+        other has mass N(2R+1) with 2R+1 odd and N < 2^64, never a
+        multiple of 2^64, so it holds two values or more, each L_v < 2^64.
         """
-        return _value_lengths([(self.breakpoints, self.values, self.breakpoints[0])])
+        if self.breakpoints.size == 1:
+            return {int(self.values[0]): GRID}
+        return _histogram([(self.values, np.diff(self.breakpoints, append=self.breakpoints[0]))])
 
     def total_mass(self) -> float:
         """int_0^1 F dt = sum_v v L_v / 2^64, rounded once."""
@@ -118,125 +126,108 @@ def f_count(seq: PointSequence, t: float, s: float) -> int:
     return int(window(seq.sorted_grid, _grid_of([t]), grid_arc(-0.5 * s, 0.5 * s, n))[1][0])
 
 
-def _endpoint_run(g: np.ndarray, add: int, a: int, z: int) -> np.ndarray:
-    """Positions [a, z) of the ascending endpoints (g + add) mod 2^64.
-
-    Sorted, they are the anchors first, first+1, ..., m-1, 0, ..., first-1
-    with first the least i with g_i >= -add mod 2^64 (the anchors before
-    it wrap to the top), so any run of them is one or two slices of g.
-    """
-    m = g.size
-    first = int(np.searchsorted(g, np.uint64(-add % GRID)))
-    a, z = a + first, z + first
-    run = np.concatenate((g[a:z], g[:max(z - m, 0)])) if a < m else g[a - m:z - m]
-    return run + np.uint64(add)
-
-
-def _endpoints_upto(g: np.ndarray, add: int, v: int) -> int:
-    """#{i : (g_i + add) mod 2^64 <= v}, for 0 <= v < 2^64: the g in the
-    cyclic grid arc [-add, -add + v]."""
-    a = -add % GRID
-    z = (a + v) % GRID
-    cnt = int(np.searchsorted(g, np.uint64(z), "right")) - int(np.searchsorted(g, np.uint64(a)))
-    return cnt + g.size if z < a else cnt
-
-
-def _profile_blocks(seq: PointSequence, s: float):
-    """The profile of sweep_profile in blocks: yields (breakpoints, values,
-    following), following the breakpoint after the block's last one (the
-    first breakpoint, after the last block).
-
-    Arc m is [g_m - R, g_m + R + 1), and the arc starts (ends) sorted are
-    the anchors' grid values rotated (_endpoint_run).  A block holds the
-    endpoints up to a cut value: the least of the endpoint _WINDOW_BLOCK
-    ends and the one _WINDOW_BLOCK starts further on.  So equal endpoints
-    never straddle two blocks, a block holds at most _WINDOW_BLOCK + 1
-    distinct values of each kind, and its arrays take O(_WINDOW_BLOCK +
-    the largest run of equal endpoints) memory.  The running count
-    carries over from block to block.
-    """
+def _radius(seq: PointSequence, s: float):
+    """R of the arcs [g_m - R, g_m + R + 1) of F, or None where they
+    cover the circle (2R + 1 >= 2^64) and F = N everywhere."""
     n = len(seq)
     check_scale(s, n)
-    arc = grid_arc(-0.5 * s, 0.5 * s, n)
-    r = arc[1]
-    if 2 * r + 1 >= GRID:
-        yield np.zeros(1, np.uint64), np.array([n], dtype=np.int64), 0
-        return
-    g = seq.sorted_grid
-    adds = (r + 1, -r % GRID)  # ends, starts
-
-    def endpoint(kind: int, p: int) -> int:
-        """The endpoint at sorted position p of one kind, GRID past the last."""
-        return int(_endpoint_run(g, adds[kind], p, p + 1)[0]) if p < n else GRID
-
-    # value on the wrap segment, counted at its first grid point
-    final = max(endpoint(0, n - 1), endpoint(1, n - 1))
-    base = int(window(g, np.array([final], np.uint64), arc)[1][0])
-    # in grid units the mass is N (2R+1) + 2^64 (base - #arcs that wrap past
-    # 0: g_m < R, or g_m + R + 1 >= 2^64)
-    wraps = int(np.searchsorted(g, np.uint64(r))) + n - int(np.searchsorted(g, np.uint64(GRID - r - 1)))
-    if base != wraps:
-        raise ConsistencyError("profile mass does not equal s")
-    initial = min(endpoint(0, 0), endpoint(1, 0))
-    value, at = base, (0, 0)
-    while at != (n, n):
-        cut = min(min(endpoint(kind, at[kind] + core._WINDOW_BLOCK) for kind in (0, 1)), GRID - 1)
-        upto = tuple(_endpoints_upto(g, add, cut) for add in adds)
-        events = np.concatenate([_endpoint_run(g, add, a, z) for add, a, z in zip(adds, at, upto)])
-        order = np.argsort(events, kind="stable")
-        events = events[order]
-        last = np.empty(events.size, dtype=bool)
-        np.not_equal(events[1:], events[:-1], out=last[:-1])
-        last[-1] = True
-        # ends sort before starts, so every running count, inside a run
-        # too, is a number of arcs in [0, N]
-        steps = np.where(order < upto[0] - at[0], np.int8(-1), np.int8(1))
-        del order
-        values = np.cumsum(steps, dtype=np.int64)[last]
-        del steps
-        values += value
-        if values.min() < 0 or values.max() > n:
-            raise ConsistencyError("inconsistent sweep profile")
-        value, at = int(values[-1]), upto
-        following = min(endpoint(0, at[0]), endpoint(1, at[1]))
-        yield events[last], values, initial if following == GRID else following
-    if value != base:
-        raise ConsistencyError("inconsistent sweep profile")
+    r = grid_arc(-0.5 * s, 0.5 * s, n)[1]
+    return r if 2 * r + 1 < GRID else None
 
 
-def _value_lengths(blocks) -> dict[int, int]:
-    """{v: L_v} over the (breakpoints, values, following) blocks of a
-    profile (see SweepProfile.value_lengths)."""
+def _breakpoints(g: np.ndarray, r: int):
+    """F's arc endpoints from one window per anchor: yields, per block of
+    anchors i of core.self_window_blocks at the arc (-2R, 2R), the starts
+    g_i - R and then the ends g_i + R + 1 as (i, offset from g_i, bound,
+    value after the endpoint, length to the next one).
+
+    Sorted on the circle, ends before starts at ties and then by index,
+    the endpoints are F's steps.  With [S_i, E_i) anchor i's unrolled
+    window (U_p as in self_window_blocks), the arcs open after start i
+    are those of S_i, ..., i, after end i those of i + 1, ..., E_i - 1.
+    The next start is g_(i+1) - g_i on (a lap, 2^64, taken as 2^64 - 1,
+    past the last anchor if all points are equal); the next end after
+    start i is S_i's, U_(S_i) + 2R + 1 - g_i on, the next start after end
+    i is E_i's, U_(E_i) - g_i - 2R - 1 on: each below 2^64, so uint64
+    arithmetic is exact.  An endpoint of length 0 shares the next one's
+    place; its value may not be F's, but it weighs nothing.  bound is
+    S_i or E_i: i starts and S_i ends precede start i, E_i starts and i
+    ends precede end i, counted from anchor 0's.
+    """
+    n, d = g.size, 2 * r
+    for b, [(start, end)] in core.self_window_blocks(g, [(-d, d)]):
+        i = np.arange(b, b + start.size)
+        gi = g[b:b + start.size]
+        step = g.take(i + 1, mode="wrap") - gi
+        if i[-1] == n - 1 and step[-1] == 0:  # all points equal
+            step[-1] = GRID - 1
+        length = g.take(start, mode="wrap")  # in place: one block's array per kind
+        length += np.uint64(d + 1)
+        length -= gi
+        yield i, -r % GRID, start, i + 1 - start, np.minimum(length, step, out=length)
+        length = g.take(end, mode="wrap")
+        length -= gi
+        length -= np.uint64(d + 1)
+        yield i, r + 1, end, end - i - 1, np.minimum(length, step, out=length)
+
+
+def _histogram(segments) -> dict[int, int]:
+    """{v: L_v} over the (values, uint64 lengths) arrays of segments of a
+    profile: the lengths summed per value by np.add.at (see
+    SweepProfile.value_lengths)."""
     sums = np.zeros(1, dtype=np.uint64)
-    for bp, v, following in blocks:
-        if following == bp[-1]:  # one breakpoint in all: F = v[0] on the whole circle
-            return {int(v[0]): GRID}
+    for v, ln in segments:
         top = int(v.max())
         if top >= sums.size:
             sums = np.concatenate((sums, np.zeros(top + 1 - sums.size, dtype=np.uint64)))
-        # the wrap segment's length wraps too
-        np.add.at(sums, v, np.diff(bp, append=np.uint64(following)))
+        np.add.at(sums, v, ln)
     present = np.flatnonzero(sums)
     return dict(zip(present.tolist(), sums[present].tolist()))
 
 
-def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
-    """Build the 2N-event circular step function of F by one sweep of the
-    sorted arc endpoints: a stable merge of the ends and the starts per
-    block (_profile_blocks), written into two arrays of 2N entries, the
-    most there can be: the peak is the output and one block.
+def _law(seq: PointSequence, s: float) -> dict[int, int]:
+    """{v: L_v} of F(.,s,N) folded block by block over _breakpoints, and
+    checked exactly: the L_v cover the circle once, sum_v L_v = 2^64,
+    and each arc puts its 2R + 1 grid points into the mass sum_v v L_v."""
+    n, r = len(seq), _radius(seq, s)
+    if r is None:
+        return {n: GRID}
+    hist = _histogram((v, ln) for *_, v, ln in _breakpoints(seq.sorted_grid, r))
+    if sum(hist.values()) != GRID or sum(v * ln for v, ln in hist.items()) != n * (2 * r + 1):
+        raise ConsistencyError("profile lengths or mass do not add up to 2^64 and s")
+    return hist
 
-    The last event of each run of equal endpoints carries the value after
-    their merged breakpoint.
+
+def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
+    """The circular step function of F: each endpoint goes by its rank
+    (_breakpoints) to its slot of two arrays of 2N entries, with no sort,
+    so the peak is the output and one block.  Sorted from 0, the a starts
+    below 0 (g_i < R) come a lap later and the c ends past 2^64
+    (g_i >= 2^64 - R - 1) a lap earlier: rank q goes to q - a + c mod 2N.
+    Endpoints of length 0 are marked (value -1) and compacted out a block
+    at a time, so the last of equal endpoints carries their merged value.
     """
-    n = len(seq)
+    n, r = len(seq), _radius(seq, s)
+    if r is None:
+        return SweepProfile(np.zeros(1, np.uint64), np.array([n], dtype=np.int64), float(s), n)
+    g = seq.sorted_grid
+    shift = int(np.searchsorted(g, np.uint64(r))) + int(np.searchsorted(g, np.uint64(GRID - r - 1))) - n
     breakpoints, values = np.empty(2 * n, dtype=np.uint64), np.empty(2 * n, dtype=np.int64)
-    size = 0
-    for bp, v, _ in _profile_blocks(seq, s):
-        breakpoints[size:size + bp.size] = bp
-        values[size:size + v.size] = v
-        size += bp.size
+    size = 2 * n
+    for i, add, bound, value, length in _breakpoints(g, r):
+        slot = (i + bound - shift) % (2 * n)
+        breakpoints[slot] = g[i[0]:i[-1] + 1] + np.uint64(add)
+        merged = length == 0
+        value[merged] = -1
+        values[slot] = value
+        size -= int(np.count_nonzero(merged))
     if size < 2 * n:  # equal endpoints merged
+        size = 0
+        for a in range(0, 2 * n, core._WINDOW_BLOCK):
+            kept = a + np.flatnonzero(values[a:a + core._WINDOW_BLOCK] >= 0)
+            breakpoints[size:size + kept.size] = breakpoints[kept]
+            values[size:size + kept.size] = values[kept]
+            size += kept.size
         breakpoints, values = breakpoints[:size].copy(), values[:size].copy()
     return SweepProfile(breakpoints, values, float(s), n)
 
@@ -244,13 +235,13 @@ def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
 def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
     """Exact factorial moment I_k and power moment I_k* of F(.,s,N):
     sum_v (v)_k L_v / 2^64 and sum_v v^k L_v / 2^64 over the value
-    histogram, each an exact rational rounded once.  The histogram is
-    folded block by block over the sweep (_profile_blocks), so the peak
-    memory is a block's plus 8 bytes per value up to max F."""
+    histogram (_law), each an exact rational rounded once.  The
+    histogram is folded block by block, so the peak memory is a block's
+    plus 8 bytes per value up to max F."""
     if k < 2:
         raise ParameterError("k must be >= 2")
-    check_order(k)  # before the sweep: bell_prediction needs k up to the Stirling table's
-    hist = _value_lengths(_profile_blocks(seq, s)).items()
+    check_order(k)  # before the windows: bell_prediction needs k up to the Stirling table's
+    hist = _law(seq, s).items()
     i_k = sum(falling_factorial(v, k) * ln for v, ln in hist) / GRID
     i_k_star = sum(v**k * ln for v, ln in hist) / GRID
     return MomentReport(k, float(s), len(seq), i_k, i_k_star)
@@ -262,8 +253,8 @@ def g_eval(k: int, s: float, ys) -> np.ndarray:
     positive part, with no tolerance applied.  A one-row array evaluates
     a single tuple.
     """
-    if k < 2 or s <= 0:
-        raise ParameterError("need k >= 2 and s > 0")
+    if k < 2 or not 0 < s < math.inf:  # NaN fails too
+        raise ParameterError("need k >= 2 and a finite s > 0")
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim == 0 or ys.shape[-1] != k - 1:
         raise ParameterError(f"expected rows of {k - 1} coordinates, got shape {ys.shape}")
@@ -286,8 +277,8 @@ def g_integral_mc(k: int, s: float, samples: int, seed: int) -> MCIntegral:
 
     The exact value is s^k; the estimate comes with its standard error.
     """
-    if k < 2 or s <= 0 or samples < 1:
-        raise ParameterError("need k >= 2, s > 0, samples >= 1")
+    if k < 2 or not 0 < s < math.inf or samples < 1:
+        raise ParameterError("need k >= 2, a finite s > 0, samples >= 1")
     rng = np.random.default_rng(int(seed))
     vol = (2.0 * s) ** (k - 1)
     ys = rng.uniform(-s, s, size=(int(samples), k - 1))

@@ -120,10 +120,10 @@ def test_corr_parameter_exit_codes(points_file, capsys):
 
 def test_moments_order_above_sixteen_is_named_before_the_sweep(points_file, capsys,
                                                                  monkeypatch):
-    def no_sweep(*args):
-        raise AssertionError("the moments were computed")
+    def no_windows(*args):
+        raise AssertionError("a window was taken")
 
-    monkeypatch.setattr("corrkit.intervalstats._profile_blocks", no_sweep)
+    monkeypatch.setattr("corrkit.core.self_window_blocks", no_windows)
     assert main(["moments", "--input", str(points_file), "--k", "20", "--s", "1"]) == 2
     assert "parameter error: orders above k = 16 are unsupported" in capsys.readouterr().err
 
@@ -344,15 +344,15 @@ def test_verify_catalog_complete():
 
 
 def test_consistency_error_exit_code(points_file, capsys, monkeypatch):
-    from corrkit import intervalstats
+    from corrkit import core
 
-    window = intervalstats.window
+    windows = core.self_window_blocks
 
-    def one_too_many(grid, centers, arc):  # the profile's wrap value comes out one too high
-        lo, cnt = window(grid, centers, arc)
-        return lo, cnt + 1
+    def one_too_many(grid, arcs):  # every window the profile reads ends one position late
+        for b, wins in windows(grid, arcs):
+            yield b, [(start, end + 1) for start, end in wins]
 
-    monkeypatch.setattr(intervalstats, "window", one_too_many)
+    monkeypatch.setattr(core, "self_window_blocks", one_too_many)
     assert main(["moments", "--input", str(points_file), "--s", "2.0", "--k", "2"]) == 5
     err = capsys.readouterr().err
     assert "consistency" in err and "mass" in err

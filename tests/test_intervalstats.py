@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrkit import (
     ParameterError,
@@ -21,7 +21,7 @@ from corrkit import (
     stirling_second,
     sweep_profile,
 )
-from corrkit import core
+from corrkit import core, intervalstats
 from corrkit.core import GRID, grid_arc, in_arc, to_grid
 
 
@@ -112,16 +112,21 @@ def _unique_profile(seq, s):
     return uniq, base + np.cumsum(jumps)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.one_of(st.integers(min_value=0, max_value=15).map(lambda j: j / 16),
-                       st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
-             min_size=1, max_size=30),
-    st.floats(min_value=1e-3, max_value=1.0),
-)
+def _profile_inputs(test):
+    """(points, frac) with s = frac N: lattice points j/16 make coincident
+    endpoints, duplicates and arcs that end exactly where another starts;
+    besides, all points equal, and s = 1e-19 N, where R = 0."""
+    test = example([0.375] * 6, 0.5)(example([0.0, 0.5, 0.5, 0.9375], 1e-19)(test))
+    return settings(max_examples=200, deadline=None)(given(
+        st.lists(st.one_of(st.integers(min_value=0, max_value=15).map(lambda j: j / 16),
+                           st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+                 min_size=1, max_size=30),
+        st.floats(min_value=1e-3, max_value=1.0),
+    )(test))
+
+
+@_profile_inputs
 def test_sweep_profile_equals_unique_construction(points, frac):
-    # lattice points j/16 make coincident endpoints, duplicates and arcs
-    # that end exactly where another starts
     seq = PointSequence(points)
     s = frac * len(seq)
     prof = sweep_profile(seq, s)
@@ -130,8 +135,17 @@ def test_sweep_profile_equals_unique_construction(points, frac):
     assert np.array_equal(prof.values, values)
 
 
+@_profile_inputs
+def test_moments_histogram_equals_the_profile_value_lengths(points, frac):
+    # moments folds the lengths the windows give, value_lengths the
+    # differences of the profile's breakpoints after their slots and merges
+    seq = PointSequence(points)
+    s = frac * len(seq)
+    assert intervalstats._law(seq, s) == sweep_profile(seq, s).value_lengths()
+
+
 def test_sweep_profile_in_blocks_of_seven_equals_unique_construction():
-    # blocks of at most 7 endpoints of each kind cut the sweep many times
+    # blocks of 7 anchors cut the windows, and the merged runs, many times
     with mock.patch.object(core, "_WINDOW_BLOCK", 7):
         test_sweep_profile_equals_unique_construction()
 
@@ -291,6 +305,14 @@ def test_g_support_and_bounds(k, s, ys):
     assert 0.0 <= v <= s
     if any(abs(y) > s for y in ys):
         assert v == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_scale_is_a_parameter_error(bad):
+    with pytest.raises(ParameterError):
+        g_eval(2, bad, [[0.1]])
+    with pytest.raises(ParameterError):
+        g_integral_mc(2, bad, 10, 1)
 
 
 def test_g_integral_mc_matches_closed_form():
