@@ -46,11 +46,12 @@ progression structure forces on the alpha-average.  Each trial keeps
 its own trial_rng(seed, t) stream; the trials run in chunks of at most
 _TRIAL_CHUNK points, one row per trial: one wrapping uint64 product
 gives the chunk's fractional parts (seqgen.exact_frac_parts), one
-row-wise sort and core.self_window over the rows give every window
-count, and each row's raw count is the exact product sum r_k_distinct
-takes, so every R_3 value is the one r_k_distinct gives.  A chunk of P
-points (P = _TRIAL_CHUNK, or N when N is larger) peaks near 72 P bytes
-under tracemalloc, 1.1 MiB at P = 2^14: its arrays stay cache-sized.
+row-wise sort, one search per row and one bincount over the rows give
+every window count (_trial_window_counts), and each row's raw count is
+the exact product sum r_k_distinct takes, so every R_3 value is the one
+r_k_distinct gives.  A chunk of P points (P = _TRIAL_CHUNK, or N when
+N is larger) peaks near 72 P bytes under tracemalloc, 1.1 MiB at
+P = 2^14: its arrays stay cache-sized.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSequence, check_half, to_grid
-from .correlations import (_SCALE_WRAPS, _as_boxes, _as_scales, _charge_budget, _distinct_raw,
-                           r_k_box)
+from .core import GRID, PointSequence, check_half, grid_arc, to_grid
+from .correlations import (_SCALE_WRAPS, _as_boxes, _as_scales, _charge_budget,
+                           _distinct_factors, _exact_product_sum, r_k_box)
 from .errors import ConsistencyError, ParameterError
 from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
@@ -258,6 +259,33 @@ def three_ap_count_bruteforce(a) -> int:
     )
 
 
+def _trial_window_counts(g: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
+    """z_i = #{j : ||p_j - p_i|| <= s/N} for every point of a stack of
+    independent sorted grid rows g, N points each (a chunk's trials), for
+    arc = grid_arc(-s, s, N) with s <= N/2.
+
+    The whole circle (s = N/2) holds every point.  Any other arc is
+    (-R, R), and ||y - c|| <= R is symmetric: i is in j's window exactly
+    when j is in i's.  One search per row gives each point's unrolled
+    end E_i in [i+1, i+N] (N added where g_i + R wraps past 0).  Point j's
+    window reaches back over the i < j with E_i > j and the i > j with
+    E_i > j + N, so with C[x] = #{i : E_i <= x} its unrolled start is
+    C[j] + C[j+N] - N, and one bincount of E, shifted by 2N per row,
+    gives every row's C at once."""
+    rows, n = g.shape
+    if arc[1] - arc[0] >= GRID - 1:
+        return np.full(g.shape, n, dtype=np.int64)
+    reach = g + np.uint64(arc[1])
+    end = np.empty(g.shape, dtype=np.intp)
+    for r in range(rows):
+        end[r] = np.searchsorted(g[r], reach[r], side="right")
+    end[reach < g] += n
+    ended = np.bincount((end + np.arange(0, 2 * n * rows, 2 * n)[:, None]).ravel(),
+                        minlength=2 * n * rows).reshape(rows, 2 * n)
+    np.cumsum(ended, axis=1, out=ended)
+    return end - (ended[:, :n] + ended[:, n:] - n)
+
+
 def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricExperimentReport:
     """Sample uniform dilations alpha, compute R_3(s, N) of ({a_m alpha})
     per trial, and report the sample mean against 2 s T(A_N) / N^2."""
@@ -274,6 +302,7 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
     head = e[:n]
     t_count = three_ap_count(head)
     lower = 2.0 * s * t_count / n**2
+    arc = grid_arc(-scales[0], scales[0], n)
     # the trials in chunks of at most _TRIAL_CHUNK points, one row per
     # trial: the same values as r_k_distinct(PointSequence(row), scales)
     vals = np.empty(trials)
@@ -282,7 +311,8 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
         alphas = [float(trial_rng(seed, t).random()) for t in range(t0, min(t0 + rows, trials))]
         points = exact_frac_parts(head, alphas)
         points.sort(axis=1)
-        raws = _distinct_raw(to_grid(points), scales, n)
+        z = _trial_window_counts(to_grid(points), arc)
+        raws = _exact_product_sum(_distinct_factors([z, z]))
         vals[t0:t0 + len(raws)] = [raw / n for raw in raws]
     mean = float(vals.mean())
     var = float(vals.var(ddof=1)) if trials > 1 else 0.0

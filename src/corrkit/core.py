@@ -12,9 +12,8 @@ floors to it, which keeps the order.  Grid differences wrap modulo 2^64,
 the circle itself.  Each threshold (a scale s/N, a box bound a/N)
 becomes, once and exactly, an integer arc of grid offsets (grid_arc), so
 ||x-y|| <= s/N and a/N <= ((x-y)) <= b/N are integer tests (in_arc) and
-one window primitive (window, self_window, self_window_blocks) finds
-their occupants: the fast counts and the oracles read every tie the same
-way.
+one window primitive, self_window_blocks, finds their occupants: the
+fast counts and the oracles read every tie the same way.
 
 The 1-D window statistics (r_k_distinct, r_k_star, r_k_box, c_k_star,
 and the profile and moments of F(t,s,N), whose breakpoints are windows
@@ -28,8 +27,10 @@ offset, up to min(widest one-sided window, _PASS_CAP = 8), counted per
 anchor in two byte-wide counters (11 bytes per anchor of the block with
 the differences and mask), plus binary searches for only the anchors
 whose windows are still open after them: for windows of a few points,
-hardly any.  self_window serves only the 2-D stacks of trial rows
-(correlations._window_counts).
+hardly any.  F at one point (intervalstats.f_count) is read off the
+blocks' unrolled searches (_unrolled_search); the stacks of trial rows
+of the dilation experiment count their windows next to it
+(arithmetic._trial_window_counts).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -148,68 +149,6 @@ def in_arc(d: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
     return d - arc[0] % GRID <= arc[1] - arc[0]  # all False when hi < lo
 
 
-def _search_rows(grid: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
-    """np.searchsorted of x in grid, row by row when grid holds rows."""
-    if grid.size == grid.shape[-1]:  # one row: no copy of the result
-        return np.searchsorted(grid.reshape(-1), x.reshape(-1), side=side).reshape(x.shape)
-    out = np.empty(x.shape, dtype=np.intp)
-    for r in range(grid.shape[0]):
-        out[r] = np.searchsorted(grid[r], x[r], side=side)
-    return out
-
-
-def window(grid: np.ndarray, centers: np.ndarray, arc: tuple[int, int]):
-    """(lo, cnt): for each uint64 center c, the cnt occupants y with y - c
-    in a nonempty arc sit at positions lo, lo+1, ... of the sorted grid,
-    cyclically.  Two searches per center; windows centred on the grid
-    itself take one (self_window).  A 2-D grid is a stack of independent
-    sorted rows, each searched for the same row of centers."""
-    n = grid.shape[-1]
-    start = centers + arc[0] % GRID
-    lo = _search_rows(grid, start, "left")
-    if arc[1] - arc[0] >= GRID - 1:  # the whole circle: every point once
-        return lo, np.full(lo.shape, n, dtype=np.int64)
-    end = start + (arc[1] - arc[0])
-    cnt = _search_rows(grid, end, "right") - lo
-    cnt[end < start] += n  # the arc wraps past 0
-    return lo, cnt
-
-
-def self_window(grid: np.ndarray, arc: tuple[int, int]):
-    """window(grid, grid, arc) for an arc grid_arc(-s, s, N), by one search.
-
-    Unless it is the whole circle, the arc is (-R, R), and ||y - c|| <= R
-    is symmetric: i is in j's window exactly when j is in i's.  One
-    search gives each anchor's unrolled end E_i in [i+1, i+N] (N added
-    where g_i + R wraps past 0).  Anchor j's window reaches back over the
-    i < j with E_i > j and the i > j with E_i > j + N, so with
-    C[x] = #{i : E_i <= x} its unrolled start is S_j = C[j] + C[j+N] - N;
-    cnt = E - S and lo = S mod N.
-
-    A 2-D grid is a stack of independent sorted rows of N points each,
-    as the trials of a batch are: one search per row, then one bincount
-    of E shifted by 2N per row gives every row's C at once.  The trial
-    rows of metric_r3_experiment keep it: with window's two searches the
-    perfbench dilation job took 0.069 s, not 0.061 (3 of 3 pairs,
-    2-core x86_64).
-    """
-    if arc[1] - arc[0] >= GRID - 1:  # the whole circle, the one arc here not symmetric
-        return window(grid, grid, arc)
-    n = grid.shape[-1]
-    reach = grid + np.uint64(arc[1])
-    end = _search_rows(grid, reach, "right")
-    end[reach < grid] += n
-    rows = end.size // n
-    bins = end if rows == 1 else end + np.arange(0, 2 * n * rows, 2 * n)[:, None]
-    ended = np.bincount(bins.ravel(), minlength=2 * n * rows).reshape(*grid.shape[:-1], 2 * n)
-    ended = np.cumsum(ended, axis=-1)
-    lo = ended[..., :n] + ended[..., n:]
-    lo -= n  # the unrolled start S
-    cnt = end - lo
-    lo[lo < 0] += n
-    return lo, cnt
-
-
 # anchors per block of the 1-D window statistics: each block's arrays stay
 # cache-sized and the transient memory does not grow with N
 _WINDOW_BLOCK = 1 << 15
@@ -229,9 +168,9 @@ def _runs_search(grid: np.ndarray, keys: np.ndarray, side: str, cut: int) -> np.
 
 
 def _unrolled_search(grid: np.ndarray, g: np.ndarray, off: int, side: str) -> np.ndarray:
-    """The unrolled positions (see self_window_blocks) of the ascending
-    anchors' keys g + off, -2^64 < off < 2^64, searched with side in the
-    grid: the keys that pass 0 land a lap back or ahead."""
+    """The unrolled positions (see self_window_blocks) of the keys g + off
+    of ascending grid values g, -2^64 < off < 2^64, searched with side in
+    the grid: the keys that pass 0 land a lap back or ahead."""
     if off < 0:  # the anchors before `cut` have g + off < 0
         cut = int(np.searchsorted(g, np.uint64(-off)))
     else:  # from `cut` on, g + off >= 2^64

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import core
 from .core import (PointSequence, check_half, check_order, exact_chunk_sum, grid_arc, in_arc,
-                   self_window, self_window_blocks, signed_distance, to_grid)
+                   self_window_blocks, signed_distance, to_grid)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
@@ -126,19 +126,11 @@ def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
     return out
 
 
-def _window_counts(g: np.ndarray, scales, n: int) -> list[np.ndarray]:
-    """z(s) = #{j : ||p_j - c|| <= s/N} for every c in a 2-D stack of
-    independent sorted rows g (core.self_window) and each scale in order;
-    equal scales share one window."""
-    z = {s: self_window(g, grid_arc(-s, s, n))[1] for s in set(scales)}
-    return [z[s] for s in scales]
-
-
 def _block_counts(g: np.ndarray, scales, n: int):
-    """_window_counts for a 1-D sorted grid g, one block of anchors at a
-    time (core.self_window_blocks): yields the list of z(s), one array
-    per scale in order, for each block; one window per distinct scale
-    and block."""
+    """z(s) = #{j : ||p_j - c|| <= s/N} for every c of a sorted grid g,
+    one block of anchors at a time (core.self_window_blocks): yields the
+    list of z(s), one array per scale in order, for each block; one
+    window per distinct scale and block."""
     distinct = sorted(set(scales))
     for _, wins in self_window_blocks(g, [grid_arc(-s, s, n) for s in distinct]):
         z = {s: end - start for s, (start, end) in zip(distinct, wins)}
@@ -172,12 +164,6 @@ def _distinct_factors(z: list[np.ndarray]) -> list[np.ndarray]:
     """The per-anchor factors of r_k_distinct from the window counts of the
     ascending scales: the t-th filled slot uses the t-th smallest window."""
     return [np.maximum(zt - 1 - t, 0) for t, zt in enumerate(z)]
-
-
-def _distinct_raw(g: np.ndarray, scales, n: int) -> list[int]:
-    """The raw count of r_k_distinct for each row of a 2-D sorted grid g
-    of N points per row; scales already checked (see r_k_distinct)."""
-    return _exact_product_sum(_distinct_factors(_window_counts(g, sorted(scales), n)))
 
 
 def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import core
 from .core import (GRID, PointSequence, check_order, check_scale, falling_factorial, grid_arc,
-                   stirling_second, to_grid, window)
+                   stirling_second, to_grid)
 from .correlations import CorrelationReport, r_k_testfn
 from .errors import ConsistencyError, ParameterError
 
@@ -120,10 +120,19 @@ def _grid_of(t) -> np.ndarray:
 
 
 def f_count(seq: PointSequence, t: float, s: float) -> int:
-    """Exact #{m <= N : ||x_m - t|| <= s/(2N)}."""
+    """Exact #{m <= N : ||x_m - t|| <= s/(2N)}.
+
+    With (lo, hi) = grid_arc(-s/2, s/2, N) and c the grid point of t,
+    the count is the number of unrolled positions (core.self_window_blocks)
+    with value in [c + lo, c + hi]: one search of each end, O(log N).  At
+    s = N the clipped arc holds exactly 2^64 grid values, so every point
+    is counted once."""
     n = len(seq)
     check_scale(s, n)
-    return int(window(seq.sorted_grid, _grid_of([t]), grid_arc(-0.5 * s, 0.5 * s, n))[1][0])
+    g, c = seq.sorted_grid, _grid_of([t])
+    lo, hi = grid_arc(-0.5 * s, 0.5 * s, n)
+    end, start = core._unrolled_search(g, c, hi, "right"), core._unrolled_search(g, c, lo, "left")
+    return int(end[0] - start[0])
 
 
 def _radius(seq: PointSequence, s: float):

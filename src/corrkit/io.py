@@ -5,10 +5,10 @@ blank lines are skipped; a '#' after a value is an error.  Lines are
 those of str.splitlines, so a form feed or U+2028 also ends a line.
 
 read_points returns the doubles float() gives for the payload lines and
-makes no Python object per point for the files write_points writes.  A
-file whose bytes are all printable ASCII or '\n' (a plain file) is read
-as bytes and split at '\n', where str.splitlines splits it too and
-str.strip removes only spaces.  Its lines go in blocks of
+makes no Python object per point for the files write_points writes.
+Every file is read as bytes, each line break of str.splitlines becomes
+one '\n' (a '\r\n' too, so the lines and their numbers are those of the
+text), and the bytes are split at '\n'.  The lines go in blocks of
 core._WINDOW_BLOCK, and a line of the exact form '0.' and 1-19 digits
 is converted without a str: its digits, read eight to a uint64 word
 and padded to 19, are an integer M < 10^19 < 2^64, and q = M / 10^19
@@ -20,15 +20,13 @@ never one (a decimal with at most 19 digits that is a dyadic rational
 is one of at most 19 bits), so such a q is sent to float().  Where
 longdouble is double, only M < 2^53 is taken (Clinger's fast path: M
 and 10^19 = 2^19 5^19 are exact doubles, and the division rounds
-once).  The other lines of a plain file (padded lines, comments,
-exponents, signs, more digits, the midpoints) are stripped and
-converted by one np.array call per block, which turns each str into
-the double float() gives or raises ValueError where float() does.  Any
-other file (a byte >= 0x80, '\r', '\t', '\f', ...) is read
-as text and its payload lines go through that np.array call together.
-Only a file the conversion rejects (a token that is not a number, no
-points, a point outside [0,1)) goes through the line scan, which alone
-raises the line-numbered FormatErrors."""
+once).  The other lines (padded lines, comments, exponents, signs, more
+digits, the midpoints, any character outside ASCII) are decoded as
+UTF-8, stripped and converted by one np.array call per block, which
+turns each str into the double float() gives or raises ValueError where
+float() does.  Only a file the conversion rejects (a token that is not
+a number, no points, a point outside [0,1)) goes through the line scan,
+which alone raises the line-numbered FormatErrors."""
 
 from __future__ import annotations
 
@@ -75,7 +73,6 @@ def _in_range(vals: np.ndarray) -> bool:
     return bool(vals.size) and vals.min() >= 0.0 and vals.max() < 1.0  # False for NaN too
 
 
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 _HEAD = 24  # a canonical line is read as the words 0, 8 and 16 bytes into it
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # k bytes set
 _ZEROS, _HIGH_NIBBLES, _SIXES = (np.uint64(int(c * 8, 16)) for c in ("30", "F0", "06"))
@@ -139,8 +136,8 @@ def _canonical_values(data: bytes, words, starts: np.ndarray, ends: np.ndarray):
 
 
 def _plain_values(data: bytes):
-    """The payload values of a plain file, in order, or None where the
-    file is rejected (see _scan_points)."""
+    """The payload values of a file's bytes, its lines split at '\n', in
+    order, or None where the file is rejected (see _scan_points)."""
     buf = np.frombuffer(data, dtype=np.uint8)
     breaks = np.flatnonzero(buf == ord("\n"))
     words = _words(data) if len(data) >= _HEAD else None
@@ -158,7 +155,7 @@ def _plain_values(data: bytes):
         tokens, at = [], []
         odd = np.flatnonzero(~keep)
         for i, lo, hi in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
-            line = data[lo:hi].decode("ascii").strip()
+            line = data[lo:hi].decode().strip()
             if line and line[0] != "#":
                 tokens.append(line)
                 at.append(i)
@@ -176,29 +173,25 @@ def _plain_values(data: bytes):
     return out[:size] if size else None
 
 
-def _text_values(text: str):
-    """The payload values of any file's text, or None where the file is
-    rejected (see _scan_points)."""
-    # the lines of _payload_lines, unnumbered: numbering every line would
-    # add about two thirds to the time of a read
-    tokens = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    try:
-        vals = _token_values(tokens)
-    except ValueError:
-        return None
-    return vals if _in_range(vals) else None
+# the line breaks of str.splitlines other than '\n' and '\r\n': the
+# bytes, and the UTF-8 of the characters above 0x7F
+_BYTE_BREAKS = bytes.maketrans(b"\r\v\f\x1c\x1d\x1e", b"\n" * 6)
+_WIDE_BREAKS = tuple(c.encode() for c in ("\x85", "\u2028", "\u2029"))
 
 
 def _read_values(path) -> np.ndarray:
     data = Path(path).read_bytes()
-    if data.translate(None, _PLAIN_BYTES):  # a byte other than printable ASCII and '\n'
-        data = None  # the text alone is held
-        text = Path(path).read_text()
-        vals = _text_values(text)
-    else:
-        vals, text = _plain_values(data), None
+    # each line break as one '\n', so the lines are those of the text; the
+    # searches for two or more bytes are slow, and skipped where in vain
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if not data.isascii():
+        for brk in _WIDE_BREAKS:
+            data = data.replace(brk, b"\n")
+    data = data.translate(_BYTE_BREAKS)
+    vals = _plain_values(data)
     if vals is None:  # raises the FormatError
-        vals = _scan_points(path, data.decode("ascii") if text is None else text)
+        vals = _scan_points(path, data.decode())
     return vals
 
 
@@ -206,12 +199,12 @@ def read_points(path) -> PointSequence:
     """The points of a point file, each the double float() gives for its
     line; FormatError naming the line where the file breaks the format.
 
-    A plain file (see the module docstring) is held once, as bytes, with
-    8 bytes per line for the line ends and 8 for the values; on top, a
-    bool per byte while the lines are split, then about 100 bytes per
-    line of a block of core._WINDOW_BLOCK lines: 10.0 MiB for 2e5 reprs
-    (3.7 MiB).  The bytes are dropped before the PointSequence is built,
-    32 bytes per point."""
+    The file is held once, as bytes (twice while its line breaks are
+    made '\n'), with 8 bytes per line for the line ends and 8 for the
+    values; on top, a bool per byte while the lines are split, then
+    about 100 bytes per line of a block of core._WINDOW_BLOCK lines:
+    10.0 MiB for 2e5 reprs (3.7 MiB).  The bytes are dropped before the
+    PointSequence is built, 32 bytes per point."""
     return PointSequence(_read_values(path))
 
 

@@ -26,6 +26,7 @@ from corrkit import (
     trial_rng,
 )
 from corrkit.arithmetic import MetricExperimentReport
+from corrkit.core import grid_arc, in_arc
 
 
 def test_energy_examples():
@@ -348,6 +349,30 @@ def test_metric_experiment_chunk_edges(monkeypatch):
     for chunk in (300, 1):
         monkeypatch.setattr(arithmetic, "_TRIAL_CHUNK", chunk)
         assert metric_r3_experiment(a, 0.7, 100, 10, 5) == want
+
+
+@pytest.mark.parametrize("rows", ["random", "clustered", "coinciding", "lattice"])
+@pytest.mark.parametrize("s", [1e-6, 0.5, 3.0, 25.0])  # s = N/2 = 25: the whole circle
+def test_trial_window_counts_are_the_pairwise_arc_counts(rows, s):
+    rng = np.random.default_rng(50)
+    n = 50
+    arc = grid_arc(-s, s, n)
+    if rows == "lattice":  # grid points R apart, with repeats, across the wrap: ties at both ends
+        steps = rng.integers(0, 8, (7, n)).astype(np.uint64) - np.uint64(3)  # wraps below 0
+        grid = np.sort(steps * np.uint64(arc[1]), axis=1)
+    else:
+        if rows == "random":
+            pts = rng.random((7, n))
+        elif rows == "clustered":  # ties and runs of equal points across the wrap
+            pts = (rng.integers(0, 6, (7, n)) / 6 + rng.choice([0.0, 0.999], (7, 1))) % 1.0
+        else:
+            pts = np.zeros((7, n))
+        grid = np.stack([PointSequence(row).sorted_grid for row in pts])
+    got = arithmetic._trial_window_counts(grid, arc)
+    assert got.shape == grid.shape
+    for r, g in enumerate(grid):
+        want = np.count_nonzero(in_arc(g[None, :] - g[:, None], arc), axis=1)
+        assert np.array_equal(got[r], want)
 
 
 def test_metric_experiment_validation(monkeypatch):

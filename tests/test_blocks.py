@@ -12,7 +12,7 @@ import pytest
 from corrkit import (PointSequence, averaged, c_k_star, c_k_star_local, core, g_eval, moments,
                      r_k_box, r_k_consecutive, r_k_distinct, r_k_star, r_k_testfn, sweep_profile,
                      uniform_random)
-from corrkit.core import grid_arc, in_arc
+from corrkit.core import GRID, grid_arc, in_arc
 
 
 def _inputs():
@@ -105,10 +105,20 @@ def _window_cases():
 
 
 def _unrolled_window(g, arc):
-    """core.window(g, g, arc), two plain searches per anchor, as unrolled
-    [start, end): start is lo, or lo - N where lo passes the anchor."""
-    lo, cnt = core.window(g, g, arc)
-    start = lo - np.where(lo > np.arange(g.size), g.size, 0)
+    """Every anchor's [start, end) from two plain searches, one of each
+    arc end: lo is the first occupant's position, cnt the occupants (N
+    for the whole circle, plus N where the arc wraps past 0), and start
+    is lo, or lo - N where lo passes the anchor."""
+    n = g.size
+    first = g + np.uint64(arc[0] % GRID)
+    lo = np.searchsorted(g, first, side="left")
+    if arc[1] - arc[0] >= GRID - 1:
+        cnt = n
+    else:
+        last = first + np.uint64(arc[1] - arc[0])
+        cnt = np.searchsorted(g, last, side="right") - lo
+        cnt[last < first] += n
+    start = lo - np.where(lo > np.arange(n), n, 0)
     return start, start + cnt
 
 

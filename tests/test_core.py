@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from corrkit import core
 from corrkit import (
@@ -15,8 +15,7 @@ from corrkit import (
     stirling_first_unsigned,
     stirling_second,
 )
-from corrkit.core import (check_half, exact_chunk_sum, exact_sum, grid_arc, self_window,
-                          to_grid, window)
+from corrkit.core import check_half, exact_chunk_sum, exact_sum, to_grid
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -263,45 +262,6 @@ def test_exact_sum_of_many_terms():
     rng = np.random.default_rng(7)
     x = np.ldexp(rng.standard_normal((1 << 17) + 3), rng.integers(-60, 60, (1 << 17) + 3))
     assert exact_sum(x).hex() == math.fsum(x.tolist()).hex()
-
-
-@given(st.integers(1, 40), st.lists(st.integers(0, 39), min_size=1, max_size=60),
-       st.integers(0, 3), st.one_of(st.floats(2e-9, 1.0), st.integers(1, 80)))
-def test_self_window_is_the_two_search_window(m, cells, shift, scale):
-    # lattice points (j + shift/4)/m with duplicates, so window edges meet
-    # ties; an integer scale puts s/N on the lattice spacing's multiples
-    points = [((c % m) + shift / 4) / m for c in cells]
-    n = len(points)
-    s = scale * n / (2 * m) if isinstance(scale, int) else scale * n / 2
-    assume(s <= n / 2)
-    grid = PointSequence(points).sorted_grid
-    arc = grid_arc(-s, s, n)
-    lo, cnt = window(grid, grid, arc)
-    lo_self, cnt_self = self_window(grid, arc)
-    assert np.array_equal(cnt_self, cnt)
-    assert np.array_equal(lo_self % n, lo % n)
-
-
-@pytest.mark.parametrize("rows", ["random", "clustered", "coinciding"])
-@pytest.mark.parametrize("s", [1e-6, 0.5, 3.0, 25.0])  # s = N/2 = 25: the whole circle
-def test_self_window_of_rows_is_the_per_row_window(rows, s):
-    rng = np.random.default_rng(50)
-    n = 50
-    if rows == "random":
-        pts = rng.random((7, n))
-    elif rows == "clustered":  # ties and runs of equal points across the wrap
-        pts = (rng.integers(0, 6, (7, n)) / 6 + rng.choice([0.0, 0.999], (7, 1))) % 1.0
-    else:
-        pts = np.zeros((7, n))
-    grid = np.stack([PointSequence(row).sorted_grid for row in pts])
-    arc = grid_arc(-s, s, n)
-    lo, cnt = self_window(grid, arc)
-    assert lo.shape == cnt.shape == grid.shape
-    for r in range(grid.shape[0]):
-        lo_r, cnt_r = self_window(grid[r], arc)
-        assert np.array_equal(cnt[r], cnt_r)
-        assert np.array_equal(lo[r], lo_r)
-        assert np.array_equal(window(grid, grid, arc)[1][r], window(grid[r], grid[r], arc)[1])
 
 
 def test_point_sequence_immutable():

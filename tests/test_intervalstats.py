@@ -32,6 +32,26 @@ def test_f_count_examples():
     assert f_count(seq, 0.7, 2.0) == 2  # s = N: radius 1/2 covers everything
 
 
+@given(st.integers(1, 40), st.lists(st.integers(0, 39), min_size=1, max_size=60),
+       st.integers(0, 3), st.one_of(st.floats(1e-9, 1.0), st.integers(1, 160)),
+       st.sampled_from(["point", "zero", "one"]), st.integers(0, 59), st.sampled_from([-1, 0, 1]))
+@example(4, [0, 1, 1, 3], 0, 1.0, "zero", 0, 0)  # s = N: the clipped arc, the whole circle once
+@example(4, [0, 1, 1, 3], 0, 4, "point", 1, 1)   # s = N/2, t on an arc end
+def test_f_count_is_the_arc_count_of_the_grid_differences(m, cells, shift, scale, near, pick, side):
+    # lattice points (j + shift/4)/m with duplicates; an integer scale
+    # puts s/(2N) on multiples of a quarter of the spacing, so t on an arc
+    # end (side = +-1) meets lattice points; t near a point, near 0 or
+    # near 1, where the arc wraps; s up to N
+    points = [((c % m) + shift / 4) / m for c in cells]
+    n = len(points)
+    s = min(scale * n / (2 * m), float(n)) if isinstance(scale, int) else scale * n
+    seq = PointSequence(points)
+    t = {"point": points[pick % n], "zero": 0.0, "one": 1.0}[near] + side * s / (2 * n)
+    c = intervalstats._grid_of([t])
+    want = np.count_nonzero(in_arc(seq.sorted_grid - c, grid_arc(-s / 2, s / 2, n)))
+    assert f_count(seq, t, s) == want
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_t_is_a_parameter_error(bad):
     seq = PointSequence([0.0, 0.5])

@@ -120,7 +120,8 @@ _PADDING = _BLANKS | st.text(alphabet=" \t\xa0\x0c\u2028", min_size=1, max_size=
 _PLAIN_LINE = st.tuples(_BLANKS, _PLAIN_VALUES | _COMMENTS | st.just(""), _BLANKS,
                         st.sampled_from(["\n", "\r\n"])).map("".join)
 _ODD_LINE = st.tuples(_PADDING, _PLAIN_VALUES | _OTHER_VALUES | _COMMENTS, _PADDING,
-                      st.sampled_from(["\n", "\r", "\x0c", "\u2028", " ", ""])).map("".join)
+                      st.sampled_from(["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029", " ", ""])).map("".join)
 
 
 @settings(max_examples=400, deadline=None)
@@ -153,12 +154,16 @@ def test_large_plain_file_matches_the_line_scan(tmp_path):
 def test_plain_file_skips_the_line_scan(tmp_path, monkeypatch):
     # and so does a valid file with other spellings float() accepts: CRLF
     # line ends, NBSP padding, a U+2028 line end inside a comment, an
-    # underscore between digits, Arabic-Indic digits
+    # underscore between digits, Arabic-Indic digits, and every other
+    # line break of str.splitlines
     x, text = _plain_text(2_000, 8)
     odd = "\xa00.5\xa0\r\n# c\u20280.25\r\n0.2_5\r\n\u0660.\u0665\r\n"
+    breaks = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2029"
+    more = [(k + 1) / 16 for k in range(len(breaks))]
+    odd += "".join(f"{v}{b}" for v, b in zip(more, breaks))
     path = _write(tmp_path, "  # indented\n\n" + odd + text.replace("\n", " \t\r\n"))
     monkeypatch.setattr(io, "_scan_points", lambda *a: pytest.fail("valid file went to the line scan"))
-    assert _points(path).tobytes() == np.concatenate([[0.5, 0.25, 0.25, 0.5], x]).tobytes()
+    assert _points(path).tobytes() == np.concatenate([[0.5, 0.25, 0.25, 0.5], more, x]).tobytes()
 
 
 def test_blocks_of_lines_match_the_line_scan(tmp_path, monkeypatch):
