@@ -190,21 +190,20 @@ _PASS_CAP = 8
 
 def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     """(start, end) of the anchors b, ..., b + size - 1 for the arc (-r, r),
-    0 <= r < 2^63, found by passes over the offsets t = 1, 2, ...
+    0 <= r < 2^64, found by passes over the offsets t = 1, 2, ...
 
     Pass t takes d_j = U_(j+t) - U_j mod 2^64, the grid distance from
     unrolled position j to j + t (U as in self_window_blocks), as one
     array over j in [b - t, b + size): d_i <= r for anchor i moves its
     end past i + t, d_(i-t) <= r its start back to i - t, as the arc is
-    symmetric.  For t < m the distance only grows
-    with t, so a window that closes stays closed.  The one exception is
-    a distance of exactly 2^64, between equal points a lap apart, which
-    wraps to 0; it stays 2^64 at every larger t < m, so that side keeps
-    growing to the last pass and is searched.  The passes stop when no
-    window grew, after min(_PASS_CAP, m - 1) of them, or at the first
-    offset where none closed (the windows are wide).  The windows still
-    open are then searched (_unrolled_search), all of the block's at once
-    if all are.
+    symmetric.  For t < m the distance only grows with t, whatever r, so
+    a window that closes stays closed.  The one exception is a distance
+    of exactly 2^64, between equal points a lap apart, which wraps to 0;
+    it stays 2^64 at every larger t < m, so that side keeps growing to
+    the last pass and is searched.  The passes stop when no window grew,
+    after min(_PASS_CAP, m - 1) of them, or at the first offset where
+    none closed (the windows are wide).  The windows still open are then
+    searched (_unrolled_search), all of the block's at once if all are.
     """
     m = grid.size
     cap = min(_PASS_CAP, m - 1)
@@ -273,10 +272,10 @@ def self_window_blocks(grid: np.ndarray, arcs):
     2^63 <= r < 2^64 is [g_i - r, g_i + r] unrolled: it can hold more
     than m positions, a point twice if within r of g_i both ways.
 
-    A symmetric arc (-r, r), 0 <= r < 2^63, as from grid_arc(-s, s, N),
-    takes one pass over the block per neighbour offset, up to
-    min(widest one-sided window, _PASS_CAP), plus searches for the
-    anchors whose windows are still open after them (_passed_window);
+    A symmetric arc (-r, r), 0 <= r < 2^64, as from grid_arc(-s, s, N),
+    takes one pass per neighbour offset, up to min(widest one-sided
+    window, _PASS_CAP), plus searches for the anchors whose windows are
+    still open after them (_passed_window; past half a lap, all of them);
     the whole circle takes one search per anchor, any other arc two.
     Each search is confined to the slice of the grid its keys reach.  A
     block holds start and end per arc and, while it finds one arc's
@@ -290,9 +289,9 @@ def self_window_blocks(grid: np.ndarray, arcs):
         g = grid[b:b + _WINDOW_BLOCK]
         wins = []
         for lo, hi in arcs:
-            if lo == -hi and hi < _HALF:
+            if lo == -hi:
                 wins.append(_passed_window(grid, b, g.size, hi))
-            elif hi - lo >= GRID - 1 and lo != -hi:  # the whole circle: every point once
+            elif hi - lo >= GRID - 1:  # the whole circle: every point once
                 start = _unrolled_search(grid, g, lo, "left")
                 wins.append((start, start + m))
             else:

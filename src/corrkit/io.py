@@ -1,32 +1,34 @@
 """Text formats: point files (one decimal in [0,1) per line) and integer
 files (one positive integer per line, strictly increasing).  In either
 format a line whose first non-blank character is '#' is a comment, and
-blank lines are skipped; a '#' after a value is an error.  Lines are
-those of str.splitlines, so a form feed or U+2028 also ends a line.
+blank lines are skipped; a '#' after a value is an error.
+
+Both readers take one line model (_lines): the file is read as bytes,
+each line break of str.splitlines ('\r\n', a form feed, U+2028 too)
+becomes one '\n', and the lines split at '\n' are those of the text,
+with their numbers.  Each line is decoded as UTF-8 on its own, never
+the whole file; a line that is not UTF-8 is a FormatError naming it.
 
 read_points returns the doubles float() gives for the payload lines and
 makes no Python object per point for the files write_points writes.
-Every file is read as bytes, each line break of str.splitlines becomes
-one '\n' (a '\r\n' too, so the lines and their numbers are those of the
-text), and the bytes are split at '\n'.  The lines go in blocks of
-core._WINDOW_BLOCK, and a line of the exact form '0.' and 1-19 digits
-is converted without a str: its digits, read eight to a uint64 word
-and padded to 19, are an integer M < 10^19 < 2^64, and q = M / 10^19
-in np.longdouble is exact but for the one rounding of the division
-where the significand has 64 bits (x87) or 113 (binary128).  So
-float64(q) is the double nearest M / 10^19, which float() returns,
-unless q fell exactly on a midpoint of two doubles: M / 10^19 itself is
-never one (a decimal with at most 19 digits that is a dyadic rational
-is one of at most 19 bits), so such a q is sent to float().  Where
-longdouble is double, only M < 2^53 is taken (Clinger's fast path: M
-and 10^19 = 2^19 5^19 are exact doubles, and the division rounds
-once).  The other lines (padded lines, comments, exponents, signs, more
-digits, the midpoints, any character outside ASCII) are decoded as
-UTF-8, stripped and converted by one np.array call per block, which
+The lines go in blocks of core._WINDOW_BLOCK, and a line of the exact
+form '0.' and 1-19 digits is converted without a str: its digits, read
+eight to a uint64 word and padded to 19, are an integer M < 10^19 <
+2^64, and q = M / 10^19 in np.longdouble is exact but for the one
+rounding of the division where the significand has 64 bits (x87) or
+113 (binary128).  So float64(q) is the double nearest M / 10^19, which
+float() returns, unless q fell exactly on a midpoint of two doubles:
+M / 10^19 itself is never one (a decimal with at most 19 digits that is
+a dyadic rational is one of at most 19 bits), so such a q is sent to
+float().  Where longdouble is double, only M < 2^53 is taken (Clinger's
+fast path: M and 10^19 = 2^19 5^19 are exact doubles, and the division
+rounds once).  The other lines (padded lines, comments, exponents,
+signs, more digits, the midpoints, any character outside ASCII) are
+decoded, stripped and converted by one np.array call per block, which
 turns each str into the double float() gives or raises ValueError where
-float() does.  Only a file the conversion rejects (a token that is not
-a number, no points, a point outside [0,1)) goes through the line scan,
-which alone raises the line-numbered FormatErrors."""
+float() does.  Only a block that fails (a line not UTF-8 or not a
+number, a point outside [0,1)) is read again, line by line, to name
+its first line at fault in a FormatError."""
 
 from __future__ import annotations
 
@@ -36,41 +38,21 @@ import numpy as np
 
 from . import core
 from .core import PointSequence
-from .errors import FormatError
+from .errors import ConsistencyError, FormatError
 from .seqgen import first_out_of_order
 
 
-def _payload_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _scan_points(path, text: str) -> list[float]:
-    vals = []
-    for lineno, line in _payload_lines(text):
-        try:
-            v = float(line)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from exc
-        if not 0.0 <= v < 1.0:  # False for NaN and +-inf too
-            raise FormatError(f"{path}:{lineno}: point {v!r} outside [0,1)")
-        vals.append(v)
-    if not vals:
-        raise FormatError(f"{path}: no points found")
-    return vals
+def _stripped(path, lineno: int, line: bytes) -> str:
+    try:
+        return line.decode().strip()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def _token_values(tokens: list[str]) -> np.ndarray:
     """float() of each stripped payload token, in one call; ValueError
     where float() raises one."""
     return np.array(tokens, dtype=np.float64)
-
-
-def _in_range(vals: np.ndarray) -> bool:
-    return bool(vals.size) and vals.min() >= 0.0 and vals.max() < 1.0  # False for NaN too
 
 
 _HEAD = 24  # a canonical line is read as the words 0, 8 and 16 bytes into it
@@ -99,19 +81,18 @@ def _eight_digits(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _canonical_values(data: bytes, words, starts: np.ndarray, ends: np.ndarray):
+def _canonical_values(data: bytes, starts: np.ndarray, ends: np.ndarray):
     """(x, ok): for each line [start, end) x is the double nearest M /
     10^19, and ok holds where the line is '0.' and 1-19 digits and x is
-    float() of it (see the module docstring).  words is _words(data), or
-    None for a file shorter than _HEAD bytes."""
+    float() of it (see the module docstring)."""
     size = ends - starts
-    if words is None or int(starts[-1]) + _HEAD > len(data):  # the end of the file
+    if int(starts[-1]) + _HEAD > len(data):  # the end of the file, or all of a short one
         first = int(starts[0])
-        words, starts = _words(data[first:] + bytes(_HEAD)), starts - first
+        data, starts = data[first:] + bytes(_HEAD), starts - first
     ok = (size >= 3) & (size <= 21)
     m = np.zeros(starts.size, dtype=np.uint64)
     for k, scale in enumerate((10**13, 10**5, None)):  # digits 0-5, 6-13, 14-18 and three '0's
-        w = words[starts + 8 * k]
+        w = _words(data)[starts + 8 * k]
         line = _LOW_BYTES[np.clip(size - 8 * k, 0, 8)]  # the bytes of w in the line
         if not k:
             ok &= w & np.uint64(0xFFFF) == 0x2E30  # '0.'
@@ -135,12 +116,11 @@ def _canonical_values(data: bytes, words, starts: np.ndarray, ends: np.ndarray):
     return x, ok
 
 
-def _plain_values(data: bytes):
-    """The payload values of a file's bytes, its lines split at '\n', in
-    order, or None where the file is rejected (see _scan_points)."""
+def _plain_values(path, data: bytes) -> np.ndarray:
+    """The payload values of the file at path, whose bytes are data (see
+    _lines), in order; FormatError naming the first line at fault."""
     buf = np.frombuffer(data, dtype=np.uint8)
     breaks = np.flatnonzero(buf == ord("\n"))
-    words = _words(data) if len(data) >= _HEAD else None
     lines = breaks.size + 1  # and a last one after the last '\n', maybe empty
     out = np.empty(lines)
     size = 0
@@ -151,26 +131,46 @@ def _plain_values(data: bytes):
         starts = np.empty_like(ends)
         starts[0] = breaks[b - 1] + 1 if b else 0
         starts[1:] = ends[:-1] + 1
-        x, keep = _canonical_values(data, words, starts, ends)
-        tokens, at = [], []
-        odd = np.flatnonzero(~keep)
-        for i, lo, hi in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
-            line = data[lo:hi].decode().strip()
-            if line and line[0] != "#":
-                tokens.append(line)
-                at.append(i)
-        if tokens:
-            try:
+        x, keep = _canonical_values(data, starts, ends)
+        try:
+            tokens, at = [], []
+            odd = np.flatnonzero(~keep)
+            for i, lo, hi in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
+                line = data[lo:hi].decode().strip()
+                if line and line[0] != "#":
+                    tokens.append(line)
+                    at.append(i)
+            if tokens:
                 x[at] = _token_values(tokens)
-            except ValueError:
-                return None
-            keep[at] = True
-        x = x[keep]
-        if x.size and not _in_range(x):
-            return None
+                keep[at] = True
+            x = x[keep]
+            ok = not x.size or (x.min() >= 0.0 and x.max() < 1.0)  # False for NaN too
+        except ValueError:  # UnicodeDecodeError too
+            ok = False
+        if not ok:
+            _block_fault(path, data, b, starts, ends)
         out[size:size + x.size] = x
         size += x.size
-    return out[:size] if size else None
+    if not size:
+        raise FormatError(f"{path}: no points found")
+    return out[:size]
+
+
+def _block_fault(path, data: bytes, b: int, starts: np.ndarray, ends: np.ndarray):
+    """Raise the FormatError of the first line at fault among the lines
+    [start, end) of the block from line b + 1 on, in order: every line,
+    as a canonical one may round to 1.0."""
+    for lineno, lo, hi in zip(range(b + 1, b + 1 + starts.size), starts.tolist(), ends.tolist()):
+        line = _stripped(path, lineno, data[lo:hi])
+        if not line or line[0] == "#":
+            continue
+        try:
+            v = float(line)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from exc
+        if not 0.0 <= v < 1.0:  # False for NaN and +-inf too
+            raise FormatError(f"{path}:{lineno}: point {v!r} outside [0,1)")
+    raise ConsistencyError(f"{path}: lines {b + 1}-{b + starts.size} rejected, none at fault")
 
 
 # the line breaks of str.splitlines other than '\n' and '\r\n': the
@@ -179,20 +179,17 @@ _BYTE_BREAKS = bytes.maketrans(b"\r\v\f\x1c\x1d\x1e", b"\n" * 6)
 _WIDE_BREAKS = tuple(c.encode() for c in ("\x85", "\u2028", "\u2029"))
 
 
-def _read_values(path) -> np.ndarray:
+def _lines(path) -> bytes:
+    """The bytes of the file at path, each line break of str.splitlines
+    made one '\n' (see the module docstring)."""
     data = Path(path).read_bytes()
-    # each line break as one '\n', so the lines are those of the text; the
-    # searches for two or more bytes are slow, and skipped where in vain
+    # the searches for two or more bytes are slow, and skipped where in vain
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     if not data.isascii():
         for brk in _WIDE_BREAKS:
             data = data.replace(brk, b"\n")
-    data = data.translate(_BYTE_BREAKS)
-    vals = _plain_values(data)
-    if vals is None:  # raises the FormatError
-        vals = _scan_points(path, data.decode())
-    return vals
+    return data.translate(_BYTE_BREAKS)
 
 
 def read_points(path) -> PointSequence:
@@ -205,7 +202,7 @@ def read_points(path) -> PointSequence:
     about 100 bytes per line of a block of core._WINDOW_BLOCK lines:
     10.0 MiB for 2e5 reprs (3.7 MiB).  The bytes are dropped before the
     PointSequence is built, 32 bytes per point."""
-    return PointSequence(_read_values(path))
+    return PointSequence(_plain_values(path, _lines(path)))
 
 
 def write_point_lines(fh, seq: PointSequence) -> None:
@@ -223,7 +220,10 @@ def write_points(path, seq: PointSequence) -> None:
 
 def read_integers(path) -> list[int]:
     vals, linenos = [], []
-    for lineno, line in _payload_lines(Path(path).read_text()):
+    for lineno, raw in enumerate(_lines(path).split(b"\n"), start=1):
+        line = _stripped(path, lineno, raw)
+        if not line or line[0] == "#":
+            continue
         try:
             vals.append(int(line))
         except ValueError as exc:

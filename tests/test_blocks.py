@@ -178,28 +178,32 @@ def test_windows_of_any_arc_are_its_occupants(monkeypatch, block):
                 assert sorted(np.arange(start[i], end[i]) % n) == occupants.tolist(), (x, arc)
 
 
-@pytest.mark.parametrize("cap", [0, 8])
-@pytest.mark.parametrize("block", [1, 7])
+# pass caps: every window searched, one pass, the default, and passes
+# over every window
+@pytest.mark.parametrize("cap", [0, 1, 8, 1 << 30])
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
 def test_symmetric_arcs_past_half_a_lap_are_unrolled_windows(monkeypatch, cap, block):
-    # (-r, r) with 2^63 <= r < 2^64 is [g_i - r, g_i + r] unrolled, longer
-    # than the circle: the positions p whose U_p lie in it, counted in
-    # Python ints over five laps, a point twice where it lies within r of
-    # the anchor both ways (lattices of even N put points exactly 2^63 off)
+    # (-r, r) with 2^63 <= r < 2^64 (F's windows of radius 2R for s > N/2)
+    # is [g_i - r, g_i + r] unrolled, longer than the circle: the
+    # positions p whose U_p lie in it, counted in Python ints over laps
+    # -1, 0 and 1, which hold [g_i - r, g_i + r], a point twice where it
+    # lies within r of the anchor both ways (lattices of even N put points
+    # exactly 2^63 off, the repeated sets equal points a lap apart)
     monkeypatch.setattr(core, "_PASS_CAP", cap)
     monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
-    radii = [2**63, 2**63 + 1, 3 * 2**62, 2**64 - 2]
     longer = 0
     for x in _inputs():
         g = PointSequence(x).sorted_grid
         n, gs = g.size, [int(v) for v in g]
-        laps = [v + lap * core.GRID for lap in range(-2, 3) for v in gs]  # U_p at p + 2N
+        radii = [2**63, 2**63 + 1, 2 * grid_arc(-0.375 * n, 0.375 * n, n)[1], 2**64 - 2]
+        laps = [v + lap * core.GRID for lap in range(-1, 2) for v in gs]  # U_p at p + N
         wins = [w for _, ws in core.self_window_blocks(g, [(-r, r) for r in radii]) for w in ws]
         for a, r in enumerate(radii):
             start = np.concatenate([st for st, _ in wins[a::len(radii)]])
             end = np.concatenate([en for _, en in wins[a::len(radii)]])
             for i in range(n):
-                lo = bisect.bisect_left(laps, gs[i] - r) - 2 * n
-                hi = bisect.bisect_right(laps, gs[i] + r) - 2 * n
+                lo = bisect.bisect_left(laps, gs[i] - r) - n
+                hi = bisect.bisect_right(laps, gs[i] + r) - n
                 assert (start[i], end[i]) == (lo, hi), (x, r, i)
                 longer += hi - lo > n
     assert longer > 0

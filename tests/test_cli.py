@@ -106,6 +106,19 @@ def test_corr_csv_format(points_file, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["corr", "--k", "2", "--s", "1"], ["moments", "--k", "2", "--s", "1"],
+    ["energy"], ["metric", "--s", "0.5", "--n", "10", "--trials", "2"],
+])
+def test_files_that_are_not_utf8_exit_3(tmp_path, capsys, argv):
+    # a point file for corr and moments, an integer file for energy and metric
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n0.5\n" if argv[0] in ("corr", "moments") else b"1\n# caf\xe9\n2\n")
+    assert main([argv[0], "--input", str(path), *argv[1:]]) == 3
+    line = 1 if argv[0] in ("corr", "moments") else 2
+    assert capsys.readouterr().err == f"input format error: {path}:{line}: not UTF-8 text\n"
+
+
 def test_corr_parameter_exit_codes(points_file, capsys):
     assert main(["corr", "--input", str(points_file), "--k", "2", "--s", "99999"]) == 2
     capsys.readouterr()

@@ -1,6 +1,7 @@
 """The point-file contract: which files read_points accepts, the exact
 doubles it returns, and the line-numbered FormatError of every file it
-rejects.  The reference is the plain line scan below."""
+rejects.  The reference is the plain line scan below.  Integer files
+share the line model: their lines and faults too."""
 
 import math
 import re
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrkit import FormatError, core, io
-from corrkit.io import read_points
+from corrkit import ConsistencyError, FormatError, core, io
+from corrkit.io import read_integers, read_points
 
 
 def _line_scan(path):
@@ -48,15 +49,16 @@ def _outcome(reader, path):
 
 
 def _write(tmp_path, text):
+    """A file of text in UTF-8, or of the bytes given."""
     path = tmp_path / "pts.txt"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
     return path
 
 
-def _message(tmp_path, text):
+def _message(tmp_path, text, reader=read_points):
     path = _write(tmp_path, text)
     with pytest.raises(FormatError) as exc:
-        read_points(path)
+        reader(path)
     return str(exc.value).removeprefix(str(path))
 
 
@@ -79,9 +81,36 @@ def _message(tmp_path, text):
     ("# h\n0.5\n0.99999999999999999", ":3: point 1.0 outside [0,1)"),
     ("0.5\n0.99999999999999999999\n", ":2: point 1.0 outside [0,1)"),
     ("0.5\n0.25\n0.x", ":3: not a number: '0.x'"),
+    # the first fault in file order: a canonical line of the block that
+    # rounds to 1.0 before an odd line that is not a number
+    ("0.5 \n0.9999999999999999999\nabc\n", ":2: point 1.0 outside [0,1)"),
+    # bytes that are not UTF-8: in a comment, in a value, on a last line
+    # with no final newline, and after a line that is not a number
+    (b"0.5\n# caf\xe9\n0.25\n", ":2: not UTF-8 text"),
+    (b"0.5\n0.2\xff5\n", ":2: not UTF-8 text"),
+    (b"0.5\n0.25\n0.\xff", ":3: not UTF-8 text"),
+    (b"0.5\nabc\n\xff\n", ":2: not a number: 'abc'"),
 ])
 def test_rejected_files_name_the_line(tmp_path, text, message):
     assert _message(tmp_path, text) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# h\r\n1\r\n\r\n x\r\n", ":4: not an integer: 'x'"),
+    ("1\n3\x0c2\n", ":3: entries must be strictly increasing"),
+    ("1\n2\u20280\n", ":3: entries must be positive"),
+    ("# only comments\n\n", ": no integers found"),
+    (b"1\n# caf\xe9\n3\n", ":2: not UTF-8 text"),
+    (b"1\n2\n\xff", ":3: not UTF-8 text"),
+    (b"1\nx\n\xff\n", ":2: not an integer: 'x'"),
+])
+def test_rejected_integer_files_name_the_line(tmp_path, text, message):
+    assert _message(tmp_path, text, read_integers) == message
+
+
+def test_integer_lines_are_those_of_the_text(tmp_path):
+    path = _write(tmp_path, "# h\r\n\t1 \r\n\r\n 2\x0c5\u20287\x85\xa011\xa0\r10000000000000000000000\n")
+    assert read_integers(path) == [1, 2, 5, 7, 11, 10**22]
 
 
 @pytest.mark.parametrize("text, points", [
@@ -162,8 +191,19 @@ def test_plain_file_skips_the_line_scan(tmp_path, monkeypatch):
     more = [(k + 1) / 16 for k in range(len(breaks))]
     odd += "".join(f"{v}{b}" for v, b in zip(more, breaks))
     path = _write(tmp_path, "  # indented\n\n" + odd + text.replace("\n", " \t\r\n"))
-    monkeypatch.setattr(io, "_scan_points", lambda *a: pytest.fail("valid file went to the line scan"))
+    monkeypatch.setattr(io, "_block_fault", lambda *a: pytest.fail("valid file went to the line scan"))
     assert _points(path).tobytes() == np.concatenate([[0.5, 0.25, 0.25, 0.5], more, x]).tobytes()
+
+
+def test_block_rejected_with_no_line_at_fault_is_inconsistent(tmp_path, monkeypatch):
+    # where the block's conversion and float() disagree, no value is read
+    def refuse(tokens):
+        raise ValueError(tokens)
+
+    monkeypatch.setattr(io, "_token_values", refuse)
+    path = _write(tmp_path, "0.5\n5e-1\n")
+    with pytest.raises(ConsistencyError, match=": lines 1-3 rejected, none at fault$"):
+        read_points(path)
 
 
 def test_blocks_of_lines_match_the_line_scan(tmp_path, monkeypatch):
@@ -195,7 +235,7 @@ def test_nineteen_digit_decimals_match_float(tmp_path):
     lines = [f"0.{v:019d}" for v in m.tolist()]
     data = "\n".join(lines).encode()
     starts = np.arange(m.size, dtype=np.int64) * 22
-    _, certified = io._canonical_values(data, io._words(data), starts, starts + 21)
+    _, certified = io._canonical_values(data, starts, starts + 21)
     assert 0 < np.count_nonzero(~certified) < 200
     path = tmp_path / "digits.txt"
     path.write_bytes(data)
@@ -245,4 +285,20 @@ def test_plain_file_peak_is_its_bytes_and_its_points(tmp_path):
     finally:
         tracemalloc.stop()
     assert seq.points.tobytes() == x.tobytes()
+    assert peak < size + 16 * x.size + max(size, 100 * core._WINDOW_BLOCK) + 2**20
+
+
+def test_rejected_plain_file_peak_is_one_block_of_lines(tmp_path):
+    # the last of 2e5 reprs is 1.0: only its block is read again, line by
+    # line, under the bound of a file read_points accepts
+    x, text = _plain_text(200_000, 12)
+    path = _write(tmp_path, text[:text.rindex("\n", 0, -1) + 1] + "1.0\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=":200001: point 1.0 outside"):
+            read_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < size + 16 * x.size + max(size, 100 * core._WINDOW_BLOCK) + 2**20
