@@ -60,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID, PointSequence, check_half, grid_arc, to_grid
-from .correlations import (_SCALE_WRAPS, _as_boxes, _as_scales, _charge_budget,
-                           _distinct_factors, _exact_product_sum, r_k_box)
+from .core import GRID, PointSequence, grid_arc, to_grid
+from .correlations import (_as_boxes, _as_scales, _charge_budget, _distinct_factors,
+                           _exact_product_sum, r_k_box)
 from .errors import ConsistencyError, ParameterError
 from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
@@ -294,8 +294,7 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
         raise ParameterError(f"N must be >= 1, got N = {n}")
     if n > e.size:
         raise ParameterError(f"N = {n} exceeds |A| = {e.size}")
-    scales = _as_scales(s, 3)
-    check_half(scales, n, _SCALE_WRAPS)
+    scales = _as_scales(s, 3, n)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     _charge_budget(n * trials, "metric experiment: points N * trials")
@@ -324,7 +323,7 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
 def random_correlation_stats(k: int, boxes, n: int, trials: int, seed: int):
     """Sample mean and unbiased sample variance of the box correlation
     over independent seeded uniform sequences of length n."""
-    boxes = _as_boxes(boxes)
+    boxes = _as_boxes(boxes, n)
     if len(boxes) != k - 1:
         raise ParameterError(f"expected {k - 1} boxes for k = {k}")
     if trials < 2:

@@ -19,19 +19,18 @@ scale gives each anchor's occupants as a run of the sorted grid, and
 L_i = s/N cnt_i - D_i 2^-64 follows from the exact integer
 D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
 grid: O(N) time at any scale.  The anchors go in blocks of
-core._WINDOW_BLOCK (core.self_window_blocks, which finds windows of up
-to 8 points a side by passes over the neighbour offsets and searches
-only for wider ones).  A block reads its prefix sums off runs of the
-unrolled grid from cursors to its last start, anchor and end: one run
-about _WINDOW_BLOCK + w long for windows of at most w points where the
-three overlap (windows narrower than a block, the common case), three
-runs about _WINDOW_BLOCK long each where they do not (see
-_overlap_sums).  The peak is about 110 bytes per anchor of a block, 32
-more per run position past _WINDOW_BLOCK, and 32 more per anchor for
-each further distinct scale: 3.6 MiB for windows of a few points and
-4.6 MiB for windows of 3.2e4 points or more, up to the whole circle,
-whatever N (measured at N = 2^20; the first block's runs start at its
-own start, anchor and end, like every other block's).
+core._WINDOW_BLOCK, with their windows from core.self_window_blocks.  A
+block reads its prefix sums off runs of the unrolled grid from cursors
+to its last start, anchor and end: one run about _WINDOW_BLOCK + w long
+for windows of at most w points where the three overlap (windows
+narrower than a block, the common case), three runs about
+_WINDOW_BLOCK long each where they do not (see _overlap_sums).  The
+peak is about 110 bytes per anchor of a block, 32 more per run position
+past _WINDOW_BLOCK, and 32 more per anchor for each further distinct
+scale: 3.6 MiB for windows of a few points and 4.6 MiB for windows of
+3.2e4 points or more, up to the whole circle, whatever N (measured at
+N = 2^20; the first block's runs start at its own start, anchor and
+end, like every other block's).
 The anchor products are reduced block by block with
 core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
 deterministic independent of evaluation order.
@@ -195,8 +194,7 @@ def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
     """
     n = len(seq)
     check_scale(s, n)
-    if k < 2:
-        raise ParameterError("k must be >= 2")
+    core.check_order(k)
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ParameterError("interval must satisfy 0 <= lo < hi <= 1")

@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import asdict
 
-from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
+from . import arithmetic, averaged, core, correlations, distribution, intervalstats, seqgen
 from .errors import BudgetError, ConsistencyError, FormatError, ParameterError
 from .io import read_integers, read_points, write_point_lines, write_points
 from .verify import DEFAULT_SEED, run_verify
@@ -119,8 +119,7 @@ def _cmd_corr(args) -> int:
         if args.star:
             raise ParameterError("--star applies to scale windows, not the box form")
         boxes = [_parse_pair(part, "box") for part in args.box.split(",") if part.strip()]
-        if args.k < 2:
-            raise ParameterError("k must be >= 2")
+        core.check_order(args.k)
         if len(boxes) != args.k - 1:
             raise ParameterError(f"need {args.k - 1} boxes for k = {args.k}")
         rep = correlations.r_k_box(seq, boxes)

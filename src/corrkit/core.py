@@ -369,7 +369,10 @@ _STIRLING_ORDER = 16
 
 
 def check_order(k: int) -> None:
-    """Orders above the Stirling tables' are unsupported by every statistic."""
+    """2 <= k <= 16 for every statistic of order k: orders above the
+    Stirling tables' are unsupported."""
+    if k < 2:
+        raise ParameterError("k must be >= 2")
     if k > _STIRLING_ORDER:
         raise ParameterError(f"orders above k = {_STIRLING_ORDER} are unsupported")
 

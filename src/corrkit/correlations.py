@@ -14,21 +14,21 @@ All statistics are normalized counts over index k-tuples
   r_k_consecutive  distinct indices, weight on consecutive differences
                 f(N((x_{i_1}-x_{i_2})), N((x_{i_2}-x_{i_3})), ...)
 
-Counts are exact integers; every fast path is tested for exact integer
-agreement against brute_force_r_k.  Both read every constraint as an
-integer arc on the 2^-64 grid (core.grid_arc): the fast paths through
-the window primitive on the sorted grid, the oracle on the pairwise grid
-differences.  Ties at an exact window boundary are included (closed
-inequality) the same way on both, and the counts are those of the
-stored doubles.
+Every statistic takes an order 2 <= k <= 16 (core.check_order), and
+scales and box bounds of at most N/2 (_as_scales, _as_boxes), so no
+constraint arc wraps.  Counts are exact integers; every fast path is
+tested for exact integer agreement against brute_force_r_k.  Both read
+every constraint as an integer arc on the 2^-64 grid (core.grid_arc):
+the fast paths through the window primitive on the sorted grid, the
+oracle on the pairwise grid differences.  Ties at an exact window
+boundary are included (closed inequality) the same way on both, and
+the counts are those of the stored doubles.
 
 r_k_distinct and r_k_star take one window per distinct scale and block
-of core._WINDOW_BLOCK anchors (core.self_window_blocks: a pass per
-neighbour offset, up to 8, and searches only for the windows still
-open after them) and add up the blocks' exact products.  Their peak is
-under 8 (4d + k) bytes per anchor of a block for d distinct scales,
-whatever N and the window widths: 1.7 MiB at k = 3 and one scale, under
-3 MiB up to k = 5 with two distinct scales.
+of anchors from core.self_window_blocks and add up the blocks' exact
+products.  Their peak is under 8 (4d + k) bytes per anchor of a block
+for d distinct scales, whatever N and the window widths: 1.7 MiB at
+k = 3 and one scale, under 3 MiB up to k = 5 with two distinct scales.
 
 r_k_box counts injective slot fillings by Moebius inversion over the
 set partitions of the k-1 slots, in the same blocks of anchors and with
@@ -41,7 +41,8 @@ function once per slice on an (m, k-1) float64 array of scaled
 differences, and sum its weights exactly, rounded once
 (core.exact_chunk_sum, equal to one math.fsum over all of them).  The
 rows their joins would make if none repeated an index are counted
-exactly and charged to the work budget before the first join.
+(exactly below 2^53) and charged to the work budget before the first
+join.
 """
 
 from __future__ import annotations
@@ -97,10 +98,12 @@ class CorrelationReport:
     value: float
 
 
-def _as_scales(scales, k=None) -> tuple[float, ...]:
-    """k-1 positive scales (s_1, ..., s_{k-1}); a scalar s with k means s k-1 times."""
-    if k is not None and k < 2:
-        raise ParameterError("k must be >= 2")
+def _as_scales(scales, k=None, n=None) -> tuple[float, ...]:
+    """k-1 positive scales (s_1, ..., s_{k-1}) for an order 2 <= k <= 16
+    (core.check_order); a scalar s with k means s k-1 times.  Given N,
+    every scale is at most N/2, so no constraint arc wraps."""
+    if k is not None:
+        check_order(k)
     if np.ndim(scales) == 0:
         if k is None:
             raise ParameterError("a scalar scale needs an explicit k")
@@ -112,17 +115,22 @@ def _as_scales(scales, k=None) -> tuple[float, ...]:
     if len(out) < 1 or not all(s > 0 for s in out):  # NaN fails too
         raise ParameterError("scales must be positive and nonempty")
     check_order(len(out) + 1)
+    if n is not None:
+        check_half(out, n, _SCALE_WRAPS)
     return out
 
 
-def _as_boxes(boxes) -> tuple[tuple[float, float], ...]:
-    """k-1 intervals (a_r, b_r) with a_r < b_r, for the signed box form."""
+def _as_boxes(boxes, n: int) -> tuple[tuple[float, float], ...]:
+    """k-1 intervals (a_r, b_r) with a_r < b_r, for the signed box form of
+    an order 2 <= k <= 16, every bound at most N/2 in size, so no
+    constraint arc wraps."""
     out = tuple((float(a), float(b)) for a, b in boxes)
     if len(out) < 1:
         raise ParameterError("need at least one interval (k >= 2)")
     if not all(b > a for a, b in out):  # NaN fails too
         raise ParameterError("each interval needs b > a")
     check_order(len(out) + 1)
+    check_half(itertools.chain.from_iterable(out), n, _BOX_WRAPS)
     return out
 
 
@@ -172,9 +180,8 @@ def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
     value = (1/N) sum_i prod_r z_i(s_r, N); always >= 1 since the
     diagonal tuples contribute z_i >= 1.
     """
-    scales = _as_scales(scales, k)
     n = len(seq)
-    check_half(scales, n, _SCALE_WRAPS)
+    scales = _as_scales(scales, k, n)
     raw = sum(_exact_product_sum(z) for z in _block_counts(seq.sorted_grid, scales, n))
     return CorrelationReport(
         "r_k_star", len(scales) + 1, n, {"scales": scales}, raw, raw / n
@@ -191,9 +198,8 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
     c_(k-1) (c_(k-2) - 1) ... (c_1 - (k-2)), clamped at zero, where
     c_r = z_{i_1}(s_r) - 1 excludes the anchor itself.
     """
-    scales = _as_scales(scales, k)
     n = len(seq)
-    check_half(scales, n, _SCALE_WRAPS)
+    scales = _as_scales(scales, k, n)
     raw = sum(_exact_product_sum(_distinct_factors(z))
               for z in _block_counts(seq.sorted_grid, sorted(scales), n))
     return CorrelationReport(
@@ -242,10 +248,9 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     cached block count (at most 2^(k-1) - 1) and under 40 more: 3 MiB at
     k = 3, 11.5 MiB at k = 6 (2.8 and 11.3 measured at N = 2^20).
     """
-    boxes = _as_boxes(boxes)
     n = len(seq)
+    boxes = _as_boxes(boxes, n)
     k = len(boxes) + 1
-    check_half(itertools.chain.from_iterable(boxes), n, _BOX_WRAPS)
     # a/N <= ((c - y)) <= b/N for anchor c and occupant y: y - c in (-hi, -lo)
     arcs = [(-hi, -lo) for lo, hi in (grid_arc(a, b, n) for a, b in boxes)]
     distinct = sorted(set(arcs))
@@ -316,8 +321,6 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     budget); chained at k = 4, 4.85e7 rows and 26.8 MiB.
     """
     n = len(seq)
-    if k < 2:
-        raise ParameterError("k must be >= 2")
     check_order(k)
     if not radius > 0:  # NaN fails too
         raise ParameterError(f"support radius must be positive, got {radius}")
@@ -325,15 +328,10 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     sp = seq.sorted_points
     first = np.empty(n, dtype=np.int64)
     last = np.empty(n, dtype=np.int64)
-    often = np.zeros(1, dtype=np.int64)  # often[c]: the points whose window holds c points
     for b, [(start, end)] in self_window_blocks(seq.sorted_grid, [grid_arc(-radius, radius, n)]):
         first[b:b + start.size] = start
         last[b:b + end.size] = end
-        block = np.bincount(end - start)
-        if block.size > often.size:
-            often, block = block, often
-        often[:block.size] += block
-    _charge_budget(_row_count(often, first, last, k, chained),
+    _charge_budget(_row_count(first, last, k, chained),
                    f"weighted {k}-tuple rows of radius {radius}, repeated indices included")
 
     def grow(cols, vals):
@@ -369,24 +367,20 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
         grow([np.arange(b, min(b + _CHUNK_ROWS, n))], []) for b in range(0, n, _CHUNK_ROWS)))
 
 
-def _row_count(often: np.ndarray, first: np.ndarray, last: np.ndarray, k: int,
-               chained: bool) -> int:
+def _row_count(first: np.ndarray, last: np.ndarray, k: int, chained: bool) -> int:
     """The rows _tuple_weight_sum's last join makes if no join drops a
     row that repeats an index: an upper bound on the rows it makes.
 
-    With w_1(i) = c_i, the points of i's window (itself included; often[c]
-    counts the points whose window holds c), and w_(d+1)(i) the sum of w_d
-    over i's window, the count is sum_i w_(k-1)(i) chained and sum_i
-    c_i^(k-1) anchored.  Windows are symmetric (j is in i's window when i
-    is in j's), so the chained count is sum_i w_a(i) w_b(i) for a + b =
-    k - 1, b - a in {0, 1}: sum_i c_i^(k-1) up to k = 3, as anchored.
-    Above, w_(d+1) comes from the prefix sums of w_d over one lap (two at
-    a time, 16 bytes per point), read at the ends of the unrolled runs
-    first, last, block by block.  The sums are float64, exact while the
-    count is below 2^51."""
-    if not chained or k <= 3:
-        sizes = np.flatnonzero(often)
-        return sum(c ** (k - 1) * m for c, m in zip(sizes.tolist(), often[sizes].tolist()))
+    With w_1(i) = c_i, the points of i's window (itself included), and
+    w_(d+1)(i) the sum of w_d over i's window, the count is sum_i
+    w_(k-1)(i) chained and sum_i c_i^(k-1) anchored.  Windows are
+    symmetric (j is in i's window when i is in j's), so the chained count
+    is sum_i w_a(i) w_b(i) for a + b = k - 1, b - a in {0, 1}: sum_i c_i
+    at k = 2 and sum_i c_i^2 at k = 3, as anchored.  Above, w_(d+1) comes
+    from the prefix sums of w_d over one lap (two at a time, 16 bytes per
+    point), read at the ends of the unrolled runs first, last, block by
+    block.  Every count is one float64 sum over the blocks, exact while
+    it is below 2^53."""
     n = first.size
     step = core._WINDOW_BLOCK
     blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
@@ -397,6 +391,8 @@ def _row_count(often: np.ndarray, first: np.ndarray, last: np.ndarray, k: int,
             return (e - f).astype(np.float64)
         return prefix[e % n] - prefix[f % n] + (e // n - f // n) * prefix[-1]
 
+    if not chained or k == 2:
+        return int(sum(float(np.sum(sums(None, lo, hi) ** (k - 1))) for lo, hi in blocks))
     a = (k - 1) // 2
     prefixes = [None]  # those of w_0 = 1, w_1, ..., w_(k-2-a): the last two at the end
     for _ in range(k - 2 - a):
@@ -521,8 +517,6 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     if testfn is not None:
         if k is None or support_radius is None:
             raise ParameterError("testfn mode needs k and support_radius")
-        if k < 2:
-            raise ParameterError("k must be >= 2")
         check_order(k)
         if not support_radius > 0:
             raise ParameterError(f"support radius must be positive, got {support_radius}")
@@ -539,12 +533,10 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
                                  None, math.fsum(terms) / n)
 
     if scales is not None:
-        scales = _as_scales(scales, k)
-        check_half(scales, n, _SCALE_WRAPS)
+        scales = _as_scales(scales, k, n)
         arcs = [grid_arc(-s, s, n) for s in scales]
     else:
-        boxes = _as_boxes(boxes)
-        check_half(itertools.chain.from_iterable(boxes), n, _BOX_WRAPS)
+        boxes = _as_boxes(boxes, n)
         arcs = [grid_arc(a, b, n) for a, b in boxes]
     k = len(arcs) + 1
     _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")

@@ -21,7 +21,7 @@ histogram block by block of anchors, so its peak is a block's windows,
 values and lengths, and 8 bytes per profile value up to max F: 2.5 MiB
 at N = 2^20, s = 2, whatever N.  sweep_profile puts each endpoint
 straight into its slot of its O(N) arrays by its rank, with no sort.
-Windows past the neighbour-offset passes take binary searches: at
+Wide windows take core.self_window_blocks' binary searches: at
 N = 1e5 (2-core x86_64) moments takes about 4.5 ms at s = 2 but 14 ms at
 s = 32 and 15 ms at s = 4e4 or 6e4 (2R >= 2^63: two searches an anchor).
 
@@ -247,8 +247,6 @@ def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
     histogram (_law), each an exact rational rounded once.  The
     histogram is folded block by block, so the peak memory is a block's
     plus 8 bytes per value up to max F."""
-    if k < 2:
-        raise ParameterError("k must be >= 2")
     check_order(k)  # before the windows: bell_prediction needs k up to the Stirling table's
     hist = _law(seq, s).items()
     i_k = sum(falling_factorial(v, k) * ln for v, ln in hist) / GRID
@@ -316,5 +314,6 @@ def bell_prediction(k: int, s: float) -> float:
     the limit of I_k* for fully Poissonian sequences."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    check_order(k)
+    if k > 1:
+        check_order(k)
     return math.fsum(stirling_second(k, j) * float(s) ** j for j in range(1, k + 1))

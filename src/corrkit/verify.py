@@ -341,17 +341,9 @@ def _chk_partition_shift(rng, tier):
 
 
 def _chk_scale_average_matches_integral(rng, tier):
-    # k = 2: the factorized average equals the exact second moment of F
-    worst2 = 0.0
-    for _ in range(10):
-        n = int(rng.integers(50, 2000))
-        s = float(rng.uniform(0.3, 20.0))
-        seq = PointSequence(rng.random(n))
-        left = intervalstats.moments(seq, s, 2).i_k_star
-        right = averaged.c_k_star(seq, (s,))
-        worst2 = max(worst2, abs(left - right) / abs(right))
     # k = 3: 2-D integration of brute-force R_3* over its exact breakpoints
-    worst3 = 0.0
+    # (k = 2, C_2* = int F^2, is second_moment_scale_integral_identity)
+    worst = 0.0
     for _ in range(3):
         n = int(rng.integers(12, 26))
         seq = PointSequence(rng.random(n))
@@ -371,11 +363,10 @@ def _chk_scale_average_matches_integral(rng, tier):
                 ).value
                 total += r * (a2 - a1) * (c2 - c1)
         f = averaged.c_k_star(seq, (s1, s2))
-        worst3 = max(worst3, abs(total - f) / abs(f))
-    ok = worst2 <= 1e-9 and worst3 <= 1e-3
+        worst = max(worst, abs(total - f) / abs(f))
     return _result("scale_average_matches_integral",
-                   "C_k* equals int of R_k* over the scale box (k=2 exact, k=3 vs brute force)",
-                   ok, f"k2 rel {worst2:.2e}, k3 rel {worst3:.2e}", "0", "1e-9 / 1e-3")
+                   "C_3* equals int of R_3* over the scale box (vs brute force)",
+                   worst <= 1e-3, float(worst), 0, "1e-3 relative")
 
 
 def _chk_averaged_hoelder_chain(rng, tier):

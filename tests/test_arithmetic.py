@@ -386,6 +386,17 @@ def test_metric_experiment_validation(monkeypatch):
         metric_r3_experiment(integer_range(10**4), 0.1, 10**4, 10**5, 0)
 
 
+def test_experiments_name_the_half_lap_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(arithmetic, "trial_rng", no_trials)
+    with pytest.raises(ParameterError, match=r"^scale 20.0 > N/2 = 16.0: constraint arc wraps$"):
+        metric_r3_experiment(integer_range(32), 20.0, 32, 5, 0)
+    with pytest.raises(ParameterError, match=r"^box bound beyond N/2 = 8.0$"):
+        random_correlation_stats(3, ((0.0, 1.0), (-9.0, 2.0)), 16, 4, 0)
+
+
 def test_experiments_are_charged_to_the_oracle_budget(monkeypatch):
     monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "100")
     with pytest.raises(BudgetError, match=r"N \* trials = 200 .*CORRKIT_ORACLE_BUDGET"):

@@ -17,9 +17,11 @@ from corrkit import (
     additive_energy,
     brute_force_r_k,
     c_k_star,
+    c_k_star_local,
     dyadic_counterexample,
     g_eval,
     i_k_via_correlation,
+    moments,
     r_k_box,
     r_k_consecutive,
     r_k_distinct,
@@ -429,6 +431,29 @@ def test_weighted_sums_name_the_order_limit():
             call()
 
 
+_ONES = lambda ys: np.ones(len(ys))
+_ORDER_ENTRY_POINTS = {
+    "r_k_star": lambda seq, k: r_k_star(seq, 1.0, k),
+    "r_k_distinct": lambda seq, k: r_k_distinct(seq, 1.0, k),
+    "r_k_testfn": lambda seq, k: r_k_testfn(seq, _ONES, 1.0, k),
+    "r_k_consecutive": lambda seq, k: r_k_consecutive(seq, _ONES, 1.0, k),
+    "brute_force_r_k": lambda seq, k: brute_force_r_k(seq, testfn=_ONES, support_radius=1.0, k=k),
+    "c_k_star": lambda seq, k: c_k_star(seq, 1.0, k),
+    "c_k_star_local": lambda seq, k: c_k_star_local(seq, 1.0, k, (0.0, 0.5)),
+    "moments": lambda seq, k: moments(seq, 1.0, k),
+    "i_k_via_correlation": lambda seq, k: i_k_via_correlation(seq, 1.0, k),
+}
+
+
+@pytest.mark.parametrize("k, message", [(1, "k must be >= 2"),
+                                        (17, "orders above k = 16 are unsupported")])
+@pytest.mark.parametrize("entry", sorted(_ORDER_ENTRY_POINTS))
+def test_every_entry_point_names_the_order_limit(entry, k, message):
+    seq = PointSequence([0.1, 0.2, 0.5, 0.9])
+    with pytest.raises(ParameterError, match=message):
+        _ORDER_ENTRY_POINTS[entry](seq, k)
+
+
 def test_weighted_sums_charge_their_rows_before_the_first_join(monkeypatch):
     # radius N/2 on 2000 points: every window holds all 2000, so k = 4
     # bounds 2000 * 2000^3 = 1.6e13 rows, days of joins at the default budget
@@ -478,26 +503,39 @@ def _chains(seq, radius, k):
 
 
 def test_consecutive_sum_charges_the_exact_walk_count(monkeypatch):
-    # between the count and the old bound sum c (max c)^(k-2), the call
-    # runs; the joins drop the walks that repeat an index, so f sees fewer
+    # both forms charge the rows of their last join, repeated indices
+    # included: the walks chained, sum_i c_i^(k-1) over the brute-force
+    # window counts c_i anchored; the joins drop the rows that repeat an
+    # index, so f sees fewer.  The clustered walks at k = 5 lie below the
+    # old bound sum c (max c)^(k-2)
     rng = np.random.default_rng(45)
-    seq = PointSequence(np.concatenate((0.3 + 0.005 * rng.random(6), rng.random(34))))
-    radius, k = 1.0, 5
-    arc = grid_arc(-radius, radius, len(seq))
-    c = np.array([np.count_nonzero(in_arc(seq.sorted_grid - g, arc)) for g in seq.sorted_grid])
-    walks, old_bound = _walks(seq, radius, k), int(c.sum()) * int(c.max()) ** (k - 2)
-    assert walks < old_bound
-    charged, rows = [], []
+    clustered = PointSequence(np.concatenate((0.3 + 0.005 * rng.random(6), rng.random(34))))
+    lattice = PointSequence((np.arange(40) + 0.5) / 40)  # neighbours 1/N apart: ties at radius 1
+    radius = 1.0
+    charged = []
     real = correlations._charge_budget
     monkeypatch.setattr(correlations, "_charge_budget", lambda work, what: charged.append(work)
                         or real(work, what))
-    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str((walks + old_bound) // 2))
-    r_k_consecutive(seq, lambda ys: rows.append(len(ys)) or np.ones(len(ys)), radius, k)
-    assert charged == [walks]
-    assert sum(rows) == _chains(seq, radius, k) < walks
-    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(walks - 1))
-    with pytest.raises(BudgetError, match=f"radius 1.0, repeated indices included = {walks} "):
-        r_k_consecutive(seq, lambda ys: np.ones(len(ys)), radius, k)
+    for seq in (clustered, lattice):
+        arc = grid_arc(-radius, radius, len(seq))
+        c = np.array([np.count_nonzero(in_arc(seq.sorted_grid - g, arc)) for g in seq.sorted_grid])
+        for k in (2, 3, 4, 5):
+            walks = _walks(seq, radius, k)
+            if seq is clustered and k == 5:
+                assert walks < int(c.sum()) * int(c.max()) ** (k - 2)
+            for total, count in ((r_k_consecutive, walks),
+                                 (r_k_testfn, sum(int(ci) ** (k - 1) for ci in c))):
+                charged.clear()
+                rows = []
+                monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(count))
+                total(seq, lambda ys: rows.append(len(ys)) or np.ones(len(ys)), radius, k)
+                assert charged == [count]
+                if total is r_k_consecutive:
+                    assert sum(rows) == _chains(seq, radius, k) < walks
+                monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(count - 1))
+                with pytest.raises(BudgetError,
+                                   match=f"radius 1.0, repeated indices included = {count} "):
+                    total(seq, _ONES, radius, k)
 
 
 def test_box_halves_recombine_to_symmetric_count():

@@ -451,6 +451,15 @@ def test_orders_above_sixteen_are_named():
             call()
 
 
+def test_bell_prediction_takes_order_one():
+    # Bell(1, s) = s; below 1 and above 16 the orders are named
+    assert bell_prediction(1, 2.5) == 2.5
+    with pytest.raises(ParameterError, match="k must be >= 1"):
+        bell_prediction(0, 2.5)
+    with pytest.raises(ParameterError, match="orders above k = 16 are unsupported"):
+        bell_prediction(17, 2.5)
+
+
 def test_moments_validation():
     seq = PointSequence([0.1, 0.9])
     with pytest.raises(ParameterError):
