@@ -323,6 +323,8 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
 def random_correlation_stats(k: int, boxes, n: int, trials: int, seed: int):
     """Sample mean and unbiased sample variance of the box correlation
     over independent seeded uniform sequences of length n."""
+    if n < 1:
+        raise ParameterError(f"N must be >= 1, got N = {n}")
     boxes = _as_boxes(boxes, n)
     if len(boxes) != k - 1:
         raise ParameterError(f"expected {k - 1} boxes for k = {k}")

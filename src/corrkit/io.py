@@ -28,7 +28,18 @@ decoded, stripped and converted by one np.array call per block, which
 turns each str into the double float() gives or raises ValueError where
 float() does.  Only a block that fails (a line not UTF-8 or not a
 number, a point outside [0,1)) is read again, line by line, to name
-its first line at fault in a FormatError."""
+its first line at fault in a FormatError.
+
+write_points writes each point as repr(float) does, the shortest
+decimal that reads back to it, and makes no str per point.  The points
+go in blocks of core._WINDOW_BLOCK; the digits of a point in [1e-4, 1)
+are the nearest c / 10^d of fewest places d, with c found from the
+double's significand m and exponent k in exact uint64 arithmetic: the
+limbs of m 5^d shifted right by k - d, rounded with ties to even, and
+kept where 2 |c 2^(k-d) - m 5^d| < 5^d, the test that c / 10^d reads
+back to m 2^-k.  Zeros, points below 1e-4 (repr's exponent form),
+powers of two and the few points past 19 places go to repr (see
+write_point_lines)."""
 
 from __future__ import annotations
 
@@ -205,11 +216,138 @@ def read_points(path) -> PointSequence:
     return PointSequence(_plain_values(path, _lines(path)))
 
 
+# 5^d for d = 0..20; past d = 19 the nearest c < 10^d may not fit a uint64
+_FIVES = np.array([5**d for d in range(21)], dtype=np.uint64)
+_LOW32, _HALF, _TEN8 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(10**8)
+# the columns of a row, 24 digits from byte 0 and '\n' at 24: a line is
+# the columns from its start on, which no column past 24 reaches
+_COLUMNS = np.array([*range(25), *[0] * 7], dtype=np.uint8)
+
+
+def _nearest(m: np.ndarray, k: np.ndarray, d: np.ndarray):
+    """(c, ok): c is m 2^-k 10^d rounded to the nearest integer, ties to
+    even, and ok holds where c / 10^d reads back to m 2^-k (see
+    write_point_lines); never where d > 19 or s = k - d is outside
+    [1, 63].  All uint64."""
+    s = np.minimum(k - d, np.uint64(64))  # k < d wraps past 2^63
+    ok = (d <= 19) & (s >= 1) & (s <= 63)
+    p = _FIVES[d]
+    lo, hi = m & _LOW32, m >> _HALF  # m 5^d = hi 2^64 + lo, from 32-bit halves
+    mid = lo * (p >> _HALF)
+    mid += hi * (p & _LOW32)
+    hi *= p >> _HALF
+    hi += mid >> _HALF
+    mid <<= _HALF
+    lo *= p & _LOW32
+    lo += mid
+    hi += lo < mid
+    del mid
+    c = lo >> s
+    c |= hi << (np.uint64(64) - s)
+    del hi
+    s = np.uint64(1) << s
+    lo &= s - np.uint64(1)  # m 5^d - c 2^s before rounding
+    up = lo > s >> np.uint64(1)
+    up |= (lo == s >> np.uint64(1)) & (c & np.uint64(1) == 1)  # a tie, to even
+    c += up
+    np.subtract(s, lo, out=lo, where=up)  # |c 2^s - m 5^d|
+    lo += lo
+    ok &= lo < p
+    return c, ok
+
+
+def _ascii8(v: np.ndarray) -> np.ndarray:
+    """The 8 digits of each v < 10^8, zero-padded, as the ASCII bytes of a
+    little-endian uint64 (the first digit in the low byte): 4, 2, then 1
+    digit per lane, each lane divided by a multiply and a shift."""
+    hi = v // np.uint64(10**4)
+    w = hi | ((v - hi * np.uint64(10**4)) << np.uint64(32))
+    for magic, shift, keep, base, width in ((5243, 19, 0x0000007F0000007F, 100, 16),
+                                            (103, 10, 0x000F000F000F000F, 10, 8)):
+        q = ((w * np.uint64(magic)) >> np.uint64(shift)) & np.uint64(keep)
+        w = q | ((w - q * np.uint64(base)) << np.uint64(width))
+    return w + np.uint64(0x3030303030303030)
+
+
+def _repr_line(v: float) -> str:
+    return f"{v!r}\n"
+
+
+def _block_lines(x: np.ndarray) -> str:
+    """The lines write_point_lines writes for the points x."""
+    bits = x.view(np.uint64)
+    frac = bits & np.uint64((1 << 52) - 1)
+    fast = (x >= 1e-4) & (frac != 0) & (x < 1.0)
+    m = frac | np.uint64(1 << 52)
+    del frac
+    k = np.uint64(1075) - (bits >> np.uint64(52))  # x = m 2^-k
+    # 16 significant digits: each of these doubles lies just above its power of ten
+    d = np.full(x.size, 19, dtype=np.uint64)
+    for tenth in (1e-3, 1e-2, 1e-1):
+        d -= x >= tenth
+    c, ok = _nearest(m, k, d)
+    ok &= fast
+    live = np.flatnonzero(ok)
+    miss = np.flatnonzero(fast & ~ok)  # 17 where 16 fail
+    d[miss] += np.uint64(1)
+    c[miss], ok[miss] = _nearest(m[miss], k[miss], d[miss])
+    while live.size:  # fewer while they still read back
+        c_less, ok_less = _nearest(m[live], k[live], d[live] - np.uint64(1))
+        live = live[ok_less]
+        c[live] = c_less[ok_less]
+        d[live] -= np.uint64(1)
+    del m, k
+    rows = np.empty((x.size, 4), dtype="<u8")
+    top = c // _TEN8
+    rows[:, 2] = _ascii8(c - top * _TEN8)
+    c = top // _TEN8
+    rows[:, 1] = _ascii8(top - c * _TEN8)
+    rows[:, 0] = _ascii8(c)
+    rows[:, 3] = ord("\n")
+    start = np.where(ok, 22 - d, 25).astype(np.uint8)  # the line's first column
+    line = rows.view(np.uint8)
+    at = np.flatnonzero(ok) * 32 + start[ok]
+    line.reshape(-1)[at] = ord("0")
+    line.reshape(-1)[at + 1] = ord(".")
+    text = line[_COLUMNS >= start[:, None]].tobytes().decode("ascii")
+    odd = np.flatnonzero(~ok)
+    if not odd.size:
+        return text
+    pieces, at = [], 0
+    for cut, v in zip(np.cumsum(25 - start, dtype=np.intp)[odd].tolist(), x[odd].tolist()):
+        pieces += (text[at:cut], _repr_line(v))
+        at = cut
+    pieces.append(text[at:])
+    return "".join(pieces)
+
+
 def write_point_lines(fh, seq: PointSequence) -> None:
     """One point per line as repr(float), the shortest text that reads
-    back to the same double: a fixed sequence always gives the same bytes."""
-    for v in seq.points.tolist():
-        fh.write(f"{v!r}\n")
+    back to the same double: a fixed sequence always gives the same bytes.
+
+    The points go in blocks of core._WINDOW_BLOCK, each made one str from
+    one uint8 buffer of lines, with no str per point.  A point x in
+    [1e-4, 1) is written '0.' and the d digits of c, zero-padded, where
+    c / 10^d is the decimal of fewest places d that reads back to x, and
+    of those the nearest to x: what repr writes.  With x = m 2^-k, m <
+    2^53, x 10^d = m 5^d / 2^s for s = k - d.  The product m 5^d < 2^98
+    is formed in two uint64 limbs from the 32-bit halves of m and 5^d,
+    and c is it shifted right by s, rounded to nearest with ties to even,
+    as repr does (0.50000762939453125 is written 0.5000076293945312).
+    c / 10^d reads back to x exactly when it lies within half the
+    spacing 2^-k of the doubles around x, that is when
+    2 |c 2^s - m 5^d| < 5^d; equality cannot hold, as the left side is
+    even and 5^d odd.  The test holds for every d from the fewest on, so
+    d is found from 16 significant digits: 17 where 16 fail, fewer while
+    the test still holds.  repr writes the other points, spliced into the
+    block's text in order: 0.0, -0.0 and every x below 1e-4 (repr's
+    exponent form), the powers of two (the spacing below them is half
+    that above, so the test does not apply), and each x whose 17 digits
+    fail the test, need d > 19 places (c might not fit a uint64) or give
+    s outside [1, 63]."""
+    pts = seq.points
+    for b in range(0, pts.size, core._WINDOW_BLOCK):
+        fh.write(_block_lines(pts[b:b + core._WINDOW_BLOCK]))
 
 
 def write_points(path, seq: PointSequence) -> None:

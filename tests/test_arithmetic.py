@@ -397,6 +397,19 @@ def test_experiments_name_the_half_lap_before_any_trial(monkeypatch):
         random_correlation_stats(3, ((0.0, 1.0), (-9.0, 2.0)), 16, 4, 0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_experiments_name_a_sequence_length_below_one(monkeypatch, n):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(arithmetic, "trial_rng", no_trials)
+    message = rf"^N must be >= 1, got N = {n}$"
+    with pytest.raises(ParameterError, match=message):
+        metric_r3_experiment(integer_range(32), 0.5, n, 5, 0)
+    with pytest.raises(ParameterError, match=message):
+        random_correlation_stats(2, ((0.0, 1.0),), n, 3, 0)
+
+
 def test_experiments_are_charged_to_the_oracle_budget(monkeypatch):
     monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "100")
     with pytest.raises(BudgetError, match=r"N \* trials = 200 .*CORRKIT_ORACLE_BUDGET"):

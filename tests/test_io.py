@@ -1,7 +1,8 @@
 """The point-file contract: which files read_points accepts, the exact
 doubles it returns, and the line-numbered FormatError of every file it
 rejects.  The reference is the plain line scan below.  Integer files
-share the line model: their lines and faults too."""
+share the line model: their lines and faults too.  write_points must
+write the bytes of its header and repr's line for each point."""
 
 import math
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrkit import ConsistencyError, FormatError, core, io
+from corrkit import ConsistencyError, FormatError, PointSequence, core, io
 from corrkit.io import read_integers, read_points
 
 
@@ -302,3 +303,107 @@ def test_rejected_plain_file_peak_is_one_block_of_lines(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < size + 16 * x.size + max(size, 100 * core._WINDOW_BLOCK) + 2**20
+
+
+def _repr_file(x):
+    """The bytes write_points writes: the header and repr's line of each point."""
+    return (f"# {len(x)} points in [0,1)\n" + "".join(f"{v!r}\n" for v in x)).encode()
+
+
+def _written(path, x):
+    io.write_points(path, PointSequence(np.array(x, dtype=np.float64)))
+    return path.read_bytes()
+
+
+def _double(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+_BITS_OF = {v: int(np.float64(v).view(np.uint64)) for v in (1e-4, 1.0)}
+# doubles in [0, 1) by their bits: any (mostly below 1e-4, subnormals
+# too), any in [1e-4, 1), the zeros, the powers of two, the ties k / 2^j
+# and the neighbours of 10^-d
+_WRITTEN_DOUBLES = st.one_of(
+    st.integers(0, _BITS_OF[1.0] - 1).map(_double),
+    st.integers(_BITS_OF[1e-4], _BITS_OF[1.0] - 1).map(_double),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(1, 1074).map(lambda j: 2.0**-j),
+    st.integers(1, 53).flatmap(lambda j: st.integers(1, 2**j - 1).map(lambda k: k / 2**j)),
+    st.tuples(st.integers(1, 20), st.integers(-3, 3)).map(
+        lambda t: _double(int(np.float64(10.0**-t[0]).view(np.uint64)) + t[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_WRITTEN_DOUBLES, min_size=1, max_size=40))
+def test_written_lines_are_the_reprs(tmp_path_factory, x):
+    path = tmp_path_factory.mktemp("write") / "pts.txt"
+    assert _written(path, x) == _repr_file(x)
+
+
+@pytest.mark.parametrize("v, line", [
+    (0.50000762939453125, "0.5000076293945312"),  # a tie of 16 digits, to even
+    (0.1, "0.1"), (0.0001, "0.0001"), (math.nextafter(1e-4, 0.0), "9.999999999999999e-05"),
+    (math.nextafter(1.0, 0.0), "0.9999999999999999"), (0.5, "0.5"), (-0.0, "-0.0"),
+    (5e-324, "5e-324"), (0.000123456789012345678, "0.00012345678901234567"),
+])
+def test_written_line_of_a_point(tmp_path, v, line):
+    assert _written(tmp_path / "pts.txt", [v]) == f"# 1 points in [0,1)\n{line}\n".encode()
+
+
+def test_written_blocks_splice_the_reprs_in_order(tmp_path, monkeypatch):
+    # points that go to repr on both sides of each block boundary, as the
+    # first and last point of a block and as a whole block; then blocks of
+    # 1 and 7 points
+    rng = np.random.default_rng(24)
+    b = core._WINDOW_BLOCK
+    x = rng.random(2 * b + 3)
+    for i in (0, b - 1, b, b + 1, 2 * b, 2 * b + 2):
+        x[i] = [0.0, 2.0**-3, 3e-7, 0.000123456789012345678][i % 4]
+    path = tmp_path / "pts.txt"
+    assert _written(path, x.tolist()) == _repr_file(x.tolist())
+    small = [*x[:30].tolist(), 0.0, 0.5, 0.25, 1e-9, *x[-30:].tolist(), 0.5]
+    for block in (1, 7):
+        monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+        assert _written(path, small) == _repr_file(small)
+        assert _written(path, [0.0] * 9) == _repr_file([0.0] * 9)
+
+
+def test_uniform_points_reach_repr_only_where_listed(tmp_path, monkeypatch):
+    # the zeros and points below 1e-4, the powers of two, and the points
+    # of more than 19 places; 2e5 uniform points have some of the first
+    # and last kind
+    x = np.random.default_rng(1729).random(200_000)
+    x[[5, 6, 7]] = [0.5, 2.0**-13, 0.0]
+    to_repr = []
+    real = io._repr_line
+
+    def spy(v):
+        to_repr.append(v)
+        return real(v)
+
+    monkeypatch.setattr(io, "_repr_line", spy)
+    assert _written(tmp_path / "pts.txt", x) == _repr_file(x.tolist())
+    tiny = [v for v in x.tolist() if v < 1e-4]
+    places = [v for v in x.tolist() if v >= 1e-4 and len(repr(v)) > 21]
+    assert len(tiny) > 5 and len(places) > 20
+    assert to_repr == [v for v in x.tolist()
+                       if v < 1e-4 or math.frexp(v)[0] == 0.5 or len(repr(v)) > 21]
+
+
+@pytest.mark.parametrize("block", [1 << 12, None])
+def test_written_points_peak_is_one_block(tmp_path, monkeypatch, block):
+    # 2^18 points: about 120 bytes per point of a block (3.8 MiB at 2^15),
+    # not a float and a str per point (more than 8 MiB)
+    if block:
+        monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+    seq = PointSequence(np.random.default_rng(18).random(1 << 18))
+    path = tmp_path / "pts.txt"
+    tracemalloc.start()
+    try:
+        io.write_points(path, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _repr_file(seq.points.tolist())
+    assert peak < 160 * core._WINDOW_BLOCK + 2**16
