@@ -245,12 +245,12 @@ def _nearest(m: np.ndarray, k: np.ndarray, d: np.ndarray):
     c = lo >> s
     c |= hi << (np.uint64(64) - s)
     del hi
-    s = np.uint64(1) << s
-    lo &= s - np.uint64(1)  # m 5^d - c 2^s before rounding
-    up = lo > s >> np.uint64(1)
-    up |= (lo == s >> np.uint64(1)) & (c & np.uint64(1) == 1)  # a tie, to even
+    unit = np.uint64(1) << s  # 2^s
+    lo &= unit - np.uint64(1)  # m 5^d - c 2^s before rounding
+    up = lo > unit >> np.uint64(1)
+    up |= (lo == unit >> np.uint64(1)) & (c & np.uint64(1) == 1)  # a tie, to even
     c += up
-    np.subtract(s, lo, out=lo, where=up)  # |c 2^s - m 5^d|
+    np.subtract(unit, lo, out=lo, where=up)  # |c 2^s - m 5^d|
     lo += lo
     ok &= lo < p
     return c, ok
@@ -306,13 +306,11 @@ def _block_lines(x: np.ndarray) -> str:
     rows[:, 3] = ord("\n")
     start = np.where(ok, 22 - d, 25).astype(np.uint8)  # the line's first column
     line = rows.view(np.uint8)
-    at = np.flatnonzero(ok) * 32 + start[ok]
-    line.reshape(-1)[at] = ord("0")
-    line.reshape(-1)[at + 1] = ord(".")
+    lead = np.flatnonzero(ok) * 32 + start[ok]
+    line.reshape(-1)[lead] = ord("0")
+    line.reshape(-1)[lead + 1] = ord(".")
     text = line[_COLUMNS >= start[:, None]].tobytes().decode("ascii")
     odd = np.flatnonzero(~ok)
-    if not odd.size:
-        return text
     pieces, at = [], 0
     for cut, v in zip(np.cumsum(25 - start, dtype=np.intp)[odd].tolist(), x[odd].tolist()):
         pieces += (text[at:cut], _repr_line(v))

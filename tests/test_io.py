@@ -393,7 +393,7 @@ def test_uniform_points_reach_repr_only_where_listed(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("block", [1 << 12, None])
 def test_written_points_peak_is_one_block(tmp_path, monkeypatch, block):
-    # 2^18 points: about 120 bytes per point of a block (3.8 MiB at 2^15),
+    # 2^18 points: about 130 bytes per point of a block (4 MiB at 2^15),
     # not a float and a str per point (more than 8 MiB)
     if block:
         monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
