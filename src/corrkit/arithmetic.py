@@ -24,7 +24,7 @@ whose pair sums lie in [0, 2 span].  There are three regimes:
   about three float64 arrays of length L.
 - flat: any other span with 2 span at most _FLAT_SUM_LIMIT and at most
   _FLAT_SUM_FACTOR |A|^2 sweeps ordered pair sums in blocks of at most
-  _PAIR_CHUNK (one reused buffer): O(|A|^2) time.  Energy adds the |A|^2
+  core._BLOCK (one reused buffer): O(|A|^2) time.  Energy adds the |A|^2
   sums into an int32 table of r over [0, 2 span] (r <= |A| < 2^31;
   4 (2 span + 1) bytes).
 - wide: larger spans (a table much larger than the pair sums it counts)
@@ -44,14 +44,14 @@ first N entries of A, and compares the sample mean of the triple
 correlation R_3(s, N) against the lower bound 2 s T(A_N) / N^2 that the
 progression structure forces on the alpha-average.  Each trial keeps
 its own trial_rng(seed, t) stream; the trials run in chunks of at most
-_TRIAL_CHUNK points, one row per trial: one wrapping uint64 product
+core._BLOCK points, one row per trial: one wrapping uint64 product
 gives the chunk's fractional parts (seqgen.exact_frac_parts), one
 row-wise sort, one search per row and one bincount over the rows give
 every window count (_trial_window_counts), and each row's raw count is
 the exact product sum r_k_distinct takes, so every R_3 value is the one
-r_k_distinct gives.  A chunk of P points (P = _TRIAL_CHUNK, or N when
-N is larger) peaks near 72 P bytes under tracemalloc, 1.1 MiB at
-P = 2^14: its arrays stay cache-sized.
+r_k_distinct gives.  A chunk of P points (P = core._BLOCK, or N when
+N is larger) peaks near 72 P bytes under tracemalloc, 2.25 MiB at
+P = 2^15.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import GRID, PointSequence, grid_arc, to_grid
 from .correlations import (_as_boxes, _as_scales, _charge_budget, _distinct_factors,
                            _exact_product_sum, r_k_box)
@@ -68,8 +69,6 @@ from .seqgen import IntegerSet, exact_frac_parts, trial_rng
 
 _FLAT_SUM_LIMIT = 1 << 26  # flat pair-sum tables while 2 * span is at most this
 _FLAT_SUM_FACTOR = 4       # ... and at most this many times |A|^2
-_PAIR_CHUNK = 1 << 16      # pair sums formed at a time: a 512 KiB block stays in cache
-_TRIAL_CHUNK = 1 << 14     # trial points handled at a time: their arrays stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -135,11 +134,11 @@ def _fft_pair_sum_counts(d: np.ndarray, length: int) -> np.ndarray:
 
 
 def _pair_sum_blocks(d: np.ndarray):
-    """All |d|^2 ordered pair sums d_i + d_j, at most _PAIR_CHUNK per block.
+    """All |d|^2 ordered pair sums d_i + d_j, at most core._BLOCK per block.
     Every block is a view of one reused buffer, valid until the next."""
-    n = d.size
-    rows = max(1, _PAIR_CHUNK // n)
-    cols = min(n, _PAIR_CHUNK)
+    n, block = d.size, core._BLOCK
+    rows = max(1, block // n)
+    cols = min(n, block)
     buf = np.empty(min(rows, n) * cols, dtype=d.dtype)
     for r in range(0, n, rows):
         for c in range(0, n, cols):
@@ -150,10 +149,10 @@ def _pair_sum_blocks(d: np.ndarray):
 
 def _sum_of_squares(r: np.ndarray) -> int:
     """Exact sum of r^2 over int32 or int64 counts: each part is widened to
-    int64, at most 2^16 entries (512 KiB) at a time, and covers few enough
+    int64, at most core._BLOCK entries at a time, and covers few enough
     entries that its sum stays below 2^63."""
     top = max(1, int(r.max()))
-    step = max(1, min(1 << 16, (2**63 - 1) // (top * top)))
+    step = max(1, min(core._BLOCK, (2**63 - 1) // (top * top)))
     total = 0
     for i in range(0, r.size, step):
         part = r[i:i + step].astype(np.int64, copy=False)
@@ -182,10 +181,10 @@ def additive_energy(a) -> int:
     sums = (d[:, None] + d).ravel()
     sums.sort()
     # r(sigma) are the lengths of the runs of equal sums; a run ends at
-    # each i with sums[i] != sums[i+1], compared _PAIR_CHUNK at a time
-    energy, run_start = 0, 0
-    for c in range(0, sums.size - 1, _PAIR_CHUNK):
-        part = sums[c:c + _PAIR_CHUNK + 1]
+    # each i with sums[i] != sums[i+1], compared core._BLOCK at a time
+    energy, run_start, step = 0, 0, core._BLOCK
+    for c in range(0, sums.size - 1, step):
+        part = sums[c:c + step + 1]
         ends = np.flatnonzero(part[1:] != part[:-1]) + (c + 1)
         if ends.size:
             runs = np.diff(ends, prepend=run_start)
@@ -302,10 +301,10 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
     t_count = three_ap_count(head)
     lower = 2.0 * s * t_count / n**2
     arc = grid_arc(-scales[0], scales[0], n)
-    # the trials in chunks of at most _TRIAL_CHUNK points, one row per
+    # the trials in chunks of at most core._BLOCK points, one row per
     # trial: the same values as r_k_distinct(PointSequence(row), scales)
     vals = np.empty(trials)
-    rows = max(1, _TRIAL_CHUNK // n)
+    rows = max(1, core._BLOCK // n)
     for t0 in range(0, trials, rows):
         alphas = [float(trial_rng(seed, t).random()) for t in range(t0, min(t0 + rows, trials))]
         points = exact_frac_parts(head, alphas)
@@ -325,9 +324,7 @@ def random_correlation_stats(k: int, boxes, n: int, trials: int, seed: int):
     over independent seeded uniform sequences of length n."""
     if n < 1:
         raise ParameterError(f"N must be >= 1, got N = {n}")
-    boxes = _as_boxes(boxes, n)
-    if len(boxes) != k - 1:
-        raise ParameterError(f"expected {k - 1} boxes for k = {k}")
+    boxes = _as_boxes(boxes, n, k)
     if trials < 2:
         raise ParameterError("trials must be >= 2")
     _charge_budget(n * trials, "random correlation stats: points N * trials")

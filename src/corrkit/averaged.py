@@ -18,19 +18,18 @@ The kernel is never evaluated pair by pair.  One window per distinct
 scale gives each anchor's occupants as a run of the sorted grid, and
 L_i = s/N cnt_i - D_i 2^-64 follows from the exact integer
 D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
-grid: O(N) time at any scale.  The anchors go in blocks of
-core._WINDOW_BLOCK, with their windows from core.self_window_blocks.  A
-block reads its prefix sums off runs of the unrolled grid from cursors
-to its last start, anchor and end: one run about _WINDOW_BLOCK + w long
-for windows of at most w points where the three overlap (windows
-narrower than a block, the common case), three runs about
-_WINDOW_BLOCK long each where they do not (see _overlap_sums).  The
-peak is about 110 bytes per anchor of a block, 32 more per run position
-past _WINDOW_BLOCK, and 32 more per anchor for each further distinct
-scale: 3.6 MiB for windows of a few points and 4.6 MiB for windows of
-3.2e4 points or more, up to the whole circle, whatever N (measured at
-N = 2^20; the first block's runs start at its own start, anchor and
-end, like every other block's).
+grid: O(N) time at any scale.  The anchors go in blocks of B =
+core._BLOCK, with their windows from core.self_window_blocks.  A block
+reads its prefix sums off runs of the unrolled grid from cursors to its
+last start, anchor and end: one run about B + w long for windows of at
+most w points where the three overlap (windows narrower than a block,
+the common case), three runs about B long each where they do not (see
+_overlap_sums).  The peak is about 110 B bytes, 32 more per run
+position past B, and 32 B more for each further distinct scale: 3.6 MiB
+for windows of a few points and 4.6 MiB for windows of 3.2e4 points or
+more, up to the whole circle, whatever N (measured at N = 2^20; the
+first block's runs start at its own start, anchor and end, like every
+other block's).
 The anchor products are reduced block by block with
 core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
 deterministic independent of evaluation order.
@@ -61,18 +60,17 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     off prefix sums from the cursors to its last start, anchor and end;
     K = P[end cursor] - 2 P[anchor cursor] + P[start cursor] carries over.
     The first block's cursors are its own first start, anchor and end,
-    and its K is summed over that one window in runs of _WINDOW_BLOCK
+    and its K is summed over that one window in runs of B = core._BLOCK
     (_window_carry), so no block's runs span a wide window.
     Where these three runs overlap, as they do for windows narrower than
     a block, each limb's prefix sums are built once over their union
-    [start cursor, last end), _WINDOW_BLOCK + w positions for windows of
-    at most w points; elsewhere once per run, each at most _WINDOW_BLOCK
-    + w long (about _WINDOW_BLOCK, unless the windows' widths jump), and
-    the runs of all blocks tile the unrolled grid once: O(N) time at any
-    scale.  The union is merged only where the runs overlap: taken
-    always, it is a window longer per block, O(N w / _WINDOW_BLOCK) in
-    all, and c_k_star at N = 1e6, s = 4e5 took 866 ms, not 249 (2-core
-    x86_64).
+    [start cursor, last end), B + w positions for windows of at most w
+    points; elsewhere once per run, each at most B + w long (about B,
+    unless the windows' widths jump), and the runs of all blocks tile
+    the unrolled grid once: O(N) time at any scale.  The union is merged
+    only where the runs overlap: taken always, it is a window longer per
+    block, O(N w / B) in all, and c_k_star at N = 1e6, s = 4e5 takes
+    about 3.5 times as long (2-core x86_64).
 
     The grid is split into two 32-bit limbs, a lap adding 2^32 to the
     high one, and each limb's sums are int64, below 2^63 while a run is
@@ -91,8 +89,8 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
 def _window_carry(g: np.ndarray, cs: int, ca: int, ce: int) -> list[int]:
     """The two limbs of K = P[ce] - 2 P[ca] + P[cs]: the unrolled grid
     summed over [ca, ce) less over [cs, ca), one window, in runs of
-    _WINDOW_BLOCK positions."""
-    step, carry = core._WINDOW_BLOCK, [0, 0]
+    core._BLOCK positions."""
+    step, carry = core._BLOCK, [0, 0]
     for limb in (0, 1):
         for lo, hi, sign in ((ca, ce, 1), (cs, ca, -1)):
             for a in range(lo, hi, step):

@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import asdict
 
-from . import arithmetic, averaged, core, correlations, distribution, intervalstats, seqgen
+from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
 from .errors import BudgetError, ConsistencyError, FormatError, ParameterError
 from .io import read_integers, read_points, write_point_lines, write_points
 from .verify import DEFAULT_SEED, run_verify
@@ -119,10 +119,7 @@ def _cmd_corr(args) -> int:
         if args.star:
             raise ParameterError("--star applies to scale windows, not the box form")
         boxes = [_parse_pair(part, "box") for part in args.box.split(",") if part.strip()]
-        core.check_order(args.k)
-        if len(boxes) != args.k - 1:
-            raise ParameterError(f"need {args.k - 1} boxes for k = {args.k}")
-        rep = correlations.r_k_box(seq, boxes)
+        rep = correlations.r_k_box(seq, correlations._as_boxes(boxes, len(seq), args.k))
     else:
         scales = _scales_for(args)
         rep = (correlations.r_k_star if args.star else correlations.r_k_distinct)(seq, scales)
@@ -244,8 +241,8 @@ def sweep_rows(stat: str, s: float, sizes, kind: str, seed,
 
     family, k, star = parse_sweep_stat(stat)
     sizes = [int(n) for n in sizes]
-    if len(sizes) == 0 or sorted(sizes) != sizes:
-        raise ParameterError("sizes must be a nonempty increasing list")
+    if len(sizes) == 0 or sorted(sizes) != sizes or sizes[0] < 1:
+        raise ParameterError("sizes must be a nonempty increasing list of N >= 1")
     spec = seqgen.GeneratorSpec(kind=kind, alpha=alpha, degree=degree,
                                 seed=seed if kind == "uniform_random" else None)
 
@@ -262,7 +259,7 @@ def sweep_rows(stat: str, s: float, sizes, kind: str, seed,
 
     rows = []
     for n in sizes:
-        seq = seqgen.generate(spec, n)
+        seq = None if family == "bell" else seqgen.generate(spec, n)
         if family == "r":
             fn = correlations.r_k_star if star else correlations.r_k_distinct
             v = fn(seq, (s,) * (k - 1)).value
@@ -271,7 +268,7 @@ def sweep_rows(stat: str, s: float, sizes, kind: str, seed,
             v = rep.i_k_star if star else rep.i_k
         elif family == "c":
             v = averaged.c_k_star(seq, (s,))
-        else:  # bell: pure function of s, constant in N
+        else:  # bell: pure function of s, constant in N, so no sequence
             v = intervalstats.bell_prediction(k, s)
         rows.append((n, v, tgt, abs(v - tgt)))
     return rows

@@ -17,11 +17,14 @@ fast counts and the oracles read every tie the same way.
 
 The 1-D window statistics (r_k_distinct, r_k_star, r_k_box, c_k_star,
 and the profile and moments of F(t,s,N), whose breakpoints are windows
-of twice F's radius) take their windows from self_window_blocks,
-_WINDOW_BLOCK = 2^15 anchors at a time, and reduce each block before
-the next: their transient memory is a block's, a few MiB, plus what the
-widest window adds (see each statistic), never O(N); r_k_testfn and
-r_k_consecutive keep the blocks' runs, 16 bytes per point.  A block's
+of twice F's radius) take their windows from self_window_blocks, _BLOCK
+anchors at a time, and reduce each block before the next: their
+transient memory is a block's, a few MiB, plus what the widest window
+adds (see each statistic), never O(N); r_k_testfn and r_k_consecutive
+keep the blocks' runs, 16 bytes per point.  _BLOCK = 2^15 is the one
+block size of every bounded pass in corrkit, read at call time: the
+weighted sums' row slices, the pair-sum sweeps and trial chunks of
+arithmetic, the lines of io and the terms of exact_sum too.  A block's
 windows of a symmetric arc cost one vectorized pass per neighbour
 offset, up to min(widest one-sided window, _PASS_CAP = 8), counted per
 anchor in two byte-wide counters (11 bytes per anchor of the block with
@@ -149,9 +152,10 @@ def in_arc(d: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
     return d - arc[0] % GRID <= arc[1] - arc[0]  # all False when hi < lo
 
 
-# anchors per block of the 1-D window statistics: each block's arrays stay
-# cache-sized and the transient memory does not grow with N
-_WINDOW_BLOCK = 1 << 15
+# elements per block of every bounded pass (anchors, rows, pair sums,
+# trial points, lines, terms): each block's arrays stay cache-sized and
+# the transient memory does not grow with N
+_BLOCK = 1 << 15
 
 
 def _runs_search(grid: np.ndarray, keys: np.ndarray, side: str, cut: int) -> np.ndarray:
@@ -260,7 +264,7 @@ def _window_passes(grid: np.ndarray, b: int, cap: int, r: int, start: np.ndarray
 
 def self_window_blocks(grid: np.ndarray, arcs):
     """The windows of a 1-D sorted grid centred on itself, in blocks of at
-    most _WINDOW_BLOCK anchors: yields (b, [(start, end) per arc]).
+    most _BLOCK anchors: yields (b, [(start, end) per arc]).
 
     [start[t], end[t]) is the window of anchor i = b + t for the arc
     (lo, hi), -2^63 <= lo, hi <= 2^63, unrolled around the circle:
@@ -285,8 +289,8 @@ def self_window_blocks(grid: np.ndarray, arcs):
     the window widths.
     """
     m = grid.size
-    for b in range(0, m, _WINDOW_BLOCK):
-        g = grid[b:b + _WINDOW_BLOCK]
+    for b in range(0, m, _BLOCK):
+        g = grid[b:b + _BLOCK]
         wins = []
         for lo, hi in arcs:
             if lo == -hi:
@@ -303,9 +307,6 @@ def self_window_blocks(grid: np.ndarray, arcs):
 # every finite double is an integer multiple of 2^-1074, so q 2^1126 is an
 # int for every q below
 _EXACT_UNIT = 1 << 1126
-# terms per block: a smaller block needs a smaller sigma below, so each
-# extraction pass takes more bits, and keeps the temporaries in cache
-_EXACT_BLOCK = 1 << 16
 # with sum |x| below this, no sigma below overflows (math.fsum sums the rest)
 _EXACT_LIMIT = 2.0**1000
 
@@ -315,18 +316,18 @@ def _scaled_sum(x: np.ndarray) -> int:
     below _EXACT_LIMIT.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation", SIAM J. Sci. Comput. 2008), block by block: with max |p|
-    < 2^e and sigma = 2^(e + bit_length(n + 2)) >= 2^e (n + 2),
+    summation", SIAM J. Sci. Comput. 2008), in blocks of _BLOCK terms: with
+    max |p| < 2^e and sigma = 2^(e + bit_length(n + 2)) >= 2^e (n + 2),
     q = (p + sigma) - sigma holds the high bits of each of the n terms
     p, p - q the rest, both exact, and every partial sum of the q is a
     multiple of ulp(sigma) below sigma, so q.sum() is exact in any order.
-    Each pass leaves |p| <= 2^-53 sigma, 53 - bit_length(n + 2) bits (36
+    Each pass leaves |p| <= 2^-53 sigma, 53 - bit_length(n + 2) bits (37
     in a full block) below the last max |p|, until p is all zero.
     """
     total = 0
-    high, rest = np.empty(min(x.size, _EXACT_BLOCK)), np.empty(min(x.size, _EXACT_BLOCK))
-    for b in range(0, x.size, _EXACT_BLOCK):
-        p = x[b:b + _EXACT_BLOCK]
+    high, rest = np.empty(min(x.size, _BLOCK)), np.empty(min(x.size, _BLOCK))
+    for b in range(0, x.size, _BLOCK):
+        p = x[b:b + _BLOCK]
         q, width = high[:p.size], (p.size + 2).bit_length()
         while top := max(float(p.max()), -float(p.min())):
             sigma = math.ldexp(1.0, math.frexp(top)[1] + width)

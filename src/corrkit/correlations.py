@@ -36,7 +36,7 @@ no pair list: an anchor's candidates for one slot are one run of the
 unrolled sorted grid, so those of several slots are the intersection of
 their runs.  r_k_testfn and r_k_consecutive keep one window's run for
 every point, 16 bytes per point, and grow their tuples from it depth
-first, in slices of at most _CHUNK_ROWS rows; they call the test
+first, in slices of at most core._BLOCK rows; they call the test
 function once per slice on an (m, k-1) float64 array of scaled
 differences, and sum its weights exactly, rounded once
 (core.exact_chunk_sum, equal to one math.fsum over all of them).  The
@@ -120,11 +120,15 @@ def _as_scales(scales, k=None, n=None) -> tuple[float, ...]:
     return out
 
 
-def _as_boxes(boxes, n: int) -> tuple[tuple[float, float], ...]:
+def _as_boxes(boxes, n: int, k=None) -> tuple[tuple[float, float], ...]:
     """k-1 intervals (a_r, b_r) with a_r < b_r, for the signed box form of
-    an order 2 <= k <= 16, every bound at most N/2 in size, so no
-    constraint arc wraps."""
+    an order 2 <= k <= 16 (checked against k when given), every bound at
+    most N/2 in size, so no constraint arc wraps."""
+    if k is not None:
+        check_order(k)
     out = tuple((float(a), float(b)) for a, b in boxes)
+    if k is not None and len(out) != k - 1:
+        raise ParameterError(f"expected {k - 1} boxes for k = {k}, got {len(out)}")
     if len(out) < 1:
         raise ParameterError("need at least one interval (k >= 2)")
     if not all(b > a for a, b in out):  # NaN fails too
@@ -132,6 +136,13 @@ def _as_boxes(boxes, n: int) -> tuple[tuple[float, float], ...]:
     check_order(len(out) + 1)
     check_half(itertools.chain.from_iterable(out), n, _BOX_WRAPS)
     return out
+
+
+def _check_radius(radius: float, n: int) -> None:
+    """0 < support radius <= N/2 for the weighted sums and their oracle."""
+    if not radius > 0:  # NaN fails too
+        raise ParameterError(f"support radius must be positive, got {radius}")
+    check_half((radius,), n, "support radius {b} > N/2 = {half}")
 
 
 def _block_counts(g: np.ndarray, scales, n: int):
@@ -244,7 +255,7 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     it: O(Bell(k-1) N) work at most, whatever the window occupancy.  An
     anchor no tuple can fill counts zero, and a block of such anchors
     is skipped: sparse windows cost O(k N) at any order.  Per anchor
-    of a core._WINDOW_BLOCK block, the peak is 16 bytes per slot, 8 per
+    of a core._BLOCK block, the peak is 16 bytes per slot, 8 per
     cached block count (at most 2^(k-1) - 1) and under 40 more: 3 MiB at
     k = 3, 11.5 MiB at k = 6 (2.8 and 11.3 measured at N = 2^20).
     """
@@ -291,12 +302,6 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)
 
 
-# rows per join slice, counted before the rows that repeat an index are
-# dropped: each f call gets at most this many, and the tuple joins hold
-# one slice per depth, whatever N, k and the window widths
-_CHUNK_ROWS = 1 << 16
-
-
 def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: bool) -> float:
     """The sum, rounded once, of the weights f gives the distinct-index
     k-tuples whose consecutive (chained) or anchored index pairs are all
@@ -305,7 +310,7 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     Rows start as the anchors and grow depth first by k - 1 joins, on the
     last index when chained, on the anchor otherwise.  A join adds the
     key's window occupants first[key] + j mod N (its unrolled run, from
-    core.self_window_blocks) in slices of at most _CHUNK_ROWS rows, drops
+    core.self_window_blocks) in slices of at most core._BLOCK rows, drops
     the rows that repeat an index, and grows each slice or hands it to f.
     Column r of f's (m, k-1) array is N((x_u - x_v)) for the pair (u, v)
     of the r-th join.  The sum equals math.fsum over all the weights in
@@ -316,15 +321,13 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
     once.  Peak: the runs, 16 bytes per point, under 8 (2d + 7) bytes per
     row of the slice at each depth d < k, and f's temporaries; chained at
     k >= 4, the count holds 8 bytes per point (16 from k = 6) before the
-    joins start.  With g_eval at N = 2^20 and radius 1: 24.0 MiB at k = 3
-    and 36.1 at k = 6 anchored (about 1.3e9 rows, over the default
-    budget); chained at k = 4, 4.85e7 rows and 26.8 MiB.
+    joins start.  With g_eval at N = 2^20 and radius 1: 20.4 MiB at k = 3
+    and 26.3 at k = 6 anchored (about 1.3e9 rows, over the default
+    budget); chained at k = 4, 4.85e7 rows and 25.6 MiB.
     """
     n = len(seq)
     check_order(k)
-    if not radius > 0:  # NaN fails too
-        raise ParameterError(f"support radius must be positive, got {radius}")
-    check_half((radius,), n, "support radius {b} > N/2 = {half}")
+    _check_radius(radius, n)
     sp = seq.sorted_points
     first = np.empty(n, dtype=np.int64)
     last = np.empty(n, dtype=np.int64)
@@ -333,13 +336,14 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
         last[b:b + end.size] = end
     _charge_budget(_row_count(first, last, k, chained),
                    f"weighted {k}-tuple rows of radius {radius}, repeated indices included")
+    step = core._BLOCK
 
     def grow(cols, vals):
         key = cols[-1] if chained else cols[0]
         cnt = last[key] - first[key]
         ends = np.cumsum(cnt)
-        for a in range(0, int(ends[-1]), _CHUNK_ROWS):
-            z = min(a + _CHUNK_ROWS, int(ends[-1]))
+        for a in range(0, int(ends[-1]), step):
+            z = min(a + step, int(ends[-1]))
             # the rows that make outputs a, ..., z - 1, the first and last clipped
             r0, r1 = np.searchsorted(ends, (a, z - 1), side="right")
             c, at = cnt[r0:r1 + 1].copy(), first[key[r0:r1 + 1]]
@@ -364,7 +368,7 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
                 yield _row_weights(f, np.column_stack(offsets))
 
     return exact_chunk_sum(lambda: itertools.chain.from_iterable(
-        grow([np.arange(b, min(b + _CHUNK_ROWS, n))], []) for b in range(0, n, _CHUNK_ROWS)))
+        grow([np.arange(b, min(b + step, n))], []) for b in range(0, n, step)))
 
 
 def _row_count(first: np.ndarray, last: np.ndarray, k: int, chained: bool) -> int:
@@ -381,8 +385,7 @@ def _row_count(first: np.ndarray, last: np.ndarray, k: int, chained: bool) -> in
     point), read at the ends of the unrolled runs first, last, block by
     block.  Every count is one float64 sum over the blocks, exact while
     it is below 2^53."""
-    n = first.size
-    step = core._WINDOW_BLOCK
+    n, step = first.size, core._BLOCK
     blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
     def sums(prefix, lo, hi):  # w_(d+1) at lo, ..., hi - 1 from prefix, that of w_d (None: d = 0)
@@ -518,8 +521,7 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
         if k is None or support_radius is None:
             raise ParameterError("testfn mode needs k and support_radius")
         check_order(k)
-        if not support_radius > 0:
-            raise ParameterError(f"support radius must be positive, got {support_radius}")
+        _check_radius(support_radius, n)
         _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")
         scaled = n * _pairwise_signed(seq)
         terms = []

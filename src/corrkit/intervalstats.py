@@ -213,8 +213,9 @@ def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
     so the peak is the output and one block.  Sorted from 0, the a starts
     below 0 (g_i < R) come a lap later and the c ends past 2^64
     (g_i >= 2^64 - R - 1) a lap earlier: rank q goes to q - a + c mod 2N.
-    Endpoints of length 0 are marked (value -1) and compacted out a block
-    at a time, so the last of equal endpoints carries their merged value.
+    Endpoints of length 0 are marked (value -1) and dropped, so the last
+    of equal endpoints carries their merged value; the kept ones are then
+    copied, next to the arrays of 2N.
     """
     n, r = len(seq), _radius(seq, s)
     if r is None:
@@ -222,22 +223,17 @@ def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
     g = seq.sorted_grid
     shift = int(np.searchsorted(g, np.uint64(r))) + int(np.searchsorted(g, np.uint64(GRID - r - 1))) - n
     breakpoints, values = np.empty(2 * n, dtype=np.uint64), np.empty(2 * n, dtype=np.int64)
-    size = 2 * n
+    merged = 0
     for i, add, bound, value, length in _breakpoints(g, r):
         slot = (i + bound - shift) % (2 * n)
         breakpoints[slot] = g[i[0]:i[-1] + 1] + np.uint64(add)
-        merged = length == 0
-        value[merged] = -1
+        zero = length == 0
+        value[zero] = -1
         values[slot] = value
-        size -= int(np.count_nonzero(merged))
-    if size < 2 * n:  # equal endpoints merged
-        size = 0
-        for a in range(0, 2 * n, core._WINDOW_BLOCK):
-            kept = a + np.flatnonzero(values[a:a + core._WINDOW_BLOCK] >= 0)
-            breakpoints[size:size + kept.size] = breakpoints[kept]
-            values[size:size + kept.size] = values[kept]
-            size += kept.size
-        breakpoints, values = breakpoints[:size].copy(), values[:size].copy()
+        merged += int(np.count_nonzero(zero))
+    if merged:  # equal endpoints
+        kept = values >= 0
+        breakpoints, values = breakpoints[kept], values[kept]
     return SweepProfile(breakpoints, values, float(s), n)
 
 

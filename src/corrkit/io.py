@@ -11,7 +11,7 @@ the whole file; a line that is not UTF-8 is a FormatError naming it.
 
 read_points returns the doubles float() gives for the payload lines and
 makes no Python object per point for the files write_points writes.
-The lines go in blocks of core._WINDOW_BLOCK, and a line of the exact
+The lines go in blocks of core._BLOCK, and a line of the exact
 form '0.' and 1-19 digits is converted without a str: its digits, read
 eight to a uint64 word and padded to 19, are an integer M < 10^19 <
 2^64, and q = M / 10^19 in np.longdouble is exact but for the one
@@ -32,7 +32,7 @@ its first line at fault in a FormatError.
 
 write_points writes each point as repr(float) does, the shortest
 decimal that reads back to it, and makes no str per point.  The points
-go in blocks of core._WINDOW_BLOCK; the digits of a point in [1e-4, 1)
+go in blocks of core._BLOCK; the digits of a point in [1e-4, 1)
 are the nearest c / 10^d of fewest places d, with c found from the
 double's significand m and exponent k in exact uint64 arithmetic: the
 limbs of m 5^d shifted right by k - d, rounded with ties to even, and
@@ -135,9 +135,9 @@ def _plain_values(path, data: bytes) -> np.ndarray:
     lines = breaks.size + 1  # and a last one after the last '\n', maybe empty
     out = np.empty(lines)
     size = 0
-    for b in range(0, lines, core._WINDOW_BLOCK):
-        ends = breaks[b:b + core._WINDOW_BLOCK]
-        if b + core._WINDOW_BLOCK >= lines:
+    for b in range(0, lines, core._BLOCK):
+        ends = breaks[b:b + core._BLOCK]
+        if b + core._BLOCK >= lines:
             ends = np.append(ends, buf.size)
         starts = np.empty_like(ends)
         starts[0] = breaks[b - 1] + 1 if b else 0
@@ -210,7 +210,7 @@ def read_points(path) -> PointSequence:
     The file is held once, as bytes (twice while its line breaks are
     made '\n'), with 8 bytes per line for the line ends and 8 for the
     values; on top, a bool per byte while the lines are split, then
-    about 100 bytes per line of a block of core._WINDOW_BLOCK lines:
+    about 100 bytes per line of a block of core._BLOCK lines:
     10.0 MiB for 2e5 reprs (3.7 MiB).  The bytes are dropped before the
     PointSequence is built, 32 bytes per point."""
     return PointSequence(_plain_values(path, _lines(path)))
@@ -323,7 +323,7 @@ def write_point_lines(fh, seq: PointSequence) -> None:
     """One point per line as repr(float), the shortest text that reads
     back to the same double: a fixed sequence always gives the same bytes.
 
-    The points go in blocks of core._WINDOW_BLOCK, each made one str from
+    The points go in blocks of core._BLOCK, each made one str from
     one uint8 buffer of lines, with no str per point.  A point x in
     [1e-4, 1) is written '0.' and the d digits of c, zero-padded, where
     c / 10^d is the decimal of fewest places d that reads back to x, and
@@ -344,8 +344,8 @@ def write_point_lines(fh, seq: PointSequence) -> None:
     fail the test, need d > 19 places (c might not fit a uint64) or give
     s outside [1, 63]."""
     pts = seq.points
-    for b in range(0, pts.size, core._WINDOW_BLOCK):
-        fh.write(_block_lines(pts[b:b + core._WINDOW_BLOCK]))
+    for b in range(0, pts.size, core._BLOCK):
+        fh.write(_block_lines(pts[b:b + core._BLOCK]))
 
 
 def write_points(path, seq: PointSequence) -> None:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrkit import arithmetic
+from corrkit import arithmetic, core
 from corrkit import (
     BudgetError,
     ConsistencyError,
@@ -339,7 +339,7 @@ def test_batched_metric_experiment_is_the_per_trial_loop(a, s, n, trials):
     got = metric_r3_experiment(a, s, n, trials, 1729)
     assert got == _metric_by_trial_loop(a, s, n, trials, 1729)
     if trials == 200:
-        assert n * trials > 2 * arithmetic._TRIAL_CHUNK
+        assert n * trials > 2 * core._BLOCK
 
 
 def test_metric_experiment_chunk_edges(monkeypatch):
@@ -347,7 +347,7 @@ def test_metric_experiment_chunk_edges(monkeypatch):
     a = [m * m for m in range(1, 101)]
     want = _metric_by_trial_loop(a, 0.7, 100, 10, 5)
     for chunk in (300, 1):
-        monkeypatch.setattr(arithmetic, "_TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(core, "_BLOCK", chunk)
         assert metric_r3_experiment(a, 0.7, 100, 10, 5) == want
 
 

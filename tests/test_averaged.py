@@ -164,7 +164,7 @@ def test_one_overlap_sum_per_distinct_scale(monkeypatch):
 
     monkeypatch.setattr(averaged, "_overlap_sums", counting)
     monkeypatch.setattr(averaged, "self_window_blocks", counting_blocks)
-    monkeypatch.setattr(core, "_WINDOW_BLOCK", 7)
+    monkeypatch.setattr(core, "_BLOCK", 7)
     # the values are those of one L per slot, multiplied in slot order
     assert c_k_star(seq, (2.0, 2.0)) == n * math.fsum((l2 * l2).tolist())
     assert c_k_star(seq, (1.0, 2.0, 1.0)) == n**2 * math.fsum((l1 * l2 * l1).tolist())

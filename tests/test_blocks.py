@@ -1,7 +1,8 @@
-"""The 1-D window statistics run in blocks of core._WINDOW_BLOCK anchors:
-their results must not depend on where the blocks are cut, their windows
-must be those two plain searches find, however many passes run, and
-their transient memory must not grow with N."""
+"""Every bounded pass runs in blocks of core._BLOCK elements, the 1-D
+window statistics in blocks of that many anchors: their results must
+not depend on where the blocks are cut, their windows must be those two
+plain searches find, however many passes run, and their transient
+memory must not grow with N."""
 
 import bisect
 import tracemalloc
@@ -9,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrkit import (PointSequence, averaged, c_k_star, c_k_star_local, core, g_eval, moments,
-                     r_k_box, r_k_consecutive, r_k_distinct, r_k_star, r_k_testfn, sweep_profile,
-                     uniform_random)
-from corrkit.core import GRID, grid_arc, in_arc
+from corrkit import (PointSequence, additive_energy, averaged, c_k_star, c_k_star_local, core,
+                     g_eval, metric_r3_experiment, moments, r_k_box, r_k_consecutive, r_k_distinct,
+                     r_k_star, r_k_testfn, read_points, sweep_profile, three_ap_count,
+                     uniform_random, write_points)
+from corrkit.core import GRID, exact_sum, grid_arc, in_arc
 
 
 def _inputs():
@@ -47,9 +49,12 @@ def _results(seq):
                 c_k_star_local(seq, s, 3, (0.0, 0.5)).hex(),
                 c_k_star_local(seq, s, 2, (0.25, 1.0)).hex(),
                 # slot arcs that hold 0 or not, and the whole circle at s = N/2
-                r_k_box(seq, ((-s, 0.5 * s), (0.25 * s, s), (-s, s))).raw_count,
-                r_k_testfn(seq, _tilted_tent(s), s, 3).value.hex(),
-                r_k_consecutive(seq, _tilted_tent(s), s, 3).value.hex()]
+                r_k_box(seq, ((-s, 0.5 * s), (0.25 * s, s), (-s, s))).raw_count]
+        # the weighted sums' rows go in slices of a block too, at blocks of
+        # one an f call each: only where they are few, sum_i z_i^2 at k = 3
+        if r_k_star(seq, (s, s)).raw_count <= 3000:
+            out += [r_k_testfn(seq, _tilted_tent(s), s, 3).value.hex(),
+                    r_k_consecutive(seq, _tilted_tent(s), s, 3).value.hex()]
     for s in sorted({1.0, n / 2, float(n)}):
         rep = moments(seq, s, 3)
         prof = sweep_profile(seq, s)
@@ -72,7 +77,7 @@ def _check_block_boundaries(monkeypatch):
         seq = PointSequence(x)
         results = []
         for block in (1, 7, len(seq)):
-            monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+            monkeypatch.setattr(core, "_BLOCK", block)
             results.append(_results(seq))
         assert results[0] == results[1] == results[2], x
         cases += 1
@@ -127,7 +132,7 @@ def _unrolled_window(g, arc):
 @pytest.mark.parametrize("block", [1, 7, 1 << 15])
 def test_window_passes_match_plain_searches(monkeypatch, cap, block):
     monkeypatch.setattr(core, "_PASS_CAP", cap)
-    monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+    monkeypatch.setattr(core, "_BLOCK", block)
     cases = 0
     for g, arcs in _window_cases():
         wins = [w for _, ws in core.self_window_blocks(g, arcs) for w in ws]
@@ -164,7 +169,7 @@ def test_windows_of_any_arc_are_its_occupants(monkeypatch, block):
     # arcs on one side of 0, ending at 0, empty, and the whole circle from
     # -2^63: the run [start, end) holds each occupant once, the anchor only
     # where the arc holds 0
-    monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+    monkeypatch.setattr(core, "_BLOCK", block)
     for x in _inputs():
         g, n = PointSequence(x).sorted_grid, len(x)
         arcs = [grid_arc(0.25, 1.0, n), grid_arc(-2.5, -0.5, n), grid_arc(-1.0, 0.0, n),
@@ -190,7 +195,7 @@ def test_symmetric_arcs_past_half_a_lap_are_unrolled_windows(monkeypatch, cap, b
     # lies within r of the anchor both ways (lattices of even N put points
     # exactly 2^63 off, the repeated sets equal points a lap apart)
     monkeypatch.setattr(core, "_PASS_CAP", cap)
-    monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+    monkeypatch.setattr(core, "_BLOCK", block)
     longer = 0
     for x in _inputs():
         g = PointSequence(x).sorted_grid
@@ -226,7 +231,7 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
 # r_k_distinct and r_k_star, 84 MiB for c_k_star, 80 MiB for moments and
 # a window pair list about 370 MiB for r_k_box and 100 MiB for the
 # weighted sums.  The bounds are those the docstrings state for windows
-# of a few points at _WINDOW_BLOCK = 2^15; the weighted sums hold 16 bytes
+# of a few points at _BLOCK = 2^15; the weighted sums hold 16 bytes
 # per point besides, their window runs.
 @pytest.mark.parametrize("stat, bound_mib", [
     (lambda seq: r_k_distinct(seq, (1.0, 1.0)), 4),
@@ -242,7 +247,7 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
 ], ids=["r_k_distinct", "r_k_distinct_k5", "r_k_star", "c_k_star", "c_k_star_k3",
         "c_k_star_local", "moments", "r_k_box", "r_k_testfn", "r_k_consecutive"])
 def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
-    assert core._WINDOW_BLOCK == 1 << 15
+    assert core._BLOCK == 1 << 15
     seq = uniform_random(1 << 20, 7)
     tracemalloc.start()
     try:
@@ -257,7 +262,7 @@ def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
 def test_c_k_star_wide_window_peak_is_a_block(s):
     # windows of 8e5 points and the whole circle: the first block's runs
     # start at its own cursors, so no block's prefix sums span a window
-    assert core._WINDOW_BLOCK == 1 << 15
+    assert core._BLOCK == 1 << 15
     seq = uniform_random(1 << 20, 7)
     tracemalloc.start()
     try:
@@ -292,7 +297,7 @@ def test_c_k_star_takes_both_prefix_layouts(monkeypatch):
         n = len(seq)
         results = []
         for block in (1, 7, n):
-            monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+            monkeypatch.setattr(core, "_BLOCK", block)
             results.append([c_k_star(seq, (s,)).hex() for s in sorted({0.5, 1.0, n / 2, float(n)})])
         assert results[0] == results[1] == results[2], x
     assert layouts == {2, 6}
@@ -303,7 +308,43 @@ def test_overlap_sums_are_the_whole_grid_sums(monkeypatch):
     seq = PointSequence(np.random.default_rng(42).random(100))
     g, n = seq.sorted_grid, len(seq)
     whole = np.concatenate(list(averaged._overlap_sums(g, 3.0, n)))
-    monkeypatch.setattr(core, "_WINDOW_BLOCK", 1)
+    monkeypatch.setattr(core, "_BLOCK", 1)
     parts = list(averaged._overlap_sums(g, 3.0, n))
     assert len(parts) == n
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _every_blocked_pass(path):
+    """The results of each pass that runs in blocks of core._BLOCK, as
+    exact ints, hex, lists and bytes."""
+    rng = np.random.default_rng(25)
+    # a cluster whose windows span many small blocks, and 30 points spread out
+    seq = PointSequence(np.concatenate((0.4 + rng.random(30) * 1e-3, rng.random(30))))
+    lattice = PointSequence(np.repeat(np.arange(20) / 20, 2))  # equal endpoints merge
+    squares = [m * m for m in range(1, 101)]  # the flat pair-sum sweep
+    wide = [m * 2**34 + 7 for m in range(1, 41)]  # a progression past the flat tables
+    out = [r_k_distinct(seq, (1.0, 2.0)).raw_count, r_k_star(seq, (1.0, 2.0)).raw_count,
+           r_k_box(seq, ((-1.0, 2.0), (0.5, 3.0))).raw_count,
+           c_k_star(seq, (1.0,)).hex(), c_k_star(seq, (2.0, 20.0)).hex(),
+           c_k_star_local(seq, 1.0, 3, (0.25, 0.75)).hex(),
+           r_k_testfn(seq, _tilted_tent(2.0), 2.0, 3).value.hex(),
+           r_k_consecutive(seq, _tilted_tent(2.0), 2.0, 3).value.hex(),
+           exact_sum(np.ldexp(rng.standard_normal(200), rng.integers(-60, 60, 200))).hex(),
+           additive_energy(squares), three_ap_count(squares),
+           additive_energy(wide), three_ap_count(wide),
+           metric_r3_experiment(squares, 0.7, 100, 10, 5)]
+    for pts in (seq, lattice):
+        for s in (2.0, 20.0):
+            rep, prof = moments(pts, s, 3), sweep_profile(pts, s)
+            out += [rep.i_k.hex(), rep.i_k_star.hex(), prof.breakpoints.tolist(), prof.values.tolist()]
+    # points that go to repr (0, below 1e-4, powers of two) among the blocked digits
+    write_points(path, PointSequence([0.0, 3e-7, 0.5, *rng.random(20).tolist(), 2.0**-3]))
+    return out + [path.read_bytes(), read_points(path).points.tobytes()]
+
+
+def test_tiny_blocks_give_the_default_results(tmp_path, monkeypatch):
+    # blocks of 5 cut every pass many times: anchors, join rows and their
+    # anchors, extraction terms, pair sums, trial rows and lines
+    want = _every_blocked_pass(tmp_path / "default.txt")
+    monkeypatch.setattr(core, "_BLOCK", 5)
+    assert _every_blocked_pass(tmp_path / "tiny.txt") == want

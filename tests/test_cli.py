@@ -5,7 +5,7 @@ import pytest
 
 from corrkit.cli import main, parse_sweep_stat, rows_to_csv, sweep_rows
 from corrkit.io import read_integers, read_points, write_points
-from corrkit import FormatError, PointSequence
+from corrkit import FormatError, ParameterError, PointSequence, random_correlation_stats, seqgen
 
 
 @pytest.fixture()
@@ -312,6 +312,27 @@ def test_sweep_bell_constant_deviation_zero(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     for line in lines[1:]:
         assert line.split(",")[-1] == "0.0"
+
+
+def test_sweep_bell_generates_no_sequence(monkeypatch, capsys):
+    def refuse(spec, n):
+        raise AssertionError("the Poisson moments need no sequence")
+
+    monkeypatch.setattr(seqgen, "generate", refuse)
+    assert main(["sweep", "--stat", "bell3", "--s", "1", "--N", "100000,1000000"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "N,statistic,target,deviation", "100000,5.0,5.0,0.0", "1000000,5.0,5.0,0.0"]
+    # every family refuses N < 1, sequence or not
+    assert main(["sweep", "--stat", "bell2", "--s", "1", "--N", "0,10"]) == 2
+    assert "N >= 1" in capsys.readouterr().err
+
+
+def test_box_count_is_one_rule_for_both_callers(points_file, capsys):
+    message = "expected 2 boxes for k = 3, got 1"
+    assert main(["corr", "--input", str(points_file), "--k", "3", "--box", "0:1"]) == 2
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        random_correlation_stats(3, ((0.0, 1.0),), 100, 4, 0)
 
 
 def test_sweep_dyadic_triple_identically_zero(capsys):

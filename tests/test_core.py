@@ -229,7 +229,7 @@ def test_exact_sum_is_fsum_bit_for_bit(values, cuts):
 @given(st.lists(st.one_of(scaled_double, tiny), min_size=1, max_size=60), st.integers(1, 7))
 def test_exact_sum_across_blocks(values, block):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_EXACT_BLOCK", block)
+        mp.setattr(core, "_BLOCK", block)
         assert _same(_outcome(exact_sum, np.array(values)), _outcome(math.fsum, values))
 
 
@@ -253,7 +253,7 @@ def test_exact_sum_mixes_subnormals_the_limit_and_cancellation(pairs, block, rnd
     if rnd is not None:
         rnd.shuffle(values)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_EXACT_BLOCK", block)
+        mp.setattr(core, "_BLOCK", block)
         assert _same(_outcome(exact_sum, np.array(values)), _outcome(math.fsum, values))
 
 

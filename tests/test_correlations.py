@@ -229,7 +229,7 @@ def test_testfn_zero_function():
 def test_testfn_special_weights_follow_fsum(monkeypatch):
     # one chunk per window pair: two weights of 1e308 overflow math.fsum,
     # so the exact chunk sum must hand every chunk to it; NaN propagates
-    monkeypatch.setattr(correlations, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(core, "_BLOCK", 1)
     seq = PointSequence([0.1, 0.11, 0.5, 0.51])
     big_left = lambda ys: np.where(ys[:, 0] < 0, 1e308, 1.0)
     with pytest.raises(OverflowError):
@@ -290,7 +290,8 @@ def test_testfn_oracle_is_the_per_tuple_loop(star):
         n = int(rng.integers(1, {2: 14, 3: 10, 4: 7}[k]))
         seq = PointSequence(rng.random(n))
         for f in weights:
-            oracle = lambda: brute_force_r_k(seq, testfn=f, support_radius=1.0, k=k, star=star).value
+            # the oracle gives f every tuple whatever the radius: N/2 is the widest it takes
+            oracle = lambda: brute_force_r_k(seq, testfn=f, support_radius=n / 2, k=k, star=star).value
             loop = lambda: _testfn_by_tuple(seq, f, k, star)
             assert _value_or_error(oracle) == _value_or_error(loop)
 
@@ -320,9 +321,20 @@ def test_consecutive_substitution_identity():
 
 
 def test_support_radius_validated():
-    seq = PointSequence([0.1, 0.5, 0.9])
-    with pytest.raises(ParameterError):
-        r_k_testfn(seq, lambda ys: np.zeros(len(ys)), 2.0, 2)
+    # 12 points: radius N/2 = 6 is the widest for the weighted sums and
+    # their oracle alike, and the tent that vanishes there weighs every tuple
+    seq = PointSequence(np.random.default_rng(12).random(12))
+    f = lambda ys: np.prod(np.maximum(6.0 - np.abs(ys), 0.0), axis=1)
+    for k in (2, 3):
+        brute = brute_force_r_k(seq, testfn=f, support_radius=6.0, k=k).value
+        assert r_k_testfn(seq, f, 6.0, k).value == brute > 0
+    past = float(np.nextafter(6.0, 7.0))
+    for radius, message in ((past, f"support radius {past} > N/2 = 6.0"), (8.0, "support radius 8.0 > N/2"),
+                            (math.nan, "support radius must be positive, got nan")):
+        for call in (lambda: r_k_testfn(seq, f, radius, 2), lambda: r_k_consecutive(seq, f, radius, 3),
+                     lambda: brute_force_r_k(seq, testfn=f, support_radius=radius, k=2)):
+            with pytest.raises(ParameterError, match=f"^{message}"):
+                call()
 
 
 @pytest.mark.parametrize("radius", [-0.5, 0.0])
@@ -398,7 +410,7 @@ def test_one_window_per_distinct_scale(monkeypatch):
             yield b, wins
 
     monkeypatch.setattr(correlations, "self_window_blocks", counting)
-    monkeypatch.setattr(core, "_WINDOW_BLOCK", 7)
+    monkeypatch.setattr(core, "_BLOCK", 7)
     r_k_distinct(seq, (1, 1, 1))
     assert windows == [1] * 29  # 200 anchors in blocks of 7
     windows.clear()
@@ -579,18 +591,14 @@ def test_chunking_does_not_change_results(monkeypatch):
                 [r_k_testfn(seq, f, 1.0, k).value.hex() for k in (2, 3, 4)],
                 [r_k_consecutive(seq, f, 1.0, k).value.hex() for k in (2, 3, 4)])
 
-    whole = run()
-    monkeypatch.setattr(correlations, "_CHUNK_ROWS", 7)
-    assert run() == whole
-
     ints = np.unique(rng.integers(1, 400, size=60)).tolist()
-    counts = (additive_energy(ints), three_ap_count(ints))
-    monkeypatch.setattr(arithmetic, "_PAIR_CHUNK", 7)
-    assert (additive_energy(ints), three_ap_count(ints)) == counts
+    whole = run(), additive_energy(ints), three_ap_count(ints)
+    monkeypatch.setattr(core, "_BLOCK", 7)
+    assert (run(), additive_energy(ints), three_ap_count(ints)) == whole
 
 
 def _split_rows(monkeypatch, form, k, n):
-    monkeypatch.setattr(correlations, "_CHUNK_ROWS", 1024)
+    monkeypatch.setattr(core, "_BLOCK", 1024)
     sizes = []
 
     def f(ys):

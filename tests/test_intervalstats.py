@@ -166,7 +166,7 @@ def test_moments_histogram_equals_the_profile_value_lengths(points, frac):
 
 def test_sweep_profile_in_blocks_of_seven_equals_unique_construction():
     # blocks of 7 anchors cut the windows, and the merged runs, many times
-    with mock.patch.object(core, "_WINDOW_BLOCK", 7):
+    with mock.patch.object(core, "_BLOCK", 7):
         test_sweep_profile_equals_unique_construction()
 
 

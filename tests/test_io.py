@@ -212,19 +212,19 @@ def test_blocks_of_lines_match_the_line_scan(tmp_path, monkeypatch):
     # blanks on both sides of each block boundary; then one line more
     # per file than the blocks hold, and blocks of 1 and 7 lines
     rng = np.random.default_rng(11)
-    lines = 2 * core._WINDOW_BLOCK + 3
+    lines = 2 * core._BLOCK + 3
     x = rng.random(lines)
     text = [f"{v!r}" for v in x.tolist()]
     for i in range(0, lines, 5):
         text[i] = f"{float(x[i]) * 1e-6!r}"
-    for i in (0, core._WINDOW_BLOCK - 1, core._WINDOW_BLOCK, 2 * core._WINDOW_BLOCK + 1):
+    for i in (0, core._BLOCK - 1, core._BLOCK, 2 * core._BLOCK + 1):
         text[i] = "# c" if i % 2 else ""
     path = _write(tmp_path, "\n".join(text) + "\n")
     assert _points(path).tobytes() == _line_scan(path).tobytes()
     # short lines last: blocks before the last one reach the file's end
     small = _write(tmp_path, "\n".join(text[:200] + ["", "0.5", "#", "", "0.1"]))
     for block in (1, 7):
-        monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK", block)
         assert _points(small).tobytes() == _line_scan(small).tobytes()
 
 
@@ -286,7 +286,7 @@ def test_plain_file_peak_is_its_bytes_and_its_points(tmp_path):
     finally:
         tracemalloc.stop()
     assert seq.points.tobytes() == x.tobytes()
-    assert peak < size + 16 * x.size + max(size, 100 * core._WINDOW_BLOCK) + 2**20
+    assert peak < size + 16 * x.size + max(size, 100 * core._BLOCK) + 2**20
 
 
 def test_rejected_plain_file_peak_is_one_block_of_lines(tmp_path):
@@ -302,7 +302,7 @@ def test_rejected_plain_file_peak_is_one_block_of_lines(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < size + 16 * x.size + max(size, 100 * core._WINDOW_BLOCK) + 2**20
+    assert peak < size + 16 * x.size + max(size, 100 * core._BLOCK) + 2**20
 
 
 def _repr_file(x):
@@ -356,7 +356,7 @@ def test_written_blocks_splice_the_reprs_in_order(tmp_path, monkeypatch):
     # first and last point of a block and as a whole block; then blocks of
     # 1 and 7 points
     rng = np.random.default_rng(24)
-    b = core._WINDOW_BLOCK
+    b = core._BLOCK
     x = rng.random(2 * b + 3)
     for i in (0, b - 1, b, b + 1, 2 * b, 2 * b + 2):
         x[i] = [0.0, 2.0**-3, 3e-7, 0.000123456789012345678][i % 4]
@@ -364,7 +364,7 @@ def test_written_blocks_splice_the_reprs_in_order(tmp_path, monkeypatch):
     assert _written(path, x.tolist()) == _repr_file(x.tolist())
     small = [*x[:30].tolist(), 0.0, 0.5, 0.25, 1e-9, *x[-30:].tolist(), 0.5]
     for block in (1, 7):
-        monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK", block)
         assert _written(path, small) == _repr_file(small)
         assert _written(path, [0.0] * 9) == _repr_file([0.0] * 9)
 
@@ -396,7 +396,7 @@ def test_written_points_peak_is_one_block(tmp_path, monkeypatch, block):
     # 2^18 points: about 130 bytes per point of a block (4 MiB at 2^15),
     # not a float and a str per point (more than 8 MiB)
     if block:
-        monkeypatch.setattr(core, "_WINDOW_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK", block)
     seq = PointSequence(np.random.default_rng(18).random(1 << 18))
     path = tmp_path / "pts.txt"
     tracemalloc.start()
@@ -406,4 +406,4 @@ def test_written_points_peak_is_one_block(tmp_path, monkeypatch, block):
     finally:
         tracemalloc.stop()
     assert path.read_bytes() == _repr_file(seq.points.tolist())
-    assert peak < 160 * core._WINDOW_BLOCK + 2**16
+    assert peak < 160 * core._BLOCK + 2**16
