@@ -119,7 +119,7 @@ def _cmd_corr(args) -> int:
         if args.star:
             raise ParameterError("--star applies to scale windows, not the box form")
         boxes = [_parse_pair(part, "box") for part in args.box.split(",") if part.strip()]
-        rep = correlations.r_k_box(seq, correlations._as_boxes(boxes, len(seq), args.k))
+        rep = correlations.r_k_box(seq, boxes, args.k)
     else:
         scales = _scales_for(args)
         rep = (correlations.r_k_star if args.star else correlations.r_k_distinct)(seq, scales)

@@ -240,9 +240,10 @@ def _set_partitions(m: int, alive, r: int = 0, blocks: tuple = ()):
         yield from _set_partitions(m, alive, r + 1, blocks + (bit,))
 
 
-def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
+def r_k_box(seq: PointSequence, boxes, k=None) -> CorrelationReport:
     """Distinct-index count with signed per-slot constraints
-    a_r/N <= ((x_{i_1} - x_{i_{r+1}})) <= b_r/N.
+    a_r/N <= ((x_{i_1} - x_{i_{r+1}})) <= b_r/N, over k - 1 boxes (the
+    count is checked when k is given).
 
     Symmetric boxes (-s, s) reproduce r_k_distinct.  Per anchor the slot
     candidate sets are arcs that need not be nested, so injective tuples
@@ -260,7 +261,7 @@ def r_k_box(seq: PointSequence, boxes) -> CorrelationReport:
     k = 3, 11.5 MiB at k = 6 (2.8 and 11.3 measured at N = 2^20).
     """
     n = len(seq)
-    boxes = _as_boxes(boxes, n)
+    boxes = _as_boxes(boxes, n, k)
     k = len(boxes) + 1
     # a/N <= ((c - y)) <= b/N for anchor c and occupant y: y - c in (-hi, -lo)
     arcs = [(-hi, -lo) for lo, hi in (grid_arc(a, b, n) for a, b in boxes)]

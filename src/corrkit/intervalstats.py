@@ -223,16 +223,13 @@ def sweep_profile(seq: PointSequence, s: float) -> SweepProfile:
     g = seq.sorted_grid
     shift = int(np.searchsorted(g, np.uint64(r))) + int(np.searchsorted(g, np.uint64(GRID - r - 1))) - n
     breakpoints, values = np.empty(2 * n, dtype=np.uint64), np.empty(2 * n, dtype=np.int64)
-    merged = 0
     for i, add, bound, value, length in _breakpoints(g, r):
         slot = (i + bound - shift) % (2 * n)
         breakpoints[slot] = g[i[0]:i[-1] + 1] + np.uint64(add)
-        zero = length == 0
-        value[zero] = -1
+        value[length == 0] = -1
         values[slot] = value
-        merged += int(np.count_nonzero(zero))
-    if merged:  # equal endpoints
-        kept = values >= 0
+    kept = values >= 0
+    if not kept.all():  # equal endpoints
         breakpoints, values = breakpoints[kept], values[kept]
     return SweepProfile(breakpoints, values, float(s), n)
 

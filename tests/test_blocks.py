@@ -51,10 +51,11 @@ def _results(seq):
                 # slot arcs that hold 0 or not, and the whole circle at s = N/2
                 r_k_box(seq, ((-s, 0.5 * s), (0.25 * s, s), (-s, s))).raw_count]
         # the weighted sums' rows go in slices of a block too, at blocks of
-        # one an f call each: only where they are few, sum_i z_i^2 at k = 3
-        if r_k_star(seq, (s, s)).raw_count <= 3000:
-            out += [r_k_testfn(seq, _tilted_tent(s), s, 3).value.hex(),
-                    r_k_consecutive(seq, _tilted_tent(s), s, 3).value.hex()]
+        # one an f call each: at k = 3 where the rows are few, sum_i z_i^2,
+        # else at k = 2, at most N^2 rows, cut at the same window blocks
+        k = 3 if r_k_star(seq, (s, s)).raw_count <= 3000 else 2
+        out += [k, r_k_testfn(seq, _tilted_tent(s), s, k).value.hex(),
+                r_k_consecutive(seq, _tilted_tent(s), s, k).value.hex()]
     for s in sorted({1.0, n / 2, float(n)}):
         rep = moments(seq, s, 3)
         prof = sweep_profile(seq, s)

@@ -5,7 +5,8 @@ import pytest
 
 from corrkit.cli import main, parse_sweep_stat, rows_to_csv, sweep_rows
 from corrkit.io import read_integers, read_points, write_points
-from corrkit import FormatError, ParameterError, PointSequence, random_correlation_stats, seqgen
+from corrkit import (FormatError, ParameterError, PointSequence, r_k_box, random_correlation_stats,
+                     seqgen)
 
 
 @pytest.fixture()
@@ -333,6 +334,10 @@ def test_box_count_is_one_rule_for_both_callers(points_file, capsys):
     assert capsys.readouterr().err == f"parameter error: {message}\n"
     with pytest.raises(ParameterError, match=f"^{message}$"):
         random_correlation_stats(3, ((0.0, 1.0),), 100, 4, 0)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        r_k_box(read_points(points_file), ((0.0, 1.0),), 3)
+    assert r_k_box(read_points(points_file), ((0.0, 1.0),), 2) == r_k_box(
+        read_points(points_file), ((0.0, 1.0),))
 
 
 def test_sweep_dyadic_triple_identically_zero(capsys):
