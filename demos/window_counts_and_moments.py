@@ -43,10 +43,11 @@ for k in (2, 3, 4):
           f"I_k* = {rep.i_k_star:7.4f} (Bell {ck.bell_prediction(k, 1.0):.1f})")
 
 banner("The tent test function ties moments to correlation sums")
-print("g_s^(k)(y) = {s - max_i {y_i}+ - max_i {-y_i}+}+ integrates to s^k:")
-for k, s in ((2, 1.0), (3, 2.0)):
-    mc = ck.g_integral_mc(k, s, 10**5, seed=5)
-    print(f"  k={k}, s={s}: MC {mc.estimate:.4f} +- {mc.standard_error:.4f} vs s^k = {s**k}")
+print("g_s^(k)(y) = {s - max_i {y_i}+ - max_i {-y_i}+}+ integrates to s^k;")
+print("for an integer s its sum over the lattice points of [-s, s]^(k-1) is s^k exactly:")
+for k, s in ((2, 1), (3, 2), (4, 3)):
+    z = np.indices((2 * s + 1,) * (k - 1)).reshape(k - 1, -1).T - s
+    print(f"  k={k}, s={s}: lattice sum {ck.g_eval(k, s, z).sum():g} vs s^k = {s**k}")
 
 n = 60
 seq = ck.PointSequence(np.random.default_rng(1).random(n))

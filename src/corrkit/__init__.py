@@ -48,13 +48,11 @@ from .distribution import (
 )
 from .errors import BudgetError, ConsistencyError, CorrkitError, FormatError, ParameterError
 from .intervalstats import (
-    MCIntegral,
     MomentReport,
     SweepProfile,
     bell_prediction,
     f_count,
     g_eval,
-    g_integral_mc,
     i_k_via_correlation,
     moments,
     sweep_profile,

@@ -24,6 +24,7 @@ import sys
 from dataclasses import asdict
 
 from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
+from .core import stirling_second
 from .errors import BudgetError, ConsistencyError, FormatError, ParameterError
 from .io import read_integers, read_points, write_point_lines, write_points
 from .verify import DEFAULT_SEED, run_verify
@@ -188,11 +189,10 @@ def _cmd_metric(args) -> int:
 
 def _cmd_dist(args) -> int:
     seq = read_points(args.input)
-    prof = distribution.dyadic_profile(seq, args.r)
-    payload = {
+    payload = {  # the density moment checks k before the masses' buckets
         "schema": SCHEMA, "kind": "dist", "n": len(seq), "level": args.r, "k": args.k,
-        "masses": prof.masses.tolist(),
         "density_moment": distribution.density_moment_lower_bound(seq, args.r, args.k),
+        "masses": distribution.dyadic_profile(seq, args.r).masses.tolist(),
         "star_discrepancy": distribution.star_discrepancy(seq),
     }
     _emit(args, payload)
@@ -235,27 +235,15 @@ def sweep_rows(stat: str, s: float, sizes, kind: str, seed,
 
     Targets are the fully Poissonian limits: (2s)^(k-1) for r_k,
     sum_m S(k,m)(2s)^(m-1) for r_k*, s^k for I_k, the Poisson moment
-    polynomial for I_k* and bell, and s^2+s for c2star.
+    polynomial for I_k* and bell, and s^2+s for c2star, each formed after
+    the statistic has checked s.
     """
-    from .core import stirling_second
-
     family, k, star = parse_sweep_stat(stat)
     sizes = [int(n) for n in sizes]
     if len(sizes) == 0 or sorted(sizes) != sizes or sizes[0] < 1:
         raise ParameterError("sizes must be a nonempty increasing list of N >= 1")
     spec = seqgen.GeneratorSpec(kind=kind, alpha=alpha, degree=degree,
                                 seed=seed if kind == "uniform_random" else None)
-
-    if family == "r" and not star:
-        tgt = (2.0 * s) ** (k - 1)
-    elif family == "r":
-        tgt = float(sum(stirling_second(k, m) * (2.0 * s) ** (m - 1) for m in range(1, k + 1)))
-    elif family == "i" and not star:
-        tgt = float(s) ** k
-    elif family == "i" or family == "bell":
-        tgt = intervalstats.bell_prediction(k, s)
-    else:  # c2star
-        tgt = s * s + s
 
     rows = []
     for n in sizes:
@@ -270,8 +258,18 @@ def sweep_rows(stat: str, s: float, sizes, kind: str, seed,
             v = averaged.c_k_star(seq, (s,))
         else:  # bell: pure function of s, constant in N, so no sequence
             v = intervalstats.bell_prediction(k, s)
-        rows.append((n, v, tgt, abs(v - tgt)))
-    return rows
+        rows.append((n, v))
+    if family == "r" and not star:
+        tgt = (2.0 * s) ** (k - 1)
+    elif family == "r":
+        tgt = float(sum(stirling_second(k, m) * (2.0 * s) ** (m - 1) for m in range(1, k + 1)))
+    elif family == "i" and not star:
+        tgt = float(s) ** k
+    elif family == "i" or family == "bell":
+        tgt = intervalstats.bell_prediction(k, s)
+    else:  # c2star
+        tgt = s * s + s
+    return [(n, v, tgt, abs(v - tgt)) for n, v in rows]
 
 
 def rows_to_csv(rows) -> str:

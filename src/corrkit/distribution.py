@@ -11,11 +11,13 @@ so a profile holds at most 2^24 buckets (128 MiB of counts).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .core import PointSequence, exact_sum
+from .core import GRID, PointSequence, check_order, exact_sum
 from .errors import ParameterError
 
 _MAX_LEVEL = 24
@@ -55,16 +57,27 @@ def density_moment_lower_bound(seq: PointSequence, r: int, k: int) -> float:
     for full concentration, and is non-decreasing in r for any fixed
     sequence (refining a bucket can only raise the power mean).
     """
-    if k < 2:
-        raise ParameterError("k must be >= 2")
-    prof = dyadic_profile(seq, r)
-    return float(2.0 ** (r * (k - 1))) * exact_sum(prof.masses**k)
+    check_order(k)
+    return float(2.0 ** (r * (k - 1))) * exact_sum(dyadic_profile(seq, r).masses**k)
 
 
 def star_discrepancy(seq: PointSequence) -> float:
-    """Exact 1-D star discrepancy from the sorted view:
-    max_i max(i/N - x_(i), x_(i) - (i-1)/N)."""
-    n = len(seq)
-    xs = seq.sorted_points
-    i = np.arange(1, n + 1)
-    return float(np.maximum(i / n - xs, xs - (i - 1) / n).max())
+    """Exact 1-D star discrepancy max_i max(i/N - x_(i), x_(i) - (i-1)/N)
+    from the sorted view, rounded once.  Each float term is within 2^-52 of
+    exact, so only those within 2^-50 of the float maximum are compared
+    exactly.  On core's 2^-64 grid, exact for x >= 2^-11, a numerator
+    i 2^64 - N g or N g - (i-1) 2^64 over N 2^64 lies in [base, base + N 2^16):
+    it is base plus its residue mod 2^64, +-N g in wrapping uint64.  The few
+    candidates below 2^-11 are Fractions."""
+    n, xs, g = len(seq), seq.sorted_points, seq.sorted_grid
+    terms = (np.arange(1, n + 1) / n - xs, xs - np.arange(n) / n)
+    top = max(float(t.max()) for t in terms)
+    base = math.floor((Fraction(top) - Fraction(1, 1 << 49)) * n * GRID)
+    best = Fraction(0)
+    for sign, t in zip((-1, 1), terms):
+        c = np.flatnonzero(t >= top - 2.0**-50)
+        small = xs[c] < 2.0**-11
+        r = g[c[~small]] * np.uint64(sign * n % GRID) - np.uint64(base % GRID)
+        best = max(best, Fraction(base + int(r.max(initial=0)), n * GRID),
+                   *(sign * (Fraction(xs[j]) - Fraction(j + (sign < 0), n)) for j in c[small].tolist()))
+    return float(best)

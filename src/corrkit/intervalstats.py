@@ -37,10 +37,17 @@ power moment through second-kind Stirling numbers:
 I_k* = sum_j S(k,j) I_j with I_1 = s.  g_eval is the one tent: it takes
 the (m, k-1) arrays r_k_testfn passes, and a one-row array for a single
 tuple.
+
+For an integer L, g_L^(k) summed over the z in Z^(k-1) with |z_i| <= L
+is exactly L^k: on each simplex of the Kuhn triangulation of Z^(k-1) the
+largest and smallest y_i are fixed coordinates of fixed sign, so g_L is
+linear there (its integer vertex values span at most 1): a sum of hat
+functions of integral 1 weighted by its lattice values, all integers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -265,29 +272,6 @@ def g_eval(k: int, s: float, ys) -> np.ndarray:
     return np.maximum(s - mplus - mminus, 0.0)
 
 
-@dataclass(frozen=True)
-class MCIntegral:
-    estimate: float
-    standard_error: float
-    samples: int
-
-
-def g_integral_mc(k: int, s: float, samples: int, seed: int) -> MCIntegral:
-    """Monte Carlo integral of g_s^(k) over its support box [-s,s]^(k-1).
-
-    The exact value is s^k; the estimate comes with its standard error.
-    """
-    if k < 2 or not 0 < s < math.inf or samples < 1:
-        raise ParameterError("need k >= 2, a finite s > 0, samples >= 1")
-    rng = np.random.default_rng(int(seed))
-    vol = (2.0 * s) ** (k - 1)
-    ys = rng.uniform(-s, s, size=(int(samples), k - 1))
-    vals = g_eval(k, s, ys)
-    est = vol * float(vals.mean())
-    se = vol * float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
-    return MCIntegral(est, se, int(samples))
-
-
 def i_k_via_correlation(seq: PointSequence, s: float, k: int) -> float:
     """I_k computed from the correlation side: the weighted sum of
     g_s^(k) over distinct tuples, by r_k_testfn and in its memory.
@@ -309,4 +293,10 @@ def bell_prediction(k: int, s: float) -> float:
         raise ParameterError("k must be >= 1")
     if k > 1:
         check_order(k)
-    return math.fsum(stirling_second(k, j) * float(s) ** j for j in range(1, k + 1))
+    if not 0 < s < math.inf:  # NaN fails too
+        raise ParameterError("need a finite s > 0")
+    with contextlib.suppress(OverflowError):  # a power of s or the sum past the float range
+        value = math.fsum(stirling_second(k, j) * float(s) ** j for j in range(1, k + 1))
+        if value < math.inf:  # a term S(k,j) s^j may be inf
+            return value
+    raise ParameterError(f"the Poisson moment of order {k} at s = {s} overflows a float")

@@ -366,7 +366,7 @@ def _chk_scale_average_matches_integral(rng, tier):
         worst = max(worst, abs(total - f) / abs(f))
     return _result("scale_average_matches_integral",
                    "C_3* equals int of R_3* over the scale box (vs brute force)",
-                   worst <= 1e-3, float(worst), 0, "1e-3 relative")
+                   worst <= 1e-9, float(worst), 0, "1e-9 relative")
 
 
 def _chk_averaged_hoelder_chain(rng, tier):

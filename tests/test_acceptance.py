@@ -98,14 +98,16 @@ def test_criterion_04_factorial_moment_chain():
             f"worst err per N {worst:.2e}")
 
 
-def test_criterion_05_tent_integral_monte_carlo():
+def test_criterion_05_tent_integral_lattice_sum():
+    # g_L is linear on the Kuhn simplices of Z^(k-1), so its lattice sum
+    # over |z_i| <= L is its integral L^k, exactly
     ok = True
     details = []
-    for k, s in ((2, 1.0), (3, 2.0), (4, 1.0)):
-        mc = ck.g_integral_mc(k, s, 10**6, SEED + k)
-        hit = abs(mc.estimate - s**k) <= 3 * mc.standard_error
-        ok &= hit
-        details.append(f"k={k}: {mc.estimate:.4f} vs {s ** k} (3se {3 * mc.standard_error:.4f})")
+    for k, s in ((2, 1), (3, 2), (4, 1), (4, 3), (5, 2)):
+        z = np.indices((2 * s + 1,) * (k - 1)).reshape(k - 1, -1).T - s
+        total = ck.g_eval(k, s, z).sum()
+        ok &= total == s**k
+        details.append(f"k={k}: {total} vs {s ** k}")
     _report(5, "tent test-function integral = s^k", ok, "; ".join(details))
 
 

@@ -277,6 +277,28 @@ def test_dist_rejects_levels_past_the_bucket_cap(points_file, capsys, level):
     assert "parameter error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["17", "60"])
+def test_dist_order_above_sixteen_is_named(points_file, capsys, k):
+    # at k = 60 and level 24, 2^(24 (k-1)) overflowed a float: a traceback and exit 1
+    assert main(["dist", "--input", str(points_file), "--r", "24", "--k", k]) == 2
+    assert "orders above k = 16 are unsupported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--stat", "r9", "--s", "1e300", "--N", "10"],
+    ["--stat", "i3", "--s", "1e200", "--N", "10"],
+    ["--stat", "bell9", "--s", "1e40", "--N", "10"],
+    ["--stat", "bell2", "--s", "-1", "--N", "10"],
+    ["--stat", "bell2", "--s", "nan", "--N", "10"],
+])
+def test_sweep_checks_the_scale_before_the_target(capsys, argv):
+    # the targets of the first three overflowed before any check on s;
+    # bell2 printed rows of 0.0 at s = -1 and of nan at s = nan
+    assert main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "parameter error" in captured.err and captured.out == ""
+
+
 def test_nan_scale_is_a_parameter_error(points_file, capsys):
     assert main(["corr", "--input", str(points_file), "--k", "2", "--s", "nan"]) == 2
     assert main(["corr", "--input", str(points_file), "--k", "2", "--box", "nan:0.5"]) == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from corrkit import (
     ecdf,
     star_discrepancy,
     uniform_random,
+    van_der_corput,
 )
 
 
@@ -70,12 +73,37 @@ def test_density_moment_separates_dyadic_from_uniform():
     assert 0.9 <= un <= 1.5
 
 
+def _star_discrepancy_oracle(seq):
+    """max_i max(i/N - x_(i), x_(i) - (i-1)/N) over Fractions, rounded once."""
+    n, xs = len(seq), seq.sorted_points.tolist()
+    return float(max(max(Fraction(i, n) - Fraction(x), Fraction(x) - Fraction(i - 1, n))
+                     for i, x in enumerate(xs, 1)))
+
+
 def test_star_discrepancy_examples():
     n = 50
     optimal = PointSequence((2 * np.arange(1, n + 1) - 1) / (2 * n))
     assert star_discrepancy(optimal) == pytest.approx(1 / (2 * n))
     assert star_discrepancy(PointSequence([0.0, 0.0])) == 1.0
     assert star_discrepancy(uniform_random(10**5, 7)) <= 0.05
+    # the float terms gave 4.203613281250629e-05
+    assert star_discrepancy(van_der_corput(10**5)) == 4.20361328125e-05
+    rng = np.random.default_rng(26)
+    sets = [[0.0], [0.5], [1 - 2.0**-53], [5e-324], rng.integers(0, 64, 500) / 64,
+            # the maximum is x_(1) = 2e-4 itself, odd on the 2^-65 lattice: off the
+            # exact 2^-64 grid, which floors it
+            np.concatenate(([2e-4], np.arange(1, 5000) / 5000 + 1e-4))]
+    for n in (1, 2, 3, 17, 64, 299):
+        sets += [rng.random(n), (np.arange(1, n + 1) * 0.6180339887498949) % 1.0,
+                 rng.integers(0, 64, n) / 64, rng.random(n) * 2.0**-20,
+                 np.concatenate((rng.random(n) * 2.0**-11, rng.random(n))),
+                 (2 * np.arange(1, n + 1) - 1) / (2 * n)]
+    # shifted lattices: near-ties, where the float maximum's term is not always the exact one's
+    for n in range(2, 80, 3):
+        sets += [(np.arange(n) + rng.random()) / n, np.arange(n) / n + rng.random() / n]
+    for x in sets:
+        seq = PointSequence(x)
+        assert star_discrepancy(seq) == _star_discrepancy_oracle(seq), x
 
 
 def test_half_supported_sample_has_pair_excess():

@@ -15,7 +15,6 @@ from corrkit import (
     f_count,
     falling_factorial,
     g_eval,
-    g_integral_mc,
     i_k_via_correlation,
     moments,
     stirling_second,
@@ -331,21 +330,28 @@ def test_g_support_and_bounds(k, s, ys):
 def test_non_finite_scale_is_a_parameter_error(bad):
     with pytest.raises(ParameterError):
         g_eval(2, bad, [[0.1]])
-    with pytest.raises(ParameterError):
-        g_integral_mc(2, bad, 10, 1)
 
 
-def test_g_integral_mc_matches_closed_form():
+def _tent_lattice_sum(k, s, h=1.0):
+    """h^(k-1) sum of g_s^(k) over the points of hZ^(k-1) with |y_i| <= s."""
+    m = int(s / h)
+    z = np.indices((2 * m + 1,) * (k - 1)).reshape(k - 1, -1).T - m
+    return h ** (k - 1) * g_eval(k, s, h * z).sum()
+
+
+def test_tent_integral_is_s_to_the_k():
     # k = 2 closed form: integral of {s - |y|}^+ over R is exactly s^2
     # the tent is piecewise linear: the trapezoid rule on a grid holding its
     # kinks -s, 0, s is exact up to rounding
     for s in (0.5, 1.0, 2.5):
         y = np.union1d(np.linspace(-2 * s, 2 * s, 1001), [-s, 0.0, s])
         assert abs(np.trapezoid(g_eval(2, s, y[:, None]), y) - s**2) <= 1e-12
-    mc = g_integral_mc(2, 1.0, 10**5, 3)
-    assert abs(mc.estimate - 1.0) <= 3 * mc.standard_error
-    mc = g_integral_mc(3, 2.0, 10**5, 4)
-    assert abs(mc.estimate - 8.0) <= 3 * mc.standard_error
+    # every k: g_L is linear on the Kuhn simplices of Z^(k-1), so its
+    # lattice sum is its integral L^k, with no rounding
+    for k in range(2, 6):
+        for s in (1, 2, 3, 7, 10):
+            assert _tent_lattice_sum(k, s) == s**k
+    assert _tent_lattice_sum(3, 2.5, h=0.25) == 2.5**3
 
 
 def test_i_k_via_correlation_matches_sweep():
@@ -440,7 +446,14 @@ def test_ball_cover_counting_identity():
 def test_bell_prediction_values():
     assert bell_prediction(2, 2.0) == pytest.approx(6.0)  # s^2 + s
     assert bell_prediction(3, 1.0) == pytest.approx(5.0)  # 1 + 3 + 1
-    assert bell_prediction(4, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("k, s", [(4, 0.0), (2, -1.0), (2, float("nan")), (2, float("inf")),
+                                  (9, 1e40), (2, 1e160)])
+def test_bell_prediction_needs_a_finite_positive_scale_and_value(k, s):
+    # s as g_eval takes it, and a moment that overflows a float is named
+    with pytest.raises(ParameterError):
+        bell_prediction(k, s)
 
 
 def test_orders_above_sixteen_are_named():
