@@ -17,19 +17,23 @@ and equal the integral of R_k* over the scale box [0,s_1] x ... x [0,s_{k-1}].
 The kernel is never evaluated pair by pair.  One window per distinct
 scale gives each anchor's occupants as a run of the sorted grid, and
 L_i = s/N cnt_i - D_i 2^-64 follows from the exact integer
-D_i = sum_j |g_j - g_i| over that run, read off int64 prefix sums of the
-grid: O(N) time at any scale.  The anchors go in blocks of B =
-core._BLOCK, with their windows from core.self_window_blocks.  A block
-reads its prefix sums off runs of the unrolled grid from cursors to its
-last start, anchor and end: one run about B + w long for windows of at
-most w points where the three overlap (windows narrower than a block,
-the common case), three runs about B long each where they do not (see
-_overlap_sums).  The peak is about 110 B bytes, 32 more per run
-position past B, and 32 B more for each further distinct scale: 3.6 MiB
-for windows of a few points and 4.6 MiB for windows of 3.2e4 points or
-more, up to the whole circle, whatever N (measured at N = 2^20; the
-first block's runs start at its own start, anchor and end, like every
-other block's).
+D_i = sum_j |g_j - g_i| over that run, read off prefix sums of the
+grid: O(N) time at any scale.  The prefix sums take one wrapping uint64
+limb in every block whose windows keep (cnt - 1) R below 2^64, for
+R = grid_arc(-s, s, N)[1] (windows of fewer than N/s + 1 points), and
+two int64 limbs of 32 bits elsewhere (see _overlap_sums).  The anchors
+go in blocks of B = core._BLOCK, with their windows from
+core.self_window_blocks.  A block reads its prefix sums off runs of the
+unrolled grid from cursors to its last start, anchor and end: one run
+about B + w long for windows of at most w points where the three
+overlap (windows narrower than a block, the common case), three runs
+about B long each where they do not (see _overlap_sums).  The peak is
+about 88 B bytes on one limb, 106 B and 24 more per run position past B
+on two, and 40 B more for each further distinct scale: 2.8 MiB for
+windows of a few points, 3.4 MiB for windows of a few thousand and
+4.3 MiB for windows of 3.2e4 points or more, up to the whole circle,
+whatever N (measured at N = 2^20; the first block's runs start at its
+own start, anchor and end, like every other block's).
 The anchor products are reduced block by block with
 core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
 deterministic independent of evaluation order.
@@ -61,9 +65,10 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     K = P[end cursor] - 2 P[anchor cursor] + P[start cursor] carries over.
     The first block's cursors are its own first start, anchor and end,
     and its K is summed over that one window in runs of B = core._BLOCK
-    (_window_carry), so no block's runs span a wide window.
+    (_window_carry), so no block's runs span a wide window.  Each later
+    K is the last anchor's exact D_i less its own term, (2i - start - end) g_i.
     Where these three runs overlap, as they do for windows narrower than
-    a block, each limb's prefix sums are built once over their union
+    a block, the prefix sums are built once over their union
     [start cursor, last end), B + w positions for windows of at most w
     points; elsewhere once per run, each at most B + w long (about B,
     unless the windows' widths jump), and the runs of all blocks tile
@@ -72,37 +77,52 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     block, O(N w / B) in all, and c_k_star at N = 1e6, s = 4e5 takes
     about 3.5 times as long (2-core x86_64).
 
-    The grid is split into two 32-bit limbs, a lap adding 2^32 to the
-    high one, and each limb's sums are int64, below 2^63 while a run is
-    shorter than 2^30.  The low limb is carried into the high one, and
-    D_i is converted as float(hi) 2^32 + lo: one rounding while
-    hi < 2^53, as always for windows of fewer than 2^22 points.
+    Every occupant is within R = grid_arc(-s, s, N)[1] of the anchor, so
+    D_i <= (cnt_i - 1) R.  A block whose windows all keep that below 2^64
+    takes one uint64 limb with wrapping sums: a lap is 2^64 and vanishes,
+    the sums work on the grid itself, and the one cast of the exact D_i
+    to float64 is correctly rounded.  That is every block of windows of
+    fewer than N/s + 1 points, as for uniform points at s below about
+    sqrt(N/2).  Any other block splits the grid into two 32-bit limbs, a
+    lap adding 2^32 to the high one, and each limb's sums are int64,
+    below 2^63 while a run is shorter than 2^30.  The low limb is carried
+    into the high one, and D_i is converted as float(hi) 2^32 + lo: one
+    rounding while hi < 2^53, as always for windows of fewer than 2^22
+    points.  Both give D_i's nearest double, so the regime, which each
+    block takes from its own windows, never changes a bit.  On one limb a
+    block holds one prefix sum and one array of D_i, not two of each and
+    the limbs: c_k_star's peak at N = 2^20 is 2.8 MiB for windows of a
+    few points, against 3.4 MiB on two limbs for windows of a few thousand.
     """
+    r = grid_arc(-s, s, n)[1]
     cursors = None
     for b, [(start, end)] in self_window_blocks(g, [grid_arc(-s, s, n)]):
         if cursors is None:  # the first block's own start, anchor and end
             cursors = [int(start[0]), b, int(end[0])]
             carry = _window_carry(g, *cursors)
-        yield s / n * (end - start) - _block_distances(g, b, start, end, cursors, carry) * 2.0**-64
+        limbs = (None,) if (int((end - start).max()) - 1) * r < core.GRID else (0, 1)
+        d, carry = _block_distances(g, b, start, end, cursors, carry, limbs)
+        yield s / n * (end - start) - d * 2.0**-64  # cnt not held through the sums
 
 
-def _window_carry(g: np.ndarray, cs: int, ca: int, ce: int) -> list[int]:
-    """The two limbs of K = P[ce] - 2 P[ca] + P[cs]: the unrolled grid
-    summed over [ca, ce) less over [cs, ca), one window, in runs of
-    core._BLOCK positions."""
+def _window_carry(g: np.ndarray, cs: int, ca: int, ce: int) -> int:
+    """K = P[ce] - 2 P[ca] + P[cs], exactly: the unrolled grid summed
+    over [ca, ce) less over [cs, ca), one window, per 32-bit limb in runs
+    of core._BLOCK positions."""
     step, carry = core._BLOCK, [0, 0]
     for limb in (0, 1):
         for lo, hi, sign in ((ca, ce, 1), (cs, ca, -1)):
             for a in range(lo, hi, step):
                 carry[limb] += sign * int(_unrolled_limb(g, a, min(a + step, hi), limb).sum())
-    return carry
+    return (carry[0] << 32) + carry[1]
 
 
 def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
-                     cursors: list[int], carry: list[int]) -> np.ndarray:
+                     cursors: list[int], carry: int, limbs) -> tuple[np.ndarray, int]:
     """D_i, rounded to float64, of the anchors b, b+1, ... of one block
-    (see _overlap_sums); moves the cursors to the block's last start,
-    anchor and end, and carry, the two limbs of K, with them.
+    (see _overlap_sums), in the limbs (None,), one wrapping uint64, or
+    (0, 1), the high and low 32 bits; moves the cursors to the block's
+    last start, anchor and end, and returns K for them, exactly.
 
     Where the three runs overlap, each limb's prefix sums are built once
     over their union [start cursor, last end): with one origin, K's terms
@@ -118,8 +138,9 @@ def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
     sign = np.arange(2 * b, 2 * (b + size), 2)  # 2i - start - end: left less right, less 1
     sign -= start
     sign -= end
+    k = {None: carry % core.GRID, 0: carry >> 32, 1: carry & 0xFFFFFFFF}
     sums = []
-    for limb in (0, 1):
+    for limb in limbs:
         if merged:
             xa = _unrolled_limb(g, cs, le, limb)
             ps = pa = pe = _prefix(xa)
@@ -127,31 +148,37 @@ def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
             xa = _unrolled_limb(g, ca, la + 1, limb)
             ps, pa, pe = (_prefix(_unrolled_limb(g, cs, ls, limb)), _prefix(xa),
                           _prefix(_unrolled_limb(g, ce, le, limb)))
-        k = 0 if merged else carry[limb]  # K less P at the origins
         pa_i = pa[at_a]
         d = pe[at_e]
         d -= pa_i
         d -= pa_i
         d += ps[at_s]
-        d += sign * xa[at_a]
-        if k:
-            d += k
-        carry[limb] = k + int(pe[le - oe]) - 2 * int(pa[la - oa]) + int(ps[ls - os_])
+        d += sign.view(xa.dtype) * xa[at_a]  # on one limb, sign mod 2^64
+        if not merged and k[limb]:  # K less P at the origins
+            d += k[limb]
         sums.append(d)
     cursors[:] = ls, la, le
-    hi, low = sums
-    hi += low >> 32
-    low &= 0xFFFFFFFF
-    return hi * 2.0**32 + low
+    if limbs == (None,):
+        [d] = sums
+        last, dist = int(d[-1]), d.astype(np.float64)
+    else:
+        hi, low = sums
+        hi += low >> 32
+        low &= 0xFFFFFFFF
+        last, dist = (int(hi[-1]) << 32) + int(low[-1]), hi * 2.0**32 + low
+    return dist, last + (ls + le - 2 * la) * int(g[la])
 
 
-def _unrolled_limb(g: np.ndarray, first: int, last: int, limb: int) -> np.ndarray:
-    """The high (limb 0) or low (limb 1) 32-bit limb, as int64, of the
-    unrolled grid at positions [first, last), -m < first <= last < 2m:
-    laps -1 and 1 subtract and add 2^32 to the high limb."""
+def _unrolled_limb(g: np.ndarray, first: int, last: int, limb) -> np.ndarray:
+    """The unrolled grid at positions [first, last), -m < first <= last < 2m,
+    modulo 2^64 (limb None: the grid's values, laps vanish), or its high
+    (limb 0) or low (limb 1) 32-bit limb as int64, where laps -1 and 1
+    subtract and add 2^32 to the high limb."""
     m = g.size
     laps = [g[min(max(first - lap * m, 0), m):min(max(last - lap * m, 0), m)] for lap in (-1, 0, 1)]
     x = np.concatenate(laps) if laps[0].size or laps[2].size else laps[1]  # a view of g: no writes
+    if limb is None:
+        return x
     if limb:
         return (x & np.uint64(0xFFFFFFFF)).view(np.int64)
     hi = (x >> np.uint64(32)).view(np.int64)
@@ -161,8 +188,9 @@ def _unrolled_limb(g: np.ndarray, first: int, last: int, limb: int) -> np.ndarra
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:
-    """The prefix sums 0, x_0, x_0 + x_1, ... of an int64 array."""
-    p = np.zeros(x.size + 1, dtype=np.int64)
+    """The prefix sums 0, x_0, x_0 + x_1, ... of an int64 or (wrapping)
+    uint64 array."""
+    p = np.zeros(x.size + 1, dtype=x.dtype)
     np.cumsum(x, out=p[1:])
     return p
 

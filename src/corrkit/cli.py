@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict
 
 from . import arithmetic, averaged, correlations, distribution, intervalstats, seqgen
-from .core import stirling_second
+from .core import check_order, stirling_second
 from .errors import BudgetError, ConsistencyError, FormatError, ParameterError
 from .io import read_integers, read_points, write_point_lines, write_points
 from .verify import DEFAULT_SEED, run_verify
@@ -189,10 +189,12 @@ def _cmd_metric(args) -> int:
 
 def _cmd_dist(args) -> int:
     seq = read_points(args.input)
-    payload = {  # the density moment checks k before the masses' buckets
+    check_order(args.k)  # before the masses' 2^r buckets
+    prof = distribution.dyadic_profile(seq, args.r)
+    payload = {
         "schema": SCHEMA, "kind": "dist", "n": len(seq), "level": args.r, "k": args.k,
-        "density_moment": distribution.density_moment_lower_bound(seq, args.r, args.k),
-        "masses": distribution.dyadic_profile(seq, args.r).masses.tolist(),
+        "density_moment": distribution.profile_moment(prof, args.k),
+        "masses": prof.masses.tolist(),
         "star_discrepancy": distribution.star_discrepancy(seq),
     }
     _emit(args, payload)

@@ -356,6 +356,7 @@ def exact_chunk_sum(chunks) -> float:
         if not bound < _EXACT_LIMIT:
             return math.fsum(itertools.chain.from_iterable(x.tolist() for x in chunks()))
         total += _scaled_sum(x)
+        del x  # not held while chunks() makes the next one
     return total / _EXACT_UNIT  # int true division rounds correctly, once
 
 

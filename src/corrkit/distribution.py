@@ -58,7 +58,13 @@ def density_moment_lower_bound(seq: PointSequence, r: int, k: int) -> float:
     sequence (refining a bucket can only raise the power mean).
     """
     check_order(k)
-    return float(2.0 ** (r * (k - 1))) * exact_sum(dyadic_profile(seq, r).masses**k)
+    return profile_moment(dyadic_profile(seq, r), k)
+
+
+def profile_moment(prof: DyadicProfile, k: int) -> float:
+    """density_moment_lower_bound read off a profile already built, at its
+    level; the caller checks k (check_order) before building it."""
+    return float(2.0 ** (prof.level * (k - 1))) * exact_sum(prof.masses**k)
 
 
 def star_discrepancy(seq: PointSequence) -> float:

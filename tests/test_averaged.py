@@ -260,3 +260,72 @@ def test_c_k_star_at_a_wide_scale_equals_the_second_moment():
     seq = uniform_random(10**5, 32)
     s = 1e4
     assert c_k_star(seq, (s,)) == pytest.approx(moments(seq, s, 2).i_k_star, rel=1e-12)
+
+
+def _regime_inputs():
+    """(points, s) around the one-limb bound of _overlap_sums, (max cnt - 1) R
+    < 2^64 with R = grid_arc(-s, s, N)[1]: a lattice and a lattice of
+    duplicates whose widest windows put it just below 2^64 and, at an s
+    2^-30 larger, just above; N = 1000 at s = 400, where D_i passes 2^64
+    and the runs merge; and a dense cluster among spread points, whose
+    blocks switch regime within one call.  Every point is a multiple of
+    2^-60, as _exact_overlap_sums needs."""
+    rng = np.random.default_rng(27)
+    lattice, pairs = np.arange(50) / 50, np.repeat(np.arange(25) / 25, 2)
+    yield lattice, 5.0, "below"  # 11 points a window: 10 R = 2^64 - 6
+    yield lattice, 5.0 * (1 + 2**-30), "above"
+    yield pairs, math.nextafter(50 / 9, 0.0), "below"  # 10 points: 9 R = 2^64 - 3607
+    yield pairs, 50 / 9 * (1 + 2**-30), "above"
+    yield np.floor(rng.random(1000) * 2**40) / 2**40, 400.0, "above"
+    cluster = 0.4 + np.floor(rng.random(60) * 2**20) / 2**40
+    yield np.concatenate((cluster, np.floor(rng.random(40) * 2**40) / 2**40)), 2.0, "both"
+
+
+def test_overlap_sums_agree_with_the_fraction_oracle_across_the_limb_bound(monkeypatch):
+    # each block takes one wrapping uint64 limb below the bound and two
+    # 32-bit limbs at or above it; the L_i, C_k* and its localized sum are
+    # the oracle's at blocks of 1, 7 and N, and bit for bit those of two
+    # limbs everywhere
+    real_blocks = averaged._block_distances
+    taken = []
+
+    def spy(*args):
+        taken.append(len(args[-1]))
+        return real_blocks(*args)
+
+    def two_limbs(*args):
+        return real_blocks(*args[:-1], (0, 1))
+
+    for x, s, side in _regime_inputs():
+        seq = PointSequence(x)
+        n, g = len(seq), seq.sorted_grid
+        r = core.grid_arc(-s, s, n)[1]
+        monkeypatch.setattr(core, "_BLOCK", n)
+        [(_, [(start, end)])] = core.self_window_blocks(g, [core.grid_arc(-s, s, n)])
+        assert ((int((end - start).max()) - 1) * r < core.GRID) == (side == "below"), side
+        nums, den = _exact_overlap_sums(np.sort(x), s, n)
+        inside = x[(0.25 <= x) & (x < 0.75)]
+        local = _exact_overlap_sums(inside, s, n)
+        want = [_exact_c_k_star([(nums, den)], n), _exact_c_k_star([(nums, den)] * 2, n),
+                _exact_c_k_star([local] * 2, n)]
+        results = []
+        for block in (1, 7, n):
+            monkeypatch.setattr(core, "_BLOCK", block)
+            for blocks in (spy, two_limbs):
+                monkeypatch.setattr(averaged, "_block_distances", blocks)
+                taken.clear()
+                ls = np.concatenate(list(averaged._overlap_sums(g, s, n)))
+                if blocks is spy:
+                    regimes = set(taken)
+                got = [c_k_star(seq, (s,)), c_k_star(seq, (s, s)), c_k_star_local(seq, s, 3, (0.25, 0.75))]
+                results.append([ls.tobytes()] + [v.hex() for v in got])
+            # one block: one limb below the bound, two above; the cluster's
+            # blocks of 7 take both
+            if block == n:
+                assert regimes == ({1} if side == "below" else {2}), side
+            if side == "both" and block == 7:
+                assert regimes == {1, 2}
+            assert all(abs(Fraction(v) - e) <= 1e-15 * e for v, e in zip(got, want))
+            for li, num in zip(ls.tolist(), nums):
+                assert abs(Fraction(li) - Fraction(num, den)) <= 2.0**-50 * s
+        assert all(res == results[0] for res in results), side

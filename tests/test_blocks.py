@@ -274,12 +274,29 @@ def test_c_k_star_wide_window_peak_is_a_block(s):
     assert peak < 4.6 * 2**20  # averaged's docstring
 
 
+@pytest.mark.parametrize("s, bound_mib", [(1.0, 2.8), (1000.0, 3.4)])
+def test_c_k_star_peak_on_one_and_two_limbs(s, bound_mib):
+    # windows of a few points, every block on one uint64 limb, and of
+    # about 2000 points, every block on two 32-bit limbs
+    assert core._BLOCK == 1 << 15
+    seq = uniform_random(1 << 20, 7)
+    tracemalloc.start()
+    try:
+        c_k_star(seq, (s,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20  # averaged's docstring
+
+
 def test_c_k_star_takes_both_prefix_layouts(monkeypatch):
     # a block's runs of starts, anchors and ends overlap where the windows
     # are narrower than the block (one prefix sum per limb over their union)
-    # and not where they are wider (one per run): the same bits either way
+    # and not where they are wider (one per run); its sums take one wrapping
+    # uint64 limb where (max cnt - 1) R < 2^64 and two 32-bit limbs where
+    # not: every pairing is taken, with the same bits at every block size
     real_blocks, real_prefix = averaged._block_distances, averaged._prefix
-    layouts, prefixes = set(), []
+    taken, prefixes = set(), []
 
     def counting_prefix(x):
         prefixes.append(x.size)
@@ -288,7 +305,10 @@ def test_c_k_star_takes_both_prefix_layouts(monkeypatch):
     def spy(*args):
         prefixes.clear()
         out = real_blocks(*args)
-        layouts.add(len(prefixes))  # 2 merged, 6 in three runs
+        limbs = len(args[-1])
+        runs, rest = divmod(len(prefixes), limbs)
+        assert rest == 0 and runs in (1, 3)
+        taken.add(("merged" if runs == 1 else "three runs", limbs))
         return out
 
     monkeypatch.setattr(averaged, "_prefix", counting_prefix)
@@ -301,7 +321,7 @@ def test_c_k_star_takes_both_prefix_layouts(monkeypatch):
             monkeypatch.setattr(core, "_BLOCK", block)
             results.append([c_k_star(seq, (s,)).hex() for s in sorted({0.5, 1.0, n / 2, float(n)})])
         assert results[0] == results[1] == results[2], x
-    assert layouts == {2, 6}
+    assert taken == {("merged", 1), ("merged", 2), ("three runs", 1), ("three runs", 2)}
 
 
 def test_overlap_sums_are_the_whole_grid_sums(monkeypatch):

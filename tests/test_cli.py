@@ -5,8 +5,8 @@ import pytest
 
 from corrkit.cli import main, parse_sweep_stat, rows_to_csv, sweep_rows
 from corrkit.io import read_integers, read_points, write_points
-from corrkit import (FormatError, ParameterError, PointSequence, r_k_box, random_correlation_stats,
-                     seqgen)
+from corrkit import (FormatError, ParameterError, PointSequence, density_moment_lower_bound,
+                     distribution, r_k_box, random_correlation_stats, seqgen)
 
 
 @pytest.fixture()
@@ -268,6 +268,22 @@ def test_dist_reports_masses(points_file, capsys):
     assert len(payload["masses"]) == 4
     assert sum(payload["masses"]) == pytest.approx(1.0)
     assert 0 < payload["star_discrepancy"] < 0.1
+
+
+def test_dist_builds_its_dyadic_profile_once(points_file, capsys, monkeypatch):
+    # the density moment is read off the masses' own profile: at --r 24
+    # each build is 2^24 buckets
+    real, levels = distribution.dyadic_profile, []
+
+    def counting(seq, r):
+        levels.append(r)
+        return real(seq, r)
+
+    monkeypatch.setattr(distribution, "dyadic_profile", counting)
+    assert main(["dist", "--input", str(points_file), "--r", "5", "--k", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert levels == [5]
+    assert payload["density_moment"] == density_moment_lower_bound(read_points(points_file), 5, 3)
 
 
 @pytest.mark.parametrize("level", ["25", "40", "70"])
