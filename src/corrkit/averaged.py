@@ -26,14 +26,15 @@ go in blocks of B = core._BLOCK, with their windows from
 core.self_window_blocks.  A block reads its prefix sums off runs of the
 unrolled grid from cursors to its last start, anchor and end: one run
 about B + w long for windows of at most w points where the three
-overlap (windows narrower than a block, the common case), three runs
+overlap (windows of up to about 2B points, the common case), three runs
 about B long each where they do not (see _overlap_sums).  The peak is
-about 88 B bytes on one limb, 106 B and 24 more per run position past B
-on two, and 40 B more for each further distinct scale: 2.8 MiB for
-windows of a few points, 3.4 MiB for windows of a few thousand and
-4.3 MiB for windows of 3.2e4 points or more, up to the whole circle,
-whatever N (measured at N = 2^20; the first block's runs start at its
-own start, anchor and end, like every other block's).
+about 80 B bytes on one limb (88 B once the windows are searched, past
+the neighbour passes), 97 B and 32 more per run position past B on two,
+and 32 B more for each further distinct scale: 2.5 MiB for windows of a
+few points, 2.8 MiB up to about a hundred, 3.1 MiB for a few thousand,
+at most 5.0 MiB where the runs still merge (runs of up to 3B) and
+4.0 MiB for wider windows, up to the whole circle, whatever N (measured at N = 2^20; the first block's runs
+start at its own start, anchor and end, like every other block's).
 The anchor products are reduced block by block with
 core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
 deterministic independent of evaluation order.
@@ -67,8 +68,8 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     and its K is summed over that one window in runs of B = core._BLOCK
     (_window_carry), so no block's runs span a wide window.  Each later
     K is the last anchor's exact D_i less its own term, (2i - start - end) g_i.
-    Where these three runs overlap, as they do for windows narrower than
-    a block, the prefix sums are built once over their union
+    Where these three runs overlap, as they do for windows of at most B
+    points on each side, the prefix sums are built once over their union
     [start cursor, last end), B + w positions for windows of at most w
     points; elsewhere once per run, each at most B + w long (about B,
     unless the windows' widths jump), and the runs of all blocks tile
@@ -91,8 +92,8 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     points.  Both give D_i's nearest double, so the regime, which each
     block takes from its own windows, never changes a bit.  On one limb a
     block holds one prefix sum and one array of D_i, not two of each and
-    the limbs: c_k_star's peak at N = 2^20 is 2.8 MiB for windows of a
-    few points, against 3.4 MiB on two limbs for windows of a few thousand.
+    the limbs: c_k_star's peak at N = 2^20 is 2.5 MiB for windows of a
+    few points, against 3.1 MiB on two limbs for windows of a few thousand.
     """
     r = grid_arc(-s, s, n)[1]
     cursors = None
@@ -209,6 +210,7 @@ def c_k_star(seq: PointSequence, scales, k=None) -> float:
         for block in zip(*sums.values()):
             ls = dict(zip(sums, block))
             yield math.prod(ls[s] for s in scales)
+            del block, ls  # not held while the next block is summed
 
     return float(n ** (kk - 2)) * exact_chunk_sum(products)
 

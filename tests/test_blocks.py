@@ -274,7 +274,7 @@ def test_c_k_star_wide_window_peak_is_a_block(s):
     assert peak < 4.6 * 2**20  # averaged's docstring
 
 
-@pytest.mark.parametrize("s, bound_mib", [(1.0, 2.8), (1000.0, 3.4)])
+@pytest.mark.parametrize("s, bound_mib", [(1.0, 2.6), (1000.0, 3.2)])
 def test_c_k_star_peak_on_one_and_two_limbs(s, bound_mib):
     # windows of a few points, every block on one uint64 limb, and of
     # about 2000 points, every block on two 32-bit limbs
