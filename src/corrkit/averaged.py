@@ -33,8 +33,9 @@ the neighbour passes), 97 B and 32 more per run position past B on two,
 and 32 B more for each further distinct scale: 2.5 MiB for windows of a
 few points, 2.8 MiB up to about a hundred, 3.1 MiB for a few thousand,
 at most 5.0 MiB where the runs still merge (runs of up to 3B) and
-4.0 MiB for wider windows, up to the whole circle, whatever N (measured at N = 2^20; the first block's runs
-start at its own start, anchor and end, like every other block's).
+4.0 MiB for wider windows, up to the whole circle, whatever N
+(measured at N = 2^20; the first block's runs start at its own start,
+anchor and end, like every other block's).
 The anchor products are reduced block by block with
 core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
 deterministic independent of evaluation order.

@@ -317,7 +317,8 @@ def test_overlap_sums_agree_with_the_fraction_oracle_across_the_limb_bound(monke
                 ls = np.concatenate(list(averaged._overlap_sums(g, s, n)))
                 if blocks is spy:
                     regimes = set(taken)
-                got = [c_k_star(seq, (s,)), c_k_star(seq, (s, s)), c_k_star_local(seq, s, 3, (0.25, 0.75))]
+                got = [c_k_star(seq, (s,)), c_k_star(seq, (s, s)),
+                       c_k_star_local(seq, s, 3, (0.25, 0.75))]
                 results.append([ls.tobytes()] + [v.hex() for v in got])
             # one block: one limb below the bound, two above; the cluster's
             # blocks of 7 take both
