@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 import corrkit as ck
+from corrkit.core import grid_arc, in_arc, to_grid
 
 
 def banner(title):
@@ -44,10 +45,13 @@ for n in (10, 100, 1000):
 print("E({1..N}) = N(N+1)(2N+1)/3 - N^2 verified for N = 10, 100, 1000")
 
 banner("Constraint measure per progression")
-s, n = 5.0, 100
+s, n, m = 5.0, 100, 2**10
+alphas = np.arange(m) / m  # the alpha-lattice j/M: every {d j/M} is exact
 for d in (1, 2, 7):
-    got = ck.dilation_measure_quadrature(d, s, n)
-    print(f"measure of alpha with ||{d} alpha|| <= s/N: {got:.5f} (exact 2s/N = {2 * s / n})")
+    count = np.count_nonzero(in_arc(to_grid(ck.exact_frac_parts([d], alphas)), grid_arc(-s, s, n)))
+    print(f"#{{j < M : ||{d} j/M|| <= s/N}} = {count} of M = {m} (M 2s/N = {m * 2 * s / n:g})")
+print("(exactly g min(2 floor(sM/(gN)) + 1, M/g) with g = gcd(d, M): d j mod M")
+print(" runs over the multiples of g, each g times)")
 
 banner("Dilating the interval 1..512: the alpha-averaged R_3 keeps a floor")
 rep = ck.metric_r3_experiment(ck.integer_range(512), s=0.1, n=512, trials=200, seed=1729)

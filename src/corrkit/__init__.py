@@ -13,7 +13,6 @@ from .arithmetic import (
     additive_energy,
     additive_energy_bruteforce,
     additive_energy_range_closed_form,
-    dilation_measure_quadrature,
     integer_range,
     metric_r3_experiment,
     random_correlation_stats,

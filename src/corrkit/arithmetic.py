@@ -346,13 +346,3 @@ def additive_energy_range_closed_form(n: int) -> int:
     """E({1..n}) = n(n+1)(2n+1)/3 - n^2."""
     return n * (n + 1) * (2 * n + 1) // 3 - n * n
 
-
-def dilation_measure_quadrature(d: int, s: float, n: int, grid: int = 200001) -> float:
-    """Midpoint-rule measure of {alpha in [0,1) : ||d alpha|| <= s/N};
-    the exact value is 2s/N for every integer d >= 1."""
-    if d < 1:
-        raise ParameterError("d must be >= 1")
-    alphas = (np.arange(grid) + 0.5) / grid
-    frac = (d * alphas) % 1.0
-    dist = np.minimum(frac, 1.0 - frac)
-    return float(np.mean(dist <= s / n))

@@ -514,14 +514,20 @@ def _chk_energy_ap_brute(rng, tier):
 
 
 def _chk_dilation_measure(rng, tier):
-    worst = 0.0
-    s, n = 5.0, 100
-    for d in range(1, 11):
-        got = arithmetic.dilation_measure_quadrature(d, s, n)
-        worst = max(worst, abs(got - 2 * s / n))
+    # d j mod M runs over the multiples of g = gcd(d, M), each g times
+    bad = ties = 0
+    for _ in range(200):
+        d, n, m = int(rng.integers(1, 201)), int(rng.integers(1, 301)), 2 ** int(rng.integers(4, 13))
+        s = float(rng.choice([n / 2, n * int(rng.integers(m // 2 + 1)) / m, rng.uniform(0, n / 2)]))
+        frac = seqgen.exact_frac_parts([d], np.arange(m) / m)  # alpha rows j/M
+        got = int(np.count_nonzero(in_arc(to_grid(frac), grid_arc(-s, s, n))))
+        g, scaled = math.gcd(d, m), Fraction(s) * m / n
+        bad += got != g * min(2 * math.floor(scaled / g) + 1, m // g)
+        ties += scaled.denominator == 1
     return _result("dilation_constraint_measure",
-                   "measure{alpha : ||d alpha|| <= s/N} = 2s/N for d <= 10 (quadrature)",
-                   worst <= 1e-3, worst, 0.0, "1e-3")
+                   "#{j < M : ||d j/M|| <= s/N} = g min(2 floor(sM/(gN)) + 1, M/g), g = gcd(d, M), "
+                   "on the alpha-lattice M = 2^t (exact frac parts), 200 random d, N, t, s <= N/2",
+                   bad == 0, f"{bad} wrong ({ties} arc ends on the lattice)", 0, "exact")
 
 
 def _chk_dyadic_triple_far(rng, tier):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from corrkit import (
     additive_energy,
     additive_energy_bruteforce,
     additive_energy_range_closed_form,
-    dilation_measure_quadrature,
     dyadic_counterexample,
     integer_range,
     PointSequence,
@@ -21,6 +21,7 @@ from corrkit import (
     metric_r3_experiment,
     r_k_distinct,
     random_correlation_stats,
+    run_verify,
     three_ap_count,
     three_ap_count_bruteforce,
     trial_rng,
@@ -301,10 +302,30 @@ def test_integer_set_validation():
             count([1, 2**63])
 
 
-def test_dilation_measure():
-    for d in range(1, 11):
-        got = dilation_measure_quadrature(d, 5.0, 100)
-        assert got == pytest.approx(0.1, abs=1e-3)
+def test_dilation_measure_on_the_alpha_lattice():
+    # |{alpha : ||d alpha|| <= s/N}| = 2s/N; on the lattice j/M, M = 2^t,
+    # d j mod M runs over the multiples of g = gcd(d, M), each g times
+    rng = np.random.default_rng(28)
+    cases = []
+    for _ in range(60):
+        d, n, t = int(rng.integers(1, 201)), int(rng.integers(1, 301)), int(rng.integers(4, 13))
+        m = 2**t
+        cases += [(d, n, float(rng.uniform(0, n / 2)), m),  # random
+                  (d, n, n * int(rng.integers(m // 2 + 1)) / m, m),  # arc ends on the lattice
+                  (d, n, n / 2, m),  # delta = 1/2: the whole circle
+                  (2 ** int(rng.integers(t + 2)) * int(rng.choice([1, 3, 5])), n,  # d shares 2s with M
+                   n * int(rng.integers(m // 2 + 1)) / m, m)]
+    ties = 0
+    for d, n, s, m in cases:
+        frac = exact_frac_parts([d], np.arange(m) / m)  # one alpha row per j
+        got = int(np.count_nonzero(in_arc(core.to_grid(frac), grid_arc(-s, s, n))))
+        g, scaled = math.gcd(d, m), Fraction(s) * m / n
+        brute = sum(n * min(r, m - r) <= Fraction(s) * m for r in (d * j % m for j in range(m)))
+        assert got == brute == g * min(2 * math.floor(scaled / g) + 1, m // g), (d, n, s, m)
+        ties += scaled.denominator == 1
+    assert ties >= 120
+    [check] = [c for c in run_verify().checks if c.name == "dilation_constraint_measure"]
+    assert (check.status, check.tolerance) == ("pass", "exact")
 
 
 def test_metric_experiment_reproducible():
