@@ -230,5 +230,10 @@ def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
     a, b = np.searchsorted(seq.sorted_points, (lo, hi), side="left")
     if a == b:
         return 0.0
-    return float(n ** (k - 2)) * exact_chunk_sum(
-        lambda: (ls ** (k - 1) for ls in _overlap_sums(seq.sorted_grid[a:b], s, n)))
+
+    def powers():
+        for ls in _overlap_sums(seq.sorted_grid[a:b], s, n):
+            yield ls ** (k - 1)
+            del ls  # not held while the next block is summed
+
+    return float(n ** (k - 2)) * exact_chunk_sum(powers)

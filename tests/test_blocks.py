@@ -289,6 +289,20 @@ def test_c_k_star_peak_on_one_and_two_limbs(s, bound_mib):
     assert peak < bound_mib * 2**20  # averaged's docstring
 
 
+def test_c_k_star_local_peak_holds_one_block():
+    # each block's overlap sums go before the next block's are summed:
+    # holding the last one too peaks at 2.5 MiB
+    assert core._BLOCK == 1 << 15
+    seq = uniform_random(1 << 20, 7)
+    tracemalloc.start()
+    try:
+        c_k_star_local(seq, 1.0, 3, (0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * 2**20
+
+
 def test_c_k_star_takes_both_prefix_layouts(monkeypatch):
     # a block's runs of starts, anchors and ends overlap where the windows
     # are narrower than the block (one prefix sum per limb over their union)
