@@ -57,7 +57,7 @@ import numpy as np
 
 from . import core
 from .core import (PointSequence, check_half, check_order, exact_chunk_sum, grid_arc, in_arc,
-                   self_window_blocks, signed_distance, to_grid)
+                   self_window_blocks, signed_distance, stirling_second, to_grid)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
@@ -255,7 +255,10 @@ def r_k_box(seq: PointSequence, boxes, k=None) -> CorrelationReport:
     max(min end - max start, 0), less the anchor where that run holds
     it: O(Bell(k-1) N) work at most, whatever the window occupancy.  An
     anchor no tuple can fill counts zero, and a block of such anchors
-    is skipped: sparse windows cost O(k N) at any order.  Per anchor
+    is skipped: sparse windows cost O(k N) at any order.  Before each
+    block's partition sum, Bell(k-1) terms per live anchor are added to
+    a running total charged to the work budget, so dense windows at a
+    high k raise BudgetError at the first such block.  Per anchor
     of a core._BLOCK block, the peak is 16 bytes per slot, 8 per
     cached block count (at most 2^(k-1) - 1) and under 40 more: 3 MiB at
     k = 3, 11.5 MiB at k = 6 (2.8 and 11.3 measured at N = 2^20).
@@ -266,7 +269,8 @@ def r_k_box(seq: PointSequence, boxes, k=None) -> CorrelationReport:
     # a/N <= ((c - y)) <= b/N for anchor c and occupant y: y - c in (-hi, -lo)
     arcs = [(-hi, -lo) for lo, hi in (grid_arc(a, b, n) for a, b in boxes)]
     distinct = sorted(set(arcs))
-    raw = 0
+    bell = sum(stirling_second(k - 1, j) for j in range(k))
+    raw = terms = 0
     for b, wins in self_window_blocks(seq.sorted_grid, distinct):
         runs = [wins[distinct.index(arc)] for arc in arcs]
         anchor = np.arange(b, b + runs[0][0].size)
@@ -286,6 +290,8 @@ def r_k_box(seq: PointSequence, boxes, k=None) -> CorrelationReport:
             live &= others(start, end) > 0
         if not live.any():
             continue
+        terms += bell * int(np.count_nonzero(live))
+        _charge_budget(terms, f"box partition terms Bell({k - 1}) * live anchors")
 
         @functools.cache
         def block_count(mask: int) -> np.ndarray:

@@ -249,6 +249,15 @@ def test_metric_budget_exit_code(integers_file, capsys, monkeypatch):
     assert "CORRKIT_ORACLE_BUDGET" in capsys.readouterr().err
 
 
+def test_box_partition_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # Bell(15) partition terms per live anchor: refused at the default budget
+    monkeypatch.delenv("CORRKIT_ORACLE_BUDGET", raising=False)
+    path = tmp_path / "pts.txt"
+    main(["gen", "--kind", "uniform_random", "--n", "2000", "--seed", "1729", "--out", str(path)])
+    assert main(["corr", "--input", str(path), "--k", "16", "--box=" + ",".join(["-4:4"] * 15)]) == 4
+    assert capsys.readouterr().err.startswith("work budget exceeded: box partition terms")
+
+
 def test_energy_consistency_error_exit_code(integers_file, capsys, monkeypatch):
     irfft = np.fft.irfft
 

@@ -650,8 +650,39 @@ def test_box_sparse_high_order_skips_the_partition_sum(monkeypatch, k):
         raise AssertionError("the partition sum ran")
 
     monkeypatch.setattr(correlations, "_set_partitions", no_partitions)
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", "0")  # and no partition term is charged
     seq = PointSequence(np.random.default_rng(3).random(100))
     assert r_k_box(seq, ((-1.0, 1.0),) * (k - 1)).raw_count == 0
+
+
+def test_box_partition_terms_are_charged_before_the_sum(monkeypatch):
+    # symmetric (-4, 4) boxes on 2000 uniform points: at k = 16 each live
+    # anchor brings Bell(15) = 1382958545 terms, refused before any is summed
+    def no_partitions(*args):
+        raise AssertionError("the partition sum ran")
+
+    monkeypatch.delenv("CORRKIT_ORACLE_BUDGET", raising=False)
+    seq = PointSequence(np.random.default_rng(1729).random(2000))
+    with monkeypatch.context() as m:
+        m.setattr(correlations, "_set_partitions", no_partitions)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"Bell\(15\) .* = \d+ exceeds"):
+            r_k_box(seq, ((-4.0, 4.0),) * 15)
+        assert time.perf_counter() - t0 < 1.0
+    # the charge is Bell(k-1) per anchor with k-1 other points in its window
+    # (symmetric boxes: the hull is the window), summed over the blocks
+    g = seq.sorted_grid
+    others = in_arc(g[None, :] - g[:, None], grid_arc(-4.0, 4.0, 2000)).sum(axis=1) - 1
+    boxes = ((-4.0, 4.0),) * 4
+    bound = 15 * int(np.count_nonzero(others >= 4))  # Bell(4) = 15
+    want = r_k_distinct(seq, (4.0,) * 4).raw_count
+    for block in (2000, 7):
+        monkeypatch.setattr(core, "_BLOCK", block)
+        monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(bound))
+        assert r_k_box(seq, boxes).raw_count == want
+        monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", str(bound - 1))
+        with pytest.raises(BudgetError, match=f"= {bound} "):
+            r_k_box(seq, boxes)
 
 
 def test_box_pairwise_disjoint_boxes():
