@@ -23,10 +23,12 @@ whose pair sums lie in [0, 2 span].  There are three regimes:
   or sum_sigma r(sigma) != |A|^2, raises ConsistencyError.  Memory is
   about three float64 arrays of length L.
 - flat: any other span with 2 span at most _FLAT_SUM_LIMIT and at most
-  _FLAT_SUM_FACTOR |A|^2 sweeps ordered pair sums in blocks of at most
-  core._BLOCK (one reused buffer): O(|A|^2) time.  Energy adds the |A|^2
-  sums into an int32 table of r over [0, 2 span] (r <= |A| < 2^31;
-  4 (2 span + 1) bytes).
+  _FLAT_SUM_FACTOR |A|^2 sweeps the unordered pairs once, in blocks of
+  at most core._BLOCK sums (one reused buffer, _pair_sum_blocks): each
+  block of rows with itself at weight 1, then with the columns to its
+  right at weight 2, about |A|^2 / 2 sums for the |A|^2 ordered pairs,
+  O(|A|^2) time.  Energy adds each sum's weight into an int32 table of
+  r over [0, 2 span] (r <= |A| < 2^31; 4 (2 span + 1) bytes).
 - wide: larger spans (a table much larger than the pair sums it counts)
   count energy from the runs of equal values in one sorted uint64 array
   of the pair sums (8 |A|^2 bytes, one outer sum, refused with
@@ -34,10 +36,12 @@ whose pair sums lie in [0, 2 span].  There are three regimes:
 
 Off the FFT regime the 3-AP count is split by parity: x + z = 2y forces
 x = z (mod 2), and with x = 2x' + b, z = 2z' + b the midpoint is
-x' + z' + b.  Each parity class b sweeps only its own pairs, about
-|A|^2 / 2 in all, looking the midpoints up in a bool table of d over
-[0, span] (flat) or by binary search in d (wide); one class's block
-buffer is freed before the next class allocates its own.
+x' + z' + b.  Each parity class b sweeps only its own unordered pairs,
+about |A|^2 / 4 sums in all, looking the midpoints up in a bit table of
+d over [0, span], span/64 + 1 words of 8 bytes (flat), or by binary
+search in d (wide); one class's buffers are freed before the next class
+allocates its own.  The squares 1..2000 peak at 1.1 MiB (flat), where
+a bool table took 4.2.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
@@ -46,12 +50,13 @@ progression structure forces on the alpha-average.  Each trial keeps
 its own trial_rng(seed, t) stream; the trials run in chunks of at most
 core._BLOCK points, one row per trial: one wrapping uint64 product
 gives the chunk's fractional parts (seqgen.exact_frac_parts), one
-row-wise sort, one search per row and one bincount over the rows give
-every window count (_trial_window_counts), and each row's raw count is
+row-wise sort, and core's neighbour-offset passes over the stack of
+rows give every window count (_trial_window_counts; windows still open
+after the passes are searched row by row), and each row's raw count is
 the exact product sum r_k_distinct takes, so every R_3 value is the one
 r_k_distinct gives.  A chunk of P points (P = core._BLOCK, or N when
-N is larger) peaks near 72 P bytes under tracemalloc, 2.25 MiB at
-P = 2^15.
+N is larger) peaks near 40 P bytes under tracemalloc, 1.25 MiB at
+P = 2^15, and none of its arrays lives into the next chunk.
 """
 
 from __future__ import annotations
@@ -134,17 +139,23 @@ def _fft_pair_sum_counts(d: np.ndarray, length: int) -> np.ndarray:
 
 
 def _pair_sum_blocks(d: np.ndarray):
-    """All |d|^2 ordered pair sums d_i + d_j, at most core._BLOCK per block.
-    Every block is a view of one reused buffer, valid until the next."""
+    """The sums d_i + d_j of every unordered pair {i, j}, i = j too, once,
+    as (block, weight) with at most core._BLOCK sums per block: each
+    block of rows with itself, every ordered pair of its square, weight
+    1, then with the columns to its right, each pair in one order of
+    the two, weight 2.  About |d| (|d| + rows) / 2 sums in all.  Every
+    block is a view of one reused buffer, valid until the next."""
     n, block = d.size, core._BLOCK
-    rows = max(1, block // n)
-    cols = min(n, block)
-    buf = np.empty(min(rows, n) * cols, dtype=d.dtype)
+    rows = min(n, max(1, block // n))
+    cols = max(1, block // rows)  # all columns at once when n <= block
+    buf = np.empty(rows * min(n, cols), dtype=d.dtype)
     for r in range(0, n, rows):
-        for c in range(0, n, cols):
-            a, b = d[r:r + rows, None], d[None, c:c + cols]
+        a = d[r:r + rows, None]
+        spans = [(r, r + rows, 1)] + [(c, c + cols, 2) for c in range(r + rows, n, cols)]
+        for c, e, weight in spans:
+            b = d[None, c:e]
             out = buf[:a.size * b.size].reshape(a.size, b.size)
-            yield np.add(a, b, out=out).ravel()
+            yield np.add(a, b, out=out).ravel(), weight
 
 
 def _sum_of_squares(r: np.ndarray) -> int:
@@ -164,8 +175,8 @@ def _swept_pair_sum_counts(d: np.ndarray) -> np.ndarray:
     """r(sigma), sigma in [0, 2 span], as int32 (r <= |A| < 2^31) from the
     pair-sum sweep; the sweep's buffer is freed on return."""
     r = np.zeros(2 * int(d[-1]) + 1, dtype=np.int32)
-    for block in _pair_sum_blocks(d):
-        np.add.at(r, block, np.int32(1))  # an int32 value keeps the fast typed loop
+    for block, weight in _pair_sum_blocks(d):
+        np.add.at(r, block, np.int32(weight))  # an int32 value keeps the fast typed loop
     return r
 
 
@@ -206,19 +217,28 @@ def additive_energy_bruteforce(a) -> int:
     )
 
 
-def _midpoint_hits(h: np.ndarray, b: int, d: np.ndarray, member) -> int:
+def _midpoint_hits(h: np.ndarray, b: int, d: np.ndarray, bits) -> int:
     """#{(i, j) : h_i + h_j + b in d}, for the halves h = x >> 1 of one
-    parity class b of d: by the flat membership table over [0, span] when
-    one is given, else by binary search in d.  The sweep's block buffer
-    is freed on return."""
-    if member is not None:
-        member = member[b:]  # member[b + sigma] as member[sigma]
-        return sum(int(np.count_nonzero(member[block])) for block in _pair_sum_blocks(h))
+    parity class b of d: by the flat bit table of d over [0, span] when
+    one is given, else by binary search in d.  The sweep's buffers are
+    freed on return."""
     hits = 0
-    for block in _pair_sum_blocks(h):
+    if bits is not None:
+        word = np.empty(min(h.size**2, core._BLOCK), dtype=np.int64)
+        for block, weight in _pair_sum_blocks(h):
+            block += b
+            w = word[:block.size]
+            # each word index is read before its place is written: take in place
+            np.take(bits, np.right_shift(block, 6, out=w), out=w, mode="clip")
+            block &= 63
+            np.right_shift(w, block, out=w)  # bit block & 63 of its word, as bit 0
+            w &= 1
+            hits += weight * int(np.count_nonzero(w))
+        return hits
+    for block, weight in _pair_sum_blocks(h):
         block += np.uint64(b)
         # every midpoint is at most span = d[-1], so each search lands inside
-        hits += int(np.count_nonzero(d[np.searchsorted(d, block)] == block))
+        hits += weight * int(np.count_nonzero(d[np.searchsorted(d, block)] == block))
     return hits
 
 
@@ -234,15 +254,16 @@ def three_ap_count(a) -> int:
     length = _fft_length(d) if flat else 0
     if length:
         return int(_fft_pair_sum_counts(d, length)[2 * d].sum()) - d.size
-    member = None
-    if flat:
-        member = np.zeros(int(d[-1]) + 1, dtype=bool)
-        member[d] = True
+    bits = None
+    if flat:  # bit y & 63 of word y >> 6 for each y in d, the words as int64
+        words = np.zeros(int(d[-1]) // 64 + 1, dtype=np.uint64)
+        np.bitwise_or.at(words, d >> 6, np.left_shift(np.uint64(1), (d & 63).astype(np.uint64)))
+        bits = words.view(np.int64)
     hits = 0
     for b in (0, 1):
         h = d[(d & 1) == b] >> 1
         if h.size:
-            hits += _midpoint_hits(h, b, d, member)
+            hits += _midpoint_hits(h, b, d, bits)
     return hits - d.size
 
 
@@ -264,25 +285,18 @@ def _trial_window_counts(g: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
     arc = grid_arc(-s, s, N) with s <= N/2.
 
     The whole circle (s = N/2) holds every point.  Any other arc is
-    (-R, R), and ||y - c|| <= R is symmetric: i is in j's window exactly
-    when j is in i's.  One search per row gives each point's unrolled
-    end E_i in [i+1, i+N] (N added where g_i + R wraps past 0).  Point j's
-    window reaches back over the i < j with E_i > j and the i > j with
-    E_i > j + N, so with C[x] = #{i : E_i <= x} its unrolled start is
-    C[j] + C[j+N] - N, and one bincount of E, shifted by 2N per row,
-    gives every row's C at once."""
+    (-R, R) with R < 2^63, so each unrolled window holds a point at most
+    once and z_i = end - start: the rows' windows come from core's
+    neighbour-offset passes, core._BLOCK points of the stack at a time."""
     rows, n = g.shape
     if arc[1] - arc[0] >= GRID - 1:
         return np.full(g.shape, n, dtype=np.int64)
-    reach = g + np.uint64(arc[1])
-    end = np.empty(g.shape, dtype=np.intp)
-    for r in range(rows):
-        end[r] = np.searchsorted(g[r], reach[r], side="right")
-    end[reach < g] += n
-    ended = np.bincount((end + np.arange(0, 2 * n * rows, 2 * n)[:, None]).ravel(),
-                        minlength=2 * n * rows).reshape(rows, 2 * n)
-    np.cumsum(ended, axis=1, out=ended)
-    return end - (ended[:, :n] + ended[:, n:] - n)
+    z = np.empty(g.shape, dtype=np.int64)
+    step = max(1, core._BLOCK // rows)
+    for b in range(0, n, step):
+        start, end = core._passed_window(g, b, min(step, n - b), arc[1])
+        np.subtract(end, start, out=z[:, b:b + step])
+    return z
 
 
 def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricExperimentReport:
@@ -309,8 +323,12 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
         alphas = [float(trial_rng(seed, t).random()) for t in range(t0, min(t0 + rows, trials))]
         points = exact_frac_parts(head, alphas)
         points.sort(axis=1)
-        z = _trial_window_counts(to_grid(points), arc)
+        grid = to_grid(points)
+        del points
+        z = _trial_window_counts(grid, arc)
+        del grid
         raws = _exact_product_sum(_distinct_factors([z, z]))
+        del z  # no chunk's arrays live into the next
         vals[t0:t0 + len(raws)] = [raw / n for raw in raws]
     mean = float(vals.mean())
     var = float(vals.var(ddof=1)) if trials > 1 else 0.0

@@ -30,10 +30,12 @@ offset, up to min(widest one-sided window, _PASS_CAP = 8), counted per
 anchor in two byte-wide counters (11 bytes per anchor of the block with
 the differences and mask), plus binary searches for only the anchors
 whose windows are still open after them: for windows of a few points,
-hardly any.  F at one point (intervalstats.f_count) is read off the
-blocks' unrolled searches (_unrolled_search); the stacks of trial rows
-of the dilation experiment count their windows next to it
-(arithmetic._trial_window_counts).
+hardly any.  The passes take a stack of sorted rows, each its own
+circle, as well as one grid: the dilation experiment's trial rows
+(arithmetic._trial_window_counts) read their window counts off them,
+and a block of whole rows is one subtraction per pass over the stack.
+F at one point (intervalstats.f_count) is read off the blocks' unrolled
+searches (_unrolled_search).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -196,70 +198,114 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     """(start, end) of the anchors b, ..., b + size - 1 for the arc (-r, r),
     0 <= r < 2^64, found by passes over the offsets t = 1, 2, ...
 
+    grid is one sorted grid of m points, or a stack of them, shape
+    (rows, m), each row a circle of its own: start and end then hold the
+    block's anchors of every row, shape (rows, size).
+
     Pass t takes d_j = U_(j+t) - U_j mod 2^64, the grid distance from
     unrolled position j to j + t (U as in self_window_blocks), as one
-    array over j in [b - t, b + size): d_i <= r for anchor i moves its
-    end past i + t, d_(i-t) <= r its start back to i - t, as the arc is
-    symmetric.  For t < m the distance only grows with t, whatever r, so
-    a window that closes stays closed.  The one exception is a distance
-    of exactly 2^64, between equal points a lap apart, which wraps to 0;
-    it stays 2^64 at every larger t < m, so that side keeps growing to
-    the last pass and is searched.  The passes stop when no window grew,
-    after min(_PASS_CAP, m - 1) of them, or at the first offset where
-    none closed (the windows are wide).  The windows still open are then
-    searched (_unrolled_search), all of the block's at once if all are.
+    array over j in [b - t, b + size) (over [0, m) for whole rows, see
+    _window_passes): d_i <= r for anchor i moves its end past i + t,
+    d_(i-t) <= r its start back to i - t, as the arc is symmetric.  For
+    t < m the distance only grows with t, whatever r, so a window that
+    closes stays closed.  The one exception is a distance of exactly
+    2^64, between equal points a lap apart, which wraps to 0; it stays
+    2^64 at every larger t < m, so that side keeps growing to the last
+    pass and is searched.  The passes stop when no window grew, after
+    min(_PASS_CAP, m - 1) of them, or at the first offset where none
+    closed (the windows are wide).  The windows still open are then
+    searched row by row (_unrolled_search), all of a row's at once if
+    all are.
     """
-    m = grid.size
-    cap = min(_PASS_CAP, m - 1)
-    start = np.arange(b, b + size)
-    end = start + 1
-    # the anchors whose end, start may still grow: None for all of them
-    ends, starts = _window_passes(grid, b, cap, r, start, end)
-    g = grid[b:b + size]
+    m = grid.shape[-1]
+    # the passes each anchor's end and start moved, and the anchors whose
+    # end, start may still grow, as flat positions in the block's rows:
+    # None for all of them
+    ahead, behind, ends, starts = _window_passes(grid, b, size, min(_PASS_CAP, m - 1), r)
+    cols = np.arange(b, b + size)  # after the passes' arrays are freed
+    start, end = np.subtract(cols, behind), np.add(cols, ahead)
+    end += 1
+    g = grid[..., b:b + size]
+    grids, keys = grid.reshape(-1, m), g.reshape(-1, size)  # one row for one grid
     for bound, off, side, at in ((end, r, "right", ends), (start, -r, "left", starts)):
+        out = bound.reshape(-1, size)
         if at is None:
-            bound[:] = _unrolled_search(grid, g, off, side)
+            for i, row in enumerate(grids):
+                out[i] = _unrolled_search(row, keys[i], off, side)
         elif at.size:
-            bound[at] = _unrolled_search(grid, g[at], off, side)
+            cuts = np.searchsorted(at, np.arange(len(grids) + 1) * size).tolist()
+            for i, row in enumerate(grids):
+                if cuts[i] < cuts[i + 1]:
+                    a = at[cuts[i]:cuts[i + 1]] - i * size
+                    out[i, a] = _unrolled_search(row, keys[i, a], off, side)
     return start, end
 
 
-def _window_passes(grid: np.ndarray, b: int, cap: int, r: int, start: np.ndarray, end: np.ndarray):
-    """The passes of _passed_window over t = 1, ..., at most cap < m,
-    moving start and end in place: returns the positions in the block of
-    the anchors whose end and whose start are still growing (None for
-    all of them).  Each anchor's passes are counted in the narrowest
-    unsigned type that holds cap, a byte for the default cap, and added
-    to end and start once.  Its temporaries end with it."""
-    m, size = grid.size, start.size
-    if not cap:
-        return None, None
-    d = np.empty(size + cap, dtype=np.uint64)
-    near = np.empty(size + cap, dtype=bool)
-    ahead = np.zeros(size, dtype=np.min_scalar_type(cap))
+def _window_passes(grid: np.ndarray, b: int, size: int, cap: int, r: int):
+    """The passes of _passed_window over t = 1, ..., at most cap < m:
+    returns how far each anchor's end and start moved, and the flat
+    positions in the block's rows of the anchors whose end and whose
+    start are still growing (None for all of them).  The moves are
+    counted in the narrowest unsigned type that holds cap, a byte for
+    the default cap.  The distances and their mask end with the call.
+
+    A block of whole rows takes d_j for j in [0, m) only, one
+    subtraction over the stack: anchor i's start reads d_(i-t), which
+    for i < t is d_(i-t+m), as the rows are circles.  Any other block
+    takes d_j for j in [b - t, b + size)."""
+    m = grid.shape[-1]
+    shape = grid.shape[:-1] + (size,)
+    ahead = np.zeros(shape, dtype=np.min_scalar_type(cap))
     behind = np.zeros_like(ahead)
-    growing = [size, size]  # ends, starts
+    if not cap:
+        return ahead, behind, None, None
+    whole = size == m  # then b = 0
+    d = np.empty(shape[:-1] + (size + (0 if whole else cap),), dtype=np.uint64)
+    near = np.empty(d.shape, dtype=bool)
+    growing = [ahead.size, ahead.size]  # ends, starts
     for t in range(1, cap + 1):
-        dt = d[:size + t]  # d_j at dt[j - b + t]
-        # j and j + t on the grid's first lap: two slices of it
-        lo, hi = min(max(t - b, 0), size + t), min(m - b, size + t)
-        np.subtract(grid[b + lo:b + hi], grid[b - t + lo:b - t + hi], out=dt[lo:hi])
-        for a, z in ((0, lo), (hi, size + t)):  # at most t on each side wrap
-            if a < z:
-                j = np.arange(b - t + a, b - t + z)
-                dt[a:z] = grid[(j + t) % m] - grid[j % m]
-        ok = np.less_equal(dt, np.uint64(r), out=near[:size + t])
+        k = 0 if whole else t  # d_j at dt[..., j - b + k]
+        dt = d[..., :size + k]
+        _offset_gaps(grid, b - k, t, dt)
+        ok = np.less_equal(dt, np.uint64(r), out=near[..., :size + k])
         hits = ok.view(np.uint8)  # no cast per pass
-        ahead += hits[t:]
-        behind += hits[:size]
-        grew = [int(np.count_nonzero(ok[t:])), int(np.count_nonzero(ok[:size]))]
+        ahead += hits[..., k:]
+        if whole:
+            behind[..., t:] += hits[..., :m - t]
+            behind[..., :t] += hits[..., m - t:]
+            grew = [int(np.count_nonzero(ok))] * 2
+        else:
+            behind += hits[..., :size]
+            grew = [int(np.count_nonzero(ok[..., t:])), int(np.count_nonzero(ok[..., :size]))]
         if grew == [0, 0] or grew == growing:  # all closed, or none closed at t: wide windows
             break
         growing = grew
-    end += ahead
-    start -= behind
-    return (np.flatnonzero(ok[t:]) if grew[0] < size else None,
-            np.flatnonzero(ok[:size]) if grew[1] < size else None)
+    back = np.roll(ok, t, axis=-1) if whole else ok[..., :size]  # d_(i-t) <= r per anchor i
+    return (ahead, behind, np.flatnonzero(ok[..., k:]) if grew[0] < ahead.size else None,
+            np.flatnonzero(back) if grew[1] < ahead.size else None)
+
+
+def _offset_gaps(grid: np.ndarray, c: int, t: int, out: np.ndarray) -> None:
+    """out[..., i] = d_(c+i) = U_(c+i+t) - U_(c+i) mod 2^64 for the k
+    unrolled positions c, ..., c + k - 1 of each row, -m < c, c + k <= m,
+    0 < t < m: three runs of slices, where j lies on the lap before
+    (g_(j+m)), where j and j + t lie on the first lap, and where j + t
+    wraps (g_(j+t-m)).  Whole rows (c = 0, k = m, out contiguous) take the
+    middle run as one subtraction over the flattened stack, whose values
+    across the rows' ends the last run overwrites."""
+    m, k = grid.shape[-1], out.shape[-1]
+    e = c + k
+    if 0 <= c and e <= m - t:  # the one run of a block inside the grid
+        np.subtract(grid[..., c + t:e + t], grid[..., c:e], out=out)
+        return
+    runs = [(c, min(0, e), m, t), (max(c, 0), min(m - t, e), 0, t), (max(c, m - t), e, 0, t - m)]
+    if c == 0 and k == m and out.flags.c_contiguous:
+        flat = grid.reshape(-1)
+        np.subtract(flat[t:], flat[:-t], out=out.reshape(-1)[:-t])
+        del runs[1]
+    for a, z, at, ahead in runs:
+        if a < z:
+            np.subtract(grid[..., a + ahead:z + ahead], grid[..., a + at:z + at], out=out[..., a - c:z - c])
 
 
 def self_window_blocks(grid: np.ndarray, arcs):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -143,9 +144,10 @@ def test_fft_memory_is_within_its_stated_bound():
 
 
 def test_pair_sweep_holds_one_block():
-    # squares take the sweep; its blocks share one buffer next to the
-    # membership table over [0, span], 3.8 MiB (23.8 MiB peak with an
-    # 8 MiB block per step and a table over [0, 2 span])
+    # squares take the sweep; its blocks share one buffer and one buffer of
+    # table words next to the bit table of d over [0, span], 0.48 MiB (4.21
+    # MiB peak with a bool table, 23.8 MiB with an 8 MiB block per step and
+    # a table over [0, 2 span])
     squares = [m * m for m in range(1, 2001)]
     tracemalloc.start()
     try:
@@ -154,7 +156,7 @@ def test_pair_sweep_holds_one_block():
     finally:
         tracemalloc.stop()
     assert aps == 2926
-    assert peak < 18 * 2**20
+    assert peak <= 1.6 * 2**20
 
 
 @pytest.mark.parametrize("regime", ["sweep", "wide"])
@@ -183,18 +185,86 @@ def test_parity_split_three_aps_match_brute_force(monkeypatch, regime):
 
 
 def test_parity_classes_sweep_half_the_pairs(monkeypatch):
-    # the squares of 1..2000 split into 1000 even and 1000 odd ones: 2e6
-    # pair sums instead of 4e6, each below the span
+    # the squares of 1..2000 split into 1000 even and 1000 odd ones, and
+    # each class forms the sums of its unordered pairs once: the squares
+    # of its blocks of 32 rows in both orders, the rest in one order of
+    # two, 515904 sums where the ordered pairs are n^2 = 1e6
     seen = []
     blocks = arithmetic._pair_sum_blocks
 
     def recording(h):
-        seen.append(h.size)
-        yield from blocks(h)
+        seen.append([h.size, 0, 0])
+        for block, weight in blocks(h):
+            seen[-1][1] += block.size
+            seen[-1][2] += weight * block.size
+            yield block, weight
 
     monkeypatch.setattr(arithmetic, "_pair_sum_blocks", recording)
     assert three_ap_count([m * m for m in range(1, 2001)]) == 2926
-    assert seen == [1000, 1000]
+    assert [n for n, _, _ in seen] == [1000, 1000]
+    rows = core._BLOCK // 1000
+    for n, formed, ordered in seen:
+        assert ordered == n * n
+        assert n * (n + 1) // 2 <= formed <= n * (n + rows) // 2
+
+
+def _row_block(n):
+    """The rows of one block of _pair_sum_blocks over n elements."""
+    return min(n, max(1, core._BLOCK // n))
+
+
+def _class_sizes():
+    """Parity class sizes 0 and 1, and sizes whose last block of rows
+    holds rows - 1 rows, all rows, and one row past full blocks, at the
+    current core._BLOCK (the first such sizes up to 600)."""
+    sizes = {0, 1}
+    for last in (-1, 0, 1):
+        sizes.add(next(n for n in range(2, 601)
+                       if n % _row_block(n) == last % _row_block(n)
+                       and (last <= 0 or n > _row_block(n))))
+    return sorted(sizes)
+
+
+def _pair_oracles(a):
+    """E(A) and T(A) by enumerating the ordered pairs: the pair-sum
+    counts r(sigma), and the pairs x != z whose midpoint is in A."""
+    sums = Counter(x + z for x in a for z in a)
+    members = set(a)
+    aps = sum(1 for x in a for z in a if x != z and (x + z) % 2 == 0 and (x + z) // 2 in members)
+    return sum(r * r for r in sums.values()), aps
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_unordered_sweeps_match_the_ordered_pairs(monkeypatch, block):
+    # parity classes at sizes where the sweep's last block of rows is short
+    # by one, full, or one row past full blocks, next to an empty class
+    # and a class of one (translation by min A may swap the two classes):
+    # flat and wide 3-AP counts and the flat energy table, against every
+    # ordered pair
+    monkeypatch.setattr(core, "_BLOCK", block)
+    monkeypatch.setattr(arithmetic, "_fft_length", lambda d: 0)
+    flat_limit = arithmetic._FLAT_SUM_LIMIT
+    rng = np.random.default_rng(29)
+    sizes = _class_sizes()
+    assert len(sizes) >= 3
+    cases = 0
+    for n_even in sizes:
+        for n_odd in sizes:
+            if n_even + n_odd == 0:
+                continue
+            span = 2 * (n_even + n_odd) + 2  # 2 span <= 4 |A|^2: the flat tables
+            evens = 2 * rng.choice(span // 2, n_even, replace=False)
+            odds = 2 * rng.choice(span // 2, n_odd, replace=False) + 1
+            a = sorted(int(x) + 1000 for x in np.concatenate((evens, odds)))
+            energy, aps = _pair_oracles(a)
+            for limit in (flat_limit, 0):
+                monkeypatch.setattr(arithmetic, "_FLAT_SUM_LIMIT", limit)
+                assert three_ap_count(a) == aps, (block, n_even, n_odd, limit)
+            monkeypatch.setattr(arithmetic, "_FLAT_SUM_LIMIT", flat_limit)
+            assert arithmetic._translated(a)[1]
+            assert additive_energy(a) == energy, (block, n_even, n_odd)
+            cases += 1
+    assert cases == len(sizes) ** 2 - 1
 
 
 def test_flat_energy_table_is_int32():
@@ -373,28 +443,79 @@ def test_metric_experiment_chunk_edges(monkeypatch):
         assert metric_r3_experiment(a, 0.7, 100, 10, 5) == want
 
 
-@pytest.mark.parametrize("rows", ["random", "clustered", "coinciding", "lattice"])
-@pytest.mark.parametrize("s", [1e-6, 0.5, 3.0, 25.0])  # s = N/2 = 25: the whole circle
-def test_trial_window_counts_are_the_pairwise_arc_counts(rows, s):
-    rng = np.random.default_rng(50)
-    n = 50
-    arc = grid_arc(-s, s, n)
+def test_metric_experiment_memory_is_one_chunk():
+    # chunks of 16 rows of 2000 points, about 40 bytes a point, and the
+    # 3-AP count's bit table before them (4.22 MiB with the bool table);
+    # the first call imports numpy.random, which is not the experiment's
+    squares = [m * m for m in range(1, 2001)]
+    metric_r3_experiment(squares, 0.5, 2000, 1, 2901)
+    tracemalloc.start()
+    try:
+        rep = metric_r3_experiment(squares, 0.5, 2000, 200, 2901)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.lower_bound == 2 * 0.5 * 2926 / 2000**2
+    assert peak <= 2.4 * 2**20
+
+
+def _trial_rows(rng, rows, n, arc, count=7):
+    """count sorted grid rows of n points of one kind."""
     if rows == "lattice":  # grid points R apart, with repeats, across the wrap: ties at both ends
-        steps = rng.integers(0, 8, (7, n)).astype(np.uint64) - np.uint64(3)  # wraps below 0
-        grid = np.sort(steps * np.uint64(arc[1]), axis=1)
+        steps = rng.integers(0, 8, (count, n)).astype(np.uint64) - np.uint64(3)  # wraps below 0
+        return np.sort(steps * np.uint64(arc[1]), axis=1)
+    if rows == "random":
+        pts = rng.random((count, n))
+    elif rows == "clustered":  # ties and runs of equal points across the wrap
+        pts = (rng.integers(0, 6, (count, n)) / 6 + rng.choice([0.0, 0.999], (count, 1))) % 1.0
     else:
-        if rows == "random":
-            pts = rng.random((7, n))
-        elif rows == "clustered":  # ties and runs of equal points across the wrap
-            pts = (rng.integers(0, 6, (7, n)) / 6 + rng.choice([0.0, 0.999], (7, 1))) % 1.0
-        else:
-            pts = np.zeros((7, n))
-        grid = np.stack([PointSequence(row).sorted_grid for row in pts])
+        pts = np.zeros((count, n))
+    return np.stack([PointSequence(row).sorted_grid for row in pts])
+
+
+def _assert_trial_window_counts(grid, arc):
     got = arithmetic._trial_window_counts(grid, arc)
     assert got.shape == grid.shape
     for r, g in enumerate(grid):
         want = np.count_nonzero(in_arc(g[None, :] - g[:, None], arc), axis=1)
-        assert np.array_equal(got[r], want)
+        assert np.array_equal(got[r], want), (r, arc)
+
+
+@pytest.mark.parametrize("rows", ["random", "clustered", "coinciding", "lattice"])
+@pytest.mark.parametrize("s", [1e-6, 0.5, 3.0, 12.0, 25.0])
+def test_trial_window_counts_are_the_pairwise_arc_counts(rows, s):
+    # rows of n = 50, and of n <= 9, where the passes stop after n - 1 and
+    # equal points lie a lap apart; a scale past n/2 is taken as n/2, the
+    # whole circle (s = 25 at n = 50).  s = 12 at n = 50 outgrows the 8
+    # passes: those windows are searched row by row
+    rng = np.random.default_rng(50)
+    for n in (1, 2, 5, 8, 9, 50):
+        arc = grid_arc(-min(s, n / 2), min(s, n / 2), n)
+        _assert_trial_window_counts(_trial_rows(rng, rows, n, arc), arc)
+
+
+@pytest.mark.parametrize("count", [1, 7])
+def test_trial_window_counts_in_blocks_of_a_row(monkeypatch, count):
+    # blocks of 16 points: one row of 50 in blocks of 16 anchors, and 7
+    # rows in blocks of 2 anchors each, with their wrapping offsets
+    monkeypatch.setattr(core, "_BLOCK", 16)
+    rng = np.random.default_rng(51)
+    for rows in ("random", "clustered", "lattice"):
+        for s in (0.5, 3.0, 12.0):
+            arc = grid_arc(-s, s, 50)
+            _assert_trial_window_counts(_trial_rows(rng, rows, 50, arc, count), arc)
+
+
+def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
+    # at s = 0.5 a window holds about two points: the passes close them all
+    def no_search(*args):
+        raise AssertionError("a window was searched")
+
+    monkeypatch.setattr(core, "_unrolled_search", no_search)
+    rng = np.random.default_rng(52)
+    for n, count in ((50, 7), (2000, 16)):
+        arc = grid_arc(-0.5, 0.5, n)
+        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc)
 
 
 def test_metric_experiment_validation(monkeypatch):

@@ -150,10 +150,9 @@ def test_window_passes_count_past_a_byte(monkeypatch):
     monkeypatch.setattr(core, "_PASS_CAP", 1 << 30)
     real, passes = core._window_passes, []
 
-    def spy(grid, b, cap, r, start, end):
-        before = end.copy()
-        out = real(grid, b, cap, r, start, end)
-        passes.append(int((end - before).max()))  # the passes that moved some end
+    def spy(grid, b, size, cap, r):
+        out = real(grid, b, size, cap, r)
+        passes.append(int(out[0].max()))  # the passes that moved some end
         return out
 
     monkeypatch.setattr(core, "_window_passes", spy)
