@@ -225,6 +225,7 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     cols = np.arange(b, b + size)  # after the passes' arrays are freed
     start, end = np.subtract(cols, behind), np.add(cols, ahead)
     end += 1
+    del cols, ahead, behind  # before any search
     g = grid[..., b:b + size]
     grids, keys = grid.reshape(-1, m), g.reshape(-1, size)  # one row for one grid
     for bound, off, side, at in ((end, r, "right", ends), (start, -r, "left", starts)):
