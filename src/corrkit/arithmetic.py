@@ -40,7 +40,7 @@ x' + z' + b.  Each parity class b sweeps only its own unordered pairs,
 about |A|^2 / 4 sums in all, looking the midpoints up in a bit table of
 d over [0, span], span/64 + 1 words of 8 bytes (flat), or by binary
 search in d (wide); one class's buffers are freed before the next class
-allocates its own.  The squares 1..2000 peak at 1.1 MiB (flat), where
+allocates its own.  The squares 1..2000 peak at 1.4 MiB (flat), where
 a bool table took 4.2.
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
@@ -50,13 +50,16 @@ progression structure forces on the alpha-average.  Each trial keeps
 its own trial_rng(seed, t) stream; the trials run in chunks of at most
 core._BLOCK points, one row per trial: one wrapping uint64 product
 gives the chunk's fractional parts (seqgen.exact_frac_parts), one
-row-wise sort, and core's neighbour-offset passes over the stack of
-rows give every window count (_trial_window_counts; windows still open
-after the passes are searched row by row), and each row's raw count is
-the exact product sum r_k_distinct takes, so every R_3 value is the one
-r_k_distinct gives.  A chunk of P points (P = core._BLOCK, or N when
-N is larger) peaks near 40 P bytes under tracemalloc, 1.25 MiB at
-P = 2^15, and none of its arrays lives into the next chunk.
+row-wise sort, and core's window primitive over the trials' grids side
+by side, one per column, gives every window count
+(_trial_window_counts: neighbour-offset passes, and searches for the
+windows still open after them, or for windows of 2 or more points a
+side on average one search of the ends with the starts read off
+them), and each row's raw count is the exact product sum r_k_distinct
+takes, so every R_3 value is the one r_k_distinct gives.  A chunk of P
+points (P = core._BLOCK, or N when N is larger) peaks near 40 P bytes
+under tracemalloc, 1.2 MiB at P = 2^15, or 52 P, 1.6 MiB, for the
+wider windows, and none of its arrays lives into the next chunk.
 """
 
 from __future__ import annotations
@@ -224,14 +227,14 @@ def _midpoint_hits(h: np.ndarray, b: int, d: np.ndarray, bits) -> int:
     freed on return."""
     hits = 0
     if bits is not None:
-        word = np.empty(min(h.size**2, core._BLOCK), dtype=np.int64)
+        size = min(h.size**2, core._BLOCK)
+        word, bit = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
         for block, weight in _pair_sum_blocks(h):
             block += b
-            w = word[:block.size]
-            # each word index is read before its place is written: take in place
-            np.take(bits, np.right_shift(block, 6, out=w), out=w, mode="clip")
-            block &= 63
-            np.right_shift(w, block, out=w)  # bit block & 63 of its word, as bit 0
+            w, i = word[:block.size], np.bitwise_and(block, 63, out=bit[:block.size])
+            block >>= 6
+            np.take(bits, block, out=w, mode="clip")  # every word index is in the table
+            np.right_shift(w, i, out=w)  # bit i of its word, as bit 0
             w &= 1
             hits += weight * int(np.count_nonzero(w))
         return hits
@@ -281,21 +284,22 @@ def three_ap_count_bruteforce(a) -> int:
 
 def _trial_window_counts(g: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
     """z_i = #{j : ||p_j - p_i|| <= s/N} for every point of a stack of
-    independent sorted grid rows g, N points each (a chunk's trials), for
-    arc = grid_arc(-s, s, N) with s <= N/2.
+    independent sorted grids side by side, shape (N, trials), one per
+    column (a chunk's trials), for arc = grid_arc(-s, s, N) with s <= N/2:
+    one row of z per trial, shape (trials, N).
 
     The whole circle (s = N/2) holds every point.  Any other arc is
     (-R, R) with R < 2^63, so each unrolled window holds a point at most
-    once and z_i = end - start: the rows' windows come from core's
+    once and z_i = end - start: the grids' windows come from core's
     neighbour-offset passes, core._BLOCK points of the stack at a time."""
-    rows, n = g.shape
+    n, cols = g.shape
     if arc[1] - arc[0] >= GRID - 1:
-        return np.full(g.shape, n, dtype=np.int64)
-    z = np.empty(g.shape, dtype=np.int64)
-    step = max(1, core._BLOCK // rows)
+        return np.full((cols, n), n, dtype=np.int64)
+    z = np.empty((cols, n), dtype=np.int64)
+    step = max(1, core._BLOCK // cols)
     for b in range(0, n, step):
         start, end = core._passed_window(g, b, min(step, n - b), arc[1])
-        np.subtract(end, start, out=z[:, b:b + step])
+        np.subtract(end, start, out=z[:, b:b + step].T)
     return z
 
 
@@ -323,7 +327,7 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
         alphas = [float(trial_rng(seed, t).random()) for t in range(t0, min(t0 + rows, trials))]
         points = exact_frac_parts(head, alphas)
         points.sort(axis=1)
-        grid = to_grid(points)
+        grid = to_grid(points.T)  # one trial per column
         del points
         z = _trial_window_counts(grid, arc)
         del grid

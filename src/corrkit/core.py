@@ -30,12 +30,14 @@ offset, up to min(widest one-sided window, _PASS_CAP = 8), counted per
 anchor in two byte-wide counters (11 bytes per anchor of the block with
 the differences and mask), plus binary searches for only the anchors
 whose windows are still open after them: for windows of a few points,
-hardly any.  The passes take a stack of sorted rows, each its own
-circle, as well as one grid: the dilation experiment's trial rows
-(arithmetic._trial_window_counts) read their window counts off them,
-and a block of whole rows is one subtraction per pass over the stack.
-F at one point (intervalstats.f_count) is read off the blocks' unrolled
-searches (_unrolled_search).
+hardly any.  A grid in one block whose windows are wider (2 or more
+points a side on average) takes no passes: one search of the ends, and
+the starts read off the ends' counts.  The passes take a stack of sorted grids side
+by side, one per column, each its own circle, as well as one grid, so a
+block of positions is one contiguous slice: the dilation experiment's
+trials (arithmetic._trial_window_counts) read their window counts off
+them.  F at one point (intervalstats.f_count) is read off the blocks'
+unrolled searches (_unrolled_search).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -198,115 +200,140 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     """(start, end) of the anchors b, ..., b + size - 1 for the arc (-r, r),
     0 <= r < 2^64, found by passes over the offsets t = 1, 2, ...
 
-    grid is one sorted grid of m points, or a stack of them, shape
-    (rows, m), each row a circle of its own: start and end then hold the
-    block's anchors of every row, shape (rows, size).
+    grid is one sorted grid of m points, shape (m,), or a stack of them
+    side by side, shape (m, c), each column a grid and a circle of its
+    own: start and end then hold the block's anchors of every column,
+    shape (size, c).  A block of positions is then one contiguous slice
+    of the stack.
 
     Pass t takes d_j = U_(j+t) - U_j mod 2^64, the grid distance from
     unrolled position j to j + t (U as in self_window_blocks), as one
-    array over j in [b - t, b + size) (over [0, m) for whole rows, see
-    _window_passes): d_i <= r for anchor i moves its end past i + t,
-    d_(i-t) <= r its start back to i - t, as the arc is symmetric.  For
-    t < m the distance only grows with t, whatever r, so a window that
-    closes stays closed.  The one exception is a distance of exactly
-    2^64, between equal points a lap apart, which wraps to 0; it stays
-    2^64 at every larger t < m, so that side keeps growing to the last
-    pass and is searched.  The passes stop when no window grew, after
-    min(_PASS_CAP, m - 1) of them, or at the first offset where none
-    closed (the windows are wide).  The windows still open are then
-    searched row by row (_unrolled_search), all of a row's at once if
+    array over j in [b - t, b + size): d_i <= r for anchor i moves its
+    end past i + t, d_(i-t) <= r its start back to i - t, as the arc is
+    symmetric.  For t < m the distance only grows with t, whatever r, so
+    a window that closes stays closed.  The one exception is a distance
+    of exactly 2^64, between equal points a lap apart, which wraps to 0;
+    it stays 2^64 at every larger t < m, so that side keeps growing to
+    the last pass and is searched.  The passes stop when no window grew,
+    after min(_PASS_CAP, m - 1) of them, or at the first offset where
+    none closed (the windows are wide).  The windows still open are then
+    searched grid by grid (_unrolled_search), all of a grid's at once if
     all are.
+
+    A block of whole grids (b = 0, size = m) with r < 2^63 whose windows
+    all are still open searches only the ends, one search per grid
+    (_grid_ends), and reads every start off them (_starts_off_ends).  Its
+    passes pay only while hardly any of its windows outlasts them, so it
+    takes none when its windows would hold 2 or more points a side on
+    average (r m >= 2^65).
     """
-    m = grid.shape[-1]
+    m = grid.shape[0]
+    whole = size == m and r < _HALF  # then the starts can be read off the ends
+    cap = 0 if whole and r * m >= 2 * GRID else min(_PASS_CAP, m - 1)
+    stack = grid.reshape(m, -1)  # one column for one grid
+    c = stack.shape[1]
     # the passes each anchor's end and start moved, and the anchors whose
-    # end, start may still grow, as flat positions in the block's rows:
-    # None for all of them
-    ahead, behind, ends, starts = _window_passes(grid, b, size, min(_PASS_CAP, m - 1), r)
-    cols = np.arange(b, b + size)  # after the passes' arrays are freed
-    start, end = np.subtract(cols, behind), np.add(cols, ahead)
+    # end, start may still grow, as flat positions in the block's grids,
+    # i size + j for anchor b + j of grid i: None for all of them
+    ahead, behind, ends, starts = _window_passes(stack, b, size, cap, r)
+    at_b = np.arange(b, b + size)[:, None]  # after the passes' arrays are freed
+    start, end = np.subtract(at_b, behind), np.add(at_b, ahead)
     end += 1
-    del cols, ahead, behind  # before any search
-    g = grid[..., b:b + size]
-    grids, keys = grid.reshape(-1, m), g.reshape(-1, size)  # one row for one grid
-    for bound, off, side, at in ((end, r, "right", ends), (start, -r, "left", starts)):
-        out = bound.reshape(-1, size)
-        if at is None:
-            for i, row in enumerate(grids):
-                out[i] = _unrolled_search(row, keys[i], off, side)
-        elif at.size:
-            cuts = np.searchsorted(at, np.arange(len(grids) + 1) * size).tolist()
-            for i, row in enumerate(grids):
-                if cuts[i] < cuts[i + 1]:
-                    a = at[cuts[i]:cuts[i + 1]] - i * size
-                    out[i, a] = _unrolled_search(row, keys[i, a], off, side)
-    return start, end
+    del at_b, ahead, behind  # before any search
+    if whole and ends is None and starts is None:  # every window open
+        _grid_ends(np.ascontiguousarray(stack.T), r, end.T)
+        _starts_off_ends(end, start)
+    else:
+        for bound, off, side, at in ((end, r, "right", ends), (start, -r, "left", starts)):
+            if at is None:
+                picks = [(i, slice(None)) for i in range(c)]
+            elif at.size:
+                cuts = np.searchsorted(at, np.arange(c + 1) * size).tolist()
+                picks = [(i, at[x:y] - i * size) for i, (x, y) in enumerate(zip(cuts, cuts[1:])) if x < y]
+            else:
+                continue
+            for i, a in picks:
+                row = np.ascontiguousarray(stack[:, i])  # a copy only for a column of a stack
+                bound.T[i][a] = _unrolled_search(row, row[b:b + size][a], off, side)
+    return start.reshape(grid[b:b + size].shape), end.reshape(grid[b:b + size].shape)
+
+
+def _grid_ends(rows: np.ndarray, r: int, end: np.ndarray) -> None:
+    """end[i] = _unrolled_search(rows[i], rows[i], r, "right") for whole
+    sorted grids, one per row of rows, 0 <= r < 2^64: one search of
+    g + r mod 2^64 per grid, with no runs to confine it, plus m where
+    g + r passed 2^64."""
+    reach = rows + np.uint64(r)
+    for row, keys, out in zip(rows, reach, end):
+        out[:] = np.searchsorted(row, keys, side="right")
+    end[reach < rows] += rows.shape[-1]
+
+
+def _starts_off_ends(end: np.ndarray, start: np.ndarray) -> None:
+    """start of every anchor of whole grids, one per column, shape (m, c),
+    from the unrolled ends of a symmetric arc (-r, r) with r < 2^63,
+    written into start.
+
+    Each window then holds a point at most once, so E_i lies in
+    [i + 1, i + m], and i is in j's window exactly when j is in i's.
+    Anchor j's window reaches back over the i < j with E_i > j and the
+    i > j with E_i > j + m, so with C[x] = #{i : E_i <= x} its unrolled
+    start is C[j] + C[j + m] - m.  One bincount of the ends, shifted by
+    2m per grid, gives every grid's C at once."""
+    m, c = end.shape
+    shift = np.arange(0, 2 * m * c, 2 * m)
+    end += shift
+    ended = np.bincount(end.ravel(), minlength=2 * m * c).reshape(c, 2 * m)
+    end -= shift
+    np.cumsum(ended, axis=1, out=ended)
+    np.add(ended[:, :m].T, ended[:, m:].T, out=start)
+    start -= m
 
 
 def _window_passes(grid: np.ndarray, b: int, size: int, cap: int, r: int):
-    """The passes of _passed_window over t = 1, ..., at most cap < m:
-    returns how far each anchor's end and start moved, and the flat
-    positions in the block's rows of the anchors whose end and whose
-    start are still growing (None for all of them).  The moves are
-    counted in the narrowest unsigned type that holds cap, a byte for
-    the default cap.  The distances and their mask end with the call.
-
-    A block of whole rows takes d_j for j in [0, m) only, one
-    subtraction over the stack: anchor i's start reads d_(i-t), which
-    for i < t is d_(i-t+m), as the rows are circles.  Any other block
-    takes d_j for j in [b - t, b + size)."""
-    m = grid.shape[-1]
-    shape = grid.shape[:-1] + (size,)
-    ahead = np.zeros(shape, dtype=np.min_scalar_type(cap))
+    """The passes of _passed_window over t = 1, ..., at most cap < m, for
+    grids side by side, shape (m, c): returns how far each anchor's end
+    and start moved, shape (size, c), and the anchors whose end and whose
+    start are still growing (None for all of them), grid by grid, as
+    i size + j for anchor b + j of grid i.  The moves are counted in the
+    narrowest unsigned type that holds cap, a byte for the default cap.
+    The distances and their mask end with the call."""
+    c = grid.shape[1]
+    ahead = np.zeros((size, c), dtype=np.min_scalar_type(cap))
     behind = np.zeros_like(ahead)
     if not cap:
         return ahead, behind, None, None
-    whole = size == m  # then b = 0
-    d = np.empty(shape[:-1] + (size + (0 if whole else cap),), dtype=np.uint64)
+    d = np.empty((size + cap, c), dtype=np.uint64)
     near = np.empty(d.shape, dtype=bool)
     growing = [ahead.size, ahead.size]  # ends, starts
     for t in range(1, cap + 1):
-        k = 0 if whole else t  # d_j at dt[..., j - b + k]
-        dt = d[..., :size + k]
-        _offset_gaps(grid, b - k, t, dt)
-        ok = np.less_equal(dt, np.uint64(r), out=near[..., :size + k])
+        dt = d[:size + t]  # d_j at dt[j - b + t]
+        _offset_gaps(grid, b - t, t, dt)
+        ok = np.less_equal(dt, np.uint64(r), out=near[:size + t])
         hits = ok.view(np.uint8)  # no cast per pass
-        ahead += hits[..., k:]
-        if whole:
-            behind[..., t:] += hits[..., :m - t]
-            behind[..., :t] += hits[..., m - t:]
-            grew = [int(np.count_nonzero(ok))] * 2
-        else:
-            behind += hits[..., :size]
-            grew = [int(np.count_nonzero(ok[..., t:])), int(np.count_nonzero(ok[..., :size]))]
+        ahead += hits[t:]
+        behind += hits[:size]
+        grew = [int(np.count_nonzero(ok[t:])), int(np.count_nonzero(ok[:size]))]
         if grew == [0, 0] or grew == growing:  # all closed, or none closed at t: wide windows
             break
         growing = grew
-    back = np.roll(ok, t, axis=-1) if whole else ok[..., :size]  # d_(i-t) <= r per anchor i
-    return (ahead, behind, np.flatnonzero(ok[..., k:]) if grew[0] < ahead.size else None,
-            np.flatnonzero(back) if grew[1] < ahead.size else None)
+    ends, starts = (None if n == ahead.size else np.flatnonzero(mask.T) if n else np.empty(0, np.intp)
+                    for n, mask in zip(grew, (ok[t:], ok[:size])))
+    return ahead, behind, ends, starts
 
 
 def _offset_gaps(grid: np.ndarray, c: int, t: int, out: np.ndarray) -> None:
-    """out[..., i] = d_(c+i) = U_(c+i+t) - U_(c+i) mod 2^64 for the k
-    unrolled positions c, ..., c + k - 1 of each row, -m < c, c + k <= m,
-    0 < t < m: three runs of slices, where j lies on the lap before
-    (g_(j+m)), where j and j + t lie on the first lap, and where j + t
-    wraps (g_(j+t-m)).  Whole rows (c = 0, k = m, out contiguous) take the
-    middle run as one subtraction over the flattened stack, whose values
-    across the rows' ends the last run overwrites."""
-    m, k = grid.shape[-1], out.shape[-1]
+    """out[i] = d_(c+i) = U_(c+i+t) - U_(c+i) mod 2^64 for the k unrolled
+    positions c, ..., c + k - 1 of the grid, or of each grid side by side,
+    -t <= c, c + k <= m, 0 < t < m: three runs of slices, where j lies on
+    the lap before (g_(j+m)), where j and j + t lie on the first lap, and
+    where j + t wraps (g_(j+t-m))."""
+    m, k = grid.shape[0], out.shape[0]
     e = c + k
-    if 0 <= c and e <= m - t:  # the one run of a block inside the grid
-        np.subtract(grid[..., c + t:e + t], grid[..., c:e], out=out)
-        return
-    runs = [(c, min(0, e), m, t), (max(c, 0), min(m - t, e), 0, t), (max(c, m - t), e, 0, t - m)]
-    if c == 0 and k == m and out.flags.c_contiguous:
-        flat = grid.reshape(-1)
-        np.subtract(flat[t:], flat[:-t], out=out.reshape(-1)[:-t])
-        del runs[1]
-    for a, z, at, ahead in runs:
+    for a, z, at, ahead in ((c, min(0, e), m, t), (max(c, 0), min(m - t, e), 0, t),
+                            (max(c, m - t), e, 0, t - m)):
         if a < z:
-            np.subtract(grid[..., a + ahead:z + ahead], grid[..., a + at:z + at], out=out[..., a - c:z - c])
+            np.subtract(grid[a + ahead:z + ahead], grid[a + at:z + at], out=out[a - c:z - c])
 
 
 def self_window_blocks(grid: np.ndarray, arcs):
@@ -327,11 +354,13 @@ def self_window_blocks(grid: np.ndarray, arcs):
     takes one pass per neighbour offset, up to min(widest one-sided
     window, _PASS_CAP), plus searches for the anchors whose windows are
     still open after them (_passed_window; past half a lap, all of them);
-    the whole circle takes one search per anchor, any other arc two.
-    Each search is confined to the slice of the grid its keys reach.  A
-    block holds start and end per arc and, while it finds one arc's
-    windows, either the passes' differences, mask and two byte-wide
-    counters (11 bytes per anchor) or a search's keys and positions
+    a grid of at most _BLOCK points whose windows all stay open searches
+    only their ends and reads the starts off them.  The whole circle
+    takes one search per anchor, any other arc two.  Each search is
+    confined to the slice of the grid its keys reach.  A block holds
+    start and end per arc and, while it finds one arc's windows, either
+    the passes' differences, mask and two byte-wide counters (11 bytes
+    per anchor) or a search's keys and positions, or the ends' counts
     (24): at most 8 (2a + 3) bytes per anchor for a arcs, whatever N and
     the window widths.
     """

@@ -474,7 +474,8 @@ def _trial_rows(rng, rows, n, arc, count=7):
 
 
 def _assert_trial_window_counts(grid, arc):
-    got = arithmetic._trial_window_counts(grid, arc)
+    # the rows side by side, one grid per column, as the trials hand them over
+    got = arithmetic._trial_window_counts(np.ascontiguousarray(grid.T), arc)
     assert got.shape == grid.shape
     for r, g in enumerate(grid):
         want = np.count_nonzero(in_arc(g[None, :] - g[:, None], arc), axis=1)
@@ -486,8 +487,9 @@ def _assert_trial_window_counts(grid, arc):
 def test_trial_window_counts_are_the_pairwise_arc_counts(rows, s):
     # rows of n = 50, and of n <= 9, where the passes stop after n - 1 and
     # equal points lie a lap apart; a scale past n/2 is taken as n/2, the
-    # whole circle (s = 25 at n = 50).  s = 12 at n = 50 outgrows the 8
-    # passes: those windows are searched row by row
+    # whole circle (s = 25 at n = 50).  s = 3 and 12 at n = 50 hold 2 or
+    # more points a side on average: no passes, one search of the ends
+    # per row and the starts read off them
     rng = np.random.default_rng(50)
     for n in (1, 2, 5, 8, 9, 50):
         arc = grid_arc(-min(s, n / 2), min(s, n / 2), n)
@@ -511,11 +513,34 @@ def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("a window was searched")
 
-    monkeypatch.setattr(core, "_unrolled_search", no_search)
+    for search in ("_unrolled_search", "_grid_ends", "_starts_off_ends"):
+        monkeypatch.setattr(core, search, no_search)
     rng = np.random.default_rng(52)
     for n, count in ((50, 7), (2000, 16)):
         arc = grid_arc(-0.5, 0.5, n)
         _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc)
+
+
+def test_wide_trial_windows_take_no_passes(monkeypatch):
+    # windows of 2 or more points a side on average: no passes and no
+    # search per anchor, one search of the ends per trial
+    def refused(*args):
+        raise AssertionError("a pass or an anchor's search ran")
+
+    real, searched = core._grid_ends, []
+
+    def spy(rows, r, end):
+        searched.append(rows.shape)
+        real(rows, r, end)
+
+    monkeypatch.setattr(core, "_offset_gaps", refused)
+    monkeypatch.setattr(core, "_unrolled_search", refused)
+    monkeypatch.setattr(core, "_grid_ends", spy)
+    rng = np.random.default_rng(53)
+    for n, count, s in ((50, 7, 2.5), (500, 20, 20.0), (1000, 16, 8.0)):
+        arc = grid_arc(-s, s, n)
+        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc)
+    assert searched == [(7, 50), (20, 500), (16, 1000)]
 
 
 def test_metric_experiment_validation(monkeypatch):

@@ -164,6 +164,35 @@ def test_window_passes_count_past_a_byte(monkeypatch):
     assert np.array_equal(start, want[0]) and np.array_equal(end, want[1])
 
 
+def test_wide_windows_of_one_block_take_no_passes(monkeypatch):
+    # a grid in one block whose windows hold 2 or more points a side on
+    # average takes no passes and no search per anchor: one search of the
+    # ends, and every start read off them
+    def refused(*args):
+        raise AssertionError("a pass or an anchor's search ran")
+
+    real, reads = core._starts_off_ends, []
+
+    def spy(end, start):
+        reads.append(end.size)
+        real(end, start)
+
+    monkeypatch.setattr(core, "_offset_gaps", refused)
+    monkeypatch.setattr(core, "_unrolled_search", refused)
+    monkeypatch.setattr(core, "_starts_off_ends", spy)
+    cases = 0
+    for x in _inputs():
+        g, n = PointSequence(x).sorted_grid, len(x)
+        for s in {2.5, n / 3}:
+            if 2.5 <= s < n / 2:
+                arc = grid_arc(-s, s, n)
+                [(_, [(start, end)])] = core.self_window_blocks(g, [arc])
+                want = _unrolled_window(g, arc)
+                assert np.array_equal(start, want[0]) and np.array_equal(end, want[1]), (x, s)
+                cases += 1
+    assert len(reads) == cases > 40
+
+
 @pytest.mark.parametrize("block", [1, 7, 1 << 15])
 def test_windows_of_any_arc_are_its_occupants(monkeypatch, block):
     # arcs on one side of 0, ending at 0, empty, and the whole circle from
