@@ -249,7 +249,8 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
                 picks = [(i, slice(None)) for i in range(c)]
             elif at.size:
                 cuts = np.searchsorted(at, np.arange(c + 1) * size).tolist()
-                picks = [(i, at[x:y] - i * size) for i, (x, y) in enumerate(zip(cuts, cuts[1:])) if x < y]
+                picks = [(i, at[x:y] - i * size)
+                         for i, (x, y) in enumerate(zip(cuts, cuts[1:])) if x < y]
             else:
                 continue
             for i, a in picks:
@@ -317,23 +318,26 @@ def _window_passes(grid: np.ndarray, b: int, size: int, cap: int, r: int):
         if grew == [0, 0] or grew == growing:  # all closed, or none closed at t: wide windows
             break
         growing = grew
-    ends, starts = (None if n == ahead.size else np.flatnonzero(mask.T) if n else np.empty(0, np.intp)
-                    for n, mask in zip(grew, (ok[t:], ok[:size])))
+    # grid by grid, and no scan where none is open
+    ends, starts = (None if n == ahead.size else np.flatnonzero(mask.T) if n
+                    else np.empty(0, dtype=np.intp) for n, mask in zip(grew, (ok[t:], ok[:size])))
     return ahead, behind, ends, starts
 
 
 def _offset_gaps(grid: np.ndarray, c: int, t: int, out: np.ndarray) -> None:
     """out[i] = d_(c+i) = U_(c+i+t) - U_(c+i) mod 2^64 for the k unrolled
     positions c, ..., c + k - 1 of the grid, or of each grid side by side,
-    -t <= c, c + k <= m, 0 < t < m: three runs of slices, where j lies on
-    the lap before (g_(j+m)), where j and j + t lie on the first lap, and
-    where j + t wraps (g_(j+t-m))."""
-    m, k = grid.shape[0], out.shape[0]
-    e = c + k
-    for a, z, at, ahead in ((c, min(0, e), m, t), (max(c, 0), min(m - t, e), 0, t),
-                            (max(c, m - t), e, 0, t - m)):
-        if a < z:
-            np.subtract(grid[a + ahead:z + ahead], grid[a + at:z + at], out=out[a - c:z - c])
+    -t <= c < m - t, 0 < c + k <= m, 0 < t < m: one run of slices where j
+    and j + t lie on the first lap, never empty there, and the runs, if
+    any, where j lies on the lap before (g_(j+m)) and where j + t wraps
+    (g_(j+t-m))."""
+    m, e = grid.shape[0], c + out.shape[0]
+    a, z = c if c > 0 else 0, e if e < m - t else m - t  # cheaper than max and min, once a pass
+    np.subtract(grid[a + t:z + t], grid[a:z], out=out[a - c:z - c])
+    if c < 0:
+        np.subtract(grid[c + t:t], grid[c + m:], out=out[:-c])
+    if z < e:
+        np.subtract(grid[:e + t - m], grid[z:e], out=out[z - c:])
 
 
 def self_window_blocks(grid: np.ndarray, arcs):
