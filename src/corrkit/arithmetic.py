@@ -291,7 +291,8 @@ def _trial_window_counts(g: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
     The whole circle (s = N/2) holds every point.  Any other arc is
     (-R, R) with R < 2^63, so each unrolled window holds a point at most
     once and z_i = end - start: the grids' windows come from core's
-    neighbour-offset passes, core._BLOCK points of the stack at a time."""
+    window primitive (_passed_window), core._BLOCK points of the stack at
+    a time."""
     n, cols = g.shape
     if arc[1] - arc[0] >= GRID - 1:
         return np.full((cols, n), n, dtype=np.int64)
