@@ -40,8 +40,7 @@ x' + z' + b.  Each parity class b sweeps only its own unordered pairs,
 about |A|^2 / 4 sums in all, looking the midpoints up in a bit table of
 d over [0, span], span/64 + 1 words of 8 bytes (flat), or by binary
 search in d (wide); one class's buffers are freed before the next class
-allocates its own.  The squares 1..2000 peak at 1.4 MiB (flat), where
-a bool table took 4.2.
+allocates its own.  The squares 1..2000 peak at 1.4 MiB (flat).
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
@@ -50,13 +49,10 @@ progression structure forces on the alpha-average.  Each trial keeps
 its own trial_rng(seed, t) stream; the trials run in chunks of at most
 core._BLOCK points, one row per trial: one wrapping uint64 product
 gives the chunk's fractional parts (seqgen.exact_frac_parts), one
-row-wise sort, and core's window primitive over the trials' grids side
-by side, one per column, gives every window count
-(_trial_window_counts: neighbour-offset passes, and searches for the
-windows still open after them, or for windows of 2 or more points a
-side on average one search of the ends with the starts read off
-them), and each row's raw count is the exact product sum r_k_distinct
-takes, so every R_3 value is the one r_k_distinct gives.  A chunk of P
+row-wise sort, and core.self_window_blocks over the trials' grids side
+by side, one per column, gives every window count z = end - start, and
+each row's raw count is the exact product sum r_k_distinct takes, so
+every R_3 value is the one r_k_distinct gives.  A chunk of P
 points (P = core._BLOCK, or N when N is larger) peaks near 40 P bytes
 under tracemalloc, 1.2 MiB at P = 2^15, or 52 P, 1.6 MiB, for the
 wider windows, and none of its arrays lives into the next chunk.
@@ -69,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import GRID, PointSequence, grid_arc, to_grid
+from .core import PointSequence, grid_arc, self_window_blocks, to_grid
 from .correlations import (_as_boxes, _as_scales, _charge_budget, _distinct_factors,
                            _exact_product_sum, r_k_box)
 from .errors import ConsistencyError, ParameterError
@@ -161,19 +157,6 @@ def _pair_sum_blocks(d: np.ndarray):
             yield np.add(a, b, out=out).ravel(), weight
 
 
-def _sum_of_squares(r: np.ndarray) -> int:
-    """Exact sum of r^2 over int32 or int64 counts: each part is widened to
-    int64, at most core._BLOCK entries at a time, and covers few enough
-    entries that its sum stays below 2^63."""
-    top = max(1, int(r.max()))
-    step = max(1, min(core._BLOCK, (2**63 - 1) // (top * top)))
-    total = 0
-    for i in range(0, r.size, step):
-        part = r[i:i + step].astype(np.int64, copy=False)
-        total += int(part @ part)
-    return total
-
-
 def _swept_pair_sum_counts(d: np.ndarray) -> np.ndarray:
     """r(sigma), sigma in [0, 2 span], as int32 (r <= |A| < 2^31) from the
     pair-sum sweep; the sweep's buffer is freed on return."""
@@ -190,7 +173,7 @@ def additive_energy(a) -> int:
     if flat:
         length = _fft_length(d)
         r = _fft_pair_sum_counts(d, length) if length else _swept_pair_sum_counts(d)
-        return _sum_of_squares(r)
+        return _exact_product_sum([r, r])
     _charge_budget(d.size**2, "wide additive energy: sorted pair sums |A|^2")
     sums = (d[:, None] + d).ravel()
     sums.sort()
@@ -202,7 +185,7 @@ def additive_energy(a) -> int:
         ends = np.flatnonzero(part[1:] != part[:-1]) + (c + 1)
         if ends.size:
             runs = np.diff(ends, prepend=run_start)
-            energy += int(runs @ runs)
+            energy += _exact_product_sum([runs, runs])
             run_start = int(ends[-1])
     return energy + (sums.size - run_start) ** 2
 
@@ -282,28 +265,6 @@ def three_ap_count_bruteforce(a) -> int:
     )
 
 
-def _trial_window_counts(g: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
-    """z_i = #{j : ||p_j - p_i|| <= s/N} for every point of a stack of
-    independent sorted grids side by side, shape (N, trials), one per
-    column (a chunk's trials), for arc = grid_arc(-s, s, N) with s <= N/2:
-    one row of z per trial, shape (trials, N).
-
-    The whole circle (s = N/2) holds every point.  Any other arc is
-    (-R, R) with R < 2^63, so each unrolled window holds a point at most
-    once and z_i = end - start: the grids' windows come from core's
-    window primitive (_passed_window), core._BLOCK points of the stack at
-    a time."""
-    n, cols = g.shape
-    if arc[1] - arc[0] >= GRID - 1:
-        return np.full((cols, n), n, dtype=np.int64)
-    z = np.empty((cols, n), dtype=np.int64)
-    step = max(1, core._BLOCK // cols)
-    for b in range(0, n, step):
-        start, end = core._passed_window(g, b, min(step, n - b), arc[1])
-        np.subtract(end, start, out=z[:, b:b + step].T)
-    return z
-
-
 def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricExperimentReport:
     """Sample uniform dilations alpha, compute R_3(s, N) of ({a_m alpha})
     per trial, and report the sample mean against 2 s T(A_N) / N^2."""
@@ -330,8 +291,11 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
         points.sort(axis=1)
         grid = to_grid(points.T)  # one trial per column
         del points
-        z = _trial_window_counts(grid, arc)
-        del grid
+        # s <= N/2: each window holds a point at most once, z = end - start
+        z = np.empty(grid.shape[::-1], dtype=np.int64)
+        for b, [(start, end)] in self_window_blocks(grid, [arc]):
+            np.subtract(end, start, out=z[:, b:b + len(start)].T)
+        del grid, start, end
         raws = _exact_product_sum(_distinct_factors([z, z]))
         del z  # no chunk's arrays live into the next
         vals[t0:t0 + len(raws)] = [raw / n for raw in raws]

@@ -32,12 +32,13 @@ the differences and mask), plus binary searches for only the anchors
 whose windows are still open after them: for windows of a few points,
 hardly any.  A grid in one block whose windows are wider (2 or more
 points a side on average) takes no passes: one search of the ends, and
-the starts read off the ends' counts.  The passes take a stack of sorted grids side
-by side, one per column, each its own circle, as well as one grid, so a
-block of positions is one contiguous slice: the dilation experiment's
-trials (arithmetic._trial_window_counts) read their window counts off
-them.  F at one point (intervalstats.f_count) is read off the blocks'
-unrolled searches (_unrolled_search).
+the starts read off the ends' counts.  self_window_blocks takes a stack
+of sorted grids side by side, shape (m, c), one per column, each its own
+circle, as well as one grid, in blocks of _BLOCK // c positions, each
+one contiguous slice of the stack: the dilation experiment's trials
+(arithmetic.metric_r3_experiment) read their window counts off it.  F at
+one point (intervalstats.f_count) is read off the blocks' unrolled
+searches (_unrolled_search).
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -222,7 +223,7 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
 
     A block of whole grids (b = 0, size = m) with r < 2^63 whose windows
     all are still open searches only the ends, one search per grid
-    (_grid_ends), and reads every start off them (_starts_off_ends).  Its
+    (_grid_search), and reads every start off them (_starts_off_ends).  Its
     passes pay only while hardly any of its windows outlasts them, so it
     takes none when its windows would hold 2 or more points a side on
     average (r m >= 2^65).
@@ -241,7 +242,7 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     end += 1
     del at_b, ahead, behind  # before any search
     if whole and ends is None and starts is None:  # every window open
-        _grid_ends(np.ascontiguousarray(stack.T), r, end.T)
+        _grid_search(np.ascontiguousarray(stack.T), 0, r, "right", end)
         _starts_off_ends(end, start)
     else:
         for bound, off, side, at in ((end, r, "right", ends), (start, -r, "left", starts)):
@@ -259,15 +260,21 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     return start.reshape(grid[b:b + size].shape), end.reshape(grid[b:b + size].shape)
 
 
-def _grid_ends(rows: np.ndarray, r: int, end: np.ndarray) -> None:
-    """end[i] = _unrolled_search(rows[i], rows[i], r, "right") for whole
-    sorted grids, one per row of rows, 0 <= r < 2^64: one search of
-    g + r mod 2^64 per grid, with no runs to confine it, plus m where
-    g + r passed 2^64."""
-    reach = rows + np.uint64(r)
-    for row, keys, out in zip(rows, reach, end):
-        out[:] = np.searchsorted(row, keys, side="right")
-    end[reach < rows] += rows.shape[-1]
+def _grid_search(rows: np.ndarray, b: int, off: int, side: str, out: np.ndarray) -> np.ndarray:
+    """out[:, i] = _unrolled_search(rows[i], rows[i, b:b + k], off, side)
+    for sorted grids one per row, shape (c, m), written into out of shape
+    (k, c), the layout of a stack, -2^64 < off < 2^64.  One search of the
+    keys + off mod 2^64 per grid, with no runs to confine it, then a lap
+    added where a key passed 2^64 or taken where it passed 0."""
+    keys = rows[:, b:b + out.shape[0]]
+    reach = keys + np.uint64(off % GRID)
+    for row, k, o in zip(rows, reach, out.T):
+        o[:] = np.searchsorted(row, k, side=side)
+    if off > 0:
+        out.T[reach < keys] += rows.shape[1]
+    elif off < 0:
+        out.T[reach > keys] -= rows.shape[1]
+    return out
 
 
 def _starts_off_ends(end: np.ndarray, start: np.ndarray) -> None:
@@ -341,8 +348,14 @@ def _offset_gaps(grid: np.ndarray, c: int, t: int, out: np.ndarray) -> None:
 
 
 def self_window_blocks(grid: np.ndarray, arcs):
-    """The windows of a 1-D sorted grid centred on itself, in blocks of at
+    """The windows of a sorted grid centred on itself, in blocks of at
     most _BLOCK anchors: yields (b, [(start, end) per arc]).
+
+    grid is one sorted grid of m points, shape (m,), or a stack of c of
+    them side by side, shape (m, c), each column a grid and a circle of
+    its own (a chunk of dilation trials): a block then holds the
+    positions b, ..., b + size - 1 of every column, size <= _BLOCK // c
+    (at least one), and start and end have shape (size, c).
 
     [start[t], end[t]) is the window of anchor i = b + t for the arc
     (lo, hi), -2^63 <= lo, hi <= 2^63, unrolled around the circle:
@@ -358,30 +371,38 @@ def self_window_blocks(grid: np.ndarray, arcs):
     takes one pass per neighbour offset, up to min(widest one-sided
     window, _PASS_CAP), plus searches for the anchors whose windows are
     still open after them (_passed_window; past half a lap, all of them);
-    a grid of at most _BLOCK points whose windows all stay open searches
-    only their ends and reads the starts off them.  The whole circle
-    takes one search per anchor, any other arc two.  Each search is
-    confined to the slice of the grid its keys reach.  A block holds
-    start and end per arc and, while it finds one arc's windows, either
-    the passes' differences, mask and two byte-wide counters (11 bytes
-    per anchor) or a search's keys and positions, or the ends' counts
-    (24): at most 8 (2a + 3) bytes per anchor for a arcs, whatever N and
-    the window widths.
+    grids of at most _BLOCK points in all whose windows all stay open
+    search only their ends and read the starts off them.  The whole
+    circle takes one search per anchor, any other arc two.  Each search
+    of one grid is confined to the slice of the grid its keys reach; a
+    stack's are one search per grid and block, on a copy of the stack
+    with one grid per row, made once for the arcs that are not
+    symmetric.  A block holds start and end per arc and, while it finds
+    one arc's windows, either the passes' differences, mask and two
+    byte-wide counters (11 bytes per anchor) or a search's keys and
+    positions, or the ends' counts (24): at most 8 (2a + 3) bytes per
+    anchor for a arcs, whatever N and the window widths.
     """
-    m = grid.size
-    for b in range(0, m, _BLOCK):
-        g = grid[b:b + _BLOCK]
-        wins = []
-        for lo, hi in arcs:
-            if lo == -hi:
-                wins.append(_passed_window(grid, b, g.size, hi))
-            elif hi - lo >= GRID - 1:  # the whole circle: every point once
-                start = _unrolled_search(grid, g, lo, "left")
-                wins.append((start, start + m))
-            else:
-                wins.append((_unrolled_search(grid, g, lo, "left"),
-                             _unrolled_search(grid, g, hi, "right")))
-        yield b, wins
+    m = grid.shape[0]
+    step = max(1, _BLOCK // math.prod(grid.shape[1:]))
+    rows = (np.ascontiguousarray(grid.T)
+            if grid.ndim > 1 and any(lo != -hi for lo, hi in arcs) else None)
+
+    def search(b, size, off, side):  # unrolled positions of the block's keys + off
+        if rows is None:
+            return _unrolled_search(grid, grid[b:b + size], off, side)
+        return _grid_search(rows, b, off, side, np.empty((size, rows.shape[0]), dtype=np.intp))
+
+    def window(b, size, lo, hi):  # (start, end) of the block's anchors for the arc (lo, hi)
+        if lo == -hi:
+            return _passed_window(grid, b, size, hi)
+        start = search(b, size, lo, "left")
+        # the whole circle (hi - lo >= 2^64 - 1) holds every point once
+        return start, (start + m if hi - lo >= GRID - 1 else search(b, size, hi, "right"))
+
+    for b in range(0, m, step):
+        size = min(step, m - b)
+        yield b, [window(b, size, lo, hi) for lo, hi in arcs]
 
 
 # every finite double is an integer multiple of 2^-1074, so q 2^1126 is an

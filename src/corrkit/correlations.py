@@ -68,7 +68,14 @@ _BOX_WRAPS = "box bound beyond N/2 = {half}"
 
 
 def oracle_budget() -> int:
-    return int(os.environ.get(ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET))
+    """The work budget: CORRKIT_ORACLE_BUDGET, an integer >= 0, or 10^8."""
+    text = os.environ.get(ORACLE_BUDGET_ENV, str(DEFAULT_ORACLE_BUDGET))
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise ParameterError(f"{ORACLE_BUDGET_ENV} = {text!r} is not an integer >= 0")
 
 
 def _charge_budget(work: int, what: str) -> None:
@@ -160,23 +167,30 @@ def _exact_product_sum(factors: list[np.ndarray]):
     """sum_i prod_r factors[r][..., i] over the last axis, as exact Python
     ints: one int for 1-D factors, a list of ints for rows.
 
-    Stays in int64 when a worst-case bound proves no overflow, otherwise
-    falls back to Python-int (object) arithmetic.
+    With B the product of the factors' largest values, the products are
+    int64 when B < 2^63, summed in chunks of at most core._BLOCK entries
+    and (2^63 - 1) // B along a row, so no partial sum passes 2^63, and
+    the chunks' sums are added as Python ints.  Only where one product
+    may not fit int64 are they Python ints (object arrays).  An array
+    given as several factors is read, and widened, once per chunk.
     """
-    maxes = [int(f.max(initial=0)) for f in factors]
-    bound = 1
-    for m in maxes:
-        bound *= max(m, 1)
-    n = factors[0].shape[-1]
-    if bound * n < 2**62:
-        prod = factors[0].astype(np.int64, copy=True)
-        for f in factors[1:]:
-            prod *= f
-    else:
-        prod = factors[0].astype(object)
-        for f in factors[1:]:
-            prod = prod * f.astype(object)
-    return np.asarray(prod.sum(axis=-1)).tolist()
+    distinct = {id(f): f for f in factors}  # a repeated array, as r in sum r^2, is read once
+    top = {key: max(int(f.max(initial=0)), 1) for key, f in distinct.items()}
+    bound = math.prod(top[id(f)] for f in factors)
+    *rows, n = factors[0].shape
+    wide = bound >= 2**63
+    step = max(1, core._BLOCK // math.prod(rows))
+    if not wide:
+        step = min(step, (2**63 - 1) // bound)
+    sums = []
+    for i in range(0, max(n, 1), step):
+        part = {key: f[..., i:i + step].astype(object if wide else np.int64, copy=False)
+                for key, f in distinct.items()}
+        *head, last = (part[id(f)] for f in factors)
+        sums.append(np.vecdot(functools.reduce(np.multiply, head), last) if head
+                    else last.sum(axis=-1))
+    total = np.asarray(sums).astype(object).sum(axis=0)
+    return total.tolist() if rows else total
 
 
 def _distinct_factors(z: list[np.ndarray]) -> list[np.ndarray]:

@@ -28,10 +28,6 @@ class DyadicProfile:
     level: int
     masses: np.ndarray  # 2^level entries summing to 1
 
-    @property
-    def buckets(self) -> int:
-        return int(self.masses.size)
-
 
 def ecdf(seq: PointSequence, x: float) -> float:
     """(1/N) #{m : x_m <= x} for x in [0,1]."""

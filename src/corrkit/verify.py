@@ -211,56 +211,61 @@ def _instance_set(rng, count, nmax=200):
 
 
 def _chk_star_dominates(rng, tier):
+    # the raw counts compare as exact ints: R = raw / N on both sides
     worst = math.inf
     for seq in _instance_set(rng, 25):
         n = len(seq)
         k = int(rng.integers(2, 5))
         sc = tuple(rng.uniform(0.1, n / 3, size=k - 1))
-        worst = min(worst, correlations.r_k_star(seq, sc).value
-                    - correlations.r_k_distinct(seq, sc).value)
+        worst = min(worst, correlations.r_k_star(seq, sc).raw_count
+                    - correlations.r_k_distinct(seq, sc).raw_count)
     return _result("star_dominates_distinct", "R_k <= R_k* on every instance",
-                   worst >= 0.0, worst, ">= 0", "exact")
+                   worst >= 0, worst, ">= 0", "exact")
 
 
 def _chk_star_distinct_stirling_bound(rng, tier):
+    # N times both sides: raw_k* <= raw_k + N + sum_m S(k,m) raw_m
     worst = math.inf
     for seq in _instance_set(rng, 25):
         n = len(seq)
         k = int(rng.integers(2, 5))
         sc = sorted(rng.uniform(0.1, n / 3, size=k - 1), reverse=True)
-        rhs = correlations.r_k_distinct(seq, sc).value + stirling_second(k, 1)
+        rhs = correlations.r_k_distinct(seq, sc).raw_count + stirling_second(k, 1) * n
         for m in range(2, k):
-            rhs += stirling_second(k, m) * correlations.r_k_distinct(seq, sc[: m - 1]).value
-        worst = min(worst, rhs - correlations.r_k_star(seq, sc).value)
+            rhs += stirling_second(k, m) * correlations.r_k_distinct(seq, sc[: m - 1]).raw_count
+        worst = min(worst, rhs - correlations.r_k_star(seq, sc).raw_count)
     return _result("star_distinct_stirling_bound",
                    "R_k* <= R_k + sum_m S(k,m) R_m for decreasing scales",
-                   worst >= -1e-9, worst, ">= 0", "1e-9")
+                   worst >= 0, worst, ">= 0", "exact")
 
 
 def _chk_pair_power_lower_bound(rng, tier):
+    # N^(k-1) times both sides: raw_2^(k-1) <= raw_k N^(k-2)
     worst = math.inf
     for seq in _instance_set(rng, 25):
         n = len(seq)
         k = int(rng.integers(3, 6))
         s = float(rng.uniform(0.1, n / 3))
-        worst = min(worst, correlations.r_k_star(seq, (s,) * (k - 1)).value
-                    - correlations.r_k_star(seq, (s,)).value ** (k - 1))
+        worst = min(worst, correlations.r_k_star(seq, (s,) * (k - 1)).raw_count * n ** (k - 2)
+                    - correlations.r_k_star(seq, (s,)).raw_count ** (k - 1))
     return _result("pair_power_lower_bound", "R_2*(s,N)^(k-1) <= R_k*(s,N)",
-                   worst >= -1e-9, worst, ">= 0", "1e-9")
+                   worst >= 0, worst, ">= 0", "exact")
 
 
 def _chk_scale_vector_hoelder(rng, tier):
+    # N^(k-1) times both sides: raw^(k-1) <= prod_r raw_r; the slack is
+    # measured relative to the right side, exactly, and rounded once
     worst = math.inf
     for seq in _instance_set(rng, 25):
         n = len(seq)
         k = int(rng.integers(3, 6))
         sc = tuple(rng.uniform(0.1, n / 3, size=k - 1))
-        lhs = correlations.r_k_star(seq, sc).value ** (k - 1)
-        rhs = float(np.prod([correlations.r_k_star(seq, (s,) * (k - 1)).value for s in sc]))
-        worst = min(worst, (rhs - lhs) / max(rhs, 1.0))
+        lhs = correlations.r_k_star(seq, sc).raw_count ** (k - 1)
+        rhs = math.prod(correlations.r_k_star(seq, (s,) * (k - 1)).raw_count for s in sc)
+        worst = min(worst, Fraction(rhs - lhs, rhs))
     return _result("scale_vector_hoelder",
                    "R_k*(s_1..s_{k-1})^(k-1) <= prod_r R_k*(s_r)",
-                   worst >= -1e-12, worst, ">= 0", "1e-12 relative")
+                   worst >= 0, float(worst), ">= 0", "exact")
 
 
 def _chk_cross_order_inequality(rng, tier):

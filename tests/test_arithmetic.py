@@ -29,6 +29,7 @@ from corrkit import (
 )
 from corrkit.arithmetic import MetricExperimentReport
 from corrkit.core import grid_arc, in_arc
+from corrkit.correlations import _exact_product_sum
 
 
 def test_energy_examples():
@@ -283,13 +284,26 @@ def test_flat_energy_table_is_int32():
     assert energy == int(counts @ counts)
 
 
-def test_sum_of_squares_past_int64():
+def test_sum_of_squares_past_int64(monkeypatch):
+    # energy's sum of r^2 is correlations._exact_product_sum([r, r])
     r = np.full(10, 2**31, dtype=np.int64)  # sum r^2 = 10 * 2^62
-    assert arithmetic._sum_of_squares(r) == 10 * 2**62
+    assert _exact_product_sum([r, r]) == 10 * 2**62
     r = np.arange(5000, dtype=np.int64)
-    assert arithmetic._sum_of_squares(r) == sum(v * v for v in range(5000))
+    assert _exact_product_sum([r, r]) == sum(v * v for v in range(5000))
     r = np.full(3 << 16, 2**31 - 1, dtype=np.int32)  # int32 counts, each square past int32
-    assert arithmetic._sum_of_squares(r) == (3 << 16) * (2**31 - 1) ** 2
+    assert _exact_product_sum([r, r]) == (3 << 16) * (2**31 - 1) ** 2
+    r = np.array([2**32, 3, 2**32 + 1])  # one product past 2^63: Python ints
+    assert _exact_product_sum([r, r, r]) == 2**96 + 27 + (2**32 + 1) ** 3
+    # rows, one sum per row, at chunks of 7 entries and of less than one row
+    rows = np.random.default_rng(5).integers(0, 2**20, (3, 50))
+    want = [sum(int(v) ** 3 for v in row) for row in rows]
+    for block in (core._BLOCK, 21, 1):
+        monkeypatch.setattr(core, "_BLOCK", block)
+        assert _exact_product_sum([rows, rows, rows]) == want
+        assert _exact_product_sum([rows[0]]) == int(rows[0].sum())
+        # 2 products just below 2^62 per chunk at most: edges every 2 entries
+        r = np.full(block % 5 + 5, 2**31 - 1, dtype=np.int64)
+        assert _exact_product_sum([r, r]) == r.size * (2**31 - 1) ** 2
 
 
 def test_energy_diagonal_lower_bound():
@@ -473,13 +487,26 @@ def _trial_rows(rng, rows, n, arc, count=7):
     return np.stack([PointSequence(row).sorted_grid for row in pts])
 
 
-def _assert_trial_window_counts(grid, arc):
-    # the rows side by side, one grid per column, as the trials hand them over
-    got = arithmetic._trial_window_counts(np.ascontiguousarray(grid.T), arc)
-    assert got.shape == grid.shape
+def _windows(grid, arc):
+    """start, end of every anchor of a grid or of a stack, the blocks joined;
+    a block holds at most core._BLOCK entries, or one position."""
+    wins = [w for _, [w] in core.self_window_blocks(grid, [arc])]
+    assert all(w[0].size <= max(core._BLOCK, grid[0].size) for w in wins)
+    return np.concatenate([w[0] for w in wins]), np.concatenate([w[1] for w in wins])
+
+
+def _assert_trial_window_counts(grid, arc, columns=True):
+    # the rows side by side, one grid per column, as the trials hand them
+    # over: z = end - start are the pairwise arc counts, and each column's
+    # windows are the ones the grid has on its own
+    start, end = _windows(np.ascontiguousarray(grid.T), arc)
+    assert start.shape == end.shape == grid.T.shape
     for r, g in enumerate(grid):
         want = np.count_nonzero(in_arc(g[None, :] - g[:, None], arc), axis=1)
-        assert np.array_equal(got[r], want), (r, arc)
+        assert np.array_equal(end[:, r] - start[:, r], want), (r, arc)
+        if columns:
+            one = _windows(g, arc)
+            assert np.array_equal(start[:, r], one[0]) and np.array_equal(end[:, r], one[1])
 
 
 @pytest.mark.parametrize("rows", ["random", "clustered", "coinciding", "lattice"])
@@ -489,11 +516,15 @@ def test_trial_window_counts_are_the_pairwise_arc_counts(rows, s):
     # equal points lie a lap apart; a scale past n/2 is taken as n/2, the
     # whole circle (s = 25 at n = 50).  s = 3 and 12 at n = 50 hold 2 or
     # more points a side on average: no passes, one search of the ends
-    # per row and the starts read off them
+    # per row and the starts read off them.  An arc that is not symmetric
+    # is searched grid by grid
     rng = np.random.default_rng(50)
     for n in (1, 2, 5, 8, 9, 50):
-        arc = grid_arc(-min(s, n / 2), min(s, n / 2), n)
-        _assert_trial_window_counts(_trial_rows(rng, rows, n, arc), arc)
+        h = min(s, n / 2)
+        arc = grid_arc(-h, h, n)
+        grid = _trial_rows(rng, rows, n, arc)
+        _assert_trial_window_counts(grid, arc)
+        _assert_trial_window_counts(grid, grid_arc(-h, h / 3, n))
 
 
 @pytest.mark.parametrize("count", [1, 7])
@@ -503,9 +534,11 @@ def test_trial_window_counts_in_blocks_of_a_row(monkeypatch, count):
     monkeypatch.setattr(core, "_BLOCK", 16)
     rng = np.random.default_rng(51)
     for rows in ("random", "clustered", "lattice"):
-        for s in (0.5, 3.0, 12.0):
+        for s in (0.5, 3.0, 12.0, 25.0):
             arc = grid_arc(-s, s, 50)
-            _assert_trial_window_counts(_trial_rows(rng, rows, 50, arc, count), arc)
+            grid = _trial_rows(rng, rows, 50, arc, count)
+            _assert_trial_window_counts(grid, arc)
+            _assert_trial_window_counts(grid, grid_arc(-s, s / 3, 50))
 
 
 def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
@@ -513,12 +546,12 @@ def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("a window was searched")
 
-    for search in ("_unrolled_search", "_grid_ends", "_starts_off_ends"):
+    for search in ("_unrolled_search", "_grid_search", "_starts_off_ends"):
         monkeypatch.setattr(core, search, no_search)
     rng = np.random.default_rng(52)
     for n, count in ((50, 7), (2000, 16)):
         arc = grid_arc(-0.5, 0.5, n)
-        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc)
+        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, columns=False)
 
 
 def test_wide_trial_windows_take_no_passes(monkeypatch):
@@ -527,19 +560,19 @@ def test_wide_trial_windows_take_no_passes(monkeypatch):
     def refused(*args):
         raise AssertionError("a pass or an anchor's search ran")
 
-    real, searched = core._grid_ends, []
+    real, searched = core._grid_search, []
 
-    def spy(rows, r, end):
+    def spy(rows, b, off, side, out):
         searched.append(rows.shape)
-        real(rows, r, end)
+        return real(rows, b, off, side, out)
 
     monkeypatch.setattr(core, "_offset_gaps", refused)
     monkeypatch.setattr(core, "_unrolled_search", refused)
-    monkeypatch.setattr(core, "_grid_ends", spy)
+    monkeypatch.setattr(core, "_grid_search", spy)
     rng = np.random.default_rng(53)
     for n, count, s in ((50, 7, 2.5), (500, 20, 20.0), (1000, 16, 8.0)):
         arc = grid_arc(-s, s, n)
-        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc)
+        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, columns=False)
     assert searched == [(7, 50), (20, 500), (16, 1000)]
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from corrkit.cli import main, parse_sweep_stat, rows_to_csv, sweep_rows
 from corrkit.io import read_integers, read_points, write_points
-from corrkit import (FormatError, ParameterError, PointSequence, density_moment_lower_bound,
-                     distribution, r_k_box, random_correlation_stats, seqgen)
+from corrkit import (FormatError, ParameterError, PointSequence, bell_prediction, c_k_star,
+                     density_moment_lower_bound, distribution, moments, r_k_box, r_k_distinct,
+                     r_k_star, random_correlation_stats, seqgen)
 
 
 @pytest.fixture()
@@ -249,6 +250,21 @@ def test_metric_budget_exit_code(integers_file, capsys, monkeypatch):
     assert "CORRKIT_ORACLE_BUDGET" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["abc", "1e9", "-5"])
+def test_malformed_budget_is_a_parameter_error(points_file, integers_file, capsys, monkeypatch,
+                                               budget):
+    # int() raised a ValueError traceback (exit 1, verify's code for failed
+    # checks) on the first two; -5 refused every costly job with exit 4
+    monkeypatch.setenv("CORRKIT_ORACLE_BUDGET", budget)
+    message = f"parameter error: CORRKIT_ORACLE_BUDGET = {budget!r} is not an integer >= 0\n"
+    for argv in (["corr", "--input", str(points_file), "--k", "3", "--box=-1:1,0:2"],
+                 ["metric", "--input", str(integers_file), "--s", "0.5", "--n", "128",
+                  "--trials", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
+
 def test_box_partition_budget_exit_code(tmp_path, capsys, monkeypatch):
     # Bell(15) partition terms per live anchor: refused at the default budget
     monkeypatch.delenv("CORRKIT_ORACLE_BUDGET", raising=False)
@@ -393,6 +409,32 @@ def test_sweep_dyadic_triple_identically_zero(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     for line in lines[1:]:
         assert line.split(",")[1] == "0.0"
+
+
+@pytest.mark.parametrize("stat, statistic, target", [
+    ("r3", lambda q, s: r_k_distinct(q, (s, s)).value, lambda s: (2 * s) ** 2),
+    ("r3star", lambda q, s: r_k_star(q, (s, s)).value, lambda s: 1 + 3 * 2 * s + (2 * s) ** 2),
+    ("i3", lambda q, s: moments(q, s, 3).i_k, lambda s: s**3),
+    ("i2star", lambda q, s: moments(q, s, 2).i_k_star, lambda s: s**2 + s),
+    ("i3star", lambda q, s: moments(q, s, 3).i_k_star, lambda s: s**3 + 3 * s**2 + s),
+    ("c2star", lambda q, s: c_k_star(q, (s,)), lambda s: s**2 + s),
+])
+@pytest.mark.parametrize("kind, options", [("uniform_random", {}),
+                                           ("kronecker", {"alpha": 0.7548776662466927})])
+def test_sweep_rows_of_each_family(stat, statistic, target, kind, options):
+    # each row is the library's statistic of the generated sequence, and
+    # the target its Poissonian closed form: (2s)^(k-1), sum_m S(k,m)
+    # (2s)^(m-1), s^k, the Poisson moments s^2 + s and s^3 + 3s^2 + s
+    # (bell_prediction), and s^2 + s; s = 1.5 makes every one exact
+    s, sizes = 1.5, [40, 300]
+    rows = sweep_rows(stat, s, sizes, kind, 1729, **options)
+    spec = seqgen.GeneratorSpec(kind=kind, seed=1729 if kind == "uniform_random" else None,
+                                **options)
+    for (n, v, tgt, dev), size in zip(rows, sizes):
+        assert n == size and tgt == target(s)
+        assert v == statistic(seqgen.generate(spec, n), s) and dev == abs(v - tgt)
+    if stat.startswith("i") and stat.endswith("star"):
+        assert rows[0][2] == bell_prediction(int(stat[1]), s)
 
 
 def test_sweep_rows_deterministic():

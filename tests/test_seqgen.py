@@ -49,6 +49,37 @@ def test_generate_rejects_bad_parameters():
         GeneratorSpec(kind="dilated", alpha=0.5, integers=(3, 2, 1))
     with pytest.raises(ParameterError):
         generate(GeneratorSpec(kind="van_der_corput"), 0)
+    # each family names the parameter it lacks
+    for kwargs, message in (({"kind": "kronecker"}, "kronecker generator needs alpha"),
+                            ({"kind": "polynomial", "degree": 2}, "polynomial generator needs alpha"),
+                            ({"kind": "dilated", "integers": (1, 2)}, "dilated generator needs alpha"),
+                            ({"kind": "dilated", "alpha": 0.5}, "dilated generator needs an integer sequence"),
+                            ({"kind": "dilated", "alpha": 0.5, "integers": ()},
+                             "dilated generator needs an integer sequence"),
+                            ({"kind": "uniform_random"}, "uniform_random generator needs a seed")):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            GeneratorSpec(**kwargs)
+
+
+SQUARES = tuple(m * m for m in range(1, 101))
+
+
+@pytest.mark.parametrize("spec, direct, ints", [
+    (GeneratorSpec(kind="polynomial", alpha=0.3, degree=3), lambda n: polynomial(n, 0.3, 3),
+     lambda n: [m**3 for m in range(1, n + 1)]),
+    (GeneratorSpec(kind="dilated", alpha=0.3, integers=SQUARES),
+     lambda n: dilated(n, SQUARES, 0.3), lambda n: SQUARES[:n]),
+])
+def test_generate_polynomial_and_dilated(spec, direct, ints):
+    # generate is the family's own call, and each point the exact
+    # fractional part {a alpha} rounded once
+    for n in (1, 37, 100):
+        got = generate(spec, n).points
+        assert np.array_equal(got, direct(n).points)
+        assert got.tolist() == [float(Fraction(a) * Fraction(0.3) % 1) for a in ints(n)]
+    if spec.kind == "dilated":
+        with pytest.raises(ParameterError, match="has only 100 entries, need 101"):
+            generate(spec, 101)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
