@@ -56,12 +56,18 @@ sweep_side = ck.moments(seq, s, k).i_k
 corr_side = ck.i_k_via_correlation(seq, s, k)
 print(f"\nN={n}: sweep-line I_3 = {sweep_side:.12f}")
 print(f"       correlation-sum of g = {corr_side:.12f}")
-print(f"agreement to {abs(sweep_side - corr_side):.2e} (two fully independent routes)")
+print(f"equal bit for bit: {sweep_side == corr_side} (two independent routes, "
+      "both exact on the 2^-64 grid)")
 
 banner("Power moment decomposes through second-kind Stirling numbers")
-rhs = ck.stirling_second(k, 1) * s + sum(
-    ck.stirling_second(k, j) * ck.i_k_via_correlation(seq, s, j) for j in range(2, k + 1)
+# in integers on the grid: sum_v v^k L_v over F's histogram against the tent
+# sums T_j behind i_k_via_correlation (I_j = T_j / 2^64), and I_1 = s as the
+# arcs' mass sum_v v L_v = N (2R + 1)
+hist = ck.sweep_profile(seq, s).value_lengths()
+lhs = sum(v**k * ln for v, ln in hist.items())
+rhs = ck.stirling_second(k, 1) * sum(v * ln for v, ln in hist.items()) + sum(
+    ck.stirling_second(k, j) * ck.intervalstats._tent_sum(seq, s, j) for j in range(2, k + 1)
 )
-lhs = ck.moments(seq, s, k).i_k_star
-print(f"I_3* = {lhs:.12f}")
-print(f"sum_j S(3,j) I_j = {rhs:.12f}   (I_1 = s)")
+print(f"I_3* = {ck.moments(seq, s, k).i_k_star:.12f}")
+print(f"sum_j S(3,j) I_j = {rhs / 2**64:.12f}   (I_1 = s)")
+print(f"equal as integers on the grid: {lhs == rhs}")

@@ -3,17 +3,20 @@ float sums, and Stirling numbers.
 
 Points of the unit circle R/Z are given as floats in [0,1).  The one
 float functional is signed_distance(x) = ((x)), the representative of
-x mod 1 in (-1/2, 1/2]; it gives the offsets a test function sees, and
-||x-y|| = |((x-y))| where a float weight is wanted.
+x mod 1 in (-1/2, 1/2], and ||x-y|| = |((x-y))| where a float distance
+is wanted.
 
-Every count uses one exact representation instead: uint64 multiples of
-2^-64 (to_grid).  A float >= 2^-11 is exact on that grid; a smaller one
-floors to it, which keeps the order.  Grid differences wrap modulo 2^64,
-the circle itself.  Each threshold (a scale s/N, a box bound a/N)
+Every statistic uses one exact representation instead: uint64 multiples
+of 2^-64 (to_grid).  A float >= 2^-11 is exact on that grid; a smaller
+one floors to it, which keeps the order.  Grid differences wrap modulo
+2^64, the circle itself.  Each threshold (a scale s/N, a box bound a/N)
 becomes, once and exactly, an integer arc of grid offsets (grid_arc), so
 ||x-y|| <= s/N and a/N <= ((x-y)) <= b/N are integer tests (in_arc) and
 one window primitive, self_window_blocks, finds their occupants: the
-fast counts and the oracles read every tie the same way.
+fast counts and the oracles read every tie the same way.  A test
+function of the weighted sums gets the same offsets, the int64 grid
+difference times N 2^-64, and the tent sum behind
+intervalstats.i_k_via_correlation takes them as integers.
 
 The 1-D window statistics (r_k_distinct, r_k_star, r_k_box, c_k_star,
 and the profile and moments of F(t,s,N), whose breakpoints are windows

@@ -36,13 +36,14 @@ no pair list: an anchor's candidates for one slot are one run of the
 unrolled sorted grid, so those of several slots are the intersection of
 their runs.  r_k_testfn and r_k_consecutive keep one window's run for
 every point, 16 bytes per point, and grow their tuples from it depth
-first, in slices of at most core._BLOCK rows; they call the test
-function once per slice on an (m, k-1) float64 array of scaled
-differences, and sum its weights exactly, rounded once
-(core.exact_chunk_sum, equal to one math.fsum over all of them).  The
-rows their joins would make if none repeated an index are counted
-(exactly below 2^53) and charged to the work budget before the first
-join.
+first, in slices of at most core._BLOCK rows, as columns of int64 grid
+offsets (_tuple_offsets); they call the test function once per slice on
+an (m, k-1) float64 array of those offsets times N 2^-64, each rounded
+once, and sum its weights exactly, rounded once (core.exact_chunk_sum,
+equal to one math.fsum over all of them).  brute_force_r_k(testfn=...)
+gives f the same offsets.  The rows their joins would make if none
+repeated an index are counted (exactly below 2^53) and charged to the
+work budget before the first join.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import core
 from .core import (PointSequence, check_half, check_order, exact_chunk_sum, grid_arc, in_arc,
-                   self_window_blocks, signed_distance, stirling_second, to_grid)
+                   self_window_blocks, stirling_second, to_grid)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
@@ -172,11 +173,16 @@ def _exact_product_sum(factors: list[np.ndarray]):
     and (2^63 - 1) // B along a row, so no partial sum passes 2^63, and
     the chunks' sums are added as Python ints.  Only where one product
     may not fit int64 are they Python ints (object arrays).  An array
-    given as several factors is read, and widened, once per chunk.
+    given as several factors is read, and widened, once per chunk.  A
+    lone 1-D factor with 2^32 <= B < 2^63 is summed as its two 32-bit
+    halves, so its chunks are not cut to a few entries.
     """
     distinct = {id(f): f for f in factors}  # a repeated array, as r in sum r^2, is read once
     top = {key: max(int(f.max(initial=0)), 1) for key, f in distinct.items()}
     bound = math.prod(top[id(f)] for f in factors)
+    if len(factors) == 1 and factors[0].ndim == 1 and 2**32 <= bound < 2**63:
+        return ((_exact_product_sum([factors[0] >> 32]) << 32)
+                + _exact_product_sum([factors[0] & 0xFFFFFFFF]))
     *rows, n = factors[0].shape
     wide = bound >= 2**63
     step = max(1, core._BLOCK // math.prod(rows))
@@ -323,57 +329,53 @@ def r_k_box(seq: PointSequence, boxes, k=None) -> CorrelationReport:
     return CorrelationReport("r_k_box", k, n, {"boxes": boxes}, raw, raw / n)
 
 
-def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: bool) -> float:
-    """The sum, rounded once, of the weights f gives the distinct-index
-    k-tuples whose consecutive (chained) or anchored index pairs are all
-    window pairs of the given radius (in units of 1/N).
+def _tuple_offsets(seq: PointSequence, radius: float, k: int, chained: bool):
+    """The distinct-index k-tuples whose consecutive (chained) or anchored
+    index pairs are all window pairs of the given radius (in units of
+    1/N), as a function that yields them slice by slice: a list of k - 1
+    int64 columns, column r the grid offset g_u - g_v (sorted_grid,
+    viewed as int64) of the pair (u, v) of the r-th join.  Those are
+    exact, as a window radius is at most N/2: 2^63 on the grid, which
+    reads as -2^63.
 
     Rows start as the anchors and grow depth first by k - 1 joins, on the
     last index when chained, on the anchor otherwise.  A join adds the
     key's window occupants first[key] + j mod N (its unrolled run, from
     core.self_window_blocks) in slices of at most core._BLOCK rows, drops
-    the rows that repeat an index, and grows each slice or hands it to f.
-    Column r of f's (m, k-1) array is N((x_u - x_v)) for the pair (u, v)
-    of the r-th join.  The sum equals math.fsum over all the weights in
-    that order (core.exact_chunk_sum, which runs f a second time where a
-    weight is non-finite or huge).  Before the first join, the rows of
-    the last join, repeated indices included (_row_count), are charged to
-    the work budget, so a wide radius or a high k raises BudgetError at
-    once.  Peak: the runs, 16 bytes per point, under 8 (2d + 7) bytes per
-    row of the slice at each depth d < k, and f's temporaries; chained at
-    k >= 4, the count holds 8 bytes per point (16 from k = 6) before the
-    joins start.  With g_eval at N = 2^20 and radius 1: 20.4 MiB at k = 3
-    and 26.3 at k = 6 anchored (about 1.3e9 rows, over the default
-    budget); chained at k = 4, 4.85e7 rows and 25.6 MiB.
+    the rows that repeat an index, and grows each slice or yields it.
+    Before the first join, the rows of the last join, repeated indices
+    included (_row_count), are charged to the work budget, so a wide
+    radius or a high k raises BudgetError at once.  Peak: the runs, 16
+    bytes per point, under 8 (2d + 7) bytes per row of the slice at each
+    depth d < k, and what the caller makes of a slice; chained at k >= 4,
+    the count holds 8 bytes per point (16 from k = 6) before the joins
+    start.
     """
     n = len(seq)
     check_order(k)
     _check_radius(radius, n)
-    sp = seq.sorted_points
+    g = seq.sorted_grid
     first = np.empty(n, dtype=np.int64)
     last = np.empty(n, dtype=np.int64)
-    for b, [(start, end)] in self_window_blocks(seq.sorted_grid, [grid_arc(-radius, radius, n)]):
+    for b, [(start, end)] in self_window_blocks(g, [grid_arc(-radius, radius, n)]):
         first[b:b + start.size] = start
         last[b:b + end.size] = end
     _charge_budget(_row_count(first, last, k, chained),
                    f"weighted {k}-tuple rows of radius {radius}, repeated indices included")
     step = core._BLOCK
 
-    def grow(cols, vals):
+    def grow(cols):
         key = cols[-1] if chained else cols[0]
         cnt = last[key] - first[key]
         ends = np.cumsum(cnt)
+        base = last[key] - ends  # output j of row r is occupant base[r] + j
         for a in range(0, int(ends[-1]), step):
             z = min(a + step, int(ends[-1]))
-            # the rows that make outputs a, ..., z - 1, the first and last clipped
-            r0, r1 = np.searchsorted(ends, (a, z - 1), side="right")
-            c, at = cnt[r0:r1 + 1].copy(), first[key[r0:r1 + 1]]
-            skip = a - (ends[r0] - cnt[r0])
-            c[0] -= skip
-            at[0] += skip
-            c[-1] -= ends[r1] - z
+            r0, r1 = np.searchsorted(ends, (a, z - 1), side="right")  # the rows of outputs a..z-1
+            e = ends[r0:r1 + 1]
+            c = np.minimum(e, z) - np.maximum(e - cnt[r0:r1 + 1], a)  # and their outputs there
             src = np.repeat(np.arange(r0, r1 + 1), c)
-            new = np.repeat(at - (np.cumsum(c) - c), c) + np.arange(z - a)
+            new = np.repeat(base[r0:r1 + 1], c) + np.arange(a, z)
             new %= n
             ok = np.ones(src.size, dtype=bool)
             for col in cols:
@@ -382,14 +384,32 @@ def _tuple_weight_sum(seq: PointSequence, f, radius: float, k: int, chained: boo
             if not new.size:
                 continue
             rows = [col[src] for col in cols] + [new]
-            offsets = [v[src] for v in vals] + [n * signed_distance(sp[key[src]] - sp[new])]
             if len(rows) < k:
-                yield from grow(rows, offsets)
-            else:
-                yield _row_weights(f, np.column_stack(offsets))
+                yield from grow(rows)
+            else:  # the pairs of the joins: (i_1, i_(r+1)), or (i_r, i_(r+1)) chained
+                yield [(g[rows[r - 1 if chained else 0]] - g[rows[r]]).view(np.int64)
+                       for r in range(1, k)]
 
-    return exact_chunk_sum(lambda: itertools.chain.from_iterable(
-        grow([np.arange(b, min(b + step, n))], []) for b in range(0, n, step)))
+    return lambda: itertools.chain.from_iterable(
+        grow([np.arange(b, min(b + step, n))]) for b in range(0, n, step))
+
+
+def _tuple_weight_sum(name: str, seq: PointSequence, f, radius: float, k: int, chained: bool):
+    """The report of the sum, rounded once, of the weights f gives the
+    tuples of _tuple_offsets, over N: f gets an (m, k-1) float64 array
+    whose column r is offset column r times N 2^-64, N((x_u - x_v)) on the
+    grid, each rounded once.  The sum equals math.fsum over all the
+    weights in enumeration order (core.exact_chunk_sum, which runs f a
+    second time where a weight is non-finite or huge).  With g_eval at
+    N = 2^20 and radius 1 the peak is 19.7 MiB at k = 3 and 25.0 at k = 6
+    anchored (about 1.3e9 rows, over the default budget); chained at
+    k = 4, 4.85e7 rows and 25.6 MiB.
+    """
+    n = len(seq)
+    offsets = _tuple_offsets(seq, radius, k, chained)
+    total = exact_chunk_sum(lambda: (_row_weights(f, np.column_stack(cols) * (n * 2.0**-64))
+                                     for cols in offsets()))
+    return CorrelationReport(name, k, n, {"support_radius": radius}, None, total / n)
 
 
 def _row_count(first: np.ndarray, last: np.ndarray, k: int, chained: bool) -> int:
@@ -449,19 +469,17 @@ def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> Correlat
     enumeration is restricted to window occupants per anchor, in 16
     bytes per point and a slice of rows per depth (_tuple_weight_sum).
 
-    Contract at the edge: a pair enters when its offset lies in the
-    window exactly (on the 2^-64 grid), but ``f`` sees the offset
-    rounded to float64, which at a tie can land on either side of
-    |y| = support_radius.  So ``f`` must also vanish at |y| =
-    support_radius (the tent g_s does) for the value not to depend on
-    ties.  An indicator of |y| <= 1 on the points j/9, j < 9, gives a
-    sum of 8 where r_k_distinct counts 12 pairs.
+    f reads the offsets on the 2^-64 grid, as the counts do: the entry
+    for x_u - x_v is the int64 grid offset of the pair times N 2^-64,
+    rounded once.  Rounding keeps the order, so a window pair has
+    |y| <= support_radius and any other pair |y| >= support_radius: an
+    indicator of |y| <= 1 on the points (j + 1/4)/12, j < 12, sums to the
+    12 pairs r_k_distinct counts at s = 1.  brute_force_r_k(testfn=...)
+    gives f the same offsets for every tuple, window or not, so it agrees
+    with this sum when f also vanishes at |y| = support_radius, as the
+    tent g_s does.
     """
-    n = len(seq)
-    total = _tuple_weight_sum(seq, f, support_radius, k, chained=False)
-    return CorrelationReport(
-        "r_k_testfn", k, n, {"support_radius": support_radius}, None, total / n
-    )
+    return _tuple_weight_sum("r_k_testfn", seq, f, support_radius, k, chained=False)
 
 
 def r_k_consecutive(seq: PointSequence, f, support_radius: float, k: int) -> CorrelationReport:
@@ -470,24 +488,14 @@ def r_k_consecutive(seq: PointSequence, f, support_radius: float, k: int) -> Cor
 
     ``f`` takes (m, k-1) rows as in r_k_testfn and must vanish once any
     consecutive difference leaves [-support_radius, support_radius], so
-    each next index is a window occupant of the previous one; as there,
-    it must also vanish when a difference is exactly +-support_radius.
-    For k = 2 this coincides with r_k_testfn.
+    each next index is a window occupant of the previous one; it reads
+    the grid offsets as there.  For k = 2 this coincides with r_k_testfn.
     """
-    n = len(seq)
-    total = _tuple_weight_sum(seq, f, support_radius, k, chained=True)
-    return CorrelationReport(
-        "r_k_consecutive", k, n, {"support_radius": support_radius}, None, total / n
-    )
+    return _tuple_weight_sum("r_k_consecutive", seq, f, support_radius, k, chained=True)
 
 
 # ---------------------------------------------------------------------------
 # brute force oracle
-
-
-def _pairwise_signed(seq: PointSequence) -> np.ndarray:
-    x = seq.points
-    return signed_distance(x[:, None] - x[None, :])
 
 
 def _distinct_mask(n: int, m: int) -> np.ndarray:
@@ -527,45 +535,42 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     are evaluated for every tuple of [N]^k from the pairwise grid
     differences of the points in their given order, independent of the
     sorted-window machinery; the integer arcs are those of the fast
-    paths, so ties are read the same way.  ``testfn`` gets the rounded
-    float64 offsets N((x_a - x_b)) of every tuple, not only of window
-    pairs, so it agrees with r_k_testfn / r_k_consecutive on ties only
-    if it vanishes at |y| = support_radius (see r_k_testfn).
+    paths, so ties are read the same way.  ``testfn`` gets the offsets of
+    every tuple, not only of window pairs, from the same differences:
+    the int64 grid offset times N 2^-64, as r_k_testfn / r_k_consecutive
+    give it.
     """
     given = [scales is not None, boxes is not None, testfn is not None]
     if sum(given) != 1:
         raise ParameterError("give exactly one of scales, boxes, testfn")
     n = len(seq)
-    name = "brute_force_r_k_star" if star else "brute_force_r_k"
-
     if testfn is not None:
         if k is None or support_radius is None:
             raise ParameterError("testfn mode needs k and support_radius")
         check_order(k)
         _check_radius(support_radius, n)
-        _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")
-        scaled = n * _pairwise_signed(seq)
-        terms = []
-        for i1, tensor in enumerate(_anchor_tuples([np.ones((n, n), dtype=bool)] * (k - 1), star)):
-            # one f call per anchor, on its tuples in lexicographic order
-            cols = np.nonzero(tensor)
-            if cols[0].size:
-                rows = np.column_stack([scaled[i1, c] for c in cols])
-                terms += _row_weights(testfn, rows).tolist()
-        return CorrelationReport(name, k, n, {"support_radius": support_radius},
-                                 None, math.fsum(terms) / n)
-
-    if scales is not None:
+        # every tuple: each slot's arc is the whole circle
+        arcs, params = [grid_arc(-n / 2, n / 2, n)] * (k - 1), {"support_radius": support_radius}
+    elif scales is not None:
         scales = _as_scales(scales, k, n)
-        arcs = [grid_arc(-s, s, n) for s in scales]
+        arcs, params = [grid_arc(-s, s, n) for s in scales], {"scales": scales}
     else:
         boxes = _as_boxes(boxes, n)
-        arcs = [grid_arc(a, b, n) for a, b in boxes]
+        arcs, params = [grid_arc(a, b, n) for a, b in boxes], {"boxes": boxes}
     k = len(arcs) + 1
     _charge_budget(n**k, f"brute-force tuple visits N^k = {n}^{k}")
     g = to_grid(seq.points)
     delta = g[:, None] - g[None, :]
-    slot_masks = [in_arc(delta, arc) for arc in arcs]
-    raw = sum(int(tensor.sum()) for tensor in _anchor_tuples(slot_masks, star))
-    params = {"scales": scales} if scales is not None else {"boxes": boxes}
-    return CorrelationReport(name, k, n, params, raw, raw / n)
+    tuples = _anchor_tuples([in_arc(delta, arc) for arc in arcs], star)
+    name = "brute_force_r_k_star" if star else "brute_force_r_k"
+    if testfn is None:
+        raw = sum(int(tensor.sum()) for tensor in tuples)
+        return CorrelationReport(name, k, n, params, raw, raw / n)
+    scaled = delta.view(np.int64) * (n * 2.0**-64)
+    terms = []
+    for i1, tensor in enumerate(tuples):
+        # one f call per anchor, on its tuples in lexicographic order
+        cols = np.nonzero(tensor)
+        if cols[0].size:
+            terms += _row_weights(testfn, np.column_stack([scaled[i1, c] for c in cols])).tolist()
+    return CorrelationReport(name, k, n, params, None, math.fsum(terms) / n)

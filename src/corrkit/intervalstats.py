@@ -34,9 +34,15 @@ intersection of the k arcs around x_1..x_k equals
 g_s^(k)(N((x_1-x_2)), ..., N((x_1-x_k))) whenever N >= 4s.  That makes
 I_k equal to the correlation sum r_k_testfn(g_s^(k)), and expands the
 power moment through second-kind Stirling numbers:
-I_k* = sum_j S(k,j) I_j with I_1 = s.  g_eval is the one tent: it takes
-the (m, k-1) arrays r_k_testfn passes, and a one-row array for a single
-tuple.
+I_k* = sum_j S(k,j) I_j with I_1 = s.  On the grid this holds exactly:
+the arcs [g_m - R, g_m + R] of k distinct points share
+(2R + 1 - max_j y_j^+ - max_j y_j^-)^+ grid points, y_j = g_(i_j) - g_(i_1)
+as int64, so sum_v (v)_k L_v is that integer tent summed over the tuples
+(_tent_sum), and i_k_via_correlation, its quotient by 2^64, equals
+moments' I_k bit for bit; likewise sum_v v^k L_v =
+S(k,1) N (2R + 1) + sum_(j>=2) S(k,j) T_j.  _tent is the one tent, on
+float or int64 columns: g_eval takes the (m, k-1) arrays r_k_testfn
+passes, and a one-row array for a single tuple.
 
 For an integer L, g_L^(k) summed over the z in Z^(k-1) with |z_i| <= L
 is exactly L^k: on each simplex of the Kuhn triangulation of Z^(k-1) the
@@ -57,7 +63,7 @@ import numpy as np
 from . import core
 from .core import (GRID, PointSequence, check_order, check_scale, falling_factorial, grid_arc,
                    stirling_second, to_grid)
-from .correlations import CorrelationReport, r_k_testfn
+from .correlations import _exact_product_sum, _tuple_offsets
 from .errors import ConsistencyError, ParameterError
 
 
@@ -254,6 +260,17 @@ def moments(seq: PointSequence, s: float, k: int) -> MomentReport:
     return MomentReport(k, float(s), len(seq), i_k, i_k_star)
 
 
+def _tent(top, cols: list[np.ndarray]) -> np.ndarray:
+    """(top - max_i {y_i}^+ - max_i {-y_i}^+)^+ over m rows given as k - 1
+    columns y_i, of the columns' type: float64 for g_eval, int64 for
+    _tent_sum.  The terms are subtracted one at a time, so an int64 tent
+    never holds their sum (up to 2^63 at N = 4s)."""
+    # by columns: .max(axis=-1) over narrow rows is many times slower
+    out = top - np.maximum(functools.reduce(np.maximum, cols), 0)  # int 0: int64 stays int64
+    out += np.minimum(functools.reduce(np.minimum, cols), 0)
+    return np.maximum(out, 0)
+
+
 def g_eval(k: int, s: float, ys) -> np.ndarray:
     """g_s^(k) = {s - max_i {y_i}^+ - max_i {-y_i}^+}^+ over the rows of an
     (m, k-1) array: m values, the subtraction done before the final
@@ -265,25 +282,33 @@ def g_eval(k: int, s: float, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim == 0 or ys.shape[-1] != k - 1:
         raise ParameterError(f"expected rows of {k - 1} coordinates, got shape {ys.shape}")
-    # by columns: .max(axis=-1) over narrow rows is many times slower
-    cols = [ys[..., r] for r in range(k - 1)]
-    mplus = np.maximum(functools.reduce(np.maximum, cols), 0.0)
-    mminus = np.maximum(-functools.reduce(np.minimum, cols), 0.0)
-    return np.maximum(s - mplus - mminus, 0.0)
+    return _tent(s, [ys[..., r] for r in range(k - 1)])
 
 
-def i_k_via_correlation(seq: PointSequence, s: float, k: int) -> float:
-    """I_k computed from the correlation side: the weighted sum of
-    g_s^(k) over distinct tuples, by r_k_testfn and in its memory.
-    Valid for N >= 4s, where the arc-intersection identity holds.
-    """
+def _tent_sum(seq: PointSequence, s: float, k: int) -> int:
+    """T_k, the integer tent summed over the distinct k-tuples: the grid
+    points that the arcs [g_m - R, g_m + R] of F around the k points all
+    hold, (2R + 1 - max_j y_j^+ - max_j y_j^-)^+ for the tuple's grid
+    offsets y_j from its first point (_tuple_offsets at radius s), summed
+    exactly (_exact_product_sum).  Where N >= 4s the arcs are at most a
+    quarter of the circle, so that is their common part, and T_k equals
+    sum_v (v)_k L_v over _law's histogram."""
     n = len(seq)
     if n < 4 * s:
         raise ParameterError(f"need N >= 4s, got N = {n}, s = {s}")
-    rep: CorrelationReport = r_k_testfn(
-        seq, lambda ys: g_eval(k, s, ys), float(s), k
-    )
-    return rep.value
+    offsets = _tuple_offsets(seq, float(s), k, chained=False)  # checks s before any grid_arc
+    top = 2 * _radius(seq, s) + 1
+    return sum(_exact_product_sum([_tent(top, cols)]) for cols in offsets())
+
+
+def i_k_via_correlation(seq: PointSequence, s: float, k: int) -> float:
+    """I_k computed from the correlation side: the sum of the tent over
+    distinct tuples, in r_k_testfn's enumeration and memory, on the
+    grid: _tent_sum / 2^64, rounded once, which equals moments(seq, s,
+    k).i_k bit for bit.  Valid for N >= 4s, where the arc-intersection
+    identity holds.
+    """
+    return _tent_sum(seq, s, k) / GRID
 
 
 def bell_prediction(k: int, s: float) -> float:

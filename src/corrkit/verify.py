@@ -93,8 +93,8 @@ def _result(name, statement, ok, measured, target, tol, report_only=False):
 
 
 def _chk_grid_offset_abs_signed(rng, tier):
-    # the window reads a pair on the grid, a test function gets the float
-    # offset: the two must agree to one rounding (the tie contract)
+    # a pair's offset on the grid, the one a test function gets scaled, and
+    # the float ((x-y)) agree to one rounding
     xs, ys = rng.random(10**4), rng.random(10**4)
     grid = (to_grid(xs) - to_grid(ys)).view(np.int64).astype(np.float64) * 2.0**-64
     worst = float(np.max(np.abs(np.abs(grid) - np.abs(signed_distance(xs - ys)))))
@@ -410,36 +410,46 @@ def _chk_localized_lower_bound_trend(rng, tier):
 
 
 def _chk_second_moment_identity(rng, tier):
-    worst = 0.0
+    # int F^2 = sum_v v^2 L_v / 2^64 against c_k_star's pair average; and, where
+    # N >= 4s, I_2* = s + I_2 in integers on the grid: sum_v v^2 L_v is the mass
+    # sum_v v L_v = N (2R+1) plus T_2, the integer tent summed over distinct pairs
+    worst, misses = 0.0, []
     for _ in range(12):
         n = int(rng.integers(120, 10**4))
         s = float(rng.choice([0.5, 1.0, 5.0, 50.0]))
         seq = PointSequence(rng.random(n))
-        left = intervalstats.moments(seq, s, 2).i_k_star
+        hist = intervalstats.sweep_profile(seq, s).value_lengths().items()
+        power = sum(v * v * ln for v, ln in hist)
         right = averaged.c_k_star(seq, (s,))
-        worst = max(worst, abs(left - right) / abs(right))
+        worst = max(worst, abs(power / GRID - right) / abs(right))
+        if n >= 4 * s:
+            misses.append(power != sum(v * ln for v, ln in hist) + intervalstats._tent_sum(seq, s, 2))
     return _result("second_moment_scale_integral_identity",
-                   "int_0^1 F(t,s,N)^2 dt = int_0^s R_2*(sigma,N) dsigma",
-                   worst <= 1e-9, worst, 0.0, "1e-9 relative")
+                   "int F^2 dt = int_0^s R_2* dsigma, and sum_v v^2 L_v = N(2R+1) + T_2 if N >= 4s",
+                   not any(misses) and worst <= 1e-9,
+                   f"{sum(misses)} of {len(misses)} integer identities fail; {worst!r}",
+                   "0; 0.0", "exact; 1e-9 relative")
 
 
 def _chk_power_moment_decomposition(rng, tier):
-    worst = 0.0
+    # I_k = R_k(g_s^(k),N) and I_k* = sum_j S(k,j) I_j with I_1 = s, in integers on
+    # the grid: T_j the integer tent summed over distinct j-tuples, and for j = 1
+    # the arcs' mass sum_v v L_v = N (2R+1)
+    bad = 0
     for _ in range(12):
         n = int(rng.integers(10, 61))
         k = int(rng.integers(2, 5))
         s = float(rng.uniform(0.2, n / 4.0))
         seq = PointSequence(rng.random(n))
-        mk = intervalstats.moments(seq, s, k)
-        lhs_fact = abs(mk.i_k - intervalstats.i_k_via_correlation(seq, s, k))
-        rhs = stirling_second(k, 1) * s + sum(
-            stirling_second(k, j) * intervalstats.i_k_via_correlation(seq, s, j)
-            for j in range(2, k + 1)
-        )
-        worst = max(worst, lhs_fact / n, abs(mk.i_k_star - rhs) / n)
+        hist = intervalstats.sweep_profile(seq, s).value_lengths().items()
+        tents = {j: intervalstats._tent_sum(seq, s, j) for j in range(2, k + 1)}
+        tents[1] = sum(v * ln for v, ln in hist)
+        bad += sum(falling_factorial(v, k) * ln for v, ln in hist) != tents[k]
+        bad += sum(v**k * ln for v, ln in hist) != sum(stirling_second(k, j) * t
+                                                       for j, t in tents.items())
     return _result("power_moment_stirling_decomposition",
-                   "I_k = R_k(g_s^(k),N) and I_k* = sum_j S(k,j) I_j with I_1 = s",
-                   worst <= 1e-9, worst, 0.0, "1e-9 * N absolute")
+                   "I_k = R_k(g_s^(k),N) and I_k* = sum_j S(k,j) I_j, I_1 = s, in grid integers",
+                   bad == 0, bad, 0, "exact")
 
 
 def _chk_ball_cover_counting(rng, tier):

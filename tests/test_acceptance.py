@@ -80,22 +80,26 @@ def test_criterion_03_second_moment_identity():
 
 
 def test_criterion_04_factorial_moment_chain():
+    # on the 2^-64 grid, in integers: sum_v (v)_k L_v = T_k, the tent summed
+    # over distinct k-tuples, and sum_v v^k L_v = sum_j S(k,j) T_j with T_1 the
+    # arcs' mass N (2R + 1); divided by 2^64, I_k = R_k(g_s^(k), N) bit for bit
+    # and I_k* = sum_j S(k,j) I_j with I_1 = s
     rng = np.random.default_rng(SEED + 4)
-    worst = 0.0
+    bad = 0
     for _ in range(40):
         n = int(rng.integers(8, 61))
         k = int(rng.integers(2, 5))
         s = float(rng.uniform(0.2, n / 4.0))  # keeps N >= 4s
         seq = ck.PointSequence(rng.random(n))
-        rep = ck.moments(seq, s, k)
-        worst = max(worst, abs(rep.i_k - ck.i_k_via_correlation(seq, s, k)) / n)
-        rhs = ck.stirling_second(k, 1) * s + sum(
-            ck.stirling_second(k, j) * ck.i_k_via_correlation(seq, s, j)
-            for j in range(2, k + 1)
-        )
-        worst = max(worst, abs(rep.i_k_star - rhs) / n)
-    _report(4, "factorial/power moment correlation chain", worst <= 1e-9,
-            f"worst err per N {worst:.2e}")
+        bad += ck.moments(seq, s, k).i_k != ck.i_k_via_correlation(seq, s, k)
+        hist = ck.sweep_profile(seq, s).value_lengths().items()
+        tents = {j: ck.intervalstats._tent_sum(seq, s, j) for j in range(2, k + 1)}
+        tents[1] = sum(v * ln for v, ln in hist)
+        bad += sum(ck.falling_factorial(v, k) * ln for v, ln in hist) != tents[k]
+        bad += sum(v**k * ln for v, ln in hist) != sum(
+            ck.stirling_second(k, j) * t for j, t in tents.items())
+    _report(4, "factorial/power moment correlation chain", bad == 0,
+            f"{bad} of 120 identities fail")
 
 
 def test_criterion_05_tent_integral_lattice_sum():

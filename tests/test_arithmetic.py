@@ -304,6 +304,9 @@ def test_sum_of_squares_past_int64(monkeypatch):
         # 2 products just below 2^62 per chunk at most: edges every 2 entries
         r = np.full(block % 5 + 5, 2**31 - 1, dtype=np.int64)
         assert _exact_product_sum([r, r]) == r.size * (2**31 - 1) ** 2
+        # a lone factor of entries up to 2^62 (tent sums), summed as 32-bit halves
+        r = np.array([2**62, 2**62 - 1, 2**32, 2**32 - 1, 0] * 7, dtype=np.int64)
+        assert _exact_product_sum([r]) == 7 * (2**63 + 2**33 - 2)
 
 
 def test_energy_diagonal_lower_bound():

@@ -215,9 +215,9 @@ def test_testfn_indicator_matches_distinct():
         s = float(rng.uniform(0.1, n / 4))
         seq = PointSequence(rng.random(n))
         ind = lambda ys: np.all(np.abs(ys) <= s, axis=1).astype(np.float64)
-        got = r_k_testfn(seq, ind, s, k).value
-        want = r_k_distinct(seq, (s,) * (k - 1)).value
-        assert got == pytest.approx(want, abs=1e-12)
+        # f gets the window's tuples only, their offsets read on the grid as
+        # r_k_distinct reads them: every one has |y| <= s
+        assert r_k_testfn(seq, ind, s, k).value == r_k_distinct(seq, (s,) * (k - 1)).value
 
 
 def test_testfn_zero_function():
@@ -269,8 +269,8 @@ def _value_or_error(call):
 def _testfn_by_tuple(seq, f, k, star):
     """The oracle's testfn value by one f call per tuple, on a one-row array."""
     n = len(seq)
-    x = seq.points
-    scaled = (n * signed_distance(x[:, None] - x[None, :])).tolist()
+    g = to_grid(seq.points)
+    scaled = (n * ((g[:, None] - g[None, :]).view(np.int64) * 2.0**-64)).tolist()
     tuples = itertools.product(range(n), repeat=k) if star else itertools.permutations(range(n), k)
     return math.fsum(float(f(np.array([[scaled[t[0]][j] for j in t[1:]]]))[0]) for t in tuples) / n
 
@@ -714,10 +714,10 @@ def test_consecutive_matches_bruteforce_k4():
     for i in range(4):
         n = int(rng.integers(5, 13))
         seq = _forced_duplicates(rng, n) if i % 2 else PointSequence(rng.random(n))
-        x = seq.points
+        d = (to_grid(seq.points)[:, None] - to_grid(seq.points)[None, :]).view(np.int64)
         terms = []
         for t in itertools.permutations(range(n), 4):
-            ys = [n * signed_distance(x[t[r]] - x[t[r + 1]]) for r in range(3)]
+            ys = [n * (d[t[r], t[r + 1]] * 2.0**-64) for r in range(3)]
             terms.append(float(tent(np.array([ys]))[0]))
         assert r_k_consecutive(seq, tent, 1.2, 4).value == math.fsum(terms) / n
 

@@ -292,8 +292,9 @@ def test_g_examples():
     assert g_eval(2, 1.0, [[0.4]])[0] == pytest.approx(0.6)
     assert g_eval(3, 1.0, [[0.2, -0.3]])[0] == pytest.approx(0.5)
     assert g_eval(3, 1.0, [[1.5, 0.0]])[0] == 0.0  # outside the support box
-    # several rows at once, one value per row
+    # several rows at once, one value per row; a 1-D array is one tuple, one value
     assert g_eval(3, 1.0, [[0.2, -0.3], [1.5, 0.0]]).tolist() == pytest.approx([0.5, 0.0])
+    assert float(g_eval(3, 1.0, np.array([0.2, -0.3]))) == pytest.approx(0.5)
 
 
 def test_g_clamp_examples():
@@ -361,14 +362,17 @@ def test_i_k_via_correlation_matches_sweep():
         k = int(rng.integers(2, 5))
         s = float(rng.uniform(0.2, n / 4))
         seq = PointSequence(rng.random(n))
-        assert abs(i_k_via_correlation(seq, s, k) - moments(seq, s, k).i_k) <= 1e-9 * n
+        assert i_k_via_correlation(seq, s, k) == moments(seq, s, k).i_k
+    # a degenerate cluster: all points equal, one arc, at 0 where it wraps
+    for x, n, s, k in ((0.25, 7, 0.5, 3), (0.0, 8, 2.0, 4)):
+        seq = PointSequence([x] * n)
+        assert i_k_via_correlation(seq, s, k) == moments(seq, s, k).i_k
 
 
 def test_i_k_via_correlation_at_lattice_ties():
     # the lattice points of the tie test in test_correlations put pair
-    # offsets exactly at |y| = s, where the test function gets a rounded
-    # offset; the tent g_s vanishes there, so the sum does not depend on
-    # which side of the tie the rounding lands
+    # offsets exactly at |y| = s: the integer tent reads them on the grid,
+    # as the sweep does, so the two agree bit for bit
     cases = 0
     for n in range(4, 41):
         for shift in (0.0, 0.5, 0.25):
@@ -377,8 +381,7 @@ def test_i_k_via_correlation_at_lattice_ties():
                 if 4 * s > n:
                     continue
                 for k in (2, 3):
-                    exact = moments(seq, s, k).i_k
-                    assert abs(i_k_via_correlation(seq, s, k) - exact) <= 1e-9 * max(exact, 1.0), \
+                    assert i_k_via_correlation(seq, s, k) == moments(seq, s, k).i_k, \
                         (n, shift, s, k)
                     cases += 1
     assert cases == 594
@@ -419,10 +422,14 @@ def test_power_moment_stirling_decomposition():
         k = int(rng.integers(2, 5))
         s = float(rng.uniform(0.2, n / 4))
         seq = PointSequence(rng.random(n))
-        rhs = stirling_second(k, 1) * s + sum(
-            stirling_second(k, j) * i_k_via_correlation(seq, s, j) for j in range(2, k + 1)
+        # on the grid, in integers: I_1 = s is the mass N (2R + 1) of sum_v v L_v
+        hist = sweep_profile(seq, s).value_lengths()
+        mass = n * (2 * grid_arc(-0.5 * s, 0.5 * s, n)[1] + 1)
+        rhs = stirling_second(k, 1) * mass + sum(
+            stirling_second(k, j) * intervalstats._tent_sum(seq, s, j) for j in range(2, k + 1)
         )
-        assert abs(moments(seq, s, k).i_k_star - rhs) <= 1e-9 * n
+        assert sum(v**k * ln for v, ln in hist.items()) == rhs
+        assert moments(seq, s, k).i_k_star == rhs / GRID
 
 
 def test_ball_cover_counting_identity():
@@ -497,12 +504,13 @@ def _arc_intersection_measure(centers, radius):
 def test_tent_function_equals_arc_intersection_per_tuple():
     import itertools as it
 
-    from corrkit import r_k_testfn, signed_distance
+    from corrkit import r_k_testfn
 
     seq = PointSequence([0.1, 0.13, 0.15, 0.6, 0.97])
     n, s, k = len(seq), 0.9, 3
     r = 0.5 * s / n
     x = seq.points
+    d = (to_grid(x)[:, None] - to_grid(x)[None, :]).view(np.int64)  # the offsets the tent gets
     direct = 0.0
     for tup in it.permutations(range(n), k):
         direct += _arc_intersection_measure([x[i] for i in tup], r)
@@ -511,7 +519,7 @@ def test_tent_function_equals_arc_intersection_per_tuple():
     # per-tuple identity: N * lambda(cap B) = g at the scaled differences
     for tup in it.permutations(range(n), k):
         lam = _arc_intersection_measure([x[i] for i in tup], r)
-        g = g_eval(k, s, [[n * signed_distance(x[tup[0]] - x[i]) for i in tup[1:]]])[0]
+        g = g_eval(k, s, [[n * (d[tup[0], i] * 2.0**-64) for i in tup[1:]]])[0]
         assert n * lam == pytest.approx(g, abs=1e-12)
 
 
