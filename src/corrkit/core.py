@@ -39,9 +39,11 @@ the starts read off the ends' counts.  self_window_blocks takes a stack
 of sorted grids side by side, shape (m, c), one per column, each its own
 circle, as well as one grid, in blocks of _BLOCK // c positions, each
 one contiguous slice of the stack: the dilation experiment's trials
-(arithmetic.metric_r3_experiment) read their window counts off it.  F at
-one point (intervalstats.f_count) is read off the blocks' unrolled
-searches (_unrolled_search).
+(arithmetic.metric_r3_experiment) read their window counts off it.  The
+windows of an arc that is not symmetric, around the grid's own points
+or around any centres (F at one point t, intervalstats.f_count), come
+from arc_window.  Every search of a window end is one routine,
+_unrolled_search, on sorted grids one per row.
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -166,33 +168,48 @@ def in_arc(d: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
 _BLOCK = 1 << 15
 
 
-def _runs_search(grid: np.ndarray, keys: np.ndarray, side: str, cut: int) -> np.ndarray:
-    """np.searchsorted(grid, keys, side) for keys that ascend on [:cut] and
-    on [cut:]: each run is searched only in the slice of grid between the
-    positions of its two end keys."""
-    out = np.empty(keys.size, dtype=np.intp)
-    for run in (slice(0, cut), slice(cut, keys.size)):
-        k = keys[run]
-        if k.size:
-            a, z = np.searchsorted(grid, k[[0, -1]], side=side)
-            np.add(np.searchsorted(grid[a:z], k, side=side), a, out=out[run])
-    return out
+def _unrolled_search(rows: np.ndarray, keys: np.ndarray, off: int, side: str) -> np.ndarray:
+    """The unrolled positions (see self_window_blocks) of keys + off,
+    -2^64 < off < 2^64, searched with side in sorted grids one per row,
+    shape (c, m), for keys that ascend along each row, shape (c, k): the
+    keys that pass 0 land a lap back, those that pass 2^64 a lap ahead,
+    found by one comparison of keys + off mod 2^64 with the keys.
 
-
-def _unrolled_search(grid: np.ndarray, g: np.ndarray, off: int, side: str) -> np.ndarray:
-    """The unrolled positions (see self_window_blocks) of the keys g + off
-    of ascending grid values g, -2^64 < off < 2^64, searched with side in
-    the grid: the keys that pass 0 land a lap back or ahead."""
-    if off < 0:  # the anchors before `cut` have g + off < 0
-        cut = int(np.searchsorted(g, np.uint64(-off)))
-    else:  # from `cut` on, g + off >= 2^64
-        cut = int(np.searchsorted(g, np.uint64(GRID - off))) if off else g.size
-    pos = _runs_search(grid, g + np.uint64(off % GRID), side, cut)
-    if off < 0:
-        pos[:cut] -= grid.size
-    else:
-        pos[cut:] += grid.size
+    A grid of at most _BLOCK points takes one search of its keys.  In a
+    longer one, keys + off mod 2^64 ascend in two runs, before and after
+    the keys that pass 0 or 2^64, and each run is searched only in the
+    slice of the grid between the positions of its two end keys."""
+    m = rows.shape[1]
+    reach = keys + np.uint64(off % GRID)
+    lapped = reach < keys if off > 0 else reach > keys  # none for off = 0
+    pos = np.empty(keys.shape, dtype=np.intp)
+    for row, key, lap, out in zip(rows, reach, lapped, pos):
+        if m <= _BLOCK:
+            out[:] = np.searchsorted(row, key, side=side)
+            continue
+        cut = int(np.count_nonzero(lap))  # the lapped keys are a prefix for off < 0
+        cut = cut if off < 0 else key.size - cut
+        for run in (slice(0, cut), slice(cut, key.size)):
+            k = key[run]
+            if k.size:
+                a, z = np.searchsorted(row, k[[0, -1]], side=side)
+                np.add(np.searchsorted(row[a:z], k, side=side), a, out=out[run])
+    np.add(pos, m if off > 0 else -m, out=pos, where=lapped)
     return pos
+
+
+def arc_window(rows: np.ndarray, keys: np.ndarray, arc: tuple[int, int]):
+    """(start, end) of the windows of the arc (lo, hi), -2^63 <= lo, hi
+    <= 2^63, around centres keys that ascend along each row, shape (c, k),
+    in sorted grids one per row, shape (c, m), unrolled as in
+    self_window_blocks: [start, end) holds the positions whose value
+    lies in [key + lo, key + hi].  One search of each end
+    (_unrolled_search); the whole circle, hi - lo >= 2^64 - 1, holds
+    every point once and takes one."""
+    lo, hi = arc
+    start = _unrolled_search(rows, keys, lo, "left")
+    return start, (start + rows.shape[1] if hi - lo >= GRID - 1
+                   else _unrolled_search(rows, keys, hi, "right"))
 
 
 # offsets passed over per block of anchors before the windows still
@@ -225,59 +242,34 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     all are.
 
     A block of whole grids (b = 0, size = m) with r < 2^63 whose windows
-    all are still open searches only the ends, one search per grid
-    (_grid_search), and reads every start off them (_starts_off_ends).  Its
-    passes pay only while hardly any of its windows outlasts them, so it
-    takes none when its windows would hold 2 or more points a side on
-    average (r m >= 2^65).
+    all are still open searches only the ends, one search per grid, and
+    reads every start off them (_starts_off_ends).  Its passes pay only
+    while hardly any of its windows outlasts them, so it takes none when
+    its windows would hold 2 or more points a side on average
+    (r m >= 2^65).
     """
     m = grid.shape[0]
     whole = size == m and r < _HALF  # then the starts can be read off the ends
     cap = 0 if whole and r * m >= 2 * GRID else min(_PASS_CAP, m - 1)
     stack = grid.reshape(m, -1)  # one column for one grid
-    c = stack.shape[1]
-    # the passes each anchor's end and start moved, and the anchors whose
-    # end, start may still grow, as flat positions in the block's grids,
-    # i size + j for anchor b + j of grid i: None for all of them
+    # the passes each anchor's end and start moved, and masks of the
+    # anchors whose end, start may still grow
     ahead, behind, ends, starts = _window_passes(stack, b, size, cap, r)
     at_b = np.arange(b, b + size)[:, None]  # after the passes' arrays are freed
     start, end = np.subtract(at_b, behind), np.add(at_b, ahead)
     end += 1
     del at_b, ahead, behind  # before any search
-    if whole and ends is None and starts is None:  # every window open
-        _grid_search(np.ascontiguousarray(stack.T), 0, r, "right", end)
+    if whole and ends.all() and starts.all():  # every window open
+        rows = np.ascontiguousarray(stack.T)
+        end[:] = _unrolled_search(rows, rows, r, "right").T
         _starts_off_ends(end, start)
     else:
-        for bound, off, side, at in ((end, r, "right", ends), (start, -r, "left", starts)):
-            if at is None:
-                picks = [(i, slice(None)) for i in range(c)]
-            elif at.size:
-                cuts = np.searchsorted(at, np.arange(c + 1) * size).tolist()
-                picks = [(i, at[x:y] - i * size)
-                         for i, (x, y) in enumerate(zip(cuts, cuts[1:])) if x < y]
-            else:
-                continue
-            for i, a in picks:
-                row = np.ascontiguousarray(stack[:, i])  # a copy only for a column of a stack
-                bound.T[i][a] = _unrolled_search(row, row[b:b + size][a], off, side)
+        for bound, off, side, mask in ((end, r, "right", ends), (start, -r, "left", starts)):
+            for i in np.flatnonzero(mask.any(axis=0)):  # no search for a grid with none open
+                row = np.ascontiguousarray(stack[:, i])[None]  # a copy only for a column of a stack
+                at = slice(None) if mask[:, i].all() else np.flatnonzero(mask[:, i])
+                bound[:, i][at] = _unrolled_search(row, row[:, b:b + size][:, at], off, side)[0]
     return start.reshape(grid[b:b + size].shape), end.reshape(grid[b:b + size].shape)
-
-
-def _grid_search(rows: np.ndarray, b: int, off: int, side: str, out: np.ndarray) -> np.ndarray:
-    """out[:, i] = _unrolled_search(rows[i], rows[i, b:b + k], off, side)
-    for sorted grids one per row, shape (c, m), written into out of shape
-    (k, c), the layout of a stack, -2^64 < off < 2^64.  One search of the
-    keys + off mod 2^64 per grid, with no runs to confine it, then a lap
-    added where a key passed 2^64 or taken where it passed 0."""
-    keys = rows[:, b:b + out.shape[0]]
-    reach = keys + np.uint64(off % GRID)
-    for row, k, o in zip(rows, reach, out.T):
-        o[:] = np.searchsorted(row, k, side=side)
-    if off > 0:
-        out.T[reach < keys] += rows.shape[1]
-    elif off < 0:
-        out.T[reach > keys] -= rows.shape[1]
-    return out
 
 
 def _starts_off_ends(end: np.ndarray, start: np.ndarray) -> None:
@@ -304,16 +296,16 @@ def _starts_off_ends(end: np.ndarray, start: np.ndarray) -> None:
 def _window_passes(grid: np.ndarray, b: int, size: int, cap: int, r: int):
     """The passes of _passed_window over t = 1, ..., at most cap < m, for
     grids side by side, shape (m, c): returns how far each anchor's end
-    and start moved, shape (size, c), and the anchors whose end and whose
-    start are still growing (None for all of them), grid by grid, as
-    i size + j for anchor b + j of grid i.  The moves are counted in the
-    narrowest unsigned type that holds cap, a byte for the default cap.
-    The distances and their mask end with the call."""
+    and start moved, and masks of the anchors whose end and whose start
+    are still growing, each of shape (size, c).  The moves are counted in
+    the narrowest unsigned type that holds cap, a byte for the default
+    cap.  The distances end with the call."""
     c = grid.shape[1]
     ahead = np.zeros((size, c), dtype=np.min_scalar_type(cap))
     behind = np.zeros_like(ahead)
     if not cap:
-        return ahead, behind, None, None
+        every = np.ones(ahead.shape, dtype=bool)
+        return ahead, behind, every, every
     d = np.empty((size + cap, c), dtype=np.uint64)
     near = np.empty(d.shape, dtype=bool)
     growing = [ahead.size, ahead.size]  # ends, starts
@@ -328,10 +320,7 @@ def _window_passes(grid: np.ndarray, b: int, size: int, cap: int, r: int):
         if grew == [0, 0] or grew == growing:  # all closed, or none closed at t: wide windows
             break
         growing = grew
-    # grid by grid, and no scan where none is open
-    ends, starts = (None if n == ahead.size else np.flatnonzero(mask.T) if n
-                    else np.empty(0, dtype=np.intp) for n, mask in zip(grew, (ok[t:], ok[:size])))
-    return ahead, behind, ends, starts
+    return ahead, behind, ok[t:], ok[:size]
 
 
 def _offset_gaps(grid: np.ndarray, c: int, t: int, out: np.ndarray) -> None:
@@ -375,33 +364,30 @@ def self_window_blocks(grid: np.ndarray, arcs):
     window, _PASS_CAP), plus searches for the anchors whose windows are
     still open after them (_passed_window; past half a lap, all of them);
     grids of at most _BLOCK points in all whose windows all stay open
-    search only their ends and read the starts off them.  The whole
-    circle takes one search per anchor, any other arc two.  Each search
-    of one grid is confined to the slice of the grid its keys reach; a
-    stack's are one search per grid and block, on a copy of the stack
-    with one grid per row, made once for the arcs that are not
-    symmetric.  A block holds start and end per arc and, while it finds
-    one arc's windows, either the passes' differences, mask and two
-    byte-wide counters (11 bytes per anchor) or a search's keys and
-    positions, or the ends' counts (24): at most 8 (2a + 3) bytes per
-    anchor for a arcs, whatever N and the window widths.
+    search only their ends and read the starts off them.  Any other arc
+    takes arc_window: one search per anchor for the whole circle, two
+    otherwise, on the grid as one row, or on a copy of the stack with
+    one grid per row, made once.  Every search is _unrolled_search's:
+    one search of a grid of at most _BLOCK points, and in a longer grid
+    each run of keys confined to the slice of the grid it reaches.  A
+    block holds start and end per arc and, while it finds one arc's
+    windows, either the passes' differences, mask and two byte-wide
+    counters (11 bytes per anchor), or the passes' mask and a search's
+    indices, keys, their sums with the offset, lap mask and positions,
+    or the ends' counts (at most 42): at most 16 a + 42 bytes per anchor
+    for a arcs, whatever N and the window widths.
     """
     m = grid.shape[0]
     step = max(1, _BLOCK // math.prod(grid.shape[1:]))
-    rows = (np.ascontiguousarray(grid.T)
-            if grid.ndim > 1 and any(lo != -hi for lo, hi in arcs) else None)
-
-    def search(b, size, off, side):  # unrolled positions of the block's keys + off
-        if rows is None:
-            return _unrolled_search(grid, grid[b:b + size], off, side)
-        return _grid_search(rows, b, off, side, np.empty((size, rows.shape[0]), dtype=np.intp))
+    # one grid per row for arc_window: a view of one grid, a copy of a stack
+    rows = (np.ascontiguousarray(grid.reshape(m, -1).T)
+            if any(lo != -hi for lo, hi in arcs) else None)
 
     def window(b, size, lo, hi):  # (start, end) of the block's anchors for the arc (lo, hi)
         if lo == -hi:
             return _passed_window(grid, b, size, hi)
-        start = search(b, size, lo, "left")
-        # the whole circle (hi - lo >= 2^64 - 1) holds every point once
-        return start, (start + m if hi - lo >= GRID - 1 else search(b, size, hi, "right"))
+        wins = arc_window(rows, rows[:, b:b + size], (lo, hi))
+        return tuple(w.T.reshape(grid[b:b + size].shape) for w in wins)
 
     for b in range(0, m, step):
         size = min(step, m - b)

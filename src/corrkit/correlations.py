@@ -38,9 +38,10 @@ their runs.  r_k_testfn and r_k_consecutive keep one window's run for
 every point, 16 bytes per point, and grow their tuples from it depth
 first, in slices of at most core._BLOCK rows, as columns of int64 grid
 offsets (_tuple_offsets); they call the test function once per slice on
-an (m, k-1) float64 array of those offsets times N 2^-64, each rounded
-once, and sum its weights exactly, rounded once (core.exact_chunk_sum,
-equal to one math.fsum over all of them).  brute_force_r_k(testfn=...)
+an (m, k-1) float64 array of those offsets, each converted to float64
+and times N 2^-64: rounded once for a radius up to N/2048 (offsets up
+to 2^53), twice past it.  They sum its weights exactly, rounded once
+(core.exact_chunk_sum, equal to one math.fsum over all of them).  brute_force_r_k(testfn=...)
 gives f the same offsets.  The rows their joins would make if none
 repeated an index are counted (exactly below 2^53) and charged to the
 work budget before the first join.
@@ -397,8 +398,10 @@ def _tuple_offsets(seq: PointSequence, radius: float, k: int, chained: bool):
 def _tuple_weight_sum(name: str, seq: PointSequence, f, radius: float, k: int, chained: bool):
     """The report of the sum, rounded once, of the weights f gives the
     tuples of _tuple_offsets, over N: f gets an (m, k-1) float64 array
-    whose column r is offset column r times N 2^-64, N((x_u - x_v)) on the
-    grid, each rounded once.  The sum equals math.fsum over all the
+    whose column r is offset column r as float64 times N 2^-64,
+    N((x_u - x_v)) on the grid: rounded once while the offsets are at
+    most 2^53 in size (a radius up to N/2048), twice past that, in the
+    conversion and in the product.  The sum equals math.fsum over all the
     weights in enumeration order (core.exact_chunk_sum, which runs f a
     second time where a weight is non-finite or huge).  With g_eval at
     N = 2^20 and radius 1 the peak is 19.7 MiB at k = 3 and 25.0 at k = 6
@@ -470,14 +473,20 @@ def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> Correlat
     bytes per point and a slice of rows per depth (_tuple_weight_sum).
 
     f reads the offsets on the 2^-64 grid, as the counts do: the entry
-    for x_u - x_v is the int64 grid offset of the pair times N 2^-64,
-    rounded once.  Rounding keeps the order, so a window pair has
-    |y| <= support_radius and any other pair |y| >= support_radius: an
-    indicator of |y| <= 1 on the points (j + 1/4)/12, j < 12, sums to the
-    12 pairs r_k_distinct counts at s = 1.  brute_force_r_k(testfn=...)
-    gives f the same offsets for every tuple, window or not, so it agrees
-    with this sum when f also vanishes at |y| = support_radius, as the
-    tent g_s does.
+    for x_u - x_v is d.astype(float64) * (N 2^-64), d the int64 grid
+    offset of the pair.  Up to support_radius N/2048 (|d| <= 2^53) the
+    conversion is exact and the entry is N d 2^-64 rounded once, which
+    keeps the order, so a window pair has |y| <= support_radius and any
+    other pair |y| >= support_radius: an indicator of |y| <= 1 on the
+    points (j + 1/4)/12, j < 12, sums to the 12 pairs r_k_distinct
+    counts at s = 1.  Past N/2048 the conversion rounds too: both
+    roundings keep the order, but at the boundary a window pair can read
+    one ulp above support_radius and a pair outside the window one ulp
+    below it.  brute_force_r_k(testfn=...) forms the same expression for
+    every tuple, window or not, so each tuple gets the same bits, and up
+    to N/2048 it agrees with this sum when f also vanishes at
+    |y| = support_radius, as the tent g_s does; past N/2048, f must also
+    vanish one ulp inside it.
     """
     return _tuple_weight_sum("r_k_testfn", seq, f, support_radius, k, chained=False)
 

@@ -137,15 +137,14 @@ def f_count(seq: PointSequence, t: float, s: float) -> int:
 
     With (lo, hi) = grid_arc(-s/2, s/2, N) and c the grid point of t,
     the count is the number of unrolled positions (core.self_window_blocks)
-    with value in [c + lo, c + hi]: one search of each end, O(log N).  At
-    s = N the clipped arc holds exactly 2^64 grid values, so every point
-    is counted once."""
+    with value in [c + lo, c + hi], the window core.arc_window finds: one
+    search of each end, O(log N).  At s = N the clipped arc holds exactly
+    2^64 grid values, so every point is counted once."""
     n = len(seq)
     check_scale(s, n)
-    g, c = seq.sorted_grid, _grid_of([t])
-    lo, hi = grid_arc(-0.5 * s, 0.5 * s, n)
-    end, start = core._unrolled_search(g, c, hi, "right"), core._unrolled_search(g, c, lo, "left")
-    return int(end[0] - start[0])
+    g = seq.sorted_grid
+    start, end = core.arc_window(g[None], _grid_of([[t]]), grid_arc(-0.5 * s, 0.5 * s, n))
+    return int(end[0, 0] - start[0, 0])
 
 
 def _radius(seq: PointSequence, s: float):

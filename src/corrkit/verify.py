@@ -92,15 +92,20 @@ def _result(name, statement, ok, measured, target, tol, report_only=False):
 # core
 
 
-def _chk_grid_offset_abs_signed(rng, tier):
-    # a pair's offset on the grid, the one a test function gets scaled, and
-    # the float ((x-y)) agree to one rounding
+def _chk_grid_offset_exact(rng, tier):
+    # the int64 grid offset of a pair, the one the weighted sums' test
+    # functions read, against Fractions: a tenth of the x lie below 2^-11,
+    # where to_grid floors instead of being exact
     xs, ys = rng.random(10**4), rng.random(10**4)
-    grid = (to_grid(xs) - to_grid(ys)).view(np.int64).astype(np.float64) * 2.0**-64
-    worst = float(np.max(np.abs(np.abs(grid) - np.abs(signed_distance(xs - ys)))))
-    return _result("grid_offset_eq_abs_signed",
-                   "|((x-y))| from the 2^-64 grid equals the float |((x-y))| on 1e4 random pairs",
-                   worst <= 1e-15, worst, 0.0, "1e-15 (one rounding)")
+    xs[::10] *= 2.0**-11
+    got = (to_grid(xs) - to_grid(ys)).view(np.int64).tolist()
+    half = GRID // 2
+    bad = sum(d != (math.floor(Fraction(x) * GRID) - math.floor(Fraction(y) * GRID) + half) % GRID - half
+              for x, y, d in zip(xs.tolist(), ys.tolist(), got))
+    return _result("grid_offset_exact",
+                   "the int64 view of to_grid(x) - to_grid(y) is floor(x 2^64) - floor(y 2^64) "
+                   "wrapped into [-2^63, 2^63) on 1e4 random pairs, a tenth of the x below 2^-11",
+                   bad == 0, bad, 0, "exact")
 
 
 def _chk_grid_arc_exact_ties(rng, tier):
@@ -303,17 +308,20 @@ def _chk_slot_permutation(rng, tier):
 
 
 def _chk_power_mean_inequality(rng, tier):
+    # Chebyshev's sum inequality on the window counts c_i (the anchor
+    # counted), as exact ints: raw_k* = sum_i c_i^(k-1), so
+    # N sum c_i^(m+1) >= (sum c_i)(sum c_i^m) is N raw_(m+2)* >= raw_2* raw_(m+1)*
     worst = math.inf
-    for _ in range(200):
-        mm = int(rng.integers(1, 6))
-        mlen = int(rng.integers(1, 30))
-        x = rng.uniform(0, 5, size=mlen)
-        lhs = float(np.sum(x ** (mm + 1)))
-        rhs = float(np.sum(x) * np.sum(x**mm)) / mlen
-        worst = min(worst, lhs - rhs)
+    for seq in _instance_set(rng, 25):
+        n = len(seq)
+        m = int(rng.integers(1, 6))
+        s = float(rng.uniform(0.1, n / 3))
+        raw = [correlations.r_k_star(seq, (s,) * (k - 1)).raw_count for k in (2, m + 1, m + 2)]
+        worst = min(worst, n * raw[2] - raw[0] * raw[1])
     return _result("power_mean_product_inequality",
-                   "sum x_i^(m+1) >= (1/M)(sum x_i)(sum x_i^m) for x_i >= 0",
-                   worst >= -1e-9, worst, ">= 0", "1e-9")
+                   "N R_(m+2)*(s,N) >= R_2*(s,N) R_(m+1)*(s,N): sum c_i^(m+1) >= "
+                   "(1/N)(sum c_i)(sum c_i^m) on the window counts",
+                   worst >= 0, worst, ">= 0", "exact")
 
 
 def _chk_partition_shift(rng, tier):
@@ -347,7 +355,10 @@ def _chk_partition_shift(rng, tier):
 
 def _chk_scale_average_matches_integral(rng, tier):
     # k = 3: 2-D integration of brute-force R_3* over its exact breakpoints
-    # (k = 2, C_2* = int F^2, is second_moment_scale_integral_identity)
+    # (k = 2, C_2* = int F^2, is second_moment_scale_integral_identity).
+    # A tolerance stays: c_k_star forms L_i = s/N cnt - D_i 2^-64 and its
+    # products in floats, so it is not exactly rounded, and the integral
+    # sums float cells over float breakpoints
     worst = 0.0
     for _ in range(3):
         n = int(rng.integers(12, 26))
@@ -375,6 +386,8 @@ def _chk_scale_average_matches_integral(rng, tier):
 
 
 def _chk_averaged_hoelder_chain(rng, tier):
+    # a tolerance stays: c_k_star forms L_i = s/N cnt - D_i 2^-64 and its
+    # products in floats, so neither side is exactly rounded
     worst = math.inf
     for _ in range(15):
         n = int(rng.integers(20, 400))
@@ -412,7 +425,9 @@ def _chk_localized_lower_bound_trend(rng, tier):
 def _chk_second_moment_identity(rng, tier):
     # int F^2 = sum_v v^2 L_v / 2^64 against c_k_star's pair average; and, where
     # N >= 4s, I_2* = s + I_2 in integers on the grid: sum_v v^2 L_v is the mass
-    # sum_v v L_v = N (2R+1) plus T_2, the integer tent summed over distinct pairs
+    # sum_v v L_v = N (2R+1) plus T_2, the integer tent summed over distinct pairs.
+    # The c_k_star half keeps a tolerance: c_k_star forms L_i = s/N cnt - D_i 2^-64
+    # and its products in floats, so it is not exactly rounded
     worst, misses = 0.0, []
     for _ in range(12):
         n = int(rng.integers(120, 10**4))
@@ -633,7 +648,7 @@ def _chk_sweep_csv_stable(rng, tier):
 # catalog
 
 CHECK_CATALOG = (
-    ("quick", _chk_grid_offset_abs_signed),
+    ("quick", _chk_grid_offset_exact),
     ("quick", _chk_grid_arc_exact_ties),
     ("quick", _chk_stirling_second_expansion),
     ("quick", _chk_stirling_first_expansion),

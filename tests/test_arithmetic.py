@@ -549,7 +549,7 @@ def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("a window was searched")
 
-    for search in ("_unrolled_search", "_grid_search", "_starts_off_ends"):
+    for search in ("_unrolled_search", "_starts_off_ends"):
         monkeypatch.setattr(core, search, no_search)
     rng = np.random.default_rng(52)
     for n, count in ((50, 7), (2000, 16)):
@@ -561,22 +561,21 @@ def test_wide_trial_windows_take_no_passes(monkeypatch):
     # windows of 2 or more points a side on average: no passes and no
     # search per anchor, one search of the ends per trial
     def refused(*args):
-        raise AssertionError("a pass or an anchor's search ran")
+        raise AssertionError("a pass ran")
 
-    real, searched = core._grid_search, []
+    real, searched = core._unrolled_search, []
 
-    def spy(rows, b, off, side, out):
-        searched.append(rows.shape)
-        return real(rows, b, off, side, out)
+    def spy(rows, keys, off, side):  # the keys of every anchor: the ends of the whole grids
+        searched.append((rows.shape, keys.shape, side))
+        return real(rows, keys, off, side)
 
     monkeypatch.setattr(core, "_offset_gaps", refused)
-    monkeypatch.setattr(core, "_unrolled_search", refused)
-    monkeypatch.setattr(core, "_grid_search", spy)
+    monkeypatch.setattr(core, "_unrolled_search", spy)
     rng = np.random.default_rng(53)
     for n, count, s in ((50, 7, 2.5), (500, 20, 20.0), (1000, 16, 8.0)):
         arc = grid_arc(-s, s, n)
         _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, columns=False)
-    assert searched == [(7, 50), (20, 500), (16, 1000)]
+    assert searched == [(shape, shape, "right") for shape in ((7, 50), (20, 500), (16, 1000))]
 
 
 def test_metric_experiment_validation(monkeypatch):

@@ -169,24 +169,30 @@ def test_wide_windows_of_one_block_take_no_passes(monkeypatch):
     # average takes no passes and no search per anchor: one search of the
     # ends, and every start read off them
     def refused(*args):
-        raise AssertionError("a pass or an anchor's search ran")
+        raise AssertionError("a pass ran")
 
-    real, reads = core._starts_off_ends, []
+    real_search, real_read, searches, reads = core._unrolled_search, core._starts_off_ends, [], []
 
-    def spy(end, start):
+    def search(rows, keys, off, side):  # the keys of every anchor: the ends of the whole grid
+        searches.append((rows.shape, keys.shape, side))
+        return real_search(rows, keys, off, side)
+
+    def read(end, start):
         reads.append(end.size)
-        real(end, start)
+        real_read(end, start)
 
     monkeypatch.setattr(core, "_offset_gaps", refused)
-    monkeypatch.setattr(core, "_unrolled_search", refused)
-    monkeypatch.setattr(core, "_starts_off_ends", spy)
+    monkeypatch.setattr(core, "_unrolled_search", search)
+    monkeypatch.setattr(core, "_starts_off_ends", read)
     cases = 0
     for x in _inputs():
         g, n = PointSequence(x).sorted_grid, len(x)
         for s in {2.5, n / 3}:
             if 2.5 <= s < n / 2:
                 arc = grid_arc(-s, s, n)
+                searches.clear()
                 [(_, [(start, end)])] = core.self_window_blocks(g, [arc])
+                assert searches == [((1, n), (1, n), "right")], (x, s)
                 want = _unrolled_window(g, arc)
                 assert np.array_equal(start, want[0]) and np.array_equal(end, want[1]), (x, s)
                 cases += 1

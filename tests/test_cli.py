@@ -1,13 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from corrkit.cli import main, parse_sweep_stat, rows_to_csv, sweep_rows
 from corrkit.io import read_integers, read_points, write_points
-from corrkit import (FormatError, ParameterError, PointSequence, bell_prediction, c_k_star,
-                     density_moment_lower_bound, distribution, moments, r_k_box, r_k_distinct,
-                     r_k_star, random_correlation_stats, seqgen)
+from corrkit import (FormatError, ParameterError, PointSequence, bell_prediction, brute_force_r_k,
+                     c_k_star, c_k_star_local, density_moment_lower_bound, distribution,
+                     integer_range, metric_r3_experiment, moments, order_comparison_threshold,
+                     r_k_box, r_k_distinct, r_k_star, r_k_testfn, random_correlation_stats, seqgen)
 
 
 @pytest.fixture()
@@ -459,6 +461,51 @@ def test_verify_json_report(tmp_path, capsys):
     assert payload["ok"] is True
     names = [c["name"] for c in payload["checks"]]
     assert len(names) == len(set(names))  # each check appears exactly once
+
+
+_THREE = PointSequence([0.1, 0.2, 0.6])  # at radius 1 the one window pair, both ways
+
+
+# a call of the library, or the argv of a CLI command on the three points
+@pytest.mark.parametrize("call, message", [
+    (lambda: r_k_star(_THREE, 1.0), "a scalar scale needs an explicit k"),
+    (lambda: r_k_distinct(_THREE, (1.0, 1.0), k=4), "expected 3 scales, got 2"),
+    (lambda: r_k_testfn(_THREE, lambda ys: np.zeros(3), 1.0, 2),
+     "f must map an (2, 1) array to 2 weights, got shape (3,)"),
+    (lambda: brute_force_r_k(_THREE), "give exactly one of scales, boxes, testfn"),
+    (lambda: brute_force_r_k(_THREE, scales=(1.0,), boxes=[(-1.0, 1.0)]),
+     "give exactly one of scales, boxes, testfn"),
+    (lambda: brute_force_r_k(_THREE, testfn=lambda ys: ys[:, 0], support_radius=1.0),
+     "testfn mode needs k and support_radius"),
+    (lambda: metric_r3_experiment(integer_range(32), 0.5, 32, 0, 0), "trials must be >= 1"),
+    (lambda: integer_range(0), "n must be >= 1"),
+    (lambda: seqgen.polynomial(5, 0.3, 0), "degree must be >= 1"),
+    (lambda: order_comparison_threshold(1), "order must be >= 2"),
+    (lambda: c_k_star_local(_THREE, 1.0, 2, (0.5, 0.5)), "interval must satisfy 0 <= lo < hi <= 1"),
+    (["corr", "--k", "2", "--box=1:2:3"], "box '1:2:3' must look like a:b"),
+    (["cstar", "--k", "3", "--s", "1,2", "--interval", "0:0.5"],
+     "localized average needs equal scales"),
+])
+def test_refusals_name_their_parameter(tmp_path, capsys, call, message):
+    if callable(call):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call()
+        return
+    path = tmp_path / "pts.txt"
+    write_points(path, _THREE)
+    assert main([call[0], "--input", str(path), *call[1:]]) == 2
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+def test_verify_checks_without_a_tolerance():
+    from corrkit.verify import CHECK_CATALOG, DEFAULT_SEED
+    from corrkit.seqgen import trial_rng
+
+    # the grid offsets against Fractions, and Chebyshev's inequality on
+    # window counts as exact ints
+    for index, name in ((0, "grid_offset_exact"), (13, "power_mean_product_inequality")):
+        check = CHECK_CATALOG[index][1](trial_rng(DEFAULT_SEED, index), "quick")
+        assert (check.name, check.status, check.tolerance) == (name, "pass", "exact")
 
 
 def test_verify_catalog_complete():

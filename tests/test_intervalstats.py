@@ -40,7 +40,9 @@ def test_f_count_is_the_arc_count_of_the_grid_differences(m, cells, shift, scale
     # lattice points (j + shift/4)/m with duplicates; an integer scale
     # puts s/(2N) on multiples of a quarter of the spacing, so t on an arc
     # end (side = +-1) meets lattice points; t near a point, near 0 or
-    # near 1, where the arc wraps; s up to N
+    # near 1, where the arc wraps; s up to N.  Then again in blocks of 2
+    # points, which make every grid of 3 or more points long: its one key
+    # is searched in the confined runs instead of one search of the grid
     points = [((c % m) + shift / 4) / m for c in cells]
     n = len(points)
     s = min(scale * n / (2 * m), float(n)) if isinstance(scale, int) else scale * n
@@ -48,7 +50,9 @@ def test_f_count_is_the_arc_count_of_the_grid_differences(m, cells, shift, scale
     t = {"point": points[pick % n], "zero": 0.0, "one": 1.0}[near] + side * s / (2 * n)
     c = intervalstats._grid_of([t])
     want = np.count_nonzero(in_arc(seq.sorted_grid - c, grid_arc(-s / 2, s / 2, n)))
-    assert f_count(seq, t, s) == want
+    for block in (core._BLOCK, 2):
+        with mock.patch.object(core, "_BLOCK", block):
+            assert f_count(seq, t, s) == want, block
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
