@@ -5,8 +5,11 @@ sweep.  Reports are JSON (schema "corrkit/1") or CSV with a header row;
 float fields use repr, so fixed seeds give byte-identical output.  The
 environment variable CORRKIT_ORACLE_BUDGET (default 10^8) sets the one
 work budget checked before a costly job starts: brute-force tuple
-visits, the |A|^2 pair sums of wide additive energy, and N * trials of
-metric and random_correlation_stats.
+visits, the |A|^2 pair sums of wide additive energy, N * trials of
+metric and random_correlation_stats, the rows of the weighted tuple sums
+(r_k_testfn, r_k_consecutive, i_k_via_correlation), repeated indices
+included, and r_k_box's partition terms, Bell(k-1) per anchor whose
+windows can hold a tuple.
 
 Exit codes: 0 success, 1 failed verify checks, 2 bad parameters,
 3 malformed input file, 4 work budget exceeded, 5 internal consistency

@@ -35,15 +35,15 @@ the differences and mask), plus binary searches for only the anchors
 whose windows are still open after them: for windows of a few points,
 hardly any.  A grid in one block whose windows are wider (2 or more
 points a side on average) takes no passes: one search of the ends, and
-the starts read off the ends' counts.  self_window_blocks takes a stack
-of sorted grids side by side, shape (m, c), one per column, each its own
-circle, as well as one grid, in blocks of _BLOCK // c positions, each
-one contiguous slice of the stack: the dilation experiment's trials
-(arithmetic.metric_r3_experiment) read their window counts off it.  The
+the starts read off the ends' counts.  self_window_blocks takes one
+sorted grid, shape (m,), or a stack of them, shape (c, m), one grid per
+row and each its own circle, in blocks of _BLOCK // c positions of every
+row; the dilation experiment's trials (arithmetic.metric_r3_experiment)
+read their window counts off such a stack.  The
 windows of an arc that is not symmetric, around the grid's own points
 or around any centres (F at one point t, intervalstats.f_count), come
 from arc_window.  Every search of a window end is one routine,
-_unrolled_search, on sorted grids one per row.
+_unrolled_search, on the same rows, a view of the grid or stack.
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -221,11 +221,9 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     """(start, end) of the anchors b, ..., b + size - 1 for the arc (-r, r),
     0 <= r < 2^64, found by passes over the offsets t = 1, 2, ...
 
-    grid is one sorted grid of m points, shape (m,), or a stack of them
-    side by side, shape (m, c), each column a grid and a circle of its
-    own: start and end then hold the block's anchors of every column,
-    shape (size, c).  A block of positions is then one contiguous slice
-    of the stack.
+    grid is one sorted grid of m points, shape (m,), or a stack of them,
+    shape (c, m), one grid per row and each a circle of its own: start
+    and end then hold the block's anchors of every grid, shape (c, size).
 
     Pass t takes d_j = U_(j+t) - U_j mod 2^64, the grid distance from
     unrolled position j to j + t (U as in self_window_blocks), as one
@@ -248,32 +246,31 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     its windows would hold 2 or more points a side on average
     (r m >= 2^65).
     """
-    m = grid.shape[0]
+    m = grid.shape[-1]
     whole = size == m and r < _HALF  # then the starts can be read off the ends
     cap = 0 if whole and r * m >= 2 * GRID else min(_PASS_CAP, m - 1)
-    stack = grid.reshape(m, -1)  # one column for one grid
+    rows = grid.reshape(-1, m)  # a view, one row for one grid
     # the passes each anchor's end and start moved, and masks of the
     # anchors whose end, start may still grow
-    ahead, behind, ends, starts = _window_passes(stack, b, size, cap, r)
-    at_b = np.arange(b, b + size)[:, None]  # after the passes' arrays are freed
+    ahead, behind, ends, starts = _window_passes(rows, b, size, cap, r)
+    at_b = np.arange(b, b + size)  # after the passes' arrays are freed
     start, end = np.subtract(at_b, behind), np.add(at_b, ahead)
     end += 1
     del at_b, ahead, behind  # before any search
     if whole and ends.all() and starts.all():  # every window open
-        rows = np.ascontiguousarray(stack.T)
-        end[:] = _unrolled_search(rows, rows, r, "right").T
+        end[:] = _unrolled_search(rows, rows, r, "right")
         _starts_off_ends(end, start)
     else:
         for bound, off, side, mask in ((end, r, "right", ends), (start, -r, "left", starts)):
-            for i in np.flatnonzero(mask.any(axis=0)):  # no search for a grid with none open
-                row = np.ascontiguousarray(stack[:, i])[None]  # a copy only for a column of a stack
-                at = slice(None) if mask[:, i].all() else np.flatnonzero(mask[:, i])
-                bound[:, i][at] = _unrolled_search(row, row[:, b:b + size][:, at], off, side)[0]
-    return start.reshape(grid[b:b + size].shape), end.reshape(grid[b:b + size].shape)
+            for i in np.flatnonzero(mask.any(axis=1)):  # no search for a grid with none open
+                row = rows[i:i + 1]
+                at = slice(None) if mask[i].all() else np.flatnonzero(mask[i])
+                bound[i][at] = _unrolled_search(row, row[:, b:b + size][:, at], off, side)[0]
+    return start.reshape(grid[..., b:b + size].shape), end.reshape(grid[..., b:b + size].shape)
 
 
 def _starts_off_ends(end: np.ndarray, start: np.ndarray) -> None:
-    """start of every anchor of whole grids, one per column, shape (m, c),
+    """start of every anchor of whole grids, one per row, shape (c, m),
     from the unrolled ends of a symmetric arc (-r, r) with r < 2^63,
     written into start.
 
@@ -283,60 +280,62 @@ def _starts_off_ends(end: np.ndarray, start: np.ndarray) -> None:
     i > j with E_i > j + m, so with C[x] = #{i : E_i <= x} its unrolled
     start is C[j] + C[j + m] - m.  One bincount of the ends, shifted by
     2m per grid, gives every grid's C at once."""
-    m, c = end.shape
-    shift = np.arange(0, 2 * m * c, 2 * m)
+    c, m = end.shape
+    shift = np.arange(0, 2 * m * c, 2 * m)[:, None]
     end += shift
     ended = np.bincount(end.ravel(), minlength=2 * m * c).reshape(c, 2 * m)
     end -= shift
     np.cumsum(ended, axis=1, out=ended)
-    np.add(ended[:, :m].T, ended[:, m:].T, out=start)
+    np.add(ended[:, :m], ended[:, m:], out=start)
     start -= m
 
 
-def _window_passes(grid: np.ndarray, b: int, size: int, cap: int, r: int):
+def _window_passes(rows: np.ndarray, b: int, size: int, cap: int, r: int):
     """The passes of _passed_window over t = 1, ..., at most cap < m, for
-    grids side by side, shape (m, c): returns how far each anchor's end
-    and start moved, and masks of the anchors whose end and whose start
-    are still growing, each of shape (size, c).  The moves are counted in
-    the narrowest unsigned type that holds cap, a byte for the default
-    cap.  The distances end with the call."""
-    c = grid.shape[1]
-    ahead = np.zeros((size, c), dtype=np.min_scalar_type(cap))
+    sorted grids one per row, shape (c, m): returns how far each anchor's
+    end and start moved, and masks of the anchors whose end and whose
+    start are still growing, each of shape (c, size).  The moves are
+    counted in the narrowest unsigned type that holds cap, a byte for the
+    default cap.  Each pass's distances and mask are one contiguous
+    (c, size + t) array, views of two flat buffers that end with the
+    call."""
+    c = rows.shape[0]
+    ahead = np.zeros((c, size), dtype=np.min_scalar_type(cap))
     behind = np.zeros_like(ahead)
     if not cap:
         every = np.ones(ahead.shape, dtype=bool)
         return ahead, behind, every, every
-    d = np.empty((size + cap, c), dtype=np.uint64)
-    near = np.empty(d.shape, dtype=bool)
-    growing = [ahead.size, ahead.size]  # ends, starts
+    d = np.empty(c * (size + cap), dtype=np.uint64)
+    near = np.empty(d.size, dtype=bool)
+    growing, radius = [ahead.size, ahead.size], np.uint64(r)  # ends, starts
     for t in range(1, cap + 1):
-        dt = d[:size + t]  # d_j at dt[j - b + t]
-        _offset_gaps(grid, b - t, t, dt)
-        ok = np.less_equal(dt, np.uint64(r), out=near[:size + t])
-        hits = ok.view(np.uint8)  # no cast per pass
-        ahead += hits[t:]
-        behind += hits[:size]
-        grew = [int(np.count_nonzero(ok[t:])), int(np.count_nonzero(ok[:size]))]
+        dt = d[:c * (size + t)].reshape(c, size + t)  # d_j at dt[:, j - b + t]
+        _offset_gaps(rows, b - t, t, dt)
+        ok = np.less_equal(dt, radius, out=near[:dt.size].reshape(dt.shape))
+        ends, starts = ok[:, t:], ok[:, :size]
+        ahead += ends.view(np.uint8)  # no cast per pass
+        behind += starts.view(np.uint8)
+        grew = [int(np.count_nonzero(ends)), int(np.count_nonzero(starts))]
         if grew == [0, 0] or grew == growing:  # all closed, or none closed at t: wide windows
             break
         growing = grew
-    return ahead, behind, ok[t:], ok[:size]
+    return ahead, behind, ends, starts
 
 
 def _offset_gaps(grid: np.ndarray, c: int, t: int, out: np.ndarray) -> None:
-    """out[i] = d_(c+i) = U_(c+i+t) - U_(c+i) mod 2^64 for the k unrolled
-    positions c, ..., c + k - 1 of the grid, or of each grid side by side,
-    -t <= c < m - t, 0 < c + k <= m, 0 < t < m: one run of slices where j
-    and j + t lie on the first lap, never empty there, and the runs, if
-    any, where j lies on the lap before (g_(j+m)) and where j + t wraps
-    (g_(j+t-m))."""
-    m, e = grid.shape[0], c + out.shape[0]
+    """out[..., i] = d_(c+i) = U_(c+i+t) - U_(c+i) mod 2^64 for the k
+    unrolled positions c, ..., c + k - 1 of one grid, shape (m,), or of
+    each grid of a stack, one per row, shape (c', m), -t <= c < m - t,
+    0 < c + k <= m, 0 < t < m: one run of slices where j and j + t lie
+    on the first lap, never empty there, and the runs, if any, where j
+    lies on the lap before (g_(j+m)) and where j + t wraps (g_(j+t-m))."""
+    m, e = grid.shape[-1], c + out.shape[-1]
     a, z = c if c > 0 else 0, e if e < m - t else m - t  # cheaper than max and min, once a pass
-    np.subtract(grid[a + t:z + t], grid[a:z], out=out[a - c:z - c])
+    np.subtract(grid[..., a + t:z + t], grid[..., a:z], out=out[..., a - c:z - c])
     if c < 0:
-        np.subtract(grid[c + t:t], grid[c + m:], out=out[:-c])
+        np.subtract(grid[..., c + t:t], grid[..., c + m:], out=out[..., :-c])
     if z < e:
-        np.subtract(grid[:e + t - m], grid[z:e], out=out[z - c:])
+        np.subtract(grid[..., :e + t - m], grid[..., z:e], out=out[..., z - c:])
 
 
 def self_window_blocks(grid: np.ndarray, arcs):
@@ -344,16 +343,16 @@ def self_window_blocks(grid: np.ndarray, arcs):
     most _BLOCK anchors: yields (b, [(start, end) per arc]).
 
     grid is one sorted grid of m points, shape (m,), or a stack of c of
-    them side by side, shape (m, c), each column a grid and a circle of
-    its own (a chunk of dilation trials): a block then holds the
-    positions b, ..., b + size - 1 of every column, size <= _BLOCK // c
-    (at least one), and start and end have shape (size, c).
+    them, shape (c, m), one grid per row and each a circle of its own (a
+    chunk of dilation trials): a block then holds the positions b, ...,
+    b + size - 1 of every row, size <= _BLOCK // c (at least one), and
+    start and end have the block's shape grid[..., b:b + size].shape.
 
-    [start[t], end[t]) is the window of anchor i = b + t for the arc
-    (lo, hi), -2^63 <= lo, hi <= 2^63, unrolled around the circle:
-    position p holds U_p = g_(p mod m) + 2^64 floor(p/m), the window
-    holds the positions whose value lies in [g_i + lo, g_i + hi], so
-    cnt = end - start (or <= 0: empty) and start, end ascend with i;
+    [start[..., t], end[..., t]) is the window of anchor i = b + t for
+    the arc (lo, hi), -2^63 <= lo, hi <= 2^63, unrolled around the
+    circle: position p holds U_p = g_(p mod m) + 2^64 floor(p/m), the
+    window holds the positions whose value lies in [g_i + lo, g_i + hi],
+    so cnt = end - start (or <= 0: empty) and start, end ascend with i;
     start <= i < end only for arcs that contain 0.  hi - lo >= 2^64 - 1
     is the whole circle, every point once, but a symmetric (-r, r) with
     2^63 <= r < 2^64 is [g_i - r, g_i + r] unrolled: it can hold more
@@ -366,28 +365,25 @@ def self_window_blocks(grid: np.ndarray, arcs):
     grids of at most _BLOCK points in all whose windows all stay open
     search only their ends and read the starts off them.  Any other arc
     takes arc_window: one search per anchor for the whole circle, two
-    otherwise, on the grid as one row, or on a copy of the stack with
-    one grid per row, made once.  Every search is _unrolled_search's:
-    one search of a grid of at most _BLOCK points, and in a longer grid
-    each run of keys confined to the slice of the grid it reaches.  A
-    block holds start and end per arc and, while it finds one arc's
-    windows, either the passes' differences, mask and two byte-wide
-    counters (11 bytes per anchor), or the passes' mask and a search's
-    indices, keys, their sums with the offset, lap mask and positions,
-    or the ends' counts (at most 42): at most 16 a + 42 bytes per anchor
-    for a arcs, whatever N and the window widths.
+    otherwise.  Every search is _unrolled_search's, on the grid's rows
+    as they are: one search of a grid of at most _BLOCK points, and in a
+    longer grid each run of keys confined to the slice of the grid it
+    reaches.  A block holds start and end per arc and, while it finds
+    one arc's windows, either the passes' differences, mask and two
+    byte-wide counters (11 bytes per anchor), or the passes' mask and a
+    search's indices, keys, their sums with the offset, lap mask and
+    positions, or the ends' counts (at most 42): at most 16 a + 42 bytes
+    per anchor for a arcs, whatever N and the window widths.
     """
-    m = grid.shape[0]
-    step = max(1, _BLOCK // math.prod(grid.shape[1:]))
-    # one grid per row for arc_window: a view of one grid, a copy of a stack
-    rows = (np.ascontiguousarray(grid.reshape(m, -1).T)
-            if any(lo != -hi for lo, hi in arcs) else None)
+    m = grid.shape[-1]
+    step = max(1, _BLOCK // math.prod(grid.shape[:-1]))
+    rows = grid.reshape(-1, m)  # a view, one row for one grid
 
     def window(b, size, lo, hi):  # (start, end) of the block's anchors for the arc (lo, hi)
         if lo == -hi:
             return _passed_window(grid, b, size, hi)
         wins = arc_window(rows, rows[:, b:b + size], (lo, hi))
-        return tuple(w.T.reshape(grid[b:b + size].shape) for w in wins)
+        return tuple(w.reshape(grid[..., b:b + size].shape) for w in wins)
 
     for b in range(0, m, step):
         size = min(step, m - b)

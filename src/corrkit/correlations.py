@@ -38,13 +38,12 @@ their runs.  r_k_testfn and r_k_consecutive keep one window's run for
 every point, 16 bytes per point, and grow their tuples from it depth
 first, in slices of at most core._BLOCK rows, as columns of int64 grid
 offsets (_tuple_offsets); they call the test function once per slice on
-an (m, k-1) float64 array of those offsets, each converted to float64
-and times N 2^-64: rounded once for a radius up to N/2048 (offsets up
-to 2^53), twice past it.  They sum its weights exactly, rounded once
-(core.exact_chunk_sum, equal to one math.fsum over all of them).  brute_force_r_k(testfn=...)
-gives f the same offsets.  The rows their joins would make if none
-repeated an index are counted (exactly below 2^53) and charged to the
-work budget before the first join.
+an (m, k-1) float64 array of those offsets times N 2^-64, each rounded
+once (_scaled_offsets).  They sum its weights exactly, rounded once
+(core.exact_chunk_sum, equal to one math.fsum over all of them).
+brute_force_r_k(testfn=...) gives f the same offsets.  The rows their
+joins would make if none repeated an index are counted (exactly below
+2^53) and charged to the work budget before the first join.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import (PointSequence, check_half, check_order, exact_chunk_sum, grid_arc, in_arc,
-                   self_window_blocks, stirling_second, to_grid)
+from .core import (GRID, PointSequence, check_half, check_order, exact_chunk_sum, grid_arc,
+                   in_arc, self_window_blocks, stirling_second, to_grid)
 from .errors import BudgetError, ParameterError
 
 ORACLE_BUDGET_ENV = "CORRKIT_ORACLE_BUDGET"
@@ -83,8 +82,8 @@ def oracle_budget() -> int:
 def _charge_budget(work: int, what: str) -> None:
     """Refuse, before doing any of it, work over the one budget every
     costly job is charged to: brute-force tuple visits, wide |A|^2 pair
-    sums, N * trials of the randomized experiments, and the rows of the
-    weighted tuple sums."""
+    sums, N * trials of the randomized experiments, the rows of the
+    weighted tuple sums, and r_k_box's partition terms."""
     budget = oracle_budget()
     if work > budget:
         raise BudgetError(f"{what} = {work} exceeds the work budget of {budget} "
@@ -398,19 +397,17 @@ def _tuple_offsets(seq: PointSequence, radius: float, k: int, chained: bool):
 def _tuple_weight_sum(name: str, seq: PointSequence, f, radius: float, k: int, chained: bool):
     """The report of the sum, rounded once, of the weights f gives the
     tuples of _tuple_offsets, over N: f gets an (m, k-1) float64 array
-    whose column r is offset column r as float64 times N 2^-64,
-    N((x_u - x_v)) on the grid: rounded once while the offsets are at
-    most 2^53 in size (a radius up to N/2048), twice past that, in the
-    conversion and in the product.  The sum equals math.fsum over all the
-    weights in enumeration order (core.exact_chunk_sum, which runs f a
-    second time where a weight is non-finite or huge).  With g_eval at
-    N = 2^20 and radius 1 the peak is 19.7 MiB at k = 3 and 25.0 at k = 6
-    anchored (about 1.3e9 rows, over the default budget); chained at
-    k = 4, 4.85e7 rows and 25.6 MiB.
+    whose column r is offset column r times N 2^-64, N((x_u - x_v)) on
+    the grid, rounded once (_scaled_offsets).  The sum equals math.fsum
+    over all the weights in enumeration order (core.exact_chunk_sum,
+    which runs f a second time where a weight is non-finite or huge).
+    With g_eval at N = 2^20 and radius 1 the peak is 19.7 MiB at k = 3
+    and 25.0 at k = 6 anchored (about 1.3e9 rows, over the default
+    budget); chained at k = 4, 4.85e7 rows and 25.6 MiB.
     """
     n = len(seq)
     offsets = _tuple_offsets(seq, radius, k, chained)
-    total = exact_chunk_sum(lambda: (_row_weights(f, np.column_stack(cols) * (n * 2.0**-64))
+    total = exact_chunk_sum(lambda: (_row_weights(f, _scaled_offsets(np.column_stack(cols), n))
                                      for cols in offsets()))
     return CorrelationReport(name, k, n, {"support_radius": radius}, None, total / n)
 
@@ -453,6 +450,30 @@ def _row_count(first: np.ndarray, last: np.ndarray, k: int, chained: bool) -> in
                                 sums(prefixes[-1], lo, hi))) for lo, hi in blocks))
 
 
+def _scaled_offsets(d: np.ndarray, n: int) -> np.ndarray:
+    """N d 2^-64 as float64, rounded once, for int64 grid offsets d: the
+    entries every test function reads.  An offset up to 2^53 in size
+    converts exactly, so one product rounds.  Past that (a radius past
+    N/2048), for N < 2^21, N d = N (d - low) + N low with low the 32 low
+    bits of d, both terms exact in float64, so their sum rounds once; a
+    larger N takes CPython's correctly rounded int / int.  Rounding keeps
+    the order, so an offset inside grid_arc(-r, r, N) reads |y| <= r and
+    one outside it |y| >= r."""
+    scale = n * 2.0**-64
+    y = d.astype(np.float64)
+    y *= scale
+    far = n * 2.0**-11  # every |d| >= 2^53 reads |y| >= far
+    if y.size and (y.max() >= far or -y.min() >= far):
+        if n < 1 << 21:
+            low = d & 0xFFFFFFFF
+            np.multiply(d - low, scale, out=y)
+            y += low * scale
+        else:
+            at = np.flatnonzero(np.abs(y) >= far)
+            np.put(y, at, [n * v / GRID for v in np.take(d, at).tolist()])
+    return y
+
+
 def _row_weights(f, rows: np.ndarray) -> np.ndarray:
     """The float64 weights f gives the (m, k-1) rows, one per row."""
     m, width = rows.shape
@@ -473,20 +494,15 @@ def r_k_testfn(seq: PointSequence, f, support_radius: float, k: int) -> Correlat
     bytes per point and a slice of rows per depth (_tuple_weight_sum).
 
     f reads the offsets on the 2^-64 grid, as the counts do: the entry
-    for x_u - x_v is d.astype(float64) * (N 2^-64), d the int64 grid
-    offset of the pair.  Up to support_radius N/2048 (|d| <= 2^53) the
-    conversion is exact and the entry is N d 2^-64 rounded once, which
-    keeps the order, so a window pair has |y| <= support_radius and any
-    other pair |y| >= support_radius: an indicator of |y| <= 1 on the
-    points (j + 1/4)/12, j < 12, sums to the 12 pairs r_k_distinct
-    counts at s = 1.  Past N/2048 the conversion rounds too: both
-    roundings keep the order, but at the boundary a window pair can read
-    one ulp above support_radius and a pair outside the window one ulp
-    below it.  brute_force_r_k(testfn=...) forms the same expression for
-    every tuple, window or not, so each tuple gets the same bits, and up
-    to N/2048 it agrees with this sum when f also vanishes at
-    |y| = support_radius, as the tent g_s does; past N/2048, f must also
-    vanish one ulp inside it.
+    for x_u - x_v is N d 2^-64 rounded once, d the int64 grid offset of
+    the pair (_scaled_offsets).  Rounding keeps the order, so a window
+    pair has |y| <= support_radius and any other pair
+    |y| >= support_radius: an indicator of |y| <= 1 on the points
+    (j + 1/4)/12, j < 12, sums to the 12 pairs r_k_distinct counts at
+    s = 1.  brute_force_r_k(testfn=...) forms the same entry for every
+    tuple, window or not, so each tuple gets the same bits, and it
+    agrees with this sum when f also vanishes at |y| = support_radius,
+    as the tent g_s does.
     """
     return _tuple_weight_sum("r_k_testfn", seq, f, support_radius, k, chained=False)
 
@@ -546,8 +562,8 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     sorted-window machinery; the integer arcs are those of the fast
     paths, so ties are read the same way.  ``testfn`` gets the offsets of
     every tuple, not only of window pairs, from the same differences:
-    the int64 grid offset times N 2^-64, as r_k_testfn / r_k_consecutive
-    give it.
+    the int64 grid offset times N 2^-64, rounded once, as r_k_testfn /
+    r_k_consecutive give it.
     """
     given = [scales is not None, boxes is not None, testfn is not None]
     if sum(given) != 1:
@@ -575,7 +591,7 @@ def brute_force_r_k(seq: PointSequence, *, scales=None, boxes=None, testfn=None,
     if testfn is None:
         raw = sum(int(tensor.sum()) for tensor in tuples)
         return CorrelationReport(name, k, n, params, raw, raw / n)
-    scaled = delta.view(np.int64) * (n * 2.0**-64)
+    scaled = _scaled_offsets(delta.view(np.int64), n)
     terms = []
     for i1, tensor in enumerate(tuples):
         # one f call per anchor, on its tuples in lexicographic order

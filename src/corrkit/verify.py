@@ -196,7 +196,7 @@ def _chk_dyadic_structure(rng, tier):
         vals, counts = np.unique(pts, return_counts=True)
         if not np.all(counts == 2):
             ok = False
-        if vals.size > 1 and not math.isclose(np.diff(vals).min(), 2.0 / 2**m):
+        if vals.size > 1 and np.diff(vals).min() != 2.0 / 2**m:  # exact doubles
             ok = False
     return _result("dyadic_multiplicity_and_gap",
                    "first 2^m doubled-dyadic points: every value twice, min gap 2/2^m (m <= 14)",
@@ -279,16 +279,18 @@ def _chk_cross_order_inequality(rng, tier):
         "uniform": seqgen.uniform_random(n, int(rng.integers(2**31))),
         "kronecker": seqgen.kronecker(n, GOLDEN),
     }
+    # s N times both sides, s an integer: s raw_m(s/3) <= 6 raw_(m+1)(s);
+    # the slack (6/s) R_(m+1) - R_m is exact, and rounded once
     worst = math.inf
     for seq in seqs.values():
         for m in (2, 3):
-            s = 3.0 * order_comparison_threshold(m)
-            lhs = correlations.r_k_distinct(seq, (s / 3,) * (m - 1)).value
-            rhs = (6.0 / s) * correlations.r_k_distinct(seq, (s,) * m).value
-            worst = min(worst, rhs - lhs)
+            s = 3 * int(order_comparison_threshold(m))
+            lhs = s * correlations.r_k_distinct(seq, (s / 3,) * (m - 1)).raw_count
+            rhs = 6 * correlations.r_k_distinct(seq, (s,) * m).raw_count
+            worst = min(worst, Fraction(rhs - lhs, s * n))
     return _result("cross_order_scale_inequality",
                    f"R_m(s/3,N) <= (6/s) R_(m+1)(s,N) at s = 3x threshold, N = {n}",
-                   worst >= 0.0, worst, ">= 0", "exact")
+                   worst >= 0, float(worst), ">= 0", "exact")
 
 
 def _chk_slot_permutation(rng, tier):

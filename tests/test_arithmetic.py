@@ -28,6 +28,7 @@ from corrkit import (
     trial_rng,
 )
 from corrkit.arithmetic import MetricExperimentReport
+from corrkit.cli import main
 from corrkit.core import grid_arc, in_arc
 from corrkit.correlations import _exact_product_sum
 
@@ -451,6 +452,63 @@ def test_batched_metric_experiment_is_the_per_trial_loop(a, s, n, trials):
         assert n * trials > 2 * core._BLOCK
 
 
+def _stub_trials(monkeypatch, alphas):
+    """trial_rng(seed, t).random() gives alphas[t]."""
+    class Trial:
+        def __init__(self, seed, t):
+            self.alpha = alphas[t]
+
+        def random(self):
+            return self.alpha
+
+    monkeypatch.setattr(arithmetic, "trial_rng", Trial)
+
+
+_GRID_SETS = [
+    [m * m for m in range(1, 2001)],
+    list(range(1, 501)),
+    [2**j for j in range(1, 62)],
+    np.unique(np.random.default_rng(62).integers(1, 2**62, 300)).tolist(),
+]
+
+
+@pytest.mark.parametrize("a", _GRID_SETS, ids=["squares", "range", "powers", "random"])
+def test_trial_grids_are_the_sorted_grids_of_the_fractional_parts(monkeypatch, a):
+    # each chunk's stack, one trial per row, is a_m G mod 2^64 sorted: the
+    # grids of the exact fractional parts {a_m alpha}, bit for bit, for the
+    # seeded draws and alpha = 0, 2^-53, 2^-20 and 1 - 2^-53
+    alphas = ([float(trial_rng(1729, t).random()) for t in range(3000)]
+              + [0.0, 2.0**-53, 2.0**-20, 1.0 - 2.0**-53])
+    head, real, done = np.asarray(a, dtype=np.int64), arithmetic.self_window_blocks, []
+
+    def spy(grid, arcs):
+        t = sum(done)
+        want = core.to_grid(np.sort(exact_frac_parts(head, alphas[t:t + len(grid)]), axis=1))
+        assert grid.shape == want.shape and np.array_equal(grid, want), t
+        done.append(len(grid))
+        return real(grid, arcs)
+
+    _stub_trials(monkeypatch, alphas)
+    monkeypatch.setattr(arithmetic, "self_window_blocks", spy)
+    metric_r3_experiment(a, 0.5, len(a), len(alphas), 1729)
+    assert sum(done) == len(alphas) and len(done) > 1
+
+
+@pytest.mark.parametrize("a, s", [(list(range(1, 501)), 20.0),
+                                  ([m * m for m in range(1, 2001)], 3.0)], ids=["range", "squares"])
+def test_metric_json_is_the_per_trial_loop(monkeypatch, capsys, tmp_path, a, s):
+    # the CLI's bytes, from the batched trials and from one r_k_distinct per trial
+    path = tmp_path / "ints.txt"
+    path.write_text("".join(f"{v}\n" for v in a))
+    args = ["metric", "--input", str(path), "--s", str(s), "--n", str(len(a)),
+            "--trials", "200", "--seed", "1729"]
+    assert main(args) == 0
+    batched = capsys.readouterr().out
+    monkeypatch.setattr(arithmetic, "metric_r3_experiment", _metric_by_trial_loop)
+    assert main(args) == 0
+    assert batched == capsys.readouterr().out
+
+
 def test_metric_experiment_chunk_edges(monkeypatch):
     # chunks of 3 rows with a partial last chunk, and of less than one row
     a = [m * m for m in range(1, 101)]
@@ -494,22 +552,23 @@ def _windows(grid, arc):
     """start, end of every anchor of a grid or of a stack, the blocks joined;
     a block holds at most core._BLOCK entries, or one position."""
     wins = [w for _, [w] in core.self_window_blocks(grid, [arc])]
-    assert all(w[0].size <= max(core._BLOCK, grid[0].size) for w in wins)
-    return np.concatenate([w[0] for w in wins]), np.concatenate([w[1] for w in wins])
+    assert all(w[0].size <= max(core._BLOCK, grid[..., 0].size) for w in wins)
+    return (np.concatenate([w[0] for w in wins], axis=-1),
+            np.concatenate([w[1] for w in wins], axis=-1))
 
 
-def _assert_trial_window_counts(grid, arc, columns=True):
-    # the rows side by side, one grid per column, as the trials hand them
-    # over: z = end - start are the pairwise arc counts, and each column's
+def _assert_trial_window_counts(grid, arc, alone=True):
+    # the rows as a stack, one grid per row, as the trials hand them
+    # over: z = end - start are the pairwise arc counts, and each row's
     # windows are the ones the grid has on its own
-    start, end = _windows(np.ascontiguousarray(grid.T), arc)
-    assert start.shape == end.shape == grid.T.shape
+    start, end = _windows(grid, arc)
+    assert start.shape == end.shape == grid.shape
     for r, g in enumerate(grid):
         want = np.count_nonzero(in_arc(g[None, :] - g[:, None], arc), axis=1)
-        assert np.array_equal(end[:, r] - start[:, r], want), (r, arc)
-        if columns:
+        assert np.array_equal(end[r] - start[r], want), (r, arc)
+        if alone:
             one = _windows(g, arc)
-            assert np.array_equal(start[:, r], one[0]) and np.array_equal(end[:, r], one[1])
+            assert np.array_equal(start[r], one[0]) and np.array_equal(end[r], one[1])
 
 
 @pytest.mark.parametrize("rows", ["random", "clustered", "coinciding", "lattice"])
@@ -554,7 +613,7 @@ def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
     rng = np.random.default_rng(52)
     for n, count in ((50, 7), (2000, 16)):
         arc = grid_arc(-0.5, 0.5, n)
-        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, columns=False)
+        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, alone=False)
 
 
 def test_wide_trial_windows_take_no_passes(monkeypatch):
@@ -574,7 +633,7 @@ def test_wide_trial_windows_take_no_passes(monkeypatch):
     rng = np.random.default_rng(53)
     for n, count, s in ((50, 7, 2.5), (500, 20, 20.0), (1000, 16, 8.0)):
         arc = grid_arc(-s, s, n)
-        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, columns=False)
+        _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, alone=False)
     assert searched == [(shape, shape, "right") for shape in ((7, 50), (20, 500), (16, 1000))]
 
 

@@ -270,7 +270,9 @@ def _testfn_by_tuple(seq, f, k, star):
     """The oracle's testfn value by one f call per tuple, on a one-row array."""
     n = len(seq)
     g = to_grid(seq.points)
-    scaled = (n * ((g[:, None] - g[None, :]).view(np.int64) * 2.0**-64)).tolist()
+    # N d 2^-64 rounded once: CPython's int / int is correctly rounded
+    offsets = (g[:, None] - g[None, :]).view(np.int64).tolist()
+    scaled = [[n * d / core.GRID for d in row] for row in offsets]
     tuples = itertools.product(range(n), repeat=k) if star else itertools.permutations(range(n), k)
     return math.fsum(float(f(np.array([[scaled[t[0]][j] for j in t[1:]]]))[0]) for t in tuples) / n
 
@@ -294,6 +296,66 @@ def test_testfn_oracle_is_the_per_tuple_loop(star):
             oracle = lambda: brute_force_r_k(seq, testfn=f, support_radius=n / 2, k=k, star=star).value
             loop = lambda: _testfn_by_tuple(seq, f, k, star)
             assert _value_or_error(oracle) == _value_or_error(loop)
+
+
+def test_testfn_indicator_counts_the_window_pairs_past_n_over_2048():
+    # radius 58.9 > N/2048 at N = 1822, so offsets pass 2^53: two points
+    # with a pair at the end of the window, and a run of filler points;
+    # rounded once, every window pair reads |y| <= r, and an indicator of
+    # |y| <= r sums to the pairs r_k_distinct counts (513324 if the int64
+    # offsets are rounded to float64 before the product)
+    n, r = 1822, 58.91568533539358
+    seq = PointSequence([0.016555949983567717, 0.04889167190200547]
+                        + [0.5 + 0.4 * i / n for i in range(n - 2)])
+    inside = lambda ys: (np.abs(ys[:, 0]) <= r).astype(np.float64)
+    want = r_k_distinct(seq, (r,))
+    assert want.raw_count == 513326
+    assert r_k_testfn(seq, inside, r, 2).value == want.value
+    assert r_k_consecutive(seq, inside, r, 2).value == want.value
+
+
+def test_scaled_offsets_round_once():
+    # N d 2^-64 against CPython's correctly rounded int / int, for N below
+    # 2^21 (two exact float64 terms) and above it (int / int itself), on
+    # offsets of every size, the extremes and 2^53 + 1 included
+    rng = np.random.default_rng(85)
+    odd = [(1 << 21) - 1, (1 << 21) + 1, 10**7 + 1, 2**40 + 12345]  # powers of 2 are exact
+    for n in [int(v) for v in rng.integers(1, 1 << 21, 40)] + odd:
+        d = rng.integers(-2**63, 2**63, 300, dtype=np.int64, endpoint=False)
+        d[:5] = [-2**63, 2**63 - 1, 2**53 + 1, -(2**53) - 1, 2**53]
+        d[5:100] >>= rng.integers(0, 63, 95)
+        got = correlations._scaled_offsets(d, n).tolist()
+        assert got == [n * v / core.GRID for v in d.tolist()], n
+
+
+def test_testfn_offsets_past_n_over_2048_keep_the_window_ends():
+    # random (N, r), r in (N/2048, N/2]: a point x0 and N - 1 points a few
+    # ulps around x0 + r/N, so pairs sit on both sides of the window's end;
+    # f must read |y| <= r on every window pair and |y| >= r on every other
+    rng = np.random.default_rng(84)
+    near = 0
+    for _ in range(150):
+        n = int(rng.integers(6, 30))
+        r = float(rng.uniform(n / 2048, n / 2))
+        x0 = float(rng.uniform(2**-8, 2**-6))
+        x1 = x0 + r / n
+        ulps = range(2 - n // 2, n - n // 2 + 1)  # N - 1 points
+        seq = PointSequence([x0] + [x1 + j * math.ulp(x1) for j in ulps])
+        arc = grid_arc(-r, r, n)
+        g = to_grid(seq.points)
+        d = g[:, None] - g[None, :]  # the oracle's offsets: anchor i (row), occupant j
+        seen = []
+        record = lambda ys: (seen.append(ys[:, 0].copy()), np.zeros(len(ys)))[1]
+        brute_force_r_k(seq, testfn=record, support_radius=r, k=2)
+        ys = np.concatenate(seen)
+        inside = in_arc(d, arc)[~np.eye(n, dtype=bool)]  # j != i, in the oracle's order
+        assert np.all(np.abs(ys[inside]) <= r) and np.all(np.abs(ys[~inside]) >= r), (n, r)
+        seen.clear()
+        r_k_testfn(seq, record, r, 2)
+        fast = np.concatenate(seen)
+        assert fast.size == r_k_distinct(seq, (r,)).raw_count and np.all(np.abs(fast) <= r)
+        near += bool(np.any(inside & (np.abs(ys) > r * (1 - 1e-12))))
+    assert near > 100
 
 
 def test_consecutive_equals_testfn_for_k2():
