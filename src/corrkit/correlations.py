@@ -453,10 +453,8 @@ def _row_count(first: np.ndarray, last: np.ndarray, k: int, chained: bool) -> in
 def _scaled_offsets(d: np.ndarray, n: int) -> np.ndarray:
     """N d 2^-64 as float64, rounded once, for int64 grid offsets d: the
     entries every test function reads.  An offset up to 2^53 in size
-    converts exactly, so one product rounds.  Past that (a radius past
-    N/2048), for N < 2^21, N d = N (d - low) + N low with low the 32 low
-    bits of d, both terms exact in float64, so their sum rounds once; a
-    larger N takes CPython's correctly rounded int / int.  Rounding keeps
+    converts exactly, so one product rounds; a larger one (a radius past
+    N/2048) takes CPython's correctly rounded int / int.  Rounding keeps
     the order, so an offset inside grid_arc(-r, r, N) reads |y| <= r and
     one outside it |y| >= r."""
     scale = n * 2.0**-64
@@ -464,13 +462,8 @@ def _scaled_offsets(d: np.ndarray, n: int) -> np.ndarray:
     y *= scale
     far = n * 2.0**-11  # every |d| >= 2^53 reads |y| >= far
     if y.size and (y.max() >= far or -y.min() >= far):
-        if n < 1 << 21:
-            low = d & 0xFFFFFFFF
-            np.multiply(d - low, scale, out=y)
-            y += low * scale
-        else:
-            at = np.flatnonzero(np.abs(y) >= far)
-            np.put(y, at, [n * v / GRID for v in np.take(d, at).tolist()])
+        at = np.flatnonzero(np.abs(y) >= far)
+        np.put(y, at, [n * v / GRID for v in np.take(d, at).tolist()])
     return y
 
 

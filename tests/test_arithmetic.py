@@ -28,7 +28,6 @@ from corrkit import (
     trial_rng,
 )
 from corrkit.arithmetic import MetricExperimentReport
-from corrkit.cli import main
 from corrkit.core import grid_arc, in_arc
 from corrkit.correlations import _exact_product_sum
 
@@ -444,6 +443,8 @@ def _metric_by_trial_loop(a, s, n, trials, seed):
     ([m * 2**60 for m in range(1, 8)], 1.0, 7, 30),   # every point at 0
     ([m * 2**60 for m in range(1, 8)], 3.5, 7, 30),   # ... in the whole-circle window
     ([m * m for m in range(1, 301)], 150.0, 300, 40),  # the widest arc, s = N/2
+    (list(range(1, 501)), 20.0, 500, 200),
+    ([m * m for m in range(1, 2001)], 3.0, 2000, 200),
 ])
 def test_batched_metric_experiment_is_the_per_trial_loop(a, s, n, trials):
     got = metric_r3_experiment(a, s, n, trials, 1729)
@@ -492,21 +493,6 @@ def test_trial_grids_are_the_sorted_grids_of_the_fractional_parts(monkeypatch, a
     monkeypatch.setattr(arithmetic, "self_window_blocks", spy)
     metric_r3_experiment(a, 0.5, len(a), len(alphas), 1729)
     assert sum(done) == len(alphas) and len(done) > 1
-
-
-@pytest.mark.parametrize("a, s", [(list(range(1, 501)), 20.0),
-                                  ([m * m for m in range(1, 2001)], 3.0)], ids=["range", "squares"])
-def test_metric_json_is_the_per_trial_loop(monkeypatch, capsys, tmp_path, a, s):
-    # the CLI's bytes, from the batched trials and from one r_k_distinct per trial
-    path = tmp_path / "ints.txt"
-    path.write_text("".join(f"{v}\n" for v in a))
-    args = ["metric", "--input", str(path), "--s", str(s), "--n", str(len(a)),
-            "--trials", "200", "--seed", "1729"]
-    assert main(args) == 0
-    batched = capsys.readouterr().out
-    monkeypatch.setattr(arithmetic, "metric_r3_experiment", _metric_by_trial_loop)
-    assert main(args) == 0
-    assert batched == capsys.readouterr().out
 
 
 def test_metric_experiment_chunk_edges(monkeypatch):

@@ -315,9 +315,8 @@ def test_testfn_indicator_counts_the_window_pairs_past_n_over_2048():
 
 
 def test_scaled_offsets_round_once():
-    # N d 2^-64 against CPython's correctly rounded int / int, for N below
-    # 2^21 (two exact float64 terms) and above it (int / int itself), on
-    # offsets of every size, the extremes and 2^53 + 1 included
+    # N d 2^-64 against CPython's correctly rounded int / int, for N up to
+    # 2^40 and offsets of every size, the extremes and 2^53 + 1 included
     rng = np.random.default_rng(85)
     odd = [(1 << 21) - 1, (1 << 21) + 1, 10**7 + 1, 2**40 + 12345]  # powers of 2 are exact
     for n in [int(v) for v in rng.integers(1, 1 << 21, 40)] + odd:
