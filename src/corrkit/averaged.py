@@ -24,7 +24,9 @@ R = grid_arc(-s, s, N)[1] (windows of fewer than N/s + 1 points), and
 two int64 limbs of 32 bits elsewhere (see _overlap_sums).  The anchors
 go in blocks of B = core._BLOCK, with their windows from
 core.self_window_blocks.  A block reads its prefix sums off runs of the
-unrolled grid from cursors to its last start, anchor and end: one run
+unrolled grid (core.unrolled, a view of the grid within one lap, and
+one copy across a lap's end, split into limbs by _unrolled_limb) from
+cursors to its last start, anchor and end: one run
 about B + w long for windows of at most w points where the three
 overlap (windows of up to about 2B points, the common case), three runs
 about B long each where they do not (see _overlap_sums).  The peak is
@@ -173,19 +175,18 @@ def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
 
 def _unrolled_limb(g: np.ndarray, first: int, last: int, limb) -> np.ndarray:
     """The unrolled grid at positions [first, last), -m < first <= last < 2m,
-    modulo 2^64 (limb None: the grid's values, laps vanish), or its high
-    (limb 0) or low (limb 1) 32-bit limb as int64, where laps -1 and 1
-    subtract and add 2^32 to the high limb."""
-    m = g.size
-    laps = [g[min(max(first - lap * m, 0), m):min(max(last - lap * m, 0), m)] for lap in (-1, 0, 1)]
-    x = np.concatenate(laps) if laps[0].size or laps[2].size else laps[1]  # a view of g: no writes
+    modulo 2^64 (limb None: core.unrolled, the grid's values, laps
+    vanish), or its high (limb 0) or low (limb 1) 32-bit limb as int64,
+    where the positions before 0 subtract and those from m on add 2^32
+    to the high limb."""
+    x = core.unrolled(g, first, last)  # maybe a view of g: no writes
     if limb is None:
         return x
     if limb:
         return (x & np.uint64(0xFFFFFFFF)).view(np.int64)
     hi = (x >> np.uint64(32)).view(np.int64)
-    hi[:laps[0].size] -= 1 << 32
-    hi[x.size - laps[2].size:] += 1 << 32
+    hi[:max(-first, 0)] -= 1 << 32
+    hi[max(g.size - first, 0):] += 1 << 32
     return hi
 
 

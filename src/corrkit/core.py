@@ -29,21 +29,24 @@ block size of every bounded pass in corrkit, read at call time: the
 weighted sums' row slices, the pair-sum sweeps and trial chunks of
 arithmetic, the lines of io and the terms of exact_sum too.  A block's
 windows of a symmetric arc cost one vectorized pass per neighbour
-offset, up to min(widest one-sided window, _PASS_CAP = 8), counted per
+offset, up to min(widest one-sided window, _PASS_CAP = 8), each one
+subtraction over the block's slice of the unrolled grid, counted per
 anchor in two byte-wide counters (11 bytes per anchor of the block with
-the differences and mask), plus binary searches for only the anchors
-whose windows are still open after them: for windows of a few points,
-hardly any.  A grid in one block whose windows are wider (2 or more
-points a side on average) takes no passes: one search of the ends, and
-the starts read off the ends' counts.  self_window_blocks takes one
-sorted grid, shape (m,), or a stack of them, shape (c, m), one grid per
-row and each its own circle, in blocks of _BLOCK // c positions of every
-row; the dilation experiment's trials (arithmetic.metric_r3_experiment)
-read their window counts off such a stack.  The
-windows of an arc that is not symmetric, around the grid's own points
+the differences and mask, 8 more where the slice is a copy: a stack,
+or a block at either end of the grid), plus binary searches for only
+the anchors whose windows are still open after them: for windows of a
+few points, hardly any.  A grid in one block whose windows are wider
+(2 or more points a side on average) takes no passes: one search of
+the ends, and the starts read off the ends' counts.
+self_window_blocks takes one sorted grid, shape (m,), or a stack of
+them, shape (c, m), one grid per row and each its own circle, in blocks
+of _BLOCK // c positions of every row; the dilation experiment's trials
+(arithmetic.metric_r3_experiment) read their window counts off such a
+stack.  The windows of an arc that is not symmetric, around the grid's own points
 or around any centres (F at one point t, intervalstats.f_count), come
 from arc_window.  Every search of a window end is one routine,
-_unrolled_search, on the same rows, a view of the grid or stack.
+_unrolled_search, on the same rows, a view of the grid or stack, and
+every range of unrolled positions is read by one, unrolled.
 
 Float results that sum many terms use exact_sum, math.fsum's correctly
 rounded sum computed by error-free extraction passes over blocks of the
@@ -168,6 +171,19 @@ def in_arc(d: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
 _BLOCK = 1 << 15
 
 
+def unrolled(grid: np.ndarray, first: int, last: int) -> np.ndarray:
+    """U_p mod 2^64 = g_(p mod m) (see self_window_blocks) at the unrolled
+    positions p = first, ..., last - 1 of one sorted grid, shape (m,), or
+    of each grid of a stack, one per row, shape (c, m): a view of the
+    grid where they lie on one lap, else one copy that joins the laps'
+    slices (3-5 times faster than take(mode="wrap") on a block's)."""
+    m = grid.shape[-1]
+    lap = first // m * m
+    if last - lap <= m:
+        return grid[..., first - lap:last - lap]
+    return np.concatenate([grid[..., max(first - a, 0):last - a] for a in range(lap, last, m)], axis=-1)
+
+
 def _unrolled_search(rows: np.ndarray, keys: np.ndarray, off: int, side: str) -> np.ndarray:
     """The unrolled positions (see self_window_blocks) of keys + off,
     -2^64 < off < 2^64, searched with side in sorted grids one per row,
@@ -226,8 +242,9 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     and end then hold the block's anchors of every grid, shape (c, size).
 
     Pass t takes d_j = U_(j+t) - U_j mod 2^64, the grid distance from
-    unrolled position j to j + t (U as in self_window_blocks), as one
-    array over j in [b - t, b + size): d_i <= r for anchor i moves its
+    unrolled position j to j + t (U as in self_window_blocks), for j in
+    [b - t, b + size), off one slice of the unrolled grid around the
+    block (_window_passes): d_i <= r for anchor i moves its
     end past i + t, d_(i-t) <= r its start back to i - t, as the arc is
     symmetric.  For t < m the distance only grows with t, whatever r, so
     a window that closes stays closed.  The one exception is a distance
@@ -296,23 +313,30 @@ def _window_passes(rows: np.ndarray, b: int, size: int, cap: int, r: int):
     end and start moved, and masks of the anchors whose end and whose
     start are still growing, each of shape (c, size).  The moves are
     counted in the narrowest unsigned type that holds cap, a byte for the
-    default cap.  Each pass's distances and mask are one contiguous
-    (c, size + t) array, views of two flat buffers that end with the
-    call."""
+    default cap.
+
+    The passes read the unrolled positions b - cap, ..., b + size + cap - 1
+    of every row once (unrolled: a view for an interior block of one
+    grid, a copy for a stack or a block at either end), laid end to end
+    as one flat array x of w = size + 2 cap per row.  Pass t is one
+    subtraction x[t:] - x[:-t] and one comparison over all of it: a row's
+    anchors' ends read d_j at columns [cap, cap + size), their starts at
+    [cap - t, cap - t + size); a row's last t distances run into the next
+    row and are never read.  The distances, mask and counters take 11
+    bytes per anchor, and a copied x 8 more."""
     c = rows.shape[0]
     ahead = np.zeros((c, size), dtype=np.min_scalar_type(cap))
     behind = np.zeros_like(ahead)
     if not cap:
         every = np.ones(ahead.shape, dtype=bool)
         return ahead, behind, every, every
-    d = np.empty(c * (size + cap), dtype=np.uint64)
-    near = np.empty(d.size, dtype=bool)
+    x = unrolled(rows, b - cap, b + size + cap).reshape(-1)
+    d, near = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    ok = near.reshape(c, -1)
     growing, radius = [ahead.size, ahead.size], np.uint64(r)  # ends, starts
     for t in range(1, cap + 1):
-        dt = d[:c * (size + t)].reshape(c, size + t)  # d_j at dt[:, j - b + t]
-        _offset_gaps(rows, b - t, t, dt)
-        ok = np.less_equal(dt, radius, out=near[:dt.size].reshape(dt.shape))
-        ends, starts = ok[:, t:], ok[:, :size]
+        np.less_equal(np.subtract(x[t:], x[:-t], out=d[:-t]), radius, out=near[:-t])
+        ends, starts = ok[:, cap:cap + size], ok[:, cap - t:cap - t + size]
         ahead += ends.view(np.uint8)  # no cast per pass
         behind += starts.view(np.uint8)
         grew = [int(np.count_nonzero(ends)), int(np.count_nonzero(starts))]
@@ -320,22 +344,6 @@ def _window_passes(rows: np.ndarray, b: int, size: int, cap: int, r: int):
             break
         growing = grew
     return ahead, behind, ends, starts
-
-
-def _offset_gaps(grid: np.ndarray, c: int, t: int, out: np.ndarray) -> None:
-    """out[..., i] = d_(c+i) = U_(c+i+t) - U_(c+i) mod 2^64 for the k
-    unrolled positions c, ..., c + k - 1 of one grid, shape (m,), or of
-    each grid of a stack, one per row, shape (c', m), -t <= c < m - t,
-    0 < c + k <= m, 0 < t < m: one run of slices where j and j + t lie
-    on the first lap, never empty there, and the runs, if any, where j
-    lies on the lap before (g_(j+m)) and where j + t wraps (g_(j+t-m))."""
-    m, e = grid.shape[-1], c + out.shape[-1]
-    a, z = c if c > 0 else 0, e if e < m - t else m - t  # cheaper than max and min, once a pass
-    np.subtract(grid[..., a + t:z + t], grid[..., a:z], out=out[..., a - c:z - c])
-    if c < 0:
-        np.subtract(grid[..., c + t:t], grid[..., c + m:], out=out[..., :-c])
-    if z < e:
-        np.subtract(grid[..., :e + t - m], grid[..., z:e], out=out[..., z - c:])
 
 
 def self_window_blocks(grid: np.ndarray, arcs):
@@ -370,7 +378,8 @@ def self_window_blocks(grid: np.ndarray, arcs):
     longer grid each run of keys confined to the slice of the grid it
     reaches.  A block holds start and end per arc and, while it finds
     one arc's windows, either the passes' differences, mask and two
-    byte-wide counters (11 bytes per anchor), or the passes' mask and a
+    byte-wide counters (11 bytes per anchor, and 8 more for the copied
+    slice of a stack or an end block), or the passes' mask and a
     search's indices, keys, their sums with the offset, lap mask and
     positions, or the ends' counts (at most 42): at most 16 a + 42 bytes
     per anchor for a arcs, whatever N and the window widths.

@@ -179,7 +179,7 @@ def _breakpoints(g: np.ndarray, r: int):
     for b, [(start, end)] in core.self_window_blocks(g, [(-d, d)]):
         i = np.arange(b, b + start.size)
         gi = g[b:b + start.size]
-        step = g.take(i + 1, mode="wrap") - gi
+        step = core.unrolled(g, b + 1, b + start.size + 1) - gi
         if i[-1] == n - 1 and step[-1] == 0:  # all points equal
             step[-1] = GRID - 1
         length = g.take(start, mode="wrap")  # in place: one block's array per kind

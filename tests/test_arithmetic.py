@@ -575,18 +575,27 @@ def test_trial_window_counts_are_the_pairwise_arc_counts(rows, s):
         _assert_trial_window_counts(grid, grid_arc(-h, h / 3, n))
 
 
+# pass caps: every window searched, one pass, the default, and passes
+# over every window
+@pytest.mark.parametrize("cap", [0, 1, 8, 1 << 30])
+@pytest.mark.parametrize("block", [16, 1 << 15])
 @pytest.mark.parametrize("count", [1, 7])
-def test_trial_window_counts_in_blocks_of_a_row(monkeypatch, count):
+def test_trial_window_counts_in_blocks_of_a_row(monkeypatch, count, block, cap):
     # blocks of 16 points: one row of 50 in blocks of 16 anchors, and 7
-    # rows in blocks of 2 anchors each, with their wrapping offsets
-    monkeypatch.setattr(core, "_BLOCK", 16)
+    # rows in blocks of 2 anchors each, with their wrapping offsets; the
+    # default block holds whole rows.  Cap 1 << 30 passes over slices up
+    # to n - 1 wide on each side of a block
+    monkeypatch.setattr(core, "_BLOCK", block)
+    monkeypatch.setattr(core, "_PASS_CAP", cap)
     rng = np.random.default_rng(51)
-    for rows in ("random", "clustered", "lattice"):
-        for s in (0.5, 3.0, 12.0, 25.0):
-            arc = grid_arc(-s, s, 50)
-            grid = _trial_rows(rng, rows, 50, arc, count)
-            _assert_trial_window_counts(grid, arc)
-            _assert_trial_window_counts(grid, grid_arc(-s, s / 3, 50))
+    for rows in ("random", "clustered", "coinciding", "lattice"):
+        for n in (1, 2, 5, 9, 50):
+            for s in (0.5, 3.0, 12.0, 25.0):
+                h = min(s, n / 2)
+                arc = grid_arc(-h, h, n)
+                grid = _trial_rows(rng, rows, n, arc, count)
+                _assert_trial_window_counts(grid, arc)
+                _assert_trial_window_counts(grid, grid_arc(-h, h / 3, n))
 
 
 def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
@@ -605,16 +614,17 @@ def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
 def test_wide_trial_windows_take_no_passes(monkeypatch):
     # windows of 2 or more points a side on average: no passes and no
     # search per anchor, one search of the ends per trial
-    def refused(*args):
-        raise AssertionError("a pass ran")
+    real_passes, real, searched = core._window_passes, core._unrolled_search, []
 
-    real, searched = core._unrolled_search, []
+    def passes(rows, b, size, cap, r):
+        assert not cap, "a pass ran"
+        return real_passes(rows, b, size, cap, r)
 
     def spy(rows, keys, off, side):  # the keys of every anchor: the ends of the whole grids
         searched.append((rows.shape, keys.shape, side))
         return real(rows, keys, off, side)
 
-    monkeypatch.setattr(core, "_offset_gaps", refused)
+    monkeypatch.setattr(core, "_window_passes", passes)
     monkeypatch.setattr(core, "_unrolled_search", spy)
     rng = np.random.default_rng(53)
     for n, count, s in ((50, 7, 2.5), (500, 20, 20.0), (1000, 16, 8.0)):

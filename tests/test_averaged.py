@@ -27,6 +27,24 @@ def test_c2_star_two_point_overlaps():
     assert c_k_star(far, (0.6,)) == pytest.approx(2 * 0.3)  # disjoint arcs add nothing
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_unrolled_limbs_rebuild_the_unrolled_grid(m):
+    # U_p = g_(p mod m) + 2^64 floor(p/m) from its high and low 32-bit
+    # limbs, and mod 2^64 from the one wrapping limb, over every range
+    # -m < first <= last < 2m of grids from 0 and up to 2^64 - 1
+    stack = np.sort(np.random.default_rng(m).integers(0, 1 << 64, (3, m), dtype=np.uint64), axis=1)
+    stack[0, 0], stack[-1, -1] = 0, (1 << 64) - 1
+    for g in stack:
+        vals = g.tolist()
+        for first in range(1 - m, 2 * m):
+            for last in range(first, 2 * m):
+                u = [vals[p % m] + ((p // m) << 64) for p in range(first, last)]
+                hi, lo = (averaged._unrolled_limb(g, first, last, limb).tolist() for limb in (0, 1))
+                assert [(h << 32) + low for h, low in zip(hi, lo)] == u, (first, last)
+                assert averaged._unrolled_limb(g, first, last, None).tolist() == [
+                    v % core.GRID for v in u], (first, last)
+
+
 def test_c2_star_scale_validation():
     # s > N is rejected (the pair-index check went with the scalar helper)
     seq = PointSequence([0.0, 0.3])

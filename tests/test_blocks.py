@@ -168,10 +168,12 @@ def test_wide_windows_of_one_block_take_no_passes(monkeypatch):
     # a grid in one block whose windows hold 2 or more points a side on
     # average takes no passes and no search per anchor: one search of the
     # ends, and every start read off them
-    def refused(*args):
-        raise AssertionError("a pass ran")
-
     real_search, real_read, searches, reads = core._unrolled_search, core._starts_off_ends, [], []
+    real_passes = core._window_passes
+
+    def passes(rows, b, size, cap, r):
+        assert not cap, "a pass ran"
+        return real_passes(rows, b, size, cap, r)
 
     def search(rows, keys, off, side):  # the keys of every anchor: the ends of the whole grid
         searches.append((rows.shape, keys.shape, side))
@@ -181,7 +183,7 @@ def test_wide_windows_of_one_block_take_no_passes(monkeypatch):
         reads.append(end.size)
         real_read(end, start)
 
-    monkeypatch.setattr(core, "_offset_gaps", refused)
+    monkeypatch.setattr(core, "_window_passes", passes)
     monkeypatch.setattr(core, "_unrolled_search", search)
     monkeypatch.setattr(core, "_starts_off_ends", read)
     cases = 0

@@ -146,6 +146,32 @@ def test_order_comparison_threshold():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def _sorted_stack(m):
+    """3 sorted random grids of m points, one per row, from 0 in the
+    first row and up to 2^64 - 1 in the last."""
+    stack = np.sort(np.random.default_rng(m).integers(0, 1 << 64, (3, m), dtype=np.uint64), axis=1)
+    stack[0, 0], stack[-1, -1] = 0, (1 << 64) - 1
+    return stack
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_unrolled_reads_every_range_across_a_lap(m):
+    # every range -m < first <= last < 2m, wholly before 0, across 0 or
+    # m, and wholly from m on, of one grid and of a stack: g_(p mod m) at
+    # each position p, a view of the grid where the range lies on one lap
+    stack = _sorted_stack(m)
+    for grid in (stack[0], stack):
+        rows = grid.reshape(-1, m).tolist()
+        for first in range(1 - m, 2 * m):
+            for last in range(first, 2 * m):
+                got = core.unrolled(grid, first, last)
+                assert got.shape == grid.shape[:-1] + (last - first,)
+                want = [[row[p % m] for p in range(first, last)] for row in rows]
+                assert got.reshape(len(rows), last - first).tolist() == want, (first, last)
+                on_one_lap = last > first and first // m == (last - 1) // m
+                assert np.shares_memory(got, grid) == on_one_lap, (first, last)
+
+
 def test_point_sequence_sorted_view():
     seq = PointSequence([0.5, 0.1, 0.9, 0.1])
     assert len(seq) == 4
