@@ -146,20 +146,13 @@ def test_order_comparison_threshold():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def _sorted_stack(m):
-    """3 sorted random grids of m points, one per row, from 0 in the
-    first row and up to 2^64 - 1 in the last."""
-    stack = np.sort(np.random.default_rng(m).integers(0, 1 << 64, (3, m), dtype=np.uint64), axis=1)
-    stack[0, 0], stack[-1, -1] = 0, (1 << 64) - 1
-    return stack
-
-
 @pytest.mark.parametrize("m", [1, 2, 7, 40])
 def test_unrolled_reads_every_range_across_a_lap(m):
     # every range -m < first <= last < 2m, wholly before 0, across 0 or
     # m, and wholly from m on, of one grid and of a stack: g_(p mod m) at
     # each position p, a view of the grid where the range lies on one lap
-    stack = _sorted_stack(m)
+    stack = np.sort(np.random.default_rng(m).integers(0, 1 << 64, (3, m), dtype=np.uint64), axis=1)
+    stack[0, 0], stack[-1, -1] = 0, (1 << 64) - 1
     for grid in (stack[0], stack):
         rows = grid.reshape(-1, m).tolist()
         for first in range(1 - m, 2 * m):
