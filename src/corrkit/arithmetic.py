@@ -48,16 +48,14 @@ correlation R_3(s, N) against the lower bound 2 s T(A_N) / N^2 that the
 progression structure forces on the alpha-average.  Each trial keeps
 its own trial_rng(seed, t) stream; the trials run in chunks of at most
 core._BLOCK points, one row per trial.  alpha is a multiple of 2^-53,
-so G = to_grid(alpha) is exact, and the grid of {a_m alpha} is
-a_m G mod 2^64, the bits to_grid gives seqgen.exact_frac_parts' value:
-one wrapping uint64 product gives the chunk's grids, one row-wise sort,
-and core.self_window_blocks over the stack, one grid per row, gives
-every window count z = end - start.  Each row's raw count is the exact
-product sum r_k_distinct takes, so every R_3 value is the one
-r_k_distinct gives.  A chunk of P points (P = core._BLOCK, or N when N
-is larger) peaks near 40 P bytes under tracemalloc, 1.25 MiB at
-P = 2^15, or 54 P, 1.7 MiB, for the wider windows, and none of its
-arrays lives into the next chunk.
+so seqgen._dilated_grid gives the grid of {a_m alpha} exactly, the
+grid seqgen.exact_frac_parts rounds: one wrapping uint64 product gives
+the chunk's grids, one row-wise sort, and correlations._raw_counts
+counts every row's distinct triples, r_k_distinct's reduction on the
+stack, so every R_3 value is the one r_k_distinct gives.  A chunk of P
+points (P = core._BLOCK, or N when N is larger) peaks near 33 P bytes
+under tracemalloc, 1.0 MiB at P = 2^15, or 46 P, 1.4 MiB, for the
+wider windows, and none of its arrays lives into the next chunk.
 """
 
 from __future__ import annotations
@@ -67,11 +65,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import PointSequence, grid_arc, self_window_blocks, to_grid
-from .correlations import (_as_boxes, _as_scales, _charge_budget, _distinct_factors,
-                           _exact_product_sum, r_k_box)
+from .core import PointSequence
+from .correlations import (_as_boxes, _as_scales, _charge_budget, _exact_product_sum, _raw_counts,
+                           r_k_box)
 from .errors import ConsistencyError, ParameterError
-from .seqgen import IntegerSet, trial_rng
+from .seqgen import IntegerSet, _dilated_grid, trial_rng
 
 _FLAT_SUM_LIMIT = 1 << 26  # flat pair-sum tables while 2 * span is at most this
 _FLAT_SUM_FACTOR = 4       # ... and at most this many times |A|^2
@@ -282,25 +280,16 @@ def metric_r3_experiment(a, s: float, n: int, trials: int, seed: int) -> MetricE
     head = e[:n]
     t_count = three_ap_count(head)
     lower = 2.0 * s * t_count / n**2
-    arc = grid_arc(-scales[0], scales[0], n)
     # the trials in chunks of at most core._BLOCK points, one row per
     # trial: the same values as r_k_distinct(PointSequence(row), scales)
     vals = np.empty(trials)
     rows = max(1, core._BLOCK // n)
     for t0 in range(0, trials, rows):
         alphas = [trial_rng(seed, t).random() for t in range(t0, min(t0 + rows, trials))]
-        # alpha is a multiple of 2^-53, so G = to_grid(alpha) is exact and
-        # the grid of {a_m alpha} is a_m G mod 2^64, one wrapping product
-        grid = to_grid(alphas)[:, None] * head.view(np.uint64)  # a_m mod 2^64, no copy
+        grid = _dilated_grid(head, alphas)  # alpha is a multiple of 2^-53: exact
         grid.sort(axis=1)
-        # s <= N/2: each window holds a point at most once, z = end - start
-        z = np.empty(grid.shape, dtype=np.int64)
-        for b, [(start, end)] in self_window_blocks(grid, [arc]):
-            np.subtract(end, start, out=z[:, b:b + start.shape[1]])
-        del grid, start, end
-        raws = _exact_product_sum(_distinct_factors([z, z]))
-        del z  # no chunk's arrays live into the next
-        vals[t0:t0 + len(raws)] = [raw / n for raw in raws]
+        vals[t0:t0 + len(alphas)] = [raw / n for raw in _raw_counts(grid, scales, n, distinct=True)]
+        del grid  # no chunk's arrays live into the next
     mean = float(vals.mean())
     var = float(vals.var(ddof=1)) if trials > 1 else 0.0
     frac = float(np.mean(vals > 4.0 * s * s))

@@ -24,11 +24,14 @@ oracle on the pairwise grid differences.  Ties at an exact window
 boundary are included (closed inequality) the same way on both, and
 the counts are those of the stored doubles.
 
-r_k_distinct and r_k_star take one window per distinct scale and block
-of anchors from core.self_window_blocks and add up the blocks' exact
-products.  Their peak is under 8 (4d + k) bytes per anchor of a block
-for d distinct scales, whatever N and the window widths: 1.7 MiB at
-k = 3 and one scale, under 3 MiB up to k = 5 with two distinct scales.
+r_k_distinct and r_k_star share one reduction, _raw_counts, which the
+dilation trials also call on a stack of grids: one window per distinct
+scale and block of anchors from core.self_window_blocks, the block's
+windows freed, then its exact products added up per row.  Their peak
+is the larger of the window search's and 8 (d + k + 1) bytes per
+anchor of a block for d distinct scales, whatever N: under 1 MiB at
+k = 3 and one scale, under 2.1 MiB at k = 5 with two distinct scales
+(0.91 and 2.0 MiB at N = 2^20 and scales 1 and 2).
 
 r_k_box counts injective slot fillings by Moebius inversion over the
 set partitions of the k-1 slots, in the same blocks of anchors and with
@@ -153,17 +156,6 @@ def _check_radius(radius: float, n: int) -> None:
     check_half((radius,), n, "support radius {b} > N/2 = {half}")
 
 
-def _block_counts(g: np.ndarray, scales, n: int):
-    """z(s) = #{j : ||p_j - c|| <= s/N} for every c of a sorted grid g,
-    one block of anchors at a time (core.self_window_blocks): yields the
-    list of z(s), one array per scale in order, for each block; one
-    window per distinct scale and block."""
-    distinct = sorted(set(scales))
-    for _, wins in self_window_blocks(g, [grid_arc(-s, s, n) for s in distinct]):
-        z = {s: end - start for s, (start, end) in zip(distinct, wins)}
-        yield [z[s] for s in scales]
-
-
 def _exact_product_sum(factors: list[np.ndarray]):
     """sum_i prod_r factors[r][..., i] over the last axis, as exact Python
     ints: one int for 1-D factors, a list of ints for rows.
@@ -199,10 +191,30 @@ def _exact_product_sum(factors: list[np.ndarray]):
     return total.tolist() if rows else total
 
 
-def _distinct_factors(z: list[np.ndarray]) -> list[np.ndarray]:
-    """The per-anchor factors of r_k_distinct from the window counts of the
-    ascending scales: the t-th filled slot uses the t-th smallest window."""
-    return [np.maximum(zt - 1 - t, 0) for t, zt in enumerate(z)]
+def _raw_counts(grid: np.ndarray, scales, n: int, distinct: bool):
+    """N R_k (distinct) or N R_k* of the scales for a sorted grid, an exact
+    int, or for each row of a stack (c, m), a list of ints, one window per
+    distinct scale and block of anchors (core.self_window_blocks).
+
+    The scales are at most N/2 (_as_scales), so a window holds each point
+    at most once, and z_r = end - start = #{j : ||p_j - c|| <= s_r/N}
+    around an anchor c.  R_k* takes prod_r z_r, the scales in their
+    order, and R_k the injective fillings prod_t max(z_t - 1 - t, 0), the
+    windows ascending: the t-th filled slot uses the t-th smallest
+    window.  Each block's windows are freed before its exact product
+    sums, which are added per row, its distinct factors are clamped in
+    place, and its counts are freed before the next block's windows.
+    """
+    arcs = sorted(set(scales))
+    order = sorted(scales) if distinct else scales
+    total = np.zeros(grid.shape[:-1], dtype=object)  # exact ints, one per row
+    for _, wins in self_window_blocks(grid, [grid_arc(-s, s, n) for s in arcs]):
+        z = {s: end - start for s, (start, end) in zip(arcs, wins)}
+        del wins
+        factors = [z[s] - (1 + t) if distinct else z[s] for t, s in enumerate(order)]
+        total += _exact_product_sum([np.maximum(f, 0, out=f) if distinct else f for f in factors])
+        del z, factors  # before the next block's windows
+    return total.tolist()
 
 
 def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
@@ -213,7 +225,7 @@ def r_k_star(seq: PointSequence, scales, k=None) -> CorrelationReport:
     """
     n = len(seq)
     scales = _as_scales(scales, k, n)
-    raw = sum(_exact_product_sum(z) for z in _block_counts(seq.sorted_grid, scales, n))
+    raw = _raw_counts(seq.sorted_grid, scales, n, distinct=False)
     return CorrelationReport(
         "r_k_star", len(scales) + 1, n, {"scales": scales}, raw, raw / n
     )
@@ -231,8 +243,7 @@ def r_k_distinct(seq: PointSequence, scales, k=None) -> CorrelationReport:
     """
     n = len(seq)
     scales = _as_scales(scales, k, n)
-    raw = sum(_exact_product_sum(_distinct_factors(z))
-              for z in _block_counts(seq.sorted_grid, sorted(scales), n))
+    raw = _raw_counts(seq.sorted_grid, scales, n, distinct=True)
     return CorrelationReport(
         "r_k", len(scales) + 1, n, {"scales": scales}, raw, raw / n
     )

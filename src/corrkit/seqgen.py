@@ -8,11 +8,12 @@ scheduled.
 Dilated sequences {a_n * alpha} are reduced mod 1 in exact integer
 arithmetic before rounding once to float64: a float alpha equals p/q
 with q a power of two, so {a p / q} = ((a p) mod q) / q.  When q <= 2^64
-and the integers form an int64 or uint64 array, the reduction is a
-wrapping uint64 product, one for a whole batch of alphas; otherwise it
-uses Python ints.  Naive float multiplication would lose
-exactly the low-order bits that determine the fractional part for
-large a_n.
+and the integers form an int or uint array, alpha 2^64 is an integer
+and the grid of {a alpha} is a G mod 2^64 with G = alpha 2^64 mod 2^64:
+one wrapping uint64 product for a whole batch of alphas
+(_dilated_grid), converted to float64 once; otherwise the reduction
+uses Python ints.  Naive float multiplication would lose exactly the
+low-order bits that determine the fractional part for large a_n.
 """
 
 from __future__ import annotations
@@ -89,21 +90,31 @@ class GeneratorSpec:
             raise ParameterError("uniform_random generator needs a seed")
 
 
-def _check_seed(seed) -> int:
-    if int(seed) < 0:  # numpy takes no negative seed
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+def _check_seed(seed, name="seed") -> int:
+    if int(seed) < 0:  # numpy takes no negative seed or trial
+        raise ParameterError(f"{name} must be >= 0, got {seed}")
     return int(seed)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent PCG64 stream for (seed, trial)."""
-    return np.random.default_rng(np.random.SeedSequence([_check_seed(seed), int(trial)]))
+    return np.random.default_rng(np.random.SeedSequence([_check_seed(seed),
+                                                         _check_seed(trial, "trial")]))
 
 
 def _check_alpha(alphas) -> None:
     bad = [a for a in alphas if not math.isfinite(a)]
     if bad:
         raise ParameterError(f"alpha must be finite, got {bad[0]}")
+
+
+def _dilated_grid(integers: np.ndarray, alphas) -> np.ndarray:
+    """a G mod 2^64 for each alpha, one row per alpha, and each a of an
+    integer array, with G = alpha 2^64 mod 2^64: the grid of {a alpha}
+    (core.to_grid), exactly, for every alpha that is a multiple of 2^-64.
+    One wrapping uint64 product."""
+    g = [p * (2**64 // q) % 2**64 for p, q in (float(x).as_integer_ratio() for x in alphas)]
+    return np.array(g, dtype=np.uint64)[:, None] * integers.astype(np.uint64, copy=False)
 
 
 def exact_frac_parts(integers, alpha) -> np.ndarray:
@@ -118,16 +129,11 @@ def exact_frac_parts(integers, alpha) -> np.ndarray:
     if not isinstance(integers, np.ndarray):
         integers = list(integers)
     arr = np.asarray(integers)
-    if max(q for _, q in ratios) <= 2**64 and arr.dtype.kind in "iu":
-        # q = 2^t with t <= 64 divides 2^64, so (a*p) mod q is the wrapping
-        # uint64 product of a and p mod 2^64, masked to t bits; it is
-        # converted to float64 once (correctly rounded), and the division
-        # by 2^t is exact
-        p = np.array([p % 2**64 for p, _ in ratios], dtype=np.uint64)
-        prod = arr.astype(np.uint64) * p[:, None]
-        prod &= np.array([q - 1 for _, q in ratios], dtype=np.uint64)[:, None]
-        vals = prod.astype(np.float64)
-        vals /= np.array([q for _, q in ratios], dtype=np.float64)[:, None]
+    if all(q <= 2**64 for _, q in ratios) and arr.dtype.kind in "iu":
+        # every alpha is a multiple of 2^-64: its grid converts to float64
+        # once (correctly rounded), and the scaling by 2^-64 is exact
+        vals = _dilated_grid(arr, alphas).astype(np.float64)
+        vals *= 2.0**-64
     else:
         # q is a power of two, so ((a*p) mod q)/q is one correctly-rounded division
         vals = np.asarray([[((int(a) * p) % q) / q for a in integers] for p, q in ratios],

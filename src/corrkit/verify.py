@@ -404,7 +404,7 @@ def _chk_averaged_hoelder_chain(rng, tier):
 
 
 def _chk_localized_lower_bound_trend(rng, tier):
-    sizes = (10**3, 10**4, 10**5) if tier == "full" else (10**3, 10**4)
+    sizes = (10**3, 10**4, 10**5)
     a, s, k = 0.5, 2.0, 3
     vals = []
     ok = True
@@ -579,7 +579,7 @@ def _chk_dyadic_triple_far(rng, tier):
 
 
 def _chk_density_functional_trend(rng, tier):
-    n = 10**5 if tier == "full" else 2**14
+    n = 10**5
     uni = seqgen.uniform_random(n, int(rng.integers(2**31)))
     dya = seqgen.dyadic_counterexample(n)
     fu = distribution.density_moment_lower_bound(uni, 6, 2)
@@ -596,7 +596,7 @@ def _chk_density_functional_trend(rng, tier):
 
 
 def _chk_nonuniform_pair_excess(rng, tier):
-    n = 10**5 if tier == "full" else 10**4
+    n = 10**5
     half = PointSequence(trial_rng(int(rng.integers(2**31)), 0).random(n) / 2.0)
     r2 = correlations.r_k_distinct(half, (5.0,)).value
     return _result("nonuniform_pair_correlation_excess",

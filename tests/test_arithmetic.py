@@ -480,17 +480,17 @@ def test_trial_grids_are_the_sorted_grids_of_the_fractional_parts(monkeypatch, a
     # seeded draws and alpha = 0, 2^-53, 2^-20 and 1 - 2^-53
     alphas = ([float(trial_rng(1729, t).random()) for t in range(3000)]
               + [0.0, 2.0**-53, 2.0**-20, 1.0 - 2.0**-53])
-    head, real, done = np.asarray(a, dtype=np.int64), arithmetic.self_window_blocks, []
+    head, real, done = np.asarray(a, dtype=np.int64), arithmetic._raw_counts, []
 
-    def spy(grid, arcs):
+    def spy(grid, scales, n, distinct):
         t = sum(done)
         want = core.to_grid(np.sort(exact_frac_parts(head, alphas[t:t + len(grid)]), axis=1))
         assert grid.shape == want.shape and np.array_equal(grid, want), t
         done.append(len(grid))
-        return real(grid, arcs)
+        return real(grid, scales, n, distinct)
 
     _stub_trials(monkeypatch, alphas)
-    monkeypatch.setattr(arithmetic, "self_window_blocks", spy)
+    monkeypatch.setattr(arithmetic, "_raw_counts", spy)
     metric_r3_experiment(a, 0.5, len(a), len(alphas), 1729)
     assert sum(done) == len(alphas) and len(done) > 1
 
@@ -505,19 +505,21 @@ def test_metric_experiment_chunk_edges(monkeypatch):
 
 
 def test_metric_experiment_memory_is_one_chunk():
-    # chunks of 16 rows of 2000 points, about 40 bytes a point, and the
-    # 3-AP count's bit table before them (4.22 MiB with the bool table);
-    # the first call imports numpy.random, which is not the experiment's
+    # chunks of 16 rows of 2000 points, about 33 bytes a point, or 46 for
+    # the wider windows at s = 3 (arithmetic's docstring), and the 3-AP
+    # count's bit table before them (4.22 MiB with the bool table); the
+    # first call imports numpy.random, which is not the experiment's
     squares = [m * m for m in range(1, 2001)]
     metric_r3_experiment(squares, 0.5, 2000, 1, 2901)
-    tracemalloc.start()
-    try:
-        rep = metric_r3_experiment(squares, 0.5, 2000, 200, 2901)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.lower_bound == 2 * 0.5 * 2926 / 2000**2
-    assert peak <= 2.4 * 2**20
+    for s in (0.5, 3.0):
+        tracemalloc.start()
+        try:
+            rep = metric_r3_experiment(squares, s, 2000, 200, 2901)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.lower_bound == 2 * s * 2926 / 2000**2
+        assert peak <= 1.5 * 2**20, s
 
 
 def _trial_rows(rng, rows, n, arc, count=7):

@@ -271,9 +271,9 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
 # of a few points at _BLOCK = 2^15; the weighted sums hold 16 bytes
 # per point besides, their window runs.
 @pytest.mark.parametrize("stat, bound_mib", [
-    (lambda seq: r_k_distinct(seq, (1.0, 1.0)), 4),
-    (lambda seq: r_k_distinct(seq, (1.0, 2.0, 1.0, 2.0)), 4),
-    (lambda seq: r_k_star(seq, (1.0, 1.0)), 4),
+    (lambda seq: r_k_distinct(seq, (1.0, 1.0)), 1),
+    (lambda seq: r_k_distinct(seq, (1.0, 2.0, 1.0, 2.0)), 2.1),
+    (lambda seq: r_k_star(seq, (1.0, 1.0)), 1),
     (lambda seq: c_k_star(seq, (1.0,)), 8),
     (lambda seq: c_k_star(seq, (2.0, 1.0)), 8),
     (lambda seq: c_k_star_local(seq, 1.0, 3, (0.1, 0.9)), 8),

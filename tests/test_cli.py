@@ -508,6 +508,18 @@ def test_verify_checks_without_a_tolerance():
         assert (check.name, check.status, check.tolerance) == (name, "pass", "exact")
 
 
+def test_full_tier_checks_do_not_fail():
+    from corrkit.verify import CHECK_CATALOG, DEFAULT_SEED
+    from corrkit.seqgen import trial_rng
+
+    # the checks only `verify --full` runs, each on its catalog index's stream, as run_verify does
+    checks = [fn(trial_rng(DEFAULT_SEED, index), "full")
+              for index, (tier, fn) in enumerate(CHECK_CATALOG) if tier == "full"]
+    assert [(c.name, c.status) for c in checks] == [
+        ("localized_lower_bound_trend", "report"), ("max_window_count_log_bound", "report"),
+        ("density_functional_trend", "pass"), ("nonuniform_pair_correlation_excess", "pass")]
+
+
 def test_verify_catalog_complete():
     from corrkit.verify import CHECK_CATALOG
 

@@ -217,3 +217,17 @@ def test_trial_rng_streams_independent_and_stable():
     b = trial_rng(9, 1).random(5)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+def test_trial_rng_refuses_a_negative_trial():
+    # numpy's SeedSequence takes no negative entry: both are named before it sees them
+    with pytest.raises(ParameterError, match="^trial must be >= 0, got -1$"):
+        trial_rng(1, -1)
+    with pytest.raises(ParameterError, match="^seed must be >= 0, got -1$"):
+        trial_rng(-1, 0)
+
+
+def test_exact_frac_parts_of_no_alphas_has_no_rows():
+    for ints in ([1, 2], np.array([1, 2], dtype=np.uint64), [2**64 + 1, 5]):
+        got = exact_frac_parts(ints, [])
+        assert got.shape == (0, 2) and got.dtype == np.float64
