@@ -24,15 +24,24 @@ whose pair sums lie in [0, 2 span].  There are three regimes:
   about three float64 arrays of length L.
 - flat: any other span with 2 span at most _FLAT_SUM_LIMIT and at most
   _FLAT_SUM_FACTOR |A|^2 sweeps the unordered pairs once, in blocks of
-  at most core._BLOCK sums (one reused buffer, _pair_sum_blocks): each
-  block of rows with itself at weight 1, then with the columns to its
-  right at weight 2, about |A|^2 / 2 sums for the |A|^2 ordered pairs,
-  O(|A|^2) time.  Energy adds each sum's weight into an int32 table of
-  r over [0, 2 span] (r <= |A| < 2^31; 4 (2 span + 1) bytes).
+  at most core._BLOCK sums (one reused buffer, _pair_sum_blocks): the
+  squares of the blocks of rows with themselves at weight 1, as many to
+  a block as fit (one block of them all when |A| <= core._BLOCK), then
+  each block of rows with the columns to its right at weight 2, about
+  |A|^2 / 2 sums for the |A|^2 ordered pairs, O(|A|^2) time.  Energy
+  adds each sum's weight into an int32 table of r over [0, 2 span]
+  (r <= |A| < 2^31; 4 (2 span + 1) bytes).
 - wide: larger spans (a table much larger than the pair sums it counts)
   count energy from the runs of equal values in one sorted uint64 array
   of the pair sums (8 |A|^2 bytes, one outer sum, refused with
   BudgetError when |A|^2 exceeds the work budget).
+
+Energy's table also gives T(A) = sum_(y in A) r(2y) - |A|
+(_energy_and_aps, which the energy command calls): r(2 d) read off the
+FFT or int32 table, or two searches of 2 d in the sorted pair sums, so
+one table, one FFT and one budget charge serve both counts.  The
+elements of a list, tuple, IntegerSet or integer array are checked by
+array comparisons (_as_elements), any other iterable by IntegerSet.
 
 Off the FFT regime the 3-AP count is split by parity: x + z = 2y forces
 x = z (mod 2), and with x = 2x' + b, z = 2z' + b the midpoint is
@@ -40,7 +49,8 @@ x' + z' + b.  Each parity class b sweeps only its own unordered pairs,
 about |A|^2 / 4 sums in all, looking the midpoints up in a bit table of
 d over [0, span], span/64 + 1 words of 8 bytes (flat), or by binary
 search in d (wide); one class's buffers are freed before the next class
-allocates its own.  The squares 1..2000 peak at 1.4 MiB (flat).
+allocates its own, and class 0 adds no b.  The squares 1..2000 peak at
+1.4 MiB (flat).
 
 The dilation experiment samples uniform alpha, forms {a_m alpha} for the
 first N entries of A, and compares the sample mean of the triple
@@ -88,10 +98,20 @@ class MetricExperimentReport:
 
 
 def _as_elements(a) -> np.ndarray:
-    e = a.elements if isinstance(a, IntegerSet) else IntegerSet(tuple(int(v) for v in a)).elements
+    """A's elements as int64: an IntegerSet's, or those of a list, tuple or
+    1-D integer array, checked by array comparisons, or int() of each
+    entry of any other iterable, checked by IntegerSet; ParameterError
+    unless they are nonempty, positive, strictly increasing and below 2^63."""
+    items = a.elements if isinstance(a, IntegerSet) else a
+    e = np.asarray(items) if isinstance(items, (list, tuple, np.ndarray)) else None
+    if e is None or e.dtype.kind not in "iu" or e.ndim != 1 or not e.size:
+        # floats, strings, generators, nesting and the empty set: IntegerSet's checks
+        e = np.array(IntegerSet(tuple(int(v) for v in items)).elements, dtype=object)
+    elif not (e[0] > 0 and (e[1:] > e[:-1]).all()):
+        raise ParameterError("elements must be strictly increasing and positive")
     if e[-1] >= 2**63:
-        raise ParameterError(f"elements must be below 2^63, got {e[-1]}")
-    return np.asarray(e, dtype=np.int64)
+        raise ParameterError(f"elements must be below 2^63, got {int(e[-1])}")
+    return e.astype(np.int64, copy=False)
 
 
 def _translated(a) -> tuple[np.ndarray, bool]:
@@ -139,22 +159,34 @@ def _fft_pair_sum_counts(d: np.ndarray, length: int) -> np.ndarray:
 
 def _pair_sum_blocks(d: np.ndarray):
     """The sums d_i + d_j of every unordered pair {i, j}, i = j too, once,
-    as (block, weight) with at most core._BLOCK sums per block: each
-    block of rows with itself, every ordered pair of its square, weight
-    1, then with the columns to its right, each pair in one order of
-    the two, weight 2.  About |d| (|d| + rows) / 2 sums in all.  Every
-    block is a view of one reused buffer, valid until the next."""
+    as (block, weight) with at most core._BLOCK sums per block: the
+    squares of the blocks of rows with themselves, every ordered pair of
+    each square, weight 1, as many squares per block as fit (all of them
+    when |d| <= core._BLOCK), then each block of rows with the columns to
+    its right, each pair in one order of the two, weight 2.  About
+    |d| (|d| + rows) / 2 sums in all.  Every block is a view of one
+    reused buffer, valid until the next."""
     n, block = d.size, core._BLOCK
     rows = min(n, max(1, block // n))
     cols = max(1, block // rows)  # all columns at once when n <= block
     buf = np.empty(rows * min(n, cols), dtype=d.dtype)
+    step = buf.size // rows**2 * rows  # the rows whose squares fill one block
+    for r in range(0, n, step):
+        part = d[r:r + step]
+        full = part.size // rows * rows
+        sq = part[:full].reshape(-1, rows)
+        out = buf[:full * rows]
+        np.add(sq[:, :, None], sq[:, None, :], out=out.reshape(-1, rows, rows))
+        tail = part[full:]  # the last block of rows, when shorter
+        end = out.size + tail.size**2
+        np.add(tail[:, None], tail, out=buf[out.size:end].reshape(tail.size, tail.size))
+        yield buf[:end], 1
     for r in range(0, n, rows):
         a = d[r:r + rows, None]
-        spans = [(r, r + rows, 1)] + [(c, c + cols, 2) for c in range(r + rows, n, cols)]
-        for c, e, weight in spans:
-            b = d[None, c:e]
+        for c in range(r + rows, n, cols):
+            b = d[None, c:c + cols]
             out = buf[:a.size * b.size].reshape(a.size, b.size)
-            yield np.add(a, b, out=out).ravel(), weight
+            yield np.add(a, b, out=out).ravel(), 2
 
 
 def _swept_pair_sum_counts(d: np.ndarray) -> np.ndarray:
@@ -166,19 +198,10 @@ def _swept_pair_sum_counts(d: np.ndarray) -> np.ndarray:
     return r
 
 
-def additive_energy(a) -> int:
-    """E(A): exact count of quadruples with a+b = c+d, via pair-sum counts
-    E = sum_sigma r(sigma)^2 with r(sigma) the ordered pairs summing to sigma."""
-    d, flat = _translated(a)
-    if flat:
-        length = _fft_length(d)
-        r = _fft_pair_sum_counts(d, length) if length else _swept_pair_sum_counts(d)
-        return _exact_product_sum([r, r])
-    _charge_budget(d.size**2, "wide additive energy: sorted pair sums |A|^2")
-    sums = (d[:, None] + d).ravel()
-    sums.sort()
-    # r(sigma) are the lengths of the runs of equal sums; a run ends at
-    # each i with sums[i] != sums[i+1], compared core._BLOCK at a time
+def _run_energy(sums: np.ndarray) -> int:
+    """sum_sigma r(sigma)^2 for the sorted pair sums: r(sigma) are the
+    lengths of the runs of equal sums; a run ends at each i with
+    sums[i] != sums[i+1], compared core._BLOCK at a time."""
     energy, run_start, step = 0, 0, core._BLOCK
     for c in range(0, sums.size - 1, step):
         part = sums[c:c + step + 1]
@@ -188,6 +211,32 @@ def additive_energy(a) -> int:
             energy += _exact_product_sum([runs, runs])
             run_start = int(ends[-1])
     return energy + (sums.size - run_start) ** 2
+
+
+def _energy_and_aps(a) -> tuple[int, int]:
+    """(E(A), T(A)) from one table of the ordered pair-sum counts r: E is
+    sum_sigma r(sigma)^2 and T = sum_(y in A) r(2y) - |A|, the pairs
+    x + z = 2y less the |A| with x = z.  The table is energy's, in its
+    regime: one FFT (dense), the int32 sweep (flat), or the sorted pair
+    sums, charged to the work budget, where r(2y) is read off two
+    searches (wide)."""
+    d, flat = _translated(a)
+    if flat:
+        length = _fft_length(d)
+        r = _fft_pair_sum_counts(d, length) if length else _swept_pair_sum_counts(d)
+        return _exact_product_sum([r, r]), int(r[2 * d].sum(dtype=np.int64)) - d.size
+    _charge_budget(d.size**2, "wide additive energy: sorted pair sums |A|^2")
+    sums = (d[:, None] + d).ravel()
+    sums.sort()
+    twice = 2 * d  # below 2^64: every element is below 2^63
+    hits = int((np.searchsorted(sums, twice, "right") - np.searchsorted(sums, twice, "left")).sum())
+    return _run_energy(sums), hits - d.size
+
+
+def additive_energy(a) -> int:
+    """E(A): exact count of quadruples with a+b = c+d, via pair-sum counts
+    E = sum_sigma r(sigma)^2 with r(sigma) the ordered pairs summing to sigma."""
+    return _energy_and_aps(a)[0]
 
 
 def additive_energy_bruteforce(a) -> int:
@@ -213,7 +262,8 @@ def _midpoint_hits(h: np.ndarray, b: int, d: np.ndarray, bits) -> int:
         size = min(h.size**2, core._BLOCK)
         word, bit = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
         for block, weight in _pair_sum_blocks(h):
-            block += b
+            if b:
+                block += b
             w, i = word[:block.size], np.bitwise_and(block, 63, out=bit[:block.size])
             block >>= 6
             np.take(bits, block, out=w, mode="clip")  # every word index is in the table
@@ -222,7 +272,8 @@ def _midpoint_hits(h: np.ndarray, b: int, d: np.ndarray, bits) -> int:
             hits += weight * int(np.count_nonzero(w))
         return hits
     for block, weight in _pair_sum_blocks(h):
-        block += np.uint64(b)
+        if b:
+            block += np.uint64(b)
         # every midpoint is at most span = d[-1], so each search lands inside
         hits += weight * int(np.count_nonzero(d[np.searchsorted(d, block)] == block))
     return hits

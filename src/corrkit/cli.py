@@ -11,6 +11,9 @@ metric and random_correlation_stats, the rows of the weighted tuple sums
 included, and r_k_box's partition terms, Bell(k-1) per anchor whose
 windows can hold a tuple.
 
+The parser is built once per process and reused by every main call;
+energy takes both of its counts off one pair-sum table.
+
 Exit codes: 0 success, 1 failed verify checks, 2 bad parameters,
 3 malformed input file, 4 work budget exceeded, 5 internal consistency
 check failed.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import json
 import re
@@ -170,8 +174,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_energy(args) -> int:
     ints = read_integers(args.input)
-    e = arithmetic.additive_energy(ints)
-    t = arithmetic.three_ap_count(ints)
+    e, t = arithmetic._energy_and_aps(ints)  # one pair-sum table for both counts
     n = len(ints)
     payload = {
         "schema": SCHEMA, "kind": "energy", "size": n,
@@ -379,9 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except FormatError as exc:

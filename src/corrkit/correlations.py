@@ -27,11 +27,13 @@ the counts are those of the stored doubles.
 r_k_distinct and r_k_star share one reduction, _raw_counts, which the
 dilation trials also call on a stack of grids: one window per distinct
 scale and block of anchors from core.self_window_blocks, the block's
-windows freed, then its exact products added up per row.  Their peak
-is the larger of the window search's and 8 (d + k + 1) bytes per
-anchor of a block for d distinct scales, whatever N: under 1 MiB at
-k = 3 and one scale, under 2.1 MiB at k = 5 with two distinct scales
-(0.91 and 2.0 MiB at N = 2^20 and scales 1 and 2).
+windows freed, then its exact products added up per row, the head of
+each product in one accumulator.  A scale of N/2 is the whole circle,
+whose windows are not searched.  Their peak is the larger of the window
+search's and 8 (d + k) bytes per anchor of a block for d distinct
+scales, whatever N: under 1 MiB at k = 3 and one scale, under 1.8 MiB
+at k = 5 with two distinct scales (0.91 and 1.76 MiB at N = 2^20 and
+scales 1 and 2).
 
 r_k_box counts injective slot fillings by Moebius inversion over the
 set partitions of the k-1 slots, in the same blocks of anchors and with
@@ -165,7 +167,8 @@ def _exact_product_sum(factors: list[np.ndarray]):
     and (2^63 - 1) // B along a row, so no partial sum passes 2^63, and
     the chunks' sums are added as Python ints.  Only where one product
     may not fit int64 are they Python ints (object arrays).  An array
-    given as several factors is read, and widened, once per chunk.  A
+    given as several factors is read, and widened, once per chunk, and
+    all factors but the last are multiplied into one accumulator.  A
     lone 1-D factor with 2^32 <= B < 2^63 is summed as its two 32-bit
     halves, so its chunks are not cut to a few entries.
     """
@@ -185,8 +188,13 @@ def _exact_product_sum(factors: list[np.ndarray]):
         part = {key: f[..., i:i + step].astype(object if wide else np.int64, copy=False)
                 for key, f in distinct.items()}
         *head, last = (part[id(f)] for f in factors)
-        sums.append(np.vecdot(functools.reduce(np.multiply, head), last) if head
-                    else last.sum(axis=-1))
+        if not head:
+            sums.append(last.sum(axis=-1))
+            continue
+        acc = head[0] if len(head) == 1 else np.multiply(head[0], head[1])
+        for f in head[2:]:
+            acc *= f  # one accumulator for the head's product, whatever k
+        sums.append(np.vecdot(acc, last))
     total = np.asarray(sums).astype(object).sum(axis=0)
     return total.tolist() if rows else total
 
@@ -204,16 +212,31 @@ def _raw_counts(grid: np.ndarray, scales, n: int, distinct: bool):
     window.  Each block's windows are freed before its exact product
     sums, which are added per row, its distinct factors are clamped in
     place, and its counts are freed before the next block's windows.
+
+    A scale of N/2, grid_arc (1 - 2^63, 2^63), is the whole circle: its
+    z is m around every anchor of a grid of m points, so its slots are
+    the constant factors m or max(m - 1 - t, 0), and no window of it is
+    searched.
     """
-    arcs = sorted(set(scales))
+    m = grid.shape[-1]
+    arcs = {s: grid_arc(-s, s, n) for s in sorted(set(scales))}
+    searched = [s for s, (lo, hi) in arcs.items() if hi - lo < GRID - 1]
     order = sorted(scales) if distinct else scales
+    slots = [(t, s) for t, s in enumerate(order) if s in searched]
+    circle = math.prod(max(m - 1 - t, 0) if distinct else m
+                       for t, s in enumerate(order) if s not in searched)
     total = np.zeros(grid.shape[:-1], dtype=object)  # exact ints, one per row
-    for _, wins in self_window_blocks(grid, [grid_arc(-s, s, n) for s in arcs]):
-        z = {s: end - start for s, (start, end) in zip(arcs, wins)}
-        del wins
-        factors = [z[s] - (1 + t) if distinct else z[s] for t, s in enumerate(order)]
-        total += _exact_product_sum([np.maximum(f, 0, out=f) if distinct else f for f in factors])
-        del z, factors  # before the next block's windows
+    if not slots:  # m anchors, each with the circle's factors alone
+        total += m
+    else:
+        for _, wins in self_window_blocks(grid, [arcs[s] for s in searched]):
+            z = {s: end - start for s, (start, end) in zip(searched, wins)}
+            del wins
+            factors = [z[s] - (1 + t) if distinct else z[s] for t, s in slots]
+            total += _exact_product_sum([np.maximum(f, 0, out=f) if distinct else f
+                                         for f in factors])
+            del z, factors  # before the next block's windows
+    total *= circle
     return total.tolist()
 
 

@@ -355,8 +355,21 @@ def write_points(path, seq: PointSequence) -> None:
 
 
 def read_integers(path) -> list[int]:
+    """The integers of an integer file, as Python ints; FormatError naming
+    the line where the file breaks the format.  A file of digits and line
+    breaks only is converted by one int() per line with no str made; any
+    other byte, or a check that fails, sends it to the line loop, so
+    every FormatError names its line the same way."""
+    data = _lines(path)
+    if not data.translate(None, b"0123456789\n"):
+        try:
+            vals = list(map(int, data.split()))
+        except ValueError:  # past int()'s digit limit: the loop names the line
+            vals = []
+        if vals and first_out_of_order(vals) is None:
+            return vals
     vals, linenos = [], []
-    for lineno, raw in enumerate(_lines(path).split(b"\n"), start=1):
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
         line = _stripped(path, lineno, raw)
         if not line or line[0] == "#":
             continue

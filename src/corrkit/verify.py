@@ -34,6 +34,7 @@ from .core import (
     stirling_second,
     to_grid,
 )
+from .errors import ParameterError
 from .seqgen import trial_rng
 
 DEFAULT_SEED = 1729
@@ -690,7 +691,7 @@ def run_verify(tier: str = "quick", seed: int = DEFAULT_SEED) -> VerifyReport:
     small oracles; tier='full' runs everything including the N = 1e5
     statistical checks."""
     if tier not in ("quick", "full"):
-        raise ValueError("tier must be 'quick' or 'full'")
+        raise ParameterError(f"tier must be 'quick' or 'full', got {tier!r}")
     report = VerifyReport(tier=tier, seed=int(seed))
     for idx, (check_tier, fn) in enumerate(CHECK_CATALOG):
         if tier == "quick" and check_tier == "full":

@@ -105,6 +105,72 @@ def test_fft_cost_rule_boundary_and_benchmark_shape(monkeypatch):
         assert _counts(a, monkeypatch, _force_fft) == _counts(a, monkeypatch, lambda d: 0)
 
 
+def test_one_table_gives_both_counts_in_every_regime(monkeypatch):
+    # E(A) and T(A) off one pair-sum table (FFT, int32 sweep or sorted
+    # sums) equal the separate counts and both oracles: |A| = 1 and 2,
+    # sets near 2^62 and 2^63, a range, squares and random sets, in each
+    # regime the set can take
+    rng = np.random.default_rng(36)
+    sets = [[7], [3, 4], [5, 9], [2**62, 2**62 + 1, 2**62 + 2], [1, 2**40, 2**62, 2**63 - 1],
+            [10**9 + 1, 10**9 + 5, 10**9 + 9], list(range(1, 20)), [m * m for m in range(1, 25)]]
+    sets += [np.unique(rng.integers(1, 200, 25)).tolist() for _ in range(4)]
+    regimes = {"dense": (_force_fft, arithmetic._FLAT_SUM_LIMIT),
+               "flat": (lambda d: 0, arithmetic._FLAT_SUM_LIMIT),
+               "wide": (arithmetic._fft_length, 0)}
+    for a in sets:
+        want = additive_energy_bruteforce(a), three_ap_count_bruteforce(a)
+        flat = arithmetic._translated(a)[1]
+        for name, (fft_length, limit) in regimes.items():
+            if flat or name == "wide":
+                monkeypatch.setattr(arithmetic, "_fft_length", fft_length)
+                monkeypatch.setattr(arithmetic, "_FLAT_SUM_LIMIT", limit)
+                assert arithmetic._energy_and_aps(a) == want, (a, name)
+                assert (additive_energy(a), three_ap_count(a)) == want, (a, name)
+
+
+def _elements_by_loop(a):
+    """_as_elements by one int() per element and IntegerSet's checks."""
+    e = a.elements if isinstance(a, IntegerSet) else IntegerSet(tuple(int(v) for v in a)).elements
+    if e[-1] >= 2**63:
+        raise ParameterError(f"elements must be below 2^63, got {e[-1]}")
+    return np.asarray(e, dtype=np.int64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [1, 5, 9], lambda: (2, 3), lambda: IntegerSet((4, 2**62)), lambda: [True, 2],
+    lambda: np.array([1, 2, 3]), lambda: np.array([1, 2**63 - 1], dtype=np.uint64),
+    lambda: np.array([7], dtype=np.int32), lambda: (x for x in (1, 2, 3)), lambda: ["1", "2"],
+    lambda: [1.5, 2.7], lambda: np.array([1.0, 2.0]), lambda: [0, 1], lambda: [-5, 3],
+    lambda: [1, 1], lambda: (3, 2), lambda: np.array([5, 3], dtype=np.uint64),
+    lambda: [1, 2**63], lambda: np.array([1, 2**63], dtype=np.uint64), lambda: [2**64, 2**65],
+    lambda: IntegerSet((1, 2**64)), lambda: [], lambda: np.array([], dtype=np.int64),
+    lambda: np.array([[1, 2]]),
+])
+def test_elements_are_checked_as_the_loop_checks_them(make):
+    def outcome(elements):
+        try:
+            e = elements(make())
+            return e.dtype, e.tolist()
+        except (ParameterError, TypeError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(arithmetic._as_elements) == outcome(_elements_by_loop)
+
+
+def test_element_lists_and_arrays_take_no_loop(monkeypatch):
+    from corrkit import seqgen
+
+    def no_loop(ints):
+        raise AssertionError("the elements were checked one at a time")
+
+    monkeypatch.setattr(seqgen, "first_out_of_order", no_loop)
+    a = [m * m for m in range(1, 2001)]
+    for given in (a, tuple(a), np.array(a), np.array(a, dtype=np.uint64)):
+        assert arithmetic._as_elements(given).tolist() == a
+    with pytest.raises(AssertionError, match="one at a time"):
+        arithmetic._as_elements(iter(a))
+
+
 def test_dense_set_skips_the_pair_sweep(monkeypatch):
     def no_sweep(d):
         raise AssertionError("the pair-sum sweep ran on a dense set")
@@ -633,6 +699,22 @@ def test_wide_trial_windows_take_no_passes(monkeypatch):
         arc = grid_arc(-s, s, n)
         _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, alone=False)
     assert searched == [(shape, shape, "right") for shape in ((7, 50), (20, 500), (16, 1000))]
+
+
+def test_half_lap_windows_take_no_search(monkeypatch):
+    # s = N/2 is grid_arc (1 - 2^63, 2^63), the whole circle: z = N around
+    # every anchor, so N R_3 = N (N - 1) (N - 2) with no window searched
+    def no_search(*args):
+        raise AssertionError("a window was searched")
+
+    monkeypatch.setattr(core, "_unrolled_search", no_search)
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, 50, 500):
+        assert grid_arc(-n / 2, n / 2, n) == (1 - 2**63, 2**63)
+        seq = PointSequence(rng.random(n))
+        assert r_k_distinct(seq, (n / 2, n / 2)).raw_count == n * (n - 1) * (n - 2)
+    rep = metric_r3_experiment(integer_range(500), 250.0, 500, 20, 1729)
+    assert (rep.mean, rep.variance, rep.fraction_above_poisson) == (499 * 498, 0.0, 0.0)
 
 
 def test_metric_experiment_validation(monkeypatch):

@@ -289,6 +289,44 @@ def test_energy_consistency_error_exit_code(integers_file, capsys, monkeypatch):
     assert "consistency" in capsys.readouterr().err
 
 
+def test_energy_takes_one_fft_for_both_counts(integers_file, capsys, monkeypatch):
+    # 1..128 is dense: E(A) and T(A) come off one FFT pair-sum table
+    rfft, calls = np.fft.rfft, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    assert main(["energy", "--input", str(integers_file)]) == 0
+    assert calls == [256]
+    e = json.loads(capsys.readouterr().out)
+    assert (e["additive_energy"], e["three_ap_count"]) == (128 * 129 * 257 // 3 - 128**2, 2 * 64 * 63)
+
+
+def test_main_builds_one_parser(integers_file, capsys, monkeypatch):
+    from corrkit import cli
+
+    assert main(["energy", "--input", str(integers_file)]) == 0
+
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(["energy", "--input", str(integers_file)]) == 0
+    assert main(["metric", "--input", str(integers_file), "--s", "0.2", "--n", "128",
+                 "--trials", "2"]) == 0
+    first, second, metric = capsys.readouterr().out.splitlines()
+    assert first == second and json.loads(metric)["kind"] == "metric"
+
+
+def test_unknown_verify_tier_is_a_parameter_error():
+    from corrkit import run_verify
+
+    with pytest.raises(ParameterError, match="tier must be 'quick' or 'full', got 'fast'"):
+        run_verify(tier="fast")
+
+
 def test_dist_reports_masses(points_file, capsys):
     assert main(["dist", "--input", str(points_file), "--r", "2", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -174,6 +174,18 @@ def test_oracle_equivalence_with_duplicates():
         assert r_k_star(seq, sc).raw_count == brute_force_r_k(seq, scales=sc, star=True).raw_count
 
 
+def test_half_lap_slots_beside_searched_ones():
+    # s = N/2, the whole circle, in each slot beside searched scales, on
+    # points with duplicates too: its slots are constant factors
+    rng = np.random.default_rng(38)
+    for n in (2, 3, 7, 20):
+        for points in (rng.random(n), rng.integers(0, 4, n) / 4.0):
+            seq = PointSequence(points)
+            for sc in ((n / 2, 1.0), (1.0, n / 2, 0.5), (n / 2, n / 2, 0.7), (0.3, n / 2, n / 2)):
+                assert r_k_distinct(seq, sc).raw_count == brute_force_r_k(seq, scales=sc).raw_count
+                assert r_k_star(seq, sc).raw_count == brute_force_r_k(seq, scales=sc, star=True).raw_count
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=2, max_size=16),

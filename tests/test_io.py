@@ -5,6 +5,7 @@ share the line model: their lines and faults too.  write_points must
 write the bytes of its header and repr's line for each point."""
 
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -112,6 +113,54 @@ def test_rejected_integer_files_name_the_line(tmp_path, text, message):
 def test_integer_lines_are_those_of_the_text(tmp_path):
     path = _write(tmp_path, "# h\r\n\t1 \r\n\r\n 2\x0c5\u20287\x85\xa011\xa0\r10000000000000000000000\n")
     assert read_integers(path) == [1, 2, 5, 7, 11, 10**22]
+
+
+def _integers_or_fault(path):
+    try:
+        return read_integers(path)
+    except FormatError as exc:
+        return str(exc).replace(str(path), "<path>")
+
+
+def test_digit_only_integer_files_read_as_the_line_loop(tmp_path, monkeypatch):
+    # random files of digits and '\n' only, against the same lines and a
+    # comment after them, which take the line loop: the same integers, or
+    # the same FormatError naming the same line.  Only a file that passes
+    # every check skips the loop's per-line decode.
+    stripped, decoded = io._stripped, []
+
+    def counting(*args):
+        decoded.append(args[1])
+        return stripped(*args)
+
+    monkeypatch.setattr(io, "_stripped", counting)
+    rng = random.Random(36)
+    fast = 0
+    for trial in range(300):
+        v, lines = 0, []
+        for _ in range(rng.randrange(12)):
+            kind = rng.randrange(20)
+            if kind == 0:
+                lines.append("")
+                continue
+            # a repeat, zero, a step back, or a step up, now and then past 2^64
+            step = rng.randrange(1, 10**rng.randrange(1, 25))
+            v = (v, 0, max(v - 1, 0))[kind - 1] if kind < 4 else v + step
+            lines.append("0" * rng.randrange(2) + str(v))  # a leading zero or none
+        text = "\n".join(lines) + "\n" * rng.randrange(3)
+        digits, commented = tmp_path / "digits.txt", tmp_path / "commented.txt"
+        digits.write_text(text)
+        commented.write_text(text + "\n# end\n")
+        decoded.clear()
+        got = _integers_or_fault(digits)
+        ok = not decoded
+        assert got == _integers_or_fault(commented), text
+        assert ok == isinstance(got, list), text
+        fast += ok
+    big = tmp_path / "big.txt"  # past int()'s 4300 digits: the line loop names the line
+    big.write_text("1\n" + "2" * 5000 + "\n")
+    assert _integers_or_fault(big).startswith("<path>:2: not an integer: '2222")
+    assert 100 < fast < 250
 
 
 @pytest.mark.parametrize("text, points", [
