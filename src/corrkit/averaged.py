@@ -29,36 +29,55 @@ one copy across a lap's end, split into limbs by _unrolled_limb) from
 cursors to its last start, anchor and end: one run
 about B + w long for windows of at most w points where the three
 overlap (windows of up to about 2B points, the common case), three runs
-about B long each where they do not (see _overlap_sums).  The peak is
-about 80 B bytes on one limb (88 B once the windows are searched, past
-the neighbour passes), 97 B and 32 more per run position past B on two,
-and 32 B more for each further distinct scale: 2.5 MiB for windows of a
-few points, 2.8 MiB up to about a hundred, 3.1 MiB for a few thousand,
-at most 5.0 MiB where the runs still merge (runs of up to 3B) and
-4.0 MiB for wider windows, up to the whole circle, whatever N
-(measured at N = 2^20; the first block's runs start at its own start,
-anchor and end, like every other block's).
-The anchor products are reduced block by block with
-core.exact_chunk_sum, equal to math.fsum: exactly rounded and therefore
-deterministic independent of evaluation order.
+about B long each where they do not (see _overlap_sums).
+
+Nothing is rounded before the end.  With s 2^64 = a/b in lowest terms
+(_kernel), A_i = a cnt_i - b N D_i = b N 2^64 L_i is an integer, at
+least 0, so
+
+    C_k* = N^(k-2) sum_i prod_r A_i(s_r) / prod_r (b_r N 2^64),
+
+one Python int over another, rounded once (_c_k_star_exact gives the
+Fraction).  Each block hands A_i to correlations._exact_product_sum as
+a linear form in the 24-bit limbs of cnt_i and D_i, 32 bytes per anchor
+(40 where D_i passes 2^72): k = 2 sums each limb, k = 3 takes one
+vecdot per pair of limbs, and k >= 4 multiplies the head factors in
+limbs, sub-block by sub-block.  So C_k* and its localized sum are the
+exactly rounded values of the integral, whatever the ties.
+
+The peak is the prefix sums' while a block's distances are formed:
+about 64 B bytes on one limb, and 32 B more for each further distinct
+scale, the same at every order (measured at N = 2^20: 2.0 MiB for
+windows of a few points, k = 2 to 16; 2.3 MiB up to about a hundred,
+2.8 MiB on two limbs for a few thousand, at most 4.4 MiB where the runs
+still merge and 4.0 MiB for wider windows, up to the whole circle,
+whatever N).  At N = 2^20 uniform, s = 1, c_k_star takes about as long
+as the rounded float sums it replaced at k = 2 and 3 (34-40 ms), and
+3x, 5x and 55x as long at k = 4, 5 and 16, where the head's limbs grow
+with k (2-core x86_64, min of 5 interleaved calls).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from . import core
-from .core import PointSequence, check_scale, exact_chunk_sum, grid_arc, self_window_blocks
-from .correlations import _as_scales
+from .core import PointSequence, check_scale, grid_arc, self_window_blocks
+from .correlations import _LIMB, _as_scales, _carry, _exact_product_sum, _limb_count, _limbs
 from .errors import ParameterError
 
 
 def _overlap_sums(g: np.ndarray, s: float, n: int):
-    """L(c) = sum_j {s/N - ||p_j - c||}^+ for every c in the sorted grid g
-    (the whole grid or a slice of it), from prefix sums of the grid: yields
-    one array per block of anchors (core.self_window_blocks).
+    """The exact parts of L(c) = sum_j {s/N - ||p_j - c||}^+ for every c in
+    the sorted grid g (the whole grid or a slice of it), from prefix sums
+    of the grid: yields per block of anchors (core.self_window_blocks) an
+    int64 array of shape (anchors, limbs), each anchor's row the 24-bit
+    limbs of cnt_i, then those of D_i (as many as cnt_i <= m and
+    D_i <= (m - 1) R need), least significant first; each limb is a
+    contiguous column, and b N 2^64 L_i = a cnt_i - b N D_i (_kernel).
 
     Unrolled around the circle, anchor i's occupants are the run
     [start, end) of the grid with laps added, start <= i < end, so
@@ -84,21 +103,21 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
     Every occupant is within R = grid_arc(-s, s, N)[1] of the anchor, so
     D_i <= (cnt_i - 1) R.  A block whose windows all keep that below 2^64
     takes one uint64 limb with wrapping sums: a lap is 2^64 and vanishes,
-    the sums work on the grid itself, and the one cast of the exact D_i
-    to float64 is correctly rounded.  That is every block of windows of
-    fewer than N/s + 1 points, as for uniform points at s below about
+    and the sums work on the grid itself.  That is every block of windows
+    of fewer than N/s + 1 points, as for uniform points at s below about
     sqrt(N/2).  Any other block splits the grid into two 32-bit limbs, a
     lap adding 2^32 to the high one, and each limb's sums are int64,
-    below 2^63 while a run is shorter than 2^30.  The low limb is carried
-    into the high one, and D_i is converted as float(hi) 2^32 + lo: one
-    rounding while hi < 2^53, as always for windows of fewer than 2^22
-    points.  Both give D_i's nearest double, so the regime, which each
-    block takes from its own windows, never changes a bit.  On one limb a
-    block holds one prefix sum and one array of D_i, not two of each and
-    the limbs: c_k_star's peak at N = 2^20 is 2.5 MiB for windows of a
-    few points, against 3.1 MiB on two limbs for windows of a few thousand.
+    below 2^63 while a run is shorter than 2^30, and the two are carried
+    into 24-bit limbs (correlations._carry).  Both give D_i exactly, so
+    the regime, which each block takes from its own windows, never
+    changes a bit.  On one limb a block holds one prefix sum and one
+    array of D_i, not two of each and the limbs: c_k_star's peak at
+    N = 2^20 is 2.0 MiB for windows of a few points, against 2.8 MiB on
+    two limbs for windows of a few thousand.  A block's limbs are freed
+    before the next block's sums.
     """
     r = grid_arc(-s, s, n)[1]
+    rows, split = len(_kernel(s, n, g.size)[0]), _limb_count(g.size)
     cursors = None
     for b, [(start, end)] in self_window_blocks(g, [grid_arc(-s, s, n)]):
         if cursors is None:  # the first block's own start, anchor and end
@@ -106,7 +125,30 @@ def _overlap_sums(g: np.ndarray, s: float, n: int):
             carry = _window_carry(g, *cursors)
         limbs = (None,) if (int((end - start).max()) - 1) * r < core.GRID else (0, 1)
         d, carry = _block_distances(g, b, start, end, cursors, carry, limbs)
-        yield s / n * (end - start) - d * 2.0**-64  # cnt not held through the sums
+        out = np.empty((rows, start.size), dtype=np.int64)
+        _limbs(end - start, out[:split])
+        del start, end  # not held through the limbs
+        if len(d) == 1:
+            _limbs(d.pop(), out[split:])
+        else:  # D = hi 2^32 + low: the columns low, (hi mod 2^16) 2^8 and hi / 2^16, carried
+            hi, low = d
+            out[split:] = 0
+            out[split], out[split + 1], out[split + 2] = low, (hi & 0xFFFF) << 8, hi >> 16
+            del hi, low, d  # before the carries
+            _carry(out[split:])
+        yield out.T
+        del out  # not held through the next block's sums
+
+
+def _kernel(s: float, n: int, m: int) -> tuple[list[int], int]:
+    """The coefficients of _overlap_sums' limbs over a grid of m points,
+    those of cnt_i <= m, then of D_i <= (m - 1) R, and the denominator
+    b N 2^64, for s 2^64 = a/b in lowest terms: b N 2^64 L_i =
+    a cnt_i - b N D_i, at least 0, as every occupant adds at most a."""
+    a, b = (Fraction(s) * core.GRID).as_integer_ratio()
+    return ([a << _LIMB * t for t in range(_limb_count(m))]
+            + [-b * n << _LIMB * t for t in range(_limb_count((m - 1) * grid_arc(-s, s, n)[1]))],
+            b * n * core.GRID)
 
 
 def _window_carry(g: np.ndarray, cs: int, ca: int, ce: int) -> int:
@@ -122,11 +164,12 @@ def _window_carry(g: np.ndarray, cs: int, ca: int, ce: int) -> int:
 
 
 def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
-                     cursors: list[int], carry: int, limbs) -> tuple[np.ndarray, int]:
-    """D_i, rounded to float64, of the anchors b, b+1, ... of one block
-    (see _overlap_sums), in the limbs (None,), one wrapping uint64, or
-    (0, 1), the high and low 32 bits; moves the cursors to the block's
-    last start, anchor and end, and returns K for them, exactly.
+                     cursors: list[int], carry: int, limbs) -> tuple[list, int]:
+    """D_i, exactly, of the anchors b, b+1, ... of one block (see
+    _overlap_sums), in the limbs (None,), one wrapping uint64, or (0, 1),
+    int64 hi and low, D_i = hi 2^32 + low with low below 2^32; moves the
+    cursors to the block's last start, anchor and end, and returns K for
+    them, exactly.
 
     Where the three runs overlap, each limb's prefix sums are built once
     over their union [start cursor, last end): with one origin, K's terms
@@ -162,15 +205,11 @@ def _block_distances(g: np.ndarray, b: int, start: np.ndarray, end: np.ndarray,
             d += k[limb]
         sums.append(d)
     cursors[:] = ls, la, le
-    if limbs == (None,):
-        [d] = sums
-        last, dist = int(d[-1]), d.astype(np.float64)
-    else:
-        hi, low = sums
-        hi += low >> 32
-        low &= 0xFFFFFFFF
-        last, dist = (int(hi[-1]) << 32) + int(low[-1]), hi * 2.0**32 + low
-    return dist, last + (ls + le - 2 * la) * int(g[la])
+    if len(sums) == 2:  # D_i = hi 2^32 + low, with low below 2^32
+        sums[0] += sums[1] >> 32
+        sums[1] &= 0xFFFFFFFF
+    last = sum(int(x[-1]) << 32 * t for t, x in enumerate(reversed(sums)))  # the last anchor's D_i
+    return sums, last + (ls + le - 2 * la) * int(g[la])
 
 
 def _unrolled_limb(g: np.ndarray, first: int, last: int, limb) -> np.ndarray:
@@ -198,23 +237,29 @@ def _prefix(x: np.ndarray) -> np.ndarray:
     return p
 
 
+def _c_k_star_exact(g: np.ndarray, scales, n: int) -> Fraction:
+    """N^(k-2) sum_i prod_r L_i(s_r) over the anchors of g, the sorted
+    grid or a slice of it, exactly: each L_i(s) is the linear form of
+    _overlap_sums' limbs with _kernel's coefficients over its
+    denominator."""
+    sums = {s: _overlap_sums(g, s, n) for s in set(scales)}
+    kernels = {s: _kernel(s, n, g.size) for s in sums}
+    total = 0
+    # map, not zip: zip's reused tuple would hold a block through the next one's sums
+    for block in map(lambda *x: x, *sums.values()):
+        forms = {s: (kernels[s][0], x.T) for s, x in zip(sums, block)}  # a scale repeated is one factor
+        total += _exact_product_sum([forms[s] for s in scales])
+        del block, forms  # not held while the next block is summed
+    return Fraction(n ** (len(scales) - 1) * total, math.prod(kernels[s][1] for s in scales))
+
+
 def c_k_star(seq: PointSequence, scales, k=None) -> float:
     """N^(k-2) sum_i prod_r L_i(s_r); equals the integral of R_k* over
     the scale box."""
     scales = _as_scales(scales, k)
-    n = len(seq)
-    kk = len(scales) + 1
     for s in scales:
-        check_scale(s, n)
-
-    def products():
-        sums = {s: _overlap_sums(seq.sorted_grid, s, n) for s in set(scales)}
-        for block in zip(*sums.values()):
-            ls = dict(zip(sums, block))
-            yield math.prod(ls[s] for s in scales)
-            del block, ls  # not held while the next block is summed
-
-    return float(n ** (kk - 2)) * exact_chunk_sum(products)
+        check_scale(s, len(seq))
+    return float(_c_k_star_exact(seq.sorted_grid, scales, len(seq)))
 
 
 def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
@@ -231,10 +276,4 @@ def c_k_star_local(seq: PointSequence, s: float, k: int, interval) -> float:
     a, b = np.searchsorted(seq.sorted_points, (lo, hi), side="left")
     if a == b:
         return 0.0
-
-    def powers():
-        for ls in _overlap_sums(seq.sorted_grid[a:b], s, n):
-            yield ls ** (k - 1)
-            del ls  # not held while the next block is summed
-
-    return float(n ** (k - 2)) * exact_chunk_sum(powers)
+    return float(_c_k_star_exact(seq.sorted_grid[a:b], (s,) * (k - 1), n))

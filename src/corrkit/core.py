@@ -36,7 +36,7 @@ the differences and mask, 8 more where the slice is a copy: a stack,
 or a block at either end of the grid), plus binary searches for only
 the anchors whose windows are still open after them: for windows of a
 few points, hardly any.  A grid in one block whose windows are wider
-(2 or more points a side on average) takes no passes: one search of
+(4 or more points a side on average) takes no passes: one search of
 the ends, and the starts read off the ends' counts.
 self_window_blocks takes one sorted grid, shape (m,), or a stack of
 them, shape (c, m), one grid per row and each its own circle, in blocks
@@ -48,9 +48,13 @@ from arc_window.  Every search of a window end is one routine,
 _unrolled_search, on the same rows, a view of the grid or stack, and
 every range of unrolled positions is read by one, unrolled.
 
-Float results that sum many terms use exact_sum, math.fsum's correctly
-rounded sum computed by error-free extraction passes over blocks of the
-terms, so they do not depend on the order of the terms.
+Float results that sum many terms, the weighted tuple sums
+(exact_chunk_sum) and the dyadic moments of distribution, use exact_sum,
+math.fsum's correctly rounded sum computed by error-free extraction
+passes over blocks of the terms, so they do not depend on the order of
+the terms.  The window statistics need no float sum: their counts are
+exact integers, and c_k_star and the moments of F exact rationals
+rounded once.
 """
 
 from __future__ import annotations
@@ -260,13 +264,15 @@ def _passed_window(grid: np.ndarray, b: int, size: int, r: int):
     A block of whole grids (b = 0, size = m) with r < 2^63 whose windows
     all are still open searches only the ends, one search per grid, and
     reads every start off them (_starts_off_ends).  Its passes pay only
-    while hardly any of its windows outlasts them, so it takes none when
-    its windows would hold 2 or more points a side on average
-    (r m >= 2^65).
+    while few of its windows outlast them, so it takes none when its
+    windows would hold 4 or more points a side on average (r m >= 2^66,
+    half of _PASS_CAP): at s = 3 the passes take half the time of the
+    search, from s = 8 on the search wins (r_k_distinct on N = 2e4 and
+    metric_r3_experiment, 2-core x86_64).
     """
     m = grid.shape[-1]
     whole = size == m and r < _HALF  # then the starts can be read off the ends
-    cap = 0 if whole and r * m >= 2 * GRID else min(_PASS_CAP, m - 1)
+    cap = 0 if whole and r * m >= 4 * GRID else min(_PASS_CAP, m - 1)
     rows = grid.reshape(-1, m)  # a view, one row for one grid
     # the passes each anchor's end and start moved, and masks of the
     # anchors whose end, start may still grow

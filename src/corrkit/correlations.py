@@ -33,7 +33,10 @@ whose windows are not searched.  Their peak is the larger of the window
 search's and 8 (d + k) bytes per anchor of a block for d distinct
 scales, whatever N: under 1 MiB at k = 3 and one scale, under 1.8 MiB
 at k = 5 with two distinct scales (0.91 and 1.76 MiB at N = 2^20 and
-scales 1 and 2).
+scales 1 and 2).  Every exact sum of products in corrkit (these counts,
+r_k_box's, arithmetic's energy, intervalstats' tent sums and averaged's
+C_k*) is _exact_product_sum: int64 where the products and their chunks'
+sums fit, 24-bit limbs past that, never an array of Python ints.
 
 r_k_box counts injective slot fillings by Moebius inversion over the
 set partitions of the k-1 slots, in the same blocks of anchors and with
@@ -158,35 +161,36 @@ def _check_radius(radius: float, n: int) -> None:
     check_half((radius,), n, "support radius {b} > N/2 = {half}")
 
 
-def _exact_product_sum(factors: list[np.ndarray]):
+def _exact_product_sum(factors: list):
     """sum_i prod_r factors[r][..., i] over the last axis, as exact Python
-    ints: one int for 1-D factors, a list of ints for rows.
+    ints: one int for 1-D factors, a list of ints for rows.  A factor is
+    an array of nonnegative ints or, for values past int64, a linear form
+    (coefs, x): ints c_t and an int64 array x of shape (len(coefs), ...)
+    with entries within [-8, 2^24 + 8), for sum_t c_t x[t], nonnegative
+    at every entry (averaged's b N 2^64 L_i, from the limbs of cnt_i and
+    D_i).
 
     With B the product of the factors' largest values, the products are
     int64 when B < 2^63, summed in chunks of at most core._BLOCK entries
     and (2^63 - 1) // B along a row, so no partial sum passes 2^63, and
-    the chunks' sums are added as Python ints.  Only where one product
-    may not fit int64 are they Python ints (object arrays).  An array
-    given as several factors is read, and widened, once per chunk, and
-    all factors but the last are multiplied into one accumulator.  A
-    lone 1-D factor with 2^32 <= B < 2^63 is summed as its two 32-bit
-    halves, so its chunks are not cut to a few entries.
+    the chunks' sums are added as Python ints.  An array given as several
+    factors is read, and widened, once per chunk, and all factors but the
+    last are multiplied into one accumulator.
+
+    Every other sum (a linear form, B >= 2^63, or a lone factor whose
+    chunks would be cut) is taken in 24-bit limbs (_limb_product_sum).
     """
     distinct = {id(f): f for f in factors}  # a repeated array, as r in sum r^2, is read once
-    top = {key: max(int(f.max(initial=0)), 1) for key, f in distinct.items()}
-    bound = math.prod(top[id(f)] for f in factors)
-    if len(factors) == 1 and factors[0].ndim == 1 and 2**32 <= bound < 2**63:
-        return ((_exact_product_sum([factors[0] >> 32]) << 32)
-                + _exact_product_sum([factors[0] & 0xFFFFFFFF]))
-    *rows, n = factors[0].shape
-    wide = bound >= 2**63
+    *rows, n = factors[0][1].shape[1:] if isinstance(factors[0], tuple) else factors[0].shape
     step = max(1, core._BLOCK // math.prod(rows))
-    if not wide:
-        step = min(step, (2**63 - 1) // bound)
+    top = {key: max(int(f.max(initial=0)), 1) for key, f in distinct.items() if not isinstance(f, tuple)}
+    bound = math.prod(top.get(id(f), 2**63) for f in factors)  # a linear form is past int64
+    if bound * (step if len(factors) == 1 else 1) >= 2**63:
+        return _limb_product_sum(factors, distinct, top, rows, n, step)
+    step = min(step, (2**63 - 1) // bound)
     sums = []
     for i in range(0, max(n, 1), step):
-        part = {key: f[..., i:i + step].astype(object if wide else np.int64, copy=False)
-                for key, f in distinct.items()}
+        part = {key: f[..., i:i + step].astype(np.int64, copy=False) for key, f in distinct.items()}
         *head, last = (part[id(f)] for f in factors)
         if not head:
             sums.append(last.sum(axis=-1))
@@ -197,6 +201,118 @@ def _exact_product_sum(factors: list[np.ndarray]):
         sums.append(np.vecdot(acc, last))
     total = np.asarray(sums).astype(object).sum(axis=0)
     return total.tolist() if rows else total
+
+
+# bits per limb of the exact sums past int64: two limbs multiply below
+# 2^48, and 2^14 such products sum below 2^62
+_LIMB = 24
+_LIMB_MASK = (1 << _LIMB) - 1
+
+
+def _limb_count(top: int) -> int:
+    """Limbs of 24 bits that hold the ints 0, ..., top."""
+    return max(1, -(-top.bit_length() // _LIMB))
+
+
+def _limb_product_sum(factors, distinct, top, rows, n, step):
+    """_exact_product_sum past int64, on linear forms of 24-bit limbs.
+
+    An array factor becomes the form of its limbs (_limbs), 2^(24 t)
+    times limb t.  A lone factor sums each row of its form.  Otherwise
+    the product is bilinear in the last factor and the product of the
+    others, the head: one vecdot per row of the head, broadcast over the
+    rows of the last factor, takes the sums of all the pairs of rows, in
+    sub-blocks of at most 2^14 entries of a row.  A head of one factor is
+    its own form, so two factors take no limbs of their products, and a
+    square takes each pair of rows once.  A head of several is
+    multiplied in limbs: each distinct factor's form is carried into
+    limbs once per sub-block, its rows times the signed 24-bit limbs of
+    their coefficients added up and carried (_carry), and each product is
+    a limb convolution (_times).  The sub-blocks shrink as the head's limbs
+    grow, 2^15 entries in all of its limb rows, so its temporaries take
+    a few bytes per entry of a block at every order (c_k_star's peak is
+    2.0 MiB at N = 2^20 for k = 2 to 16).
+    """
+    forms = {key: f if isinstance(f, tuple) else
+             ([1 << _LIMB * t for t in range(_limb_count(top[key]))],
+              _limbs(f, np.empty((_limb_count(top[key]), *f.shape), dtype=np.int64)))
+             for key, f in distinct.items()}
+    *head, last = (forms[id(f)] for f in factors)
+    coefs, y = last
+    widths = {id(f): _limb_count(max(map(abs, f[0]))) + 2 for f in head}  # rows of a factor's limbs
+    step = (max(1, min(step, 2**14) * 2 // sum(widths[id(f)] for f in head)) if len(head) > 1
+            else 2**14 if head else max(n, 1))
+    square = len(head) == 1 and head[0] is last  # then each pair of rows once
+    total = 0
+    for i in range(0, max(n, 1), step):
+        at = (..., slice(i, i + step))
+        if not head:  # entries within 2^24 + 8 sum below 2^63 in any row
+            pairs, sums = coefs, y.sum(axis=-1)
+        else:
+            if len(head) == 1:
+                hc, hx = head[0][0], head[0][1][at]
+            else:
+                limbs = {key: _carry(_columns(f, at, widths[key]))
+                         for key, f in {id(f): f for f in head}.items()}  # a repeated factor once
+                hx = functools.reduce(_times, (limbs[id(f)] for f in head))
+                hc = [1 << _LIMB * t for t in range(len(hx))]
+                del limbs
+            pairs = [c * d * (1 + (square and u < v)) for u, c in enumerate(hc) for v, d in enumerate(coefs)
+                     if not square or u <= v]
+            sums = np.concatenate([np.vecdot(h, y[at][u if square else 0:]) for u, h in enumerate(hx)])
+            del hx  # before the next sub-block's limbs
+        total += np.dot(np.array(pairs, dtype=object), sums.reshape(len(pairs), -1).astype(object))
+    return total.tolist() if rows else int(total[0])
+
+
+def _columns(form, at, width: int) -> np.ndarray:
+    """The columns, shape (width, ...), of a linear form (coefs, x) at the
+    entries at: each row x[t] times the signed 24-bit limbs of its
+    coefficient, added up by limb."""
+    cols = np.zeros((width, *form[1][0][at].shape), dtype=np.int64)
+    for c, x in zip(*form):
+        for j in range(_limb_count(abs(c))):
+            if limb := abs(c) >> _LIMB * j & _LIMB_MASK:
+                cols[j] += (limb if c > 0 else -limb) * x[at]
+    return cols
+
+
+def _times(acc: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The limbs of the product of two numbers in limbs within
+    [-8, 2^24 + 8), each of shape (limbs, ...): a convolution, one
+    broadcast multiply-add per limb of f, below 2^51 a column while f has
+    at most 8 limbs, then carried (_carry)."""
+    out = np.zeros((len(acc) + len(f), *acc.shape[1:]), dtype=np.int64)
+    for j, limb in enumerate(f):
+        out[j:j + len(acc)] += acc * limb
+    return _carry(out)
+
+
+def _carry(x: np.ndarray) -> np.ndarray:
+    """x, the columns sum_t x[t] 2^(24 t) of a nonnegative number below
+    2^(24 len(x)), each below 2^51 in magnitude, carried twice at once in
+    place: each column's carry, its arithmetic shift, goes to the next,
+    which leaves every limb within [-8, 2^24 + 8).  Returns x less its
+    top limbs that are zero."""
+    for _ in range(2):
+        carry = x[:-1] >> _LIMB
+        x[:-1] &= _LIMB_MASK
+        x[1:] += carry
+    while len(x) > 1 and not x[-1].any():
+        x = x[:-1]
+    return x
+
+
+def _limbs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The 24-bit limbs of an array of nonnegative ints below
+    2^(24 len(out)), least significant first, written into the rows of
+    out as int64: returns out."""
+    for t, limb in enumerate(out.view(x.dtype) if x.dtype.itemsize == 8 else out):  # no cast
+        if t + 1 < len(out):
+            np.bitwise_and(x >> _LIMB * t if t else x, _LIMB_MASK, out=limb)
+        else:
+            np.right_shift(x, _LIMB * t, out=limb)
+    return out
 
 
 def _raw_counts(grid: np.ndarray, scales, n: int, distinct: bool):

@@ -29,7 +29,6 @@ from .core import (
     grid_arc,
     in_arc,
     order_comparison_threshold,
-    signed_distance,
     stirling_first_unsigned,
     stirling_second,
     to_grid,
@@ -357,51 +356,44 @@ def _chk_partition_shift(rng, tier):
 
 
 def _chk_scale_average_matches_integral(rng, tier):
-    # k = 3: 2-D integration of brute-force R_3* over its exact breakpoints
-    # (k = 2, C_2* = int F^2, is second_moment_scale_integral_identity).
-    # A tolerance stays: c_k_star forms L_i = s/N cnt - D_i 2^-64 and its
-    # products in floats, so it is not exactly rounded, and the integral
-    # sums float cells over float breakpoints
-    worst = 0.0
+    # k = 3: C_3* against the integral of brute-force R_3* over the scale box,
+    # in Fractions (k = 2, C_2* = int F^2, is second_moment_scale_integral_identity).
+    # R_3* reads |d| <= floor(sigma 2^64/N) for the integer grid distances |d|,
+    # so it is constant on the cells between the breakpoints |d| N/2^64
+    bad = 0
     for _ in range(3):
         n = int(rng.integers(12, 26))
         seq = PointSequence(rng.random(n))
         s1, s2 = float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 1.2))
-        x = seq.points
-        dvals = np.unique(np.abs(signed_distance(x[:, None] - x[None, :]))) * n
+        grid = seq.sorted_grid.tolist()
+        dist = [[min((a - b) % GRID, (b - a) % GRID) for b in grid] for a in grid]
 
-        def breaks(s):
-            return np.unique(np.concatenate(([0.0], dvals[(dvals > 0) & (dvals < s)], [s])))
+        def cells(s):  # (width, window counts) of each cell of [0, s]
+            radii = sorted({0} | {d for row in dist for d in row if Fraction(d * n, GRID) < s})
+            edges = [Fraction(r * n, GRID) for r in radii] + [Fraction(s)]
+            return [(hi - lo, [sum(d <= r for d in row) for row in dist])
+                    for lo, hi, r in zip(edges, edges[1:], radii)]
 
-        b1, b2 = breaks(s1), breaks(s2)
-        total = 0.0
-        for a1, a2 in zip(b1[:-1], b1[1:]):
-            for c1, c2 in zip(b2[:-1], b2[1:]):
-                r = correlations.brute_force_r_k(
-                    seq, scales=((a1 + a2) / 2, (c1 + c2) / 2), star=True
-                ).value
-                total += r * (a2 - a1) * (c2 - c1)
-        f = averaged.c_k_star(seq, (s1, s2))
-        worst = max(worst, abs(total - f) / abs(f))
+        total = sum(w1 * w2 * sum(map(int.__mul__, z1, z2)) for w1, z1 in cells(s1) for w2, z2 in cells(s2))
+        bad += averaged._c_k_star_exact(seq.sorted_grid, (s1, s2), n) != total / n
     return _result("scale_average_matches_integral",
                    "C_3* equals int of R_3* over the scale box (vs brute force)",
-                   worst <= 1e-9, float(worst), 0, "1e-9 relative")
+                   bad == 0, bad, 0, "exact")
 
 
 def _chk_averaged_hoelder_chain(rng, tier):
-    # a tolerance stays: c_k_star forms L_i = s/N cnt - D_i 2^-64 and its
-    # products in floats, so neither side is exactly rounded
+    # (sum_i A_i)^(k-1) <= N^(k-2) sum_i A_i^(k-1) for averaged's integers A_i,
+    # compared as the exact Fractions C_2* and C_k*
     worst = math.inf
     for _ in range(15):
         n = int(rng.integers(20, 400))
         s = float(rng.uniform(0.3, 10.0))
         k = int(rng.integers(3, 5))
         seq = PointSequence(rng.random(n))
-        lhs = averaged.c_k_star(seq, (s,)) ** (k - 1)
-        rhs = averaged.c_k_star(seq, (s,) * (k - 1))
-        worst = min(worst, (rhs - lhs) / max(abs(rhs), 1e-30))
+        pair = averaged._c_k_star_exact(seq.sorted_grid, (s,), n)
+        worst = min(worst, averaged._c_k_star_exact(seq.sorted_grid, (s,) * (k - 1), n) / pair ** (k - 1))
     return _result("averaged_hoelder_chain", "C_2*(s,N)^(k-1) <= C_k*(s,N)",
-                   worst >= -1e-12, worst, ">= 0", "1e-12 relative")
+                   worst >= 1, float(worst), "C_k*/C_2*^(k-1) >= 1", "exact")
 
 
 def _chk_localized_lower_bound_trend(rng, tier):
@@ -426,27 +418,31 @@ def _chk_localized_lower_bound_trend(rng, tier):
 
 
 def _chk_second_moment_identity(rng, tier):
-    # int F^2 = sum_v v^2 L_v / 2^64 against c_k_star's pair average; and, where
-    # N >= 4s, I_2* = s + I_2 in integers on the grid: sum_v v^2 L_v is the mass
-    # sum_v v L_v = N (2R+1) plus T_2, the integer tent summed over distinct pairs.
-    # The c_k_star half keeps a tolerance: c_k_star forms L_i = s/N cnt - D_i 2^-64
-    # and its products in floats, so it is not exactly rounded
-    worst, misses = 0.0, []
+    # int F^2 = sum_v v^2 L_v / 2^64 against C_2*, and, where N >= 4s, I_2* = s + I_2
+    # in integers on the grid: sum_v v^2 L_v is the mass sum_v v L_v = N (2R+1)
+    # plus T_2, the integer tent summed over distinct pairs.  For s < N/2, F's arcs
+    # hold 2R_F + 1 grid points, R_F = floor(S/2) with S = s 2^64/N, so
+    # sum_v v^2 L_v = sum_(i,j) (2R_F + 1 - |d_ij|)^+, while 2^64 C_2* =
+    # sum_(i,j) (S - |d_ij|)^+.  As 2R_F + 1 - S lies in (-1, 1], each pair's
+    # terms differ by at most 1, and both vanish unless |d_ij| <= floor(S), the
+    # wider radius: the two differ by at most sum_i cnt_i = N R_2*(s), exactly
+    worst, misses = Fraction(0), []
     for _ in range(12):
         n = int(rng.integers(120, 10**4))
         s = float(rng.choice([0.5, 1.0, 5.0, 50.0]))
         seq = PointSequence(rng.random(n))
         hist = intervalstats.sweep_profile(seq, s).value_lengths().items()
         power = sum(v * v * ln for v, ln in hist)
-        right = averaged.c_k_star(seq, (s,))
-        worst = max(worst, abs(power / GRID - right) / abs(right))
+        gap = abs(power - averaged._c_k_star_exact(seq.sorted_grid, (s,), n) * GRID)
+        worst = max(worst, gap / correlations.r_k_star(seq, (s,)).raw_count)
         if n >= 4 * s:
             misses.append(power != sum(v * ln for v, ln in hist) + intervalstats._tent_sum(seq, s, 2))
     return _result("second_moment_scale_integral_identity",
-                   "int F^2 dt = int_0^s R_2* dsigma, and sum_v v^2 L_v = N(2R+1) + T_2 if N >= 4s",
-                   not any(misses) and worst <= 1e-9,
-                   f"{sum(misses)} of {len(misses)} integer identities fail; {worst!r}",
-                   "0; 0.0", "exact; 1e-9 relative")
+                   "int F^2 dt = int_0^s R_2* dsigma within sum_i cnt_i 2^-64, and "
+                   "sum_v v^2 L_v = N(2R+1) + T_2 if N >= 4s",
+                   not any(misses) and worst <= 1,
+                   f"{sum(misses)} of {len(misses)} integer identities fail; {float(worst)!r}",
+                   "0; <= 1", "exact")
 
 
 def _chk_power_moment_decomposition(rng, tier):

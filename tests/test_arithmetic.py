@@ -373,6 +373,17 @@ def test_sum_of_squares_past_int64(monkeypatch):
         # a lone factor of entries up to 2^62 (tent sums), summed as 32-bit halves
         r = np.array([2**62, 2**62 - 1, 2**32, 2**32 - 1, 0] * 7, dtype=np.int64)
         assert _exact_product_sum([r]) == 7 * (2**63 + 2**33 - 2)
+        # products past 2^63 at k = 2 to 16 factors, some repeated, 1-D and in
+        # rows, of int64, uint64 and int32 entries, in 24-bit limbs
+        rng = np.random.default_rng(block)
+        for k in (2, 3, 4, 5, 16):
+            arrays = [rng.integers(0, 2**bits, (3, 40), dtype=np.int64)
+                      for bits in (62, 40, 31, 1, 24)]
+            arrays += [arrays[0].astype(np.uint64), arrays[2].astype(np.int32)]
+            factors = [arrays[(3 * i + block) % len(arrays)] for i in range(k)]
+            sums = [sum(math.prod(int(f[row, i]) for f in factors) for i in range(40)) for row in range(3)]
+            assert _exact_product_sum(factors) == sums, (k, block)
+            assert _exact_product_sum([f[1] for f in factors]) == sums[1], (k, block)
 
 
 def test_energy_diagonal_lower_bound():
@@ -680,7 +691,7 @@ def test_trial_windows_of_random_rows_take_no_search(monkeypatch):
 
 
 def test_wide_trial_windows_take_no_passes(monkeypatch):
-    # windows of 2 or more points a side on average: no passes and no
+    # windows of 4 or more points a side on average: no passes and no
     # search per anchor, one search of the ends per trial
     real_passes, real, searched = core._window_passes, core._unrolled_search, []
 
@@ -695,7 +706,7 @@ def test_wide_trial_windows_take_no_passes(monkeypatch):
     monkeypatch.setattr(core, "_window_passes", passes)
     monkeypatch.setattr(core, "_unrolled_search", spy)
     rng = np.random.default_rng(53)
-    for n, count, s in ((50, 7, 2.5), (500, 20, 20.0), (1000, 16, 8.0)):
+    for n, count, s in ((50, 7, 4.5), (500, 20, 20.0), (1000, 16, 8.0)):
         arc = grid_arc(-s, s, n)
         _assert_trial_window_counts(_trial_rows(rng, "random", n, arc, count), arc, alone=False)
     assert searched == [(shape, shape, "right") for shape in ((7, 50), (20, 500), (16, 1000))]

@@ -183,11 +183,21 @@ def test_one_overlap_sum_per_distinct_scale(monkeypatch):
     monkeypatch.setattr(averaged, "_overlap_sums", counting)
     monkeypatch.setattr(averaged, "self_window_blocks", counting_blocks)
     monkeypatch.setattr(core, "_BLOCK", 7)
-    # the values are those of one L per slot, multiplied in slot order
-    assert c_k_star(seq, (2.0, 2.0)) == n * math.fsum((l2 * l2).tolist())
-    assert c_k_star(seq, (1.0, 2.0, 1.0)) == n**2 * math.fsum((l1 * l2 * l1).tolist())
+    # the values are those of one L per slot, multiplied in slot order, and
+    # rounded once
+    l1, l2 = _exact_ls(l1, 1.0, n, n), _exact_ls(l2, 2.0, n, n)
+    assert c_k_star(seq, (2.0, 2.0)) == float(n * sum(v * v for v in l2))
+    assert c_k_star(seq, (1.0, 2.0, 1.0)) == float(n**2 * sum(u * v * u for u, v in zip(l1, l2)))
     assert sorted(calls) == [1.0, 2.0, 2.0]
     assert windows == [1] * (3 * 43)  # 300 anchors in blocks of 7, per overlap sum
+
+
+def _exact_ls(rows, s, n, m):
+    """The L_i of _overlap_sums' rows over a grid of m points, as Fractions:
+    each row holds the 24-bit limbs of cnt_i, then those of D_i, and
+    averaged._kernel gives their coefficients and the denominator."""
+    coefs, den = averaged._kernel(s, n, m)
+    return [Fraction(sum(c * v for c, v in zip(coefs, row)), den) for row in rows.tolist()]
 
 
 def _lattice_inputs():
@@ -220,7 +230,7 @@ def _exact_c_k_star(ls, n):
 def test_c_k_star_matches_exact_fraction_double_sum_on_lattice():
     # ties at ||x_i - x_j|| = s/N, duplicates, and s in (N/2, N], where the
     # window is the whole circle
-    worst, cases = 0.0, 0
+    misses, cases = 0, 0
     for x in _lattice_inputs():
         n = x.size
         seq = PointSequence(x)
@@ -230,16 +240,15 @@ def test_c_k_star_matches_exact_fraction_double_sum_on_lattice():
                 continue
             ls = _exact_overlap_sums(x, s, n)
             for scales, slots in (((s,), [ls]), ((s, s), [ls, ls]), ((s, 1.0), [ls, unit_scale])):
-                exact = _exact_c_k_star(slots, n)
-                worst = max(worst, abs(Fraction(c_k_star(seq, scales)) - exact) / exact)
+                misses += c_k_star(seq, scales) != float(_exact_c_k_star(slots, n))
                 cases += 1
     assert cases == 2592
-    assert worst <= 1e-15
+    assert misses == 0
 
 
 def test_c_k_star_local_matches_exact_fraction_double_sum_on_lattice():
     # intervals that start at 0, end at 1, and cut the lattice at a point
-    worst, cases = 0.0, 0
+    misses, cases = 0, 0
     for x in _lattice_inputs():
         n = x.size
         seq = PointSequence(x)
@@ -254,11 +263,10 @@ def test_c_k_star_local_matches_exact_fraction_double_sum_on_lattice():
                     if inside.size == 0:
                         assert got == 0.0
                         continue
-                    exact = _exact_c_k_star([ls] * (k - 1), n)
-                    worst = max(worst, abs(Fraction(got) - exact) / exact)
+                    misses += got != float(_exact_c_k_star([ls] * (k - 1), n))
                     cases += 1
     assert cases == 4160
-    assert worst <= 1e-15
+    assert misses == 0
 
 
 def test_c_k_star_memory_is_linear():
@@ -301,9 +309,9 @@ def _regime_inputs():
 
 def test_overlap_sums_agree_with_the_fraction_oracle_across_the_limb_bound(monkeypatch):
     # each block takes one wrapping uint64 limb below the bound and two
-    # 32-bit limbs at or above it; the L_i, C_k* and its localized sum are
-    # the oracle's at blocks of 1, 7 and N, and bit for bit those of two
-    # limbs everywhere
+    # 32-bit limbs at or above it; the L_i are the oracle's, exactly, and
+    # C_k* and its localized sum its rounding, at blocks of 1, 7 and N, and
+    # bit for bit those of two limbs everywhere
     real_blocks = averaged._block_distances
     taken = []
 
@@ -344,7 +352,26 @@ def test_overlap_sums_agree_with_the_fraction_oracle_across_the_limb_bound(monke
                 assert regimes == ({1} if side == "below" else {2}), side
             if side == "both" and block == 7:
                 assert regimes == {1, 2}
-            assert all(abs(Fraction(v) - e) <= 1e-15 * e for v, e in zip(got, want))
-            for li, num in zip(ls.tolist(), nums):
-                assert abs(Fraction(li) - Fraction(num, den)) <= 2.0**-50 * s
+            assert got == [float(e) for e in want]
+            assert _exact_ls(ls, s, n, n) == [Fraction(num, den) for num in nums]
         assert all(res == results[0] for res in results), side
+
+
+def test_c_k_star_is_the_rounded_fraction_at_higher_orders():
+    # k = 4 and 5, equal and unequal scales, on lattices with ties and
+    # duplicates, and on the inputs around the limb bound, whose blocks
+    # take two 32-bit limbs: products past 2^63 through the head's limbs
+    cases = 0
+    inputs = [(x, 2.0) for x in list(_lattice_inputs())[::7]]
+    for x, s in inputs + [(x, s) for x, s, _ in _regime_inputs()]:
+        n = x.size
+        seq = PointSequence(x)
+        ls = {v: _exact_overlap_sums(x, v, n) for v in {s, 1.0}}
+        for scales in ((s, s, s), (s, 1.0, s), (s,) * 4, (1.0, s, s, 1.0)):
+            assert c_k_star(seq, scales) == float(_exact_c_k_star([ls[v] for v in scales], n)), (n, scales)
+            cases += 1
+        inside = x[(0.25 <= x) & (x < 0.75)]
+        local = _exact_overlap_sums(inside, s, n)
+        for k in (4, 5):
+            assert c_k_star_local(seq, s, k, (0.25, 0.75)) == float(_exact_c_k_star([local] * (k - 1), n))
+    assert cases == 4 * (len(inputs) + 6)

@@ -165,7 +165,7 @@ def test_window_passes_count_past_a_byte(monkeypatch):
 
 
 def test_wide_windows_of_one_block_take_no_passes(monkeypatch):
-    # a grid in one block whose windows hold 2 or more points a side on
+    # a grid in one block whose windows hold 4 or more points a side on
     # average takes no passes and no search per anchor: one search of the
     # ends, and every start read off them
     real_search, real_read, searches, reads = core._unrolled_search, core._starts_off_ends, [], []
@@ -189,8 +189,8 @@ def test_wide_windows_of_one_block_take_no_passes(monkeypatch):
     cases = 0
     for x in _inputs():
         g, n = PointSequence(x).sorted_grid, len(x)
-        for s in {2.5, n / 3}:
-            if 2.5 <= s < n / 2:
+        for s in {4.5, n / 3}:
+            if 4.5 <= s < n / 2:
                 arc = grid_arc(-s, s, n)
                 searches.clear()
                 [(_, [(start, end)])] = core.self_window_blocks(g, [arc])
@@ -274,14 +274,15 @@ def test_sweep_profile_peak_is_its_output_and_one_block():
     (lambda seq: r_k_distinct(seq, (1.0, 1.0)), 1),
     (lambda seq: r_k_distinct(seq, (1.0, 2.0, 1.0, 2.0)), 1.8),
     (lambda seq: r_k_star(seq, (1.0, 1.0)), 1),
-    (lambda seq: c_k_star(seq, (1.0,)), 8),
-    (lambda seq: c_k_star(seq, (2.0, 1.0)), 8),
-    (lambda seq: c_k_star_local(seq, 1.0, 3, (0.1, 0.9)), 8),
+    (lambda seq: c_k_star(seq, (1.0,)), 2.1),
+    (lambda seq: c_k_star(seq, (2.0, 1.0)), 3.1),
+    (lambda seq: c_k_star(seq, (1.0, 2.0, 1.0)), 3.1),
+    (lambda seq: c_k_star_local(seq, 1.0, 3, (0.1, 0.9)), 2.1),
     (lambda seq: moments(seq, 2.0, 3), 4),
     (lambda seq: r_k_box(seq, ((-4.0, 4.0), (-2.0, 3.0))), 3),
     (lambda seq: r_k_testfn(seq, lambda ys: g_eval(3, 1.0, ys), 1.0, 3), 16 + 10),
     (lambda seq: r_k_consecutive(seq, lambda ys: g_eval(3, 1.0, ys), 1.0, 3), 16 + 10),
-], ids=["r_k_distinct", "r_k_distinct_k5", "r_k_star", "c_k_star", "c_k_star_k3",
+], ids=["r_k_distinct", "r_k_distinct_k5", "r_k_star", "c_k_star", "c_k_star_k3", "c_k_star_k4",
         "c_k_star_local", "moments", "r_k_box", "r_k_testfn", "r_k_consecutive"])
 def test_blocked_statistics_memory_does_not_grow_with_n(stat, bound_mib):
     assert core._BLOCK == 1 << 15
